@@ -1234,7 +1234,8 @@ def unique_divide(ideal, a, m):
         if m.payload not in inv_map:
             raise DivisibilityError("no quotient in the ideal")
         out = Elem(ring, inv_map[m.payload])
-    assert (a * out).payload == m.payload
+    if (a * out).payload != m.payload:
+        raise DivisibilityError("the quotient does not multiply back to m")
     return out
 
 

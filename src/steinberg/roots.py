@@ -179,8 +179,10 @@ def build_system(family, rank=None):
         raise RootSystemError(f"family {family} is not simply laced or not supported")
     datum = RootDatum(family, rank, sorted(roots))
     expected = {"A": rank * (rank + 1), "D": 2 * rank * (rank - 1), "E": {6: 72, 7: 126, 8: 240}.get(rank)}
-    assert len(datum.roots) == expected[family], (family, rank, len(datum.roots))
-    assert all(r.norm2() == 2 for r in datum.roots)
+    if len(datum.roots) != expected[family]:
+        raise RootSystemError(f"{family}{rank}: built {len(datum.roots)} roots, expected {expected[family]}")
+    if any(r.norm2() != 2 for r in datum.roots):
+        raise RootSystemError(f"{family}{rank}: a root does not have squared length 2")
     return datum
 
 

@@ -166,14 +166,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        rec = fn(*args, **kwargs)
-        return rec
-
-    return wrapper
-
-
 class _Check:
     """Context helper: times a check and appends it to the suite output."""
 

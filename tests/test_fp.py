@@ -6,14 +6,17 @@ from steinberg.fp import (
     CosetTable,
     Presentation,
     WordTester,
+    additive_basis,
     amalgam_presentation,
     enumerate_steinberg,
     eval_word,
+    inverse_letters,
     k2_compute,
     orbit_with_witnesses,
     relative_subgroup_index,
     star_presentations,
     steinberg_presentation,
+    table_fits,
     todd_coxeter,
 )
 from steinberg.matrices import Inconclusive, basis_vector
@@ -87,13 +90,113 @@ def test_table_soundness_and_determinism():
 
 
 def test_steinberg_presentation_counts():
+    # lean closed form with m = |additive basis|: |Phi| * m generators;
+    # per root m power and m(m-1)/2 commutation relators, and m^2 commutator
+    # relators per unordered pair of distinct non-opposite roots, of which
+    # there are |Phi|(|Phi|-2)/2.
+    def closed_form(nroots, m):
+        return nroots * (m + m * (m - 1) // 2) + nroots * (nroots - 2) // 2 * m * m
+
+    # A2/f2: |Phi| = 6, m = 1: 6 generators, 6*1 + 12*1 = 18 relators
     sp = steinberg_presentation(A2, F2)
     assert sp.presentation.ngens == 6
+    assert len(sp.presentation.relators) == closed_form(6, 1) == 18
+    # A3/f3: |Phi| = 12, basis {1}: 12 generators
     f3 = make_ring("f3")
     sp3 = steinberg_presentation(A3, f3)
-    assert sp3.presentation.ngens == 24
-    # closed-form relator count for (A2, f2): 6 additivity + 24 commutators
-    assert len(sp.presentation.relators) == 30
+    assert sp3.presentation.ngens == 12
+    assert len(sp3.presentation.relators) == closed_form(12, 1) == 72
+    # A2/f2[eps]: basis {1, eps}, m = 2: 12 generators, 6*3 + 12*4 = 66 relators
+    sp_eps = steinberg_presentation(A2, make_ring("quo(poly(f2,X),[0,0,1])"))
+    assert sp_eps.presentation.ngens == 12
+    assert len(sp_eps.presentation.relators) == closed_form(6, 2) == 66
+
+
+@pytest.mark.parametrize(
+    "spec, orders",
+    [("z/1", []), ("z/4", [4]), ("f3", [3]), ("quo(poly(f2,X),[0,0,1])", [2, 2]), ("prod(f2,f3)", [3, 2])],
+)
+def test_additive_basis_normal_forms(spec, orders):
+    ring = make_ring(spec)
+    basis, got_orders, normal_form = additive_basis(ring)
+    assert got_orders == orders
+    assert set(normal_form) == set(ring.payloads())
+    seen = set()
+    for r, coeffs in normal_form.items():
+        assert all(0 <= c < o for c, o in zip(coeffs, orders))
+        total = ring.zero_p
+        for c, b in zip(coeffs, basis):
+            total = ring.p_add(total, ring.p_mul(ring.p_from_int(c), b))
+        assert total == r
+        seen.add(coeffs)
+    assert len(seen) == len(normal_form)
+
+
+def _full_relators(datum, ring):
+    """The full presentation's relators over letters (root, payload, +-1):
+    additivity for every (r, s) and the commutator formula for every ordered
+    pair of distinct non-opposite roots and every (r, s)."""
+    nonzero = [p for p in ring.payloads() if p != ring.zero_p]
+    rels = []
+    for ri in range(len(datum.roots)):
+        for r in nonzero:
+            for s in nonzero:
+                rels.append(((ri, r, 1), (ri, s, 1), (ri, ring.p_add(r, s), -1)))
+    for ai, alpha in enumerate(datum.roots):
+        for bi, beta in enumerate(datum.roots):
+            if ai == bi or beta == -alpha:
+                continue
+            gamma = alpha + beta
+            for r in nonzero:
+                for s in nonzero:
+                    rel = ((ai, r, 1), (bi, s, 1), (ai, r, -1), (bi, s, -1))
+                    if gamma in datum:
+                        prod = ring.p_mul(r, s)
+                        if datum.sign(alpha, beta) < 0:
+                            prod = ring.p_neg(prod)
+                        rel += ((datum.index[gamma], prod, -1),)
+                    rels.append(rel)
+    return rels
+
+
+@pytest.mark.parametrize(
+    "system, spec, order, enumerate_full",
+    [
+        ("A2", "f2", 168, True),
+        ("A3", "f2", 20160, False),
+        ("A2", "f3", 5616, True),  # |SL(3,3)|
+        ("A2", "z/4", 86016, False),
+        ("A2", "quo(poly(f2,X),[0,0,1])", 43008, False),
+    ],
+)
+def test_lean_presentation_matches_full_family(system, spec, order, enumerate_full):
+    # Every full relator, mapped letter by letter through the basis
+    # expansion, is trivial in the lean group; the lean relators are
+    # instances of full ones.  So the two presentations define isomorphic
+    # groups.  The letters bypass word_letters' simplify, which would apply
+    # additivity before the table is asked.
+    system = build_system(system)
+    ring = make_ring(spec)
+    sp = steinberg_presentation(system, ring)
+    tbl = enumerate_steinberg(sp)
+    assert tbl.n == order
+    full = _full_relators(system, ring)
+    for rel in full:
+        letters = ()
+        for ri, pay, e in rel:
+            word = sp.expansion[(ri, pay)]
+            letters += word if e == 1 else inverse_letters(word)
+        assert tbl.coset_of(letters) == 0, rel
+    if enumerate_full:
+        gen = {}
+        for rel in full:
+            for ri, pay, _ in rel:
+                gen.setdefault((ri, pay), len(gen))
+        pres = Presentation(
+            ngens=len(gen),
+            relators=tuple(tuple(2 * gen[(ri, pay)] + (e < 0) for ri, pay, e in rel) for rel in full),
+        )
+        assert todd_coxeter(pres).n == order
 
 
 def test_st3_f2_order_and_k2():
@@ -220,3 +323,42 @@ def test_coset_table_serialization():
     blob = json.dumps(t.to_json())
     t2 = CosetTable.from_json(json.loads(blob))
     assert t2.rows == t.rows
+
+
+@pytest.mark.parametrize("corruption", ["not-json", "broken-permutation", "wrong-width", "relator-fails"])
+def test_cache_discards_unsound_table(tmp_path, monkeypatch, corruption):
+    monkeypatch.setenv("STEINBERG_CACHE", str(tmp_path))
+    from steinberg import fp
+
+    sp = steinberg_presentation(A2, F2)
+    saved = dict(fp._MEMO)
+    fp._MEMO.clear()
+    try:
+        good = enumerate_steinberg(sp)
+        (path,) = tmp_path.iterdir()
+        blob = json.loads(path.read_text())
+        if corruption == "not-json":
+            text = "{"
+        elif corruption == "broken-permutation":
+            row = blob["rows"][5]
+            assert row[0] != row[2]
+            row[0], row[2] = row[2], row[0]
+            text = json.dumps(blob)
+        elif corruption == "wrong-width":
+            # a sound table, but of a one-generator presentation
+            text = json.dumps(todd_coxeter(Presentation(ngens=1, relators=((0, 0, 0),))).to_json())
+        else:
+            # every generator swaps two cosets: a permutation table that only
+            # the relators reject
+            bad = CosetTable(12, [[1] * 12, [0] * 12])
+            assert table_fits(bad, Presentation(ngens=6, relators=()))
+            assert not table_fits(bad, sp.presentation)
+            text = json.dumps(bad.to_json())
+        path.write_text(text)
+        fp._MEMO.clear()
+        again = enumerate_steinberg(sp)
+        assert again.rows == good.rows
+        assert json.loads(path.read_text()) == good.to_json()
+    finally:
+        fp._MEMO.clear()
+        fp._MEMO.update(saved)

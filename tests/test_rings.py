@@ -177,6 +177,16 @@ def test_unique_divide():
         unique_divide(ideal3, z6.el(2), z6.el(3))
 
 
+def test_unique_divide_poisoned_cache_raises():
+    f23 = make_ring("prod(f2,f3)")
+    ideal = FGIdeal(f23, [f23.el((0, 1))])
+    a = f23.el((0, 1))
+    # a * (0,1) is (0,1), not (0,2): the cached map lies about the quotient
+    ideal._div_cache[("fg", a.payload)] = {(0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 1)}
+    with pytest.raises(DivisibilityError):
+        unique_divide(ideal, a, f23.el((0, 2)))
+
+
 def test_unique_divide_roundtrip_exhaustive():
     f23 = make_ring("prod(f2,f3)")
     ideal = FGIdeal(f23, [f23.el((0, 1))])
