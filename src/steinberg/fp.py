@@ -441,7 +441,7 @@ def enumerate_steinberg(sp, subgroup_letterwords=(), max_cosets=10**6):
     if cache_dir:
         digest = hashlib.sha256(json.dumps([key[0], [list(w) for w in key[1]], key[2]]).encode()).hexdigest()
         path = os.path.join(cache_dir, f"table-{digest}.json")
-        tbl = _load_table(path, sp.presentation, subgroup_letterwords)
+        tbl = _load_table(path, sp, subgroup_letterwords)
         if tbl is not None:
             _MEMO[key] = tbl
             return tbl
@@ -456,26 +456,38 @@ def enumerate_steinberg(sp, subgroup_letterwords=(), max_cosets=10**6):
     return tbl
 
 
-def _load_table(path, pres, subgroup_letterwords):
+def _load_table(path, sp, subgroup_letterwords):
     """The cached table at `path`, or None when it is missing or unsound."""
     try:
         with open(path) as fh:
             tbl = CosetTable.from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return tbl if table_fits(tbl, pres, subgroup_letterwords) else None
+    return tbl if table_fits(tbl, sp, subgroup_letterwords) else None
 
 
 def table_fits(tbl, pres, subgroup_letterwords=()):
-    """Whether `tbl` is a complete, standardized coset table of `pres`.
+    """Whether `tbl` is a complete, standardized coset table of `pres`, a
+    Presentation or a SteinbergPresentation.
 
     Checks the width (2 columns per generator), that each column is a
     permutation inverted by its partner column, that every relator closes
     at every coset, that the subgroup words fix coset 0, and that the rows
     are in breadth-first standard order (so the table is connected).  A
     table that passes is the coset table of some subgroup containing the
-    subgroup words; these checks cannot tell it from a quotient's table.
+    subgroup words.
+
+    For a SteinbergPresentation without subgroup words the table must be
+    the regular representation of St(Phi, R), in which the generator
+    x_alpha(b) moves every coset in a cycle as long as the additive order
+    of b: phi embeds each root subgroup.  That rejects a table in which a
+    root subgroup collapses, such as the one-coset table, at O(n) cost per
+    generator.  A table of a quotient that keeps every root subgroup, such
+    as the table of E(R) = St(Phi, R)/K2, still passes.
     """
+    sp = pres if isinstance(pres, SteinbergPresentation) else None
+    if sp is not None:
+        pres = sp.presentation
     ncols, rows = tbl.ncols, tbl.rows
     n = len(rows)
     if ncols != 2 * pres.ngens or n == 0:
@@ -496,12 +508,39 @@ def table_fits(tbl, pres, subgroup_letterwords=()):
             images = [col[c] for c in images]
         if images != ident:
             return False
+    if sp is not None and not subgroup_letterwords and not _root_cycles_regular(cols, sp):
+        return False
     if any(tbl.coset_of(w) != 0 for w in subgroup_letterwords):
         return False
     try:
         return _standardize(rows, ncols) == rows
     except PresentationError:
         return False
+
+
+def _root_cycles_regular(cols, sp):
+    """Whether every cycle of each generator x_alpha(b)'s column is as long as
+    the additive order of b (the columns are permutations)."""
+    ring = sp.ring
+    orders = {}
+    n = len(cols[0])
+    for (_, b), g in sp.gen_index.items():
+        if b not in orders:
+            k, x = 1, b
+            while x != ring.zero_p:
+                x = ring.p_add(x, b)
+                k += 1
+            orders[b] = k
+        col, seen = cols[2 * g], bytearray(n)
+        for start in range(n):
+            length, c = 0, start
+            while not seen[c]:
+                seen[c] = 1
+                c = col[c]
+                length += 1
+            if length not in (0, orders[b]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -199,13 +199,8 @@ def unipotent(datum, root, xi):
     ring = xi.ring
     data = {(i, i): ring.one_p for i in range(n)}
     if not xi.is_zero():
-        if datum.family == "A":
-            i, j = datum.a_indices(root)
-            data[(i, j)] = xi.payload
-        else:
-            i, j = datum.d_pair(root)
-            data[(datum.d_position(i), datum.d_position(j))] = xi.payload
-            data[(datum.d_position(-j), datum.d_position(-i))] = ring.p_neg(xi.payload)
+        for i, j, sign in datum.unipotent_entries(datum.index[root]):
+            data[(i, j)] = xi.payload if sign > 0 else ring.p_neg(xi.payload)
     return RMatrix(ring, n, data, factors=(("unip", datum, root, xi),))
 
 

@@ -67,6 +67,7 @@ class RootDatum:
         self.root_set = frozenset(self.roots)
         self._signs = {}
         self._cocycle = None
+        self._unipotent_entries = None
 
     @property
     def name(self):
@@ -86,6 +87,27 @@ class RootDatum:
         if self.family == "D":
             return 2 * self.rank
         raise RootSystemError(f"no matrix realization for family {self.family}")
+
+    def unipotent_entries(self, ri):
+        """The entries (i, j, sign) of x_alpha(1) - 1 for alpha = roots[ri].
+
+        In the standard realization x_alpha(c) = 1 + sum sign*c*e_ij: one
+        entry for the A family, two for D, where x_(i,j)(c) = 1 + c*e_(i,j)
+        - c*e_(-j,-i).
+        """
+        if self._unipotent_entries is None:
+            self.matrix_size()  # raises for realizations without matrices
+            entries = []
+            for root in self.roots:
+                if self.family == "A":
+                    i, j = self.a_indices(root)
+                    entries.append(((i, j, 1),))
+                else:
+                    i, j = self.d_pair(root)
+                    pos = self.d_position
+                    entries.append(((pos(i), pos(j), 1), (pos(-j), pos(-i), -1)))
+            self._unipotent_entries = tuple(entries)
+        return self._unipotent_entries[ri]
 
     def sign(self, alpha, beta):
         """N_{alpha,beta}, defined exactly when alpha+beta is a root."""

@@ -239,23 +239,30 @@ def _rand_word(system, ring, rng, length):
 # chevalley-relations
 
 
-def _root_patterns(datum):
-    """(positions, signs) per root for building numpy unipotents."""
-    n = datum.matrix_size()
-    pats = []
-    for root in datum.roots:
-        if datum.family == "A":
-            i, j = datum.a_indices(root)
-            pats.append(((i, j, 1),))
-        else:
-            i, j = datum.d_pair(root)
-            pats.append(
-                (
-                    (datum.d_position(i), datum.d_position(j), 1),
-                    (datum.d_position(-j), datum.d_position(-i), -1),
-                )
-            )
-    return pats
+# Each batched temporary of the chevalley suite holds at most about this
+# many bytes of int64 matrices (0.3 MB), which keeps the suite's peak memory
+# where the unbatched loop had it.
+_CHEVALLEY_BATCH_BYTES = 300_000
+
+
+def _chevalley_tables(datum):
+    """Per root, its unipotent entries (i, j, sign); per ordered root pair,
+    ("skip", 0) for equal or opposite roots, (index of alpha+beta, N_{alpha,beta})
+    when alpha+beta is a root, and (None, 0) otherwise."""
+    nroots = len(datum.roots)
+    pats = [datum.unipotent_entries(ri) for ri in range(nroots)]
+    sums = []
+    for al in datum.roots:
+        row = []
+        for be in datum.roots:
+            if be == al or be == -al:
+                row.append(("skip", 0))
+            elif (al + be) in datum:
+                row.append((datum.index[al + be], datum.sign(al, be)))
+            else:
+                row.append((None, 0))
+        sums.append(row)
+    return pats, sums
 
 
 def suite_chevalley(config):
@@ -264,66 +271,64 @@ def suite_chevalley(config):
     checks = []
     for sysname in systems:
         datum = build_system(sysname)
-        pats = _root_patterns(datum)
+        pats, sums = _chevalley_tables(datum)
         size = datum.matrix_size()
-        nroots = len(datum.roots)
-        sums = []
-        for ai in range(nroots):
-            row = []
-            for bi in range(nroots):
-                al, be = datum.roots[ai], datum.roots[bi]
-                if ai == bi or be == -al:
-                    row.append(("skip", 0))
-                elif (al + be) in datum:
-                    row.append((datum.index[al + be], datum.sign(al, be)))
-                else:
-                    row.append((None, 0))
-            sums.append(row)
         for ringspec in rings:
             ring = make_ring(ringspec)
             N = ring.n
             with _Check(checks, f"chevalley-{sysname}-{ringspec}", "matrix") as rec:
-                ident = numpy.eye(size, dtype=numpy.int64)
-
-                def unip(ri, r):
-                    m = ident.copy()
-                    for i, j, s in pats[ri]:
-                        m[i, j] = (s * r) % N
-                    return m
-
-                mats = [[unip(ri, r) for r in range(N)] for ri in range(nroots)]
-                # additivity
-                for ri in range(nroots):
-                    for r in range(1, N):
-                        for s in range(1, N):
-                            lhs = mats[ri][r] @ mats[ri][s] % N
-                            rec.instances += 1
-                            if not numpy.array_equal(lhs, mats[ri][(r + s) % N]):
-                                rec.fail(kind="additivity", root=ri, r=r, s=s)
-                # commutators
-                for ai in range(nroots):
-                    for bi in range(nroots):
-                        tag, sign = sums[ai][bi]
-                        if tag == "skip":
-                            continue
-                        for r in range(1, N):
-                            ar = mats[ai][r]
-                            arinv = mats[ai][N - r]
-                            for s in range(1, N):
-                                bs = mats[bi][s]
-                                comm = ar @ bs @ arinv @ mats[bi][N - s] % N
-                                rec.instances += 1
-                                if tag is None:
-                                    ok = numpy.array_equal(comm, ident)
-                                else:
-                                    ok = numpy.array_equal(
-                                        comm, mats[tag][(sign * r * s) % N]
-                                    )
-                                if not ok:
-                                    rec.fail(
-                                        kind="commutator", alpha=ai, beta=bi, r=r, s=s
-                                    )
+                _chevalley_check(rec, pats, sums, size, N)
     return checks
+
+
+def _chevalley_check(rec, pats, sums, size, N):
+    """Additivity and the commutator formula over Z/N, exhaustively.
+
+    The products run in numpy batches: per root over all (r, s) for
+    additivity, and per (alpha, r) over all (beta, s) for the commutators,
+    in chunks of beta of at most _CHEVALLEY_BATCH_BYTES.  Failures are
+    reported in the order of the loops over (alpha, beta, r, s).
+    """
+    nroots = len(pats)
+    # mats[ri, r] is x_root(r); mats[ri, 0] is the identity
+    mats = numpy.broadcast_to(numpy.eye(size, dtype=numpy.int64), (nroots, N, size, size)).copy()
+    coeffs = numpy.arange(N)
+    for ri, entries in enumerate(pats):
+        for i, j, sign in entries:
+            mats[ri, :, i, j] = (sign * coeffs) % N
+    nonzero = coeffs[1:]
+    # additivity
+    total = (nonzero[:, None] + nonzero[None, :]) % N
+    for ri in range(nroots):
+        m = mats[ri]
+        lhs = m[1:, None] @ m[None, 1:] % N
+        bad = ~(lhs == m[total]).all(axis=(2, 3))
+        rec.instances += bad.size
+        for r, s in numpy.argwhere(bad):
+            rec.fail(kind="additivity", root=ri, r=int(r) + 1, s=int(s) + 1)
+    # commutators: [x_alpha(r), x_beta(s)] against x_{alpha+beta}(N r s), or
+    # the identity x_0(0) when alpha+beta is not a root
+    chunk = max(1, _CHEVALLEY_BATCH_BYTES // (max(N - 1, 1) * size * size * 8))
+    for ai in range(nroots):
+        betas = [bi for bi in range(nroots) if sums[ai][bi][0] != "skip"]
+        pairs = [sums[ai][bi] for bi in betas]
+        tags = numpy.array([0 if tag is None else tag for tag, _ in pairs], dtype=numpy.int64)
+        signs = numpy.array([sign for _, sign in pairs], dtype=numpy.int64)
+        bad = numpy.zeros((len(betas), N - 1, N - 1), dtype=bool)  # [beta, r, s]
+        for lo in range(0, len(betas), chunk):
+            part = betas[lo:lo + chunk]
+            bs = mats[part, 1:]
+            bs_inv = mats[part, :0:-1]
+            for r in range(1, N):
+                comm = mats[ai, r] @ bs @ mats[ai, N - r] @ bs_inv % N
+                want = mats[
+                    tags[lo:lo + chunk, None],
+                    (signs[lo:lo + chunk, None] * r * nonzero[None, :]) % N,
+                ]
+                bad[lo:lo + chunk, r - 1] = ~(comm == want).all(axis=(2, 3))
+        rec.instances += bad.size
+        for b, r, s in numpy.argwhere(bad):
+            rec.fail(kind="commutator", alpha=ai, beta=betas[b], r=int(r) + 1, s=int(s) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import identity_matrix, unipotent
+from .matrices import RMatrix, identity_matrix
 from .rings import SplitData
 
 
@@ -145,12 +145,40 @@ def simplify(w):
 
 
 def phi(w):
-    """The matrix image of a word: the product of its root unipotents."""
-    n = w.system.matrix_size()
-    acc = identity_matrix(w.ring, n)
+    """The matrix image of a word: the product of its root unipotents.
+
+    Right multiplication by 1 + c*e_ij adds c times column i to column j,
+    so each letter costs a column operation, not a matrix product.  A
+    D-type unipotent 1 + c*e_ab - c*e_(b',a') (x' the position of -x) is
+    two of them: e_ab * e_(b',a') = 0 = e_(b',a') * e_ab, since b != b' and
+    a' != a.  The factors are those of the product of the unipotents.
+    """
+    system, ring = w.system, w.ring
+    n = system.matrix_size()
+    if not w.letters:
+        return identity_matrix(ring, n)
+    padd, pmul, pneg, zero = ring.p_add, ring.p_mul, ring.p_neg, ring.zero_p
+    entries = system.unipotent_entries
+    cols = [{j: ring.one_p} for j in range(n)]  # column j as {row: payload}
     for idx, c in w.letters:
-        acc = acc * unipotent(w.system, w.system.roots[idx], c)
-    return acc
+        p = c.payload
+        if p == zero:
+            continue
+        for i, j, sign in entries(idx):
+            coef = p if sign > 0 else pneg(p)
+            target = cols[j]
+            for row, v in cols[i].items():
+                x = pmul(v, coef)
+                cur = target.get(row)
+                if cur is not None:
+                    x = padd(cur, x)
+                if x == zero:
+                    target.pop(row, None)
+                else:
+                    target[row] = x
+    data = {(row, j): v for j, col in enumerate(cols) for row, v in col.items() if v != zero}
+    roots = system.roots
+    return RMatrix(ring, n, data, tuple(("unip", system, roots[idx], c) for idx, c in w.letters))
 
 
 def transpose_anti(w):

@@ -9,6 +9,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.
 """
 
+import pathlib
 import time
 
 from steinberg.fp import k2_compute
@@ -17,6 +18,9 @@ from steinberg.rings import make_ring
 from steinberg.suites import SuiteConfig, run_suite
 
 _CACHE = {}
+# Canonical reports of every suite at its default config, captured with
+# scripts/run_all_suites.py; a change that moves a byte must recapture them.
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def suite_report(name, **kw):
@@ -169,6 +173,8 @@ def test_criterion_10_reproducibility():
         again = run_suite(SuiteConfig(suite=name, **kw))
         if first.to_json() != again.to_json():
             mismatches.append(name)
+        if not kw and first.to_json() != (GOLDEN / f"{name}.json").read_text():
+            mismatches.append(f"{name} (golden)")
     ok = not mismatches
-    announce(10, ok, "byte-identical JSON on re-run for all 10 suites"
+    announce(10, ok, "byte-identical JSON on re-run and against tests/golden for all 10 suites"
              if ok else f"mismatches: {mismatches}")

@@ -362,3 +362,29 @@ def test_cache_discards_unsound_table(tmp_path, monkeypatch, corruption):
     finally:
         fp._MEMO.clear()
         fp._MEMO.update(saved)
+
+
+def test_table_fits_rejects_collapsed_root_subgroups(tmp_path, monkeypatch):
+    monkeypatch.setenv("STEINBERG_CACHE", str(tmp_path))
+    from steinberg import fp
+
+    sp = steinberg_presentation(A2, F2)
+    collapsed = CosetTable(12, [[0] * 12])
+    # the one-coset table closes every relator; only the cycle lengths of
+    # the root generators show that it is not St(A2,F2)
+    assert table_fits(collapsed, sp.presentation)
+    assert not table_fits(collapsed, sp)
+    saved = dict(fp._MEMO)
+    fp._MEMO.clear()
+    try:
+        good = enumerate_steinberg(sp)
+        assert table_fits(good, sp)
+        (path,) = tmp_path.iterdir()
+        path.write_text(json.dumps(collapsed.to_json()))
+        fp._MEMO.clear()
+        assert enumerate_steinberg(sp).rows == good.rows
+        sp3 = steinberg_presentation(A2, make_ring("f3"))
+        assert table_fits(enumerate_steinberg(sp3), sp3)
+    finally:
+        fp._MEMO.clear()
+        fp._MEMO.update(saved)

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg.rings import (
+    TABLE_MAX_SIZE,
     DivisibilityError,
     Elem,
     FGIdeal,
@@ -297,3 +298,110 @@ def test_add_mul_closure_random(spec, data):
     y = Elem(ring, data.draw(st.sampled_from(pool)))
     assert (x + y).payload in ring.enum_order()
     assert (x * y).payload in ring.enum_order()
+
+
+def _f2eps_model(op, x, y):
+    """F2[eps] on coefficient pairs, written out: the reference for its tables."""
+    a = (x + (0, 0))[:2]
+    b = (y + (0, 0))[:2]
+    if op == "add":
+        out = [(a[0] + b[0]) % 2, (a[1] + b[1]) % 2]
+    else:
+        out = [a[0] * b[0] % 2, (a[0] * b[1] + a[1] * b[0]) % 2]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _prod_f2_f3_model(op, x, y):
+    if op == "add":
+        return ((x[0] + y[0]) % 2, (x[1] + y[1]) % 3)
+    return (x[0] * y[0] % 2, x[1] * y[1] % 3)
+
+
+def _table_rings():
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    quo, _ = quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))
+    return [
+        (f2e, _f2eps_model),
+        (make_ring("prod(f2,f3)"), _prod_f2_f3_model),
+        (make_ring("loc(prod(f2,f3),[0,1])"), _prod_f2_f3_model),
+        (quo, None),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_table_arithmetic_matches_class_arithmetic(index):
+    ring, model = _table_rings()[index]
+    assert ring.size() <= TABLE_MAX_SIZE
+    # the tables are bound on the instance; the class methods define them
+    assert {"p_add", "p_mul", "p_neg"} <= set(vars(ring))
+    cls = type(ring)
+    pool = list(ring.payloads())
+    for x in pool:
+        assert ring.p_neg(x) == cls.p_neg(ring, x)
+        for y in pool:
+            assert ring.p_add(x, y) == cls.p_add(ring, x, y)
+            assert ring.p_mul(x, y) == cls.p_mul(ring, x, y)
+            if model is not None:
+                assert ring.p_add(x, y) == model("add", x, y)
+                assert ring.p_mul(x, y) == model("mul", x, y)
+    assert ring_axiom_failures(ring) == []
+
+
+def test_table_lookup_falls_back_for_other_payloads():
+    # F2[eps]/(eps) has the representatives () and (1,); eps = (0, 1) is a
+    # payload of the base, which the quotient's class arithmetic accepts
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    quo, _ = quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))
+    assert list(quo.payloads()) == [(), (1,)]
+    assert quo.p_add((0, 1), (1,)) == (1,)
+    assert quo.p_mul((1, 1), (1, 1)) == (1,)
+    assert quo.p_neg((0, 1)) == ()
+
+
+def test_rings_above_the_size_bound_keep_class_arithmetic():
+    big = make_ring("quo(poly(f3,X),[1,0,0,0,1])")  # F3[X]/(X^4+1), 81 elements
+    assert big.size() == 81 > TABLE_MAX_SIZE
+    assert not {"p_add", "p_mul", "p_neg"} & set(vars(big))
+    assert ring_axiom_failures(big, samples=300) == []
+    # z/N keeps its modular arithmetic whatever its size
+    assert "p_mul" not in vars(make_ring("z/6"))
+
+
+def test_quotient_ring_spec_names_its_ideal():
+    z12 = make_ring("z/12")
+    by2, _ = quotient_ring(z12, FGIdeal(z12, [z12.el(2)]))
+    by3, _ = quotient_ring(z12, FGIdeal(z12, [z12.el(3)]))
+    assert by2.spec == "quo_ideal(z/12,[2])"
+    assert by3.spec == "quo_ideal(z/12,[3])"
+    assert (by2.size(), by3.size()) == (2, 3)
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    quo, _ = quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))
+    assert quo.spec == "quo_ideal(quo(poly(f2,X),[0,0,1]),[[0,1]])"
+
+
+def test_fraction_localization_large_powers_are_units():
+    # 2^70 is a unit of Z[1/2] with inverse 1/2^70; a cap of 64 powers said no
+    loc = make_ring("loc(z,2)")
+    big = (2**70, 0)
+    assert loc.p_inv(big) == (1, 70)
+    assert loc.p_try_div(loc.one_p, big) == (1, 70)
+    assert loc.p_mul(big, (1, 70)) == loc.one_p
+    assert loc.p_inv((1, 70)) == big
+    assert loc.p_try_div(big, (1, 70)) == (2**140, 0)
+    assert loc.p_inv((3 * 2**70, 0)) is None
+    assert loc.p_try_div((3 * 2**70, 0), (3, 0)) == big
+    assert loc.p_try_div(big, (3, 0)) is None
+
+
+def test_fraction_localization_cap_is_inconclusive():
+    # over Z[X] no bound is known: X+1 divides no power of X among the first
+    # 64, which decides nothing, so the search raises instead of saying no
+    loc = make_ring("loc(poly(z,X),[0,1])")
+    x_plus_1 = ((1, 1), 0)
+    with pytest.raises(UnsupportedRingError):
+        loc.p_inv(x_plus_1)
+    with pytest.raises(UnsupportedRingError):
+        loc.p_try_div(loc.one_p, x_plus_1)
+    assert loc.p_inv(((0, 0, 1), 0)) == (loc.base.one_p, 2)

@@ -1,8 +1,11 @@
 import json
 
+import numpy
 import pytest
 
 from steinberg import cli
+from steinberg import suites as S
+from steinberg.roots import build_system
 from steinberg.suites import (
     SUITES,
     CheckRecord,
@@ -114,3 +117,90 @@ def test_tier_policy_downgrades_to_matrix():
     # the default policy uses the exact tier where a table is affordable
     rep2 = run_suite(SuiteConfig(suite="tulenbaev-identities"))
     assert {c.name: c.tier for c in rep2.checks}["xlaws-f2-exact"] == "exact"
+
+
+def _chevalley_loop(pats, sums, size, N):
+    """The per-instance chevalley check: one product chain per (r, s) and per
+    (alpha, beta, r, s).  Returns (instances, failures capped at 32)."""
+    ident = numpy.eye(size, dtype=numpy.int64)
+
+    def unip(ri, r):
+        m = ident.copy()
+        for i, j, s in pats[ri]:
+            m[i, j] = (s * r) % N
+        return m
+
+    nroots = len(pats)
+    mats = [[unip(ri, r) for r in range(N)] for ri in range(nroots)]
+    instances, failures = 0, []
+    for ri in range(nroots):
+        for r in range(1, N):
+            for s in range(1, N):
+                instances += 1
+                if not numpy.array_equal(mats[ri][r] @ mats[ri][s] % N, mats[ri][(r + s) % N]):
+                    failures.append(dict(kind="additivity", root=ri, r=r, s=s))
+    for ai in range(nroots):
+        for bi in range(nroots):
+            tag, sign = sums[ai][bi]
+            if tag == "skip":
+                continue
+            for r in range(1, N):
+                for s in range(1, N):
+                    comm = mats[ai][r] @ mats[bi][s] @ mats[ai][N - r] @ mats[bi][N - s] % N
+                    instances += 1
+                    want = ident if tag is None else mats[tag][(sign * r * s) % N]
+                    if not numpy.array_equal(comm, want):
+                        failures.append(dict(kind="commutator", alpha=ai, beta=bi, r=r, s=s))
+    return instances, failures[:32]
+
+
+def _corrupt(kind):
+    """A _chevalley_tables with one sign or one unipotent entry wrong."""
+    honest = S._chevalley_tables
+
+    def tables(datum):
+        pats, sums = honest(datum)
+        pats, sums = list(pats), [list(row) for row in sums]
+        if kind == "sign":
+            ai, bi = next((a, b) for a, row in enumerate(sums) for b, (tag, _) in enumerate(row)
+                          if tag not in ("skip", None) and a > 2)
+            tag, sign = sums[ai][bi]
+            sums[ai][bi] = (tag, -sign)
+        elif kind == "diagonal":  # x_alpha(r) = 1 + r*e_ii is not additive
+            (i, _, sign), *rest = pats[3]
+            pats[3] = ((i, i, sign), *rest)
+        else:  # the second D entry with the wrong sign
+            first, (i, j, sign) = pats[5]
+            pats[5] = (first, (i, j, -sign))
+        return pats, sums
+
+    return tables
+
+
+@pytest.mark.parametrize(
+    "kind,sysname,ringspec",
+    [("sign", "A3", "z/4"), ("diagonal", "A3", "z/3"), ("d-entry", "D4", "z/3"), ("sign", "D4", "z/6")],
+)
+def test_batched_chevalley_reports_the_loop_failures(monkeypatch, kind, sysname, ringspec):
+    monkeypatch.setattr(S, "_chevalley_tables", _corrupt(kind))
+    (rec,) = S.suite_chevalley(SuiteConfig(suite="chevalley-relations", systems=(sysname,), rings=(ringspec,)))
+    datum = build_system(sysname)
+    pats, sums = S._chevalley_tables(datum)
+    instances, failures = _chevalley_loop(pats, sums, datum.matrix_size(), int(ringspec[2:]))
+    assert failures, "the corruption must show"
+    assert rec.instances == instances
+    assert rec.failures == failures
+    assert json.dumps(rec.failures) == json.dumps(failures)
+
+
+def test_batched_chevalley_passes_and_counts_every_instance():
+    rep = run_suite(SuiteConfig(suite="chevalley-relations"))
+    assert rep.verdict == "pass"
+    assert sum(c.instances for c in rep.checks) == 535296
+    # the honest tables agree with the loop too
+    datum = build_system("D4")
+    pats, sums = S._chevalley_tables(datum)
+    assert _chevalley_loop(pats, sums, datum.matrix_size(), 4) == (
+        next(c.instances for c in rep.checks if c.name == "chevalley-D4-z/4"),
+        [],
+    )

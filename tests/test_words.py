@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg import words as W
-from steinberg.matrices import unipotent
+from steinberg.matrices import RMatrix, contragredient, unipotent
 from steinberg.rings import Elem, FGIdeal, make_ring, split_data
 from steinberg.roots import build_system
 from steinberg.words import (
@@ -180,3 +180,56 @@ def test_simplify_is_idempotent(letters):
     s = simplify(w)
     assert simplify(s) == s
     assert phi(s) == phi(w)
+
+
+def _unipotent_by_hand(system, root, c):
+    """x_root(c) in the standard realization, from the root's coordinates."""
+    ring = c.ring
+    n = system.matrix_size()
+    data = {(i, i): ring.one_p for i in range(n)}
+    if not c.is_zero():
+        if system.family == "A":
+            data[(root.coords.index(1), root.coords.index(-1))] = c.payload
+        else:
+            (p, sp), (q, sq) = [(k + 1, x) for k, x in enumerate(root.coords) if x]
+            i, j = sp * p, -sq * q
+            pos = lambda k: k - 1 if k > 0 else n + k  # noqa: E731
+            data[(pos(i), pos(j))] = c.payload
+            data[(pos(-j), pos(-i))] = ring.p_neg(c.payload)
+    return RMatrix(ring, n, data, factors=(("unip", system, root, c),))
+
+
+def _phi_by_products(w):
+    """The product of the letters' unipotents, one matrix product a letter."""
+    n = w.system.matrix_size()
+    acc = RMatrix(w.ring, n, {(i, i): w.ring.one_p for i in range(n)}, factors=())
+    for idx, c in w.letters:
+        acc = acc * _unipotent_by_hand(w.system, w.system.roots[idx], c)
+    return acc
+
+
+@pytest.mark.parametrize("sysname", ["A2", "A3", "A4", "D4", "D5"])
+@pytest.mark.parametrize(
+    "ringspec", ["f2", "z/4", "z/6", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)"]
+)
+def test_phi_matches_product_of_unipotents(sysname, ringspec):
+    system = build_system(sysname)
+    ring = make_ring(ringspec)
+    pool = list(ring.payloads())  # zero included, so words keep zero letters
+    rng = random.Random(f"{sysname}/{ringspec}")
+    for trial in range(30):
+        letters = [
+            (rng.randrange(len(system.roots)), Elem(ring, rng.choice(pool)))
+            for _ in range(rng.randrange(0, 16))
+        ]
+        if trial == 0:
+            letters = [(0, ring.zero())] * 3
+        w = StWord(system, ring, letters)
+        got, want = phi(w), _phi_by_products(w)
+        assert got.data == want.data
+        assert got.factors == want.factors
+        assert len(got.factors) == len(letters)
+        assert contragredient(got) == contragredient(want)
+    for root in system.roots:
+        c = Elem(ring, pool[-1])
+        assert unipotent(system, root, c).data == _unipotent_by_hand(system, root, c).data
