@@ -463,31 +463,23 @@ def _load_table(path, sp, subgroup_letterwords):
             tbl = CosetTable.from_json(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return tbl if table_fits(tbl, sp, subgroup_letterwords) else None
+    if not table_fits(tbl, sp.presentation, subgroup_letterwords):
+        return None
+    if not subgroup_letterwords and not root_cycles_regular(tbl, sp):
+        return None
+    return tbl
 
 
 def table_fits(tbl, pres, subgroup_letterwords=()):
-    """Whether `tbl` is a complete, standardized coset table of `pres`, a
-    Presentation or a SteinbergPresentation.
+    """Whether `tbl` is a complete, standardized coset table of `pres`.
 
     Checks the width (2 columns per generator), that each column is a
     permutation inverted by its partner column, that every relator closes
     at every coset, that the subgroup words fix coset 0, and that the rows
     are in breadth-first standard order (so the table is connected).  A
     table that passes is the coset table of some subgroup containing the
-    subgroup words.
-
-    For a SteinbergPresentation without subgroup words the table must be
-    the regular representation of St(Phi, R), in which the generator
-    x_alpha(b) moves every coset in a cycle as long as the additive order
-    of b: phi embeds each root subgroup.  That rejects a table in which a
-    root subgroup collapses, such as the one-coset table, at O(n) cost per
-    generator.  A table of a quotient that keeps every root subgroup, such
-    as the table of E(R) = St(Phi, R)/K2, still passes.
+    subgroup words; these checks cannot tell it from a quotient's table.
     """
-    sp = pres if isinstance(pres, SteinbergPresentation) else None
-    if sp is not None:
-        pres = sp.presentation
     ncols, rows = tbl.ncols, tbl.rows
     n = len(rows)
     if ncols != 2 * pres.ngens or n == 0:
@@ -508,8 +500,6 @@ def table_fits(tbl, pres, subgroup_letterwords=()):
             images = [col[c] for c in images]
         if images != ident:
             return False
-    if sp is not None and not subgroup_letterwords and not _root_cycles_regular(cols, sp):
-        return False
     if any(tbl.coset_of(w) != 0 for w in subgroup_letterwords):
         return False
     try:
@@ -518,12 +508,20 @@ def table_fits(tbl, pres, subgroup_letterwords=()):
         return False
 
 
-def _root_cycles_regular(cols, sp):
-    """Whether every cycle of each generator x_alpha(b)'s column is as long as
-    the additive order of b (the columns are permutations)."""
-    ring = sp.ring
+def root_cycles_regular(tbl, sp):
+    """Whether every cycle of each generator x_alpha(b) in `tbl`, a table that
+    passes table_fits for `sp`'s presentation, is as long as the additive
+    order of b.
+
+    The regular table of St(Phi, R) (no subgroup words) has this property,
+    since phi embeds each root subgroup.  It rejects a table in which a root
+    subgroup collapses, such as the one-coset table, at O(n) cost per
+    generator.  A table of a quotient that keeps every root subgroup, such
+    as the table of E(R) = St(Phi, R)/K2, still passes.
+    """
+    ring, rows = sp.ring, tbl.rows
+    n = len(rows)
     orders = {}
-    n = len(cols[0])
     for (_, b), g in sp.gen_index.items():
         if b not in orders:
             k, x = 1, b
@@ -531,7 +529,7 @@ def _root_cycles_regular(cols, sp):
                 x = ring.p_add(x, b)
                 k += 1
             orders[b] = k
-        col, seen = cols[2 * g], bytearray(n)
+        col, seen = [row[2 * g] for row in rows], bytearray(n)
         for start in range(n):
             length, c = 0, start
             while not seen[c]:

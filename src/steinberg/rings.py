@@ -32,6 +32,12 @@ from dataclasses import dataclass
 # larger rings keep their class arithmetic.
 TABLE_MAX_SIZE = 64
 
+# Over a base other than Z, FractionLocalization tries this many powers of a
+# in a division before it gives up.  No exact bound is known there, so the
+# search raises UnsupportedRingError at the cap instead of answering "no";
+# over Z the bit length of the divisor bounds the search exactly.
+_POWER_CAP = 64
+
 
 class RingError(Exception):
     pass
@@ -652,53 +658,33 @@ class FractionLocalization(Ring):
     def project(self, p):
         return self._canon(p, 0)
 
-    def _powers_to_try(self, num, cap):
-        """How many powers a^0, a^1, ... to try in a search for the least s
-        with num | m*a^s.  Over Z the bound is exact: such an s, if any, is
-        at most max_p e_p(num) < bit_length(num).  Elsewhere it is `cap`."""
-        return abs(num).bit_length() if isinstance(self.base, ZRing) else cap
+    def p_inv(self, p):
+        return self.p_try_div(self.one_p, p)
 
-    def _no_power_found(self, num, cap):
-        """The end of a search that found no power: "no" (None) over Z, where
-        the bound is exact; elsewhere the cap decides nothing, so raise."""
-        if isinstance(self.base, ZRing):
-            return None
-        raise UnsupportedRingError(
-            f"{self.spec}: no power of {self.base.p_repr(self.a_payload)} among the first {cap} "
-            f"is a multiple of {self.base.p_repr(num)}"
-        )
-
-    def p_inv(self, p, cap=64):
-        num, k = p
-        if num == self.base.zero_p:
-            return None
-        apow = self.base.one_p
-        for s in range(self._powers_to_try(num, cap)):
-            q = self.base.p_try_div(apow, num)
-            if q is not None:
-                # num * q = a^s, so 1/(num/a^k) = q / a^(s-k)
-                if s - k >= 0:
-                    return self._canon(q, s - k)
-                return self._canon(self.base.p_mul(q, self._apow(k - s)), 0)
-            apow = self.base.p_mul(apow, self.a_payload)
-        return self._no_power_found(num, cap)
-
-    def p_try_div(self, x, y, cap=64):
+    def p_try_div(self, x, y):
         # x/y = (num_x * a^s / num_y) / a^(kx + s - ky) for the least s with
-        # num_y | num_x * a^s
+        # num_y | num_x * a^s.  Over Z the search is exact: such an s, if any,
+        # is at most max_p e_p(num_y) < bit_length(num_y).  Elsewhere it stops
+        # at _POWER_CAP powers.
         num_x, kx = x
         num_y, ky = y
         if num_y == self.base.zero_p:
             return self.zero_p if num_x == self.base.zero_p else None
-        apow = self.base.one_p
-        for s in range(self._powers_to_try(num_y, cap)):
-            q = self.base.p_try_div(self.base.p_mul(num_x, apow), num_y)
+        exact = isinstance(self.base, ZRing)
+        for s in range(abs(num_y).bit_length() if exact else _POWER_CAP):
+            q = self.base.p_try_div(num_x, num_y)
             if q is not None:
-                return self._canon(q, kx + s - ky) if kx + s >= ky else self._canon(
-                    self.base.p_mul(q, self._apow(ky - kx - s)), 0
-                )
-            apow = self.base.p_mul(apow, self.a_payload)
-        return self._no_power_found(num_y, cap)
+                e = kx + s - ky
+                if e >= 0:
+                    return self._canon(q, e)
+                return self._canon(self.base.p_mul(q, self._apow(-e)), 0)
+            num_x = self.base.p_mul(num_x, self.a_payload)
+        if exact:
+            return None
+        raise UnsupportedRingError(
+            f"{self.spec}: no power of {self.base.p_repr(self.a_payload)} among the first "
+            f"{_POWER_CAP} gives a multiple of {self.base.p_repr(num_y)}"
+        )
 
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)) and len(lit) == 2 and isinstance(lit[1], int):

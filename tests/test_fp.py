@@ -14,6 +14,7 @@ from steinberg.fp import (
     k2_compute,
     orbit_with_witnesses,
     relative_subgroup_index,
+    root_cycles_regular,
     star_presentations,
     steinberg_presentation,
     table_fits,
@@ -364,7 +365,7 @@ def test_cache_discards_unsound_table(tmp_path, monkeypatch, corruption):
         fp._MEMO.update(saved)
 
 
-def test_table_fits_rejects_collapsed_root_subgroups(tmp_path, monkeypatch):
+def test_cache_rejects_collapsed_root_subgroups(tmp_path, monkeypatch):
     monkeypatch.setenv("STEINBERG_CACHE", str(tmp_path))
     from steinberg import fp
 
@@ -373,18 +374,18 @@ def test_table_fits_rejects_collapsed_root_subgroups(tmp_path, monkeypatch):
     # the one-coset table closes every relator; only the cycle lengths of
     # the root generators show that it is not St(A2,F2)
     assert table_fits(collapsed, sp.presentation)
-    assert not table_fits(collapsed, sp)
+    assert not root_cycles_regular(collapsed, sp)
     saved = dict(fp._MEMO)
     fp._MEMO.clear()
     try:
         good = enumerate_steinberg(sp)
-        assert table_fits(good, sp)
+        assert root_cycles_regular(good, sp)
         (path,) = tmp_path.iterdir()
         path.write_text(json.dumps(collapsed.to_json()))
         fp._MEMO.clear()
         assert enumerate_steinberg(sp).rows == good.rows
         sp3 = steinberg_presentation(A2, make_ring("f3"))
-        assert table_fits(enumerate_steinberg(sp3), sp3)
+        assert root_cycles_regular(enumerate_steinberg(sp3), sp3)
     finally:
         fp._MEMO.clear()
         fp._MEMO.update(saved)
