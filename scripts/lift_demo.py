@@ -15,10 +15,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steinberg import words as W
-from steinberg.matrices import RMatrix, RVector, basis_vector, contragredient, transvection
+from steinberg.matrices import RMatrix, RVector, basis_vector, transvection
 from steinberg.rings import Elem, FGIdeal, localization, make_ring
 from steinberg.vdk import FSymbol, OrbitVector, linear_system, t_map
-from steinberg.words import phi
+from steinberg.words import contragredient, phi
 
 
 def main():
@@ -39,7 +39,7 @@ def main():
     )
     ov = OrbitVector.from_word(word_u, n)
     c = X * B.el(rng.randrange(1, 5))
-    vloc = (contragredient(phi(word_u)) * basis_vector(loc, n, 1)).scale(lam(c))
+    vloc = (phi(contragredient(word_u)) * basis_vector(loc, n, 1)).scale(lam(c))
     vB = RVector(B, [Elem(B, p.payload[0]) for p in vloc.entries])
 
     print("u  =", ov.vec)

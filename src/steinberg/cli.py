@@ -3,7 +3,8 @@
 Configuration comes from a JSON document (--config) or from flags; flags
 override the document.  The JSON report written with --out is canonical
 (sorted keys, no timings), so identical configurations produce identical
-bytes.  Exit status is 0 exactly when every requested suite passes.
+bytes.  Exit status is 0 exactly when every requested suite passes, and 2
+when a ring spec or a root system name does not parse.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import json
 import sys
 
+from .rings import RingError, make_ring
+from .roots import RootSystemError, build_system
 from .suites import SUITES, SuiteConfig, run_suite
 
 
@@ -72,9 +75,29 @@ def _configs_from_args(args):
     return configs
 
 
+def _config_error(cfg):
+    """Why a config names a ring or a root system that does not parse, or None."""
+    for spec in cfg.rings:
+        try:
+            make_ring(spec)
+        except RingError as exc:
+            return f"bad ring spec {spec!r}: {exc}"
+    for name in cfg.systems:
+        try:
+            build_system(name)
+        except RootSystemError as exc:
+            return f"bad root system {name!r}: {exc}"
+    return None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     configs = _configs_from_args(args)
+    for cfg in configs:
+        error = _config_error(cfg)
+        if error:
+            print(f"steinberg-verify: error: {error}", file=sys.stderr)
+            return 2
     ok = True
     json_blobs = []
     for cfg in configs:

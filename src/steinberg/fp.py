@@ -16,8 +16,16 @@ import os
 from dataclasses import dataclass
 
 from . import words as W
-from .matrices import Inconclusive, inverse, matrix_group_order, unipotent
-from .rings import Elem
+from .matrices import (
+    Inconclusive,
+    RVector,
+    identity_matrix,
+    matrix_group_order,
+    orbit_bfs,
+    orbit_letters,
+    unipotent,
+)
+from .rings import Elem, UnsupportedRingError
 from .words import simplify
 
 
@@ -367,7 +375,7 @@ def steinberg_presentation(datum, ring):
       of the full family from the basis ones.
     """
     if not ring.is_finite:
-        raise PresentationError("presentations need a finite ring")
+        raise UnsupportedRingError(f"presentations need a finite ring; {ring.spec} is infinite")
     basis, orders, normal_form = additive_basis(ring)
     m = len(basis)
     roots = datum.roots
@@ -611,22 +619,15 @@ def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
     """
     sp = steinberg_presentation(datum, ring)
     tbl = enumerate_steinberg(sp, max_cosets=max_cosets)
-    ngens = sp.presentation.ngens
-    gens = [None] * ngens
+    colmats = [None] * (2 * sp.presentation.ngens)  # column 2g is generator g, 2g+1 its inverse
     for (ri, pay), g in sp.gen_index.items():
-        gens[g] = unipotent(datum, datum.roots[ri], Elem(ring, pay))
-    colmats = []
-    for g in range(ngens):
-        colmats.append(gens[g])
-        colmats.append(inverse(gens[g]))
+        xi = Elem(ring, pay)
+        colmats[2 * g] = unipotent(datum, datum.roots[ri], xi)
+        colmats[2 * g + 1] = unipotent(datum, datum.roots[ri], -xi)
     # matrices per coset, along the spanning tree
     mats = [None] * tbl.n
     keys = {}
-    ident = None
-    from .matrices import identity_matrix
-
-    ident = identity_matrix(ring, datum.matrix_size())
-    mats[0] = ident
+    mats[0] = identity_matrix(ring, datum.matrix_size())
     order = [0]
     qi = 0
     while qi < len(order):
@@ -658,7 +659,7 @@ def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
                 witnesses.append({"kernel_coset": c, "column": x})
     bfs_order = None
     if cross_check:
-        bfs_order = matrix_group_order([gens[g] for g in range(ngens)])
+        bfs_order = matrix_group_order(colmats[0::2])
     return KernelReport(
         system=datum.name,
         ring=ring.spec,
@@ -718,46 +719,14 @@ def orbit_with_witnesses(ring, n, node_cap=10**6, system=None):
     from .vdk import OrbitVector, linear_system
 
     system = system or linear_system(n)
-    start = tuple(ring.one_p if i == 0 else ring.zero_p for i in range(n))
-    parent = {start: None}
-    orderl = [start]
-    gens = []
-    nonzero = [p for p in ring.payloads() if p != ring.zero_p]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for r in nonzero:
-                    gens.append((i, j, r))
-    padd, pmul = ring.p_add, ring.p_mul
-    qi = 0
-    while qi < len(orderl):
-        vec = orderl[qi]
-        qi += 1
-        for i, j, r in gens:
-            if vec[j] == ring.zero_p:
-                continue
-            newv = list(vec)
-            newv[i] = padd(newv[i], pmul(r, vec[j]))
-            newv = tuple(newv)
-            if newv not in parent:
-                parent[newv] = (vec, (i, j, r))
-                orderl.append(newv)
-                if len(orderl) > node_cap:
-                    raise Inconclusive("orbit enumeration cap exceeded")
-    out = {}
-    from .matrices import RVector
-
-    for vec in orderl:
-        letters = []
-        state = vec
-        while parent[state] is not None:
-            state, (i, j, r) = parent[state]
-            letters.append((i, j, Elem(ring, r)))
-        word = W.from_ij_letters(system, ring, letters)
-        out[vec] = OrbitVector(
-            vec=RVector(ring, [Elem(ring, p) for p in vec]), witness=word
+    parent = orbit_bfs(ring, n, node_cap)
+    return {
+        vec: OrbitVector(
+            vec=RVector(ring, [Elem(ring, p) for p in vec]),
+            witness=W.from_ij_letters(system, ring, orbit_letters(ring, parent, vec)),
         )
-    return out
+        for vec in parent
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +748,6 @@ class StarPresentations:
 
 
 def star_presentations(n, ring, ideal, node_cap=10**6):
-    from .matrices import RVector
     from .vdk import FSymbol, SSymbol
 
     orbit = orbit_with_witnesses(ring, n, node_cap=node_cap)

@@ -1,10 +1,11 @@
 """Exact matrix models for the A and D families.
 
-Matrices are sparse payload dictionaries over a rings.Ring.  Everything
-invertible here is a product of elementary factors, and we keep that
-factorization around: inverses and contragredients are computed by
-transpose-inverting factors, never by general matrix inversion, so they
-stay exact over every ring class.
+Matrices are sparse payload dictionaries over a rings.Ring, and nothing
+here inverts a matrix.  Every invertible matrix the workbench meets is the
+image phi(w) of a word w in the Steinberg generators, so inverses and
+contragredients are taken on the word (StWord.inverse and
+words.contragredient) and mapped through phi, which stays exact over every
+ring class.
 """
 
 from __future__ import annotations
@@ -90,19 +91,14 @@ def basis_vector(ring, n, k, scale=1):
 
 
 class RMatrix:
-    """Sparse square matrix; `factors` is the optional elementary provenance.
+    """Sparse square matrix over a ring."""
 
-    Factors are ("unip", datum, root, xi) or ("tv", u, v); a product of
-    provenance-carrying matrices carries the concatenated factor list.
-    """
+    __slots__ = ("ring", "n", "data", "_rows")
 
-    __slots__ = ("ring", "n", "data", "factors", "_rows")
-
-    def __init__(self, ring, n, data, factors=None):
+    def __init__(self, ring, n, data):
         self.ring = ring
         self.n = n
         self.data = data  # {(i, j): payload}, zero payloads never stored
-        self.factors = factors
         self._rows = None
 
     def rows(self):
@@ -134,11 +130,7 @@ class RMatrix:
                 cur = out.get(key)
                 v = pmul(a, b)
                 out[key] = v if cur is None else padd(cur, v)
-        out = {k: v for k, v in out.items() if v != pz}
-        fac = None
-        if self.factors is not None and other.factors is not None:
-            fac = self.factors + other.factors
-        return RMatrix(ring, self.n, out, fac)
+        return RMatrix(ring, self.n, {k: v for k, v in out.items() if v != pz})
 
     def apply(self, vec):
         if len(vec) != self.n:
@@ -190,7 +182,7 @@ class RMatrix:
 
 
 def identity_matrix(ring, n):
-    return RMatrix(ring, n, {(i, i): ring.one_p for i in range(n)}, factors=())
+    return RMatrix(ring, n, {(i, i): ring.one_p for i in range(n)})
 
 
 def unipotent(datum, root, xi):
@@ -201,18 +193,7 @@ def unipotent(datum, root, xi):
     if not xi.is_zero():
         for i, j, sign in datum.unipotent_entries(datum.index[root]):
             data[(i, j)] = xi.payload if sign > 0 else ring.p_neg(xi.payload)
-    return RMatrix(ring, n, data, factors=(("unip", datum, root, xi),))
-
-
-def elementary_a(ring, n, i, j, r):
-    """t_ij(r) = 1 + r*e_ij over any ring, 0-based indices."""
-    r = ring.el(r)
-    data = {(k, k): ring.one_p for k in range(n)}
-    if not r.is_zero():
-        if i == j:
-            raise MatrixError("off-diagonal transvection needs i != j")
-        data[(i, j)] = r.payload
-    return RMatrix(ring, n, data, factors=(("ij", n, i, j, r),))
+    return RMatrix(ring, n, data)
 
 
 def transvection(u, v):
@@ -237,62 +218,7 @@ def transvection(u, v):
                 data.pop((i, j), None)
             else:
                 data[(i, j)] = s
-    return RMatrix(ring, n, data, factors=(("tv", u, v),))
-
-
-def _factor_inverse(f):
-    kind = f[0]
-    if kind == "unip":
-        _, datum, root, xi = f
-        return unipotent(datum, root, -xi)
-    if kind == "ij":
-        _, n, i, j, r = f
-        return elementary_a(r.ring, n, i, j, -r)
-    if kind == "tv":
-        _, u, v = f
-        return transvection(u, -v)
-    raise MatrixError(f"unknown factor {kind}")
-
-
-def _factor_contragredient(f):
-    kind = f[0]
-    if kind == "unip":
-        _, datum, root, xi = f
-        if datum.family == "A":
-            # t_ij(x)* = t_ji(-x)
-            return unipotent(datum, -root, -xi)
-        # D: (t_(i,j)(x)^t)^-1 = t_(j,i)(-x), which in the canonical pair
-        # convention for -alpha is the unipotent at -alpha with coefficient +x
-        return unipotent(datum, -root, xi)
-    if kind == "ij":
-        _, n, i, j, r = f
-        return elementary_a(r.ring, n, j, i, -r)
-    if kind == "tv":
-        _, u, v = f
-        if not u.dot(v).is_zero():
-            raise MatrixError("contragredient of t(u,v) needs u^t v = 0")
-        return transvection(v, -u)
-    raise MatrixError(f"unknown factor {kind}")
-
-
-def inverse(m):
-    """Inverse of a product of elementary factors (reverse and negate)."""
-    if m.factors is None:
-        raise MatrixError("no elementary factorization available for inversion")
-    acc = identity_matrix(m.ring, m.n)
-    for f in reversed(m.factors):
-        acc = acc * _factor_inverse(f)
-    return acc
-
-
-def contragredient(m):
-    """(M^t)^-1, computed factor by factor; M must carry its factorization."""
-    if m.factors is None:
-        raise MatrixError("no elementary factorization available for contragredient")
-    acc = identity_matrix(m.ring, m.n)
-    for f in m.factors:
-        acc = acc * _factor_contragredient(f)
-    return acc
+    return RMatrix(ring, n, data)
 
 
 def gram_hyperbolic(ring, rank):
@@ -310,64 +236,64 @@ def is_unimodular(u):
 def elementary_orbit_witness(u, node_cap=10**6):
     """Letters (i, j, r) with t_(i1 j1)(r1)*...*e_1 == u, or None.
 
-    Finite rings run a breadth-first search over the orbit of e_1; the
-    integers use Euclidean reduction.  Exceeding the node cap raises
-    Inconclusive rather than answering.
+    Finite rings run orbit_bfs until it reaches u; the integers use
+    Euclidean reduction.  Exceeding the node cap raises Inconclusive rather
+    than answering.
     """
     ring = u.ring
     n = len(u)
     if n < 3:
         raise MatrixError("orbit witness needs n >= 3")
-    e1 = basis_vector(ring, n, 0)
-    if u == e1:
-        return []
     if ring.is_finite:
-        return _orbit_bfs(u, node_cap)
+        target = u.key()
+        parent = orbit_bfs(ring, n, node_cap, target)
+        return orbit_letters(ring, parent, target) if target in parent else None
     if type(ring).__name__ == "ZRing":
         return _orbit_euclid(u)
     raise UnsupportedRingError(f"orbit search over {ring.spec} is not supported")
 
 
-def _orbit_bfs(u, node_cap):
-    ring = u.ring
-    n = len(u)
-    target = u.key()
-    start = tuple(ring.one_p if i == 0 else ring.zero_p for i in range(n))
-    if target == start:
-        return []
-    gens = []
-    nonzero = [p for p in ring.payloads() if p != ring.zero_p]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for r in nonzero:
-                    gens.append((i, j, r))
+def orbit_bfs(ring, n, node_cap=10**6, target=None):
+    """Breadth-first search of the elementary orbit of e_1 in R^n.
+
+    Returns the parent map, in order of discovery: each payload tuple maps
+    to (its parent, (i, j, r)), reached from the parent by adding r times
+    slot j to slot i, and e_1 maps to None.  The moves are tried in
+    (i, j, r) order and the first parent found is kept.  The search stops
+    as soon as it reaches `target`; exceeding the node cap raises
+    Inconclusive.
+    """
+    zero = ring.zero_p
+    start = tuple(ring.one_p if i == 0 else zero for i in range(n))
     parent = {start: None}
-    frontier = [start]
+    if target == start:
+        return parent
+    nonzero = [p for p in ring.payloads() if p != zero]
+    moves = [(i, j, r) for i in range(n) for j in range(n) if i != j for r in nonzero]
     padd, pmul = ring.p_add, ring.p_mul
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for g in gens:
-                i, j, r = g
-                if vec[j] == ring.zero_p:
-                    continue
-                newv = list(vec)
-                newv[i] = padd(newv[i], pmul(r, vec[j]))
-                newv = tuple(newv)
-                if newv in parent:
-                    continue
-                parent[newv] = (vec, g)
-                if newv == target:
-                    return _walk_parents(ring, parent, newv)
-                if len(parent) > node_cap:
-                    raise Inconclusive("orbit search cap exceeded")
-                nxt.append(newv)
-        frontier = nxt
-    return None
+    queue = [start]
+    for vec in queue:  # the queue grows while it is read
+        for move in moves:
+            i, j, r = move
+            if vec[j] == zero:
+                continue
+            newv = list(vec)
+            newv[i] = padd(newv[i], pmul(r, vec[j]))
+            newv = tuple(newv)
+            if newv in parent:
+                continue
+            parent[newv] = (vec, move)
+            if newv == target:
+                return parent
+            if len(parent) > node_cap:
+                raise Inconclusive("orbit search cap exceeded")
+            queue.append(newv)
+    return parent
 
 
-def _walk_parents(ring, parent, state):
+def orbit_letters(ring, parent, state):
+    """The moves from e_1 to `state` in an orbit_bfs parent map, last first:
+    letters (i, j, r) whose product of t_ij(r), applied to e_1, gives it."""
     letters = []
     while parent[state] is not None:
         state, (i, j, r) = parent[state]

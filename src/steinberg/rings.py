@@ -445,19 +445,24 @@ class PolyRing(Ring):
         return [self.base.to_literal(c) for c in p]
 
     def p_repr(self, p):
-        if not p:
-            return "0"
-        terms = []
-        for i, c in enumerate(p):
-            if c == self.base.zero_p:
-                continue
-            cs = self.base.p_repr(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                head = "" if c == self.base.one_p else cs + "*"
-                terms.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
-        return "+".join(terms)
+        return _poly_repr(self.base, self.var, p)
+
+
+def _poly_repr(base, var, p):
+    """A coefficient tuple over `base`, written as a polynomial in `var`."""
+    if not p:
+        return "0"
+    terms = []
+    for i, c in enumerate(p):
+        if c == base.zero_p:
+            continue
+        cs = base.p_repr(c)
+        if i == 0:
+            terms.append(cs)
+        else:
+            head = "" if c == base.one_p else cs + "*"
+            terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
+    return "+".join(terms)
 
 
 def _unit_inverse(ring, p):
@@ -791,7 +796,7 @@ class SemidirectRing(Ring):
         lam_r0 = self._lam_p(r0)
         fq = []
         for c in x[1]:
-            q = self.loc.p_try_div(c, lam_r0) if hasattr(self.loc, "p_try_div") else None
+            q = self.loc.p_try_div(c, lam_r0)
             if q is None:
                 return None
             fq.append(q)
@@ -816,15 +821,7 @@ class SemidirectRing(Ring):
         r, f = p
         if not f:
             return self.base.p_repr(r)
-        fr = PolyRing.p_repr(_FAKE_POLY(self.loc), f)
-        return f"({self.base.p_repr(r)}+{fr})"
-
-
-class _FAKE_POLY:
-    # just enough context to reuse PolyRing.p_repr for ideal parts
-    def __init__(self, base):
-        self.base = base
-        self.var = "X"
+        return f"({self.base.p_repr(r)}+{_poly_repr(self.loc, 'X', f)})"
 
 
 def _lit_str(lit):
@@ -852,13 +849,6 @@ class RingMorphism:
         if x.ring is not self.source:
             raise RingError(f"morphism {self.name or '?'} applied to wrong ring")
         return Elem(self.target, self.p_fn(x.payload))
-
-    def compose(self, inner):
-        """self after inner."""
-        return RingMorphism(
-            inner.source, self.target, lambda p: self.p_fn(inner.p_fn(p)),
-            name=f"{self.name}*{inner.name}",
-        )
 
     def __repr__(self):
         return f"RingMorphism({self.source.spec} -> {self.target.spec})"
@@ -1449,10 +1439,13 @@ class SplitData:
 
 
 def split_data(ring, ideal):
+    """R/I with its projection and a splitting section; raises
+    UnsupportedRingError when I does not split, since nothing built on the
+    split extension applies then."""
     quo, pi = quotient_ring(ring, ideal)
     sigma = splitting_section(ring, ideal)
     if sigma is None:
-        raise RingError(f"{ideal!r} is not a splitting ideal")
+        raise UnsupportedRingError(f"{ideal!r} is not a splitting ideal")
     return SplitData(ring, ideal, quo, pi, sigma)
 
 

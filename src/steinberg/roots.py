@@ -167,6 +167,8 @@ def build_system(family, rank=None):
     """
     if rank is None:
         name = family.strip().upper()
+        if len(name) < 2 or not name[1:].isdigit():
+            raise RootSystemError(f"cannot parse root system name {family!r}")
         family, rank = name[0], int(name[1:])
     family = family.upper()
     if family == "A":

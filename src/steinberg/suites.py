@@ -33,11 +33,19 @@ from .matrices import (
     RMatrix,
     RVector,
     basis_vector,
-    contragredient,
     transvection,
     vector,
 )
-from .rings import Elem, FGIdeal, lin_solve, localization, make_ring, split_data
+from .rings import (
+    Elem,
+    FGIdeal,
+    UnsupportedRingError,
+    ZModRing,
+    lin_solve,
+    localization,
+    make_ring,
+    split_data,
+)
 from .roots import build_system
 from .vdk import (
     FSymbol,
@@ -167,7 +175,12 @@ class VerificationReport:
 
 
 class _Check:
-    """Context helper: times a check and appends it to the suite output."""
+    """Context helper: times a check and appends it to the suite output.
+
+    A check that stops on Inconclusive (a cap) or UnsupportedRingError (a
+    question this ring or ideal cannot answer) counts as inconclusive, with
+    the reason in its info.
+    """
 
     def __init__(self, out, name, tier):
         self.rec = CheckRecord(name=name, tier=tier)
@@ -180,8 +193,9 @@ class _Check:
     def __exit__(self, exc_type, exc, tb):
         self.rec.wall_time = time.perf_counter() - self._t0
         self.out.append(self.rec)
-        if exc_type is Inconclusive:
+        if exc_type is not None and issubclass(exc_type, (Inconclusive, UnsupportedRingError)):
             self.rec.inconclusive += 1
+            self.rec.info = {**(self.rec.info or {}), "reason": str(exc)}
             return True
         return False
 
@@ -275,9 +289,12 @@ def suite_chevalley(config):
         size = datum.matrix_size()
         for ringspec in rings:
             ring = make_ring(ringspec)
-            N = ring.n
             with _Check(checks, f"chevalley-{sysname}-{ringspec}", "matrix") as rec:
-                _chevalley_check(rec, pats, sums, size, N)
+                if not isinstance(ring, ZModRing):
+                    raise UnsupportedRingError(
+                        f"the batched check multiplies integer matrices mod N; {ring.spec} is not z/N"
+                    )
+                _chevalley_check(rec, pats, sums, size, ring.n)
     return checks
 
 
@@ -507,7 +524,7 @@ def _xlaw_checks(rec, ring, n, rng, samples, equal, system):
         rec.instances += 1
         g = _rand_word(system, ring, rng, 4)
         G = phi(g)
-        Gs = contragredient(G)
+        Gs = phi(W.contragredient(g))
         lhs = g * X_tul(datum, mult=a, system=system) * g.inverse()
         rhs = X_tul(
             decompose_with(G * u, (Gs * moving), Gs * z, Gs * w), mult=a, system=system
@@ -555,7 +572,7 @@ def _ylaw_checks(rec, ring, n, rng, samples, equal, system):
         rec.instances += 1
         g = _rand_word(system, ring, rng, 4)
         G = phi(g)
-        Gs = contragredient(G)
+        Gs = phi(W.contragredient(g))
         lhs = g * Y_tul(datum, mult=a, system=system) * g.inverse()
         rhs = Y_tul(
             decompose_with(Gs * v, (G * moving), G * z, G * w), mult=a, system=system
@@ -752,7 +769,7 @@ def suite_star(config):
         for trial in range(_want(config, 100, 100)):
             mw = _rand_word(system, f2, rng, 5)
             M = phi(mw)
-            Ms = contragredient(M)
+            Ms = phi(W.contragredient(mw))
             u = M * basis_vector(f2, n, 0)
             v = Ms * basis_vector(f2, n, 1)
             ucert = Ms * basis_vector(f2, n, 0)
@@ -792,7 +809,7 @@ def suite_star(config):
         for trial in range(_want(config, 60, 60)):
             mw = _rand_word(system, f2, rng, 5)
             M = phi(mw)
-            Ms = contragredient(M)
+            Ms = phi(W.contragredient(mw))
             for r_p in f2.payloads():
                 for a_p in f2.payloads():
                     r = Elem(f2, r_p)
@@ -947,10 +964,11 @@ def suite_relative(config):
     ringspec = (config.rings or ("quo(poly(f2,X),[0,0,1])",))[0]
     ring = make_ring(ringspec)
     ideal = _resolve_ideal(ring, config.ideal or json.dumps([ring.to_literal(ring.gen().payload)]))
-    sd = split_data(ring, ideal)
+    sd = None
     for sysname in systems:
         datum = build_system(sysname)
         with _Check(checks, f"relative-generation-{sysname}-{ringspec}", "exact") as rec:
+            sd = sd or split_data(ring, ideal)
             rep = relative_subgroup_index(datum, ring, sd, max_cosets=config.max_cosets)
             rec.instances = rep.index
             if not rep.ok():
@@ -997,7 +1015,7 @@ def suite_tmap(config):
         )
         for key in sorted(orbit):
             ov = orbit[key]
-            Ms = contragredient(phi(ov.witness))
+            Ms = phi(W.contragredient(ov.witness))
             base_v = Ms * basis_vector(loc, n, 1)
             for c_p in ideal_loc:
                 if c_p == loc.zero_p:
@@ -1019,7 +1037,7 @@ def suite_tmap(config):
         while made < want:
             uw = _rand_loc_word(system_loc, Bz, locz, lamz, rng)
             ov = OrbitVector.from_word(uw, n)
-            Ms = contragredient(phi(uw))
+            Ms = phi(W.contragredient(uw))
             j = rng.randrange(1, n)
             cB = _rand_ideal_elem(Bz, rng)
             vloc = (Ms * basis_vector(locz, n, j)).scale(lamz(cB))

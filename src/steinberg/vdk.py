@@ -19,35 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import words as W
-from .matrices import (
-    RVector,
-    basis_vector,
-    contragredient,
-    elementary_orbit_witness,
-    vector,
-)
+from .matrices import RVector, basis_vector, vector
 from .rings import lin_solve, localization, unique_divide
 from .roots import build_system
-from .words import StWord, phi, simplify, transpose_anti
+from .words import StWord, contragredient, phi, simplify, transpose_anti
 
 
 class VdkError(Exception):
     pass
-
-
-@dataclass
-class OrthPair:
-    """An orthogonal pair of columns with whatever certificates it carries."""
-
-    u: RVector
-    v: RVector
-    unimodular_cert: RVector = None
-    orbit_witness: object = None
-    zero_index: int = None
-
-    def __post_init__(self):
-        if not self.u.dot(self.v).is_zero():
-            raise VdkError("OrthPair needs u^t v = 0")
 
 
 _SYSTEM_CACHE = {}
@@ -58,10 +37,6 @@ def linear_system(n):
     if n not in _SYSTEM_CACHE:
         _SYSTEM_CACHE[n] = build_system("A", n - 1)
     return _SYSTEM_CACHE[n]
-
-
-def _scale(v, c):
-    return v.scale(c)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +168,7 @@ def _resolve_cert(u, cert, witness):
             raise VdkError(f"certificate pairs to {got!r}, not 1")
         return cert
     if witness is not None:
-        w = contragredient(phi(witness)) * basis_vector(u.ring, len(u), 0)
+        w = phi(contragredient(witness)) * basis_vector(u.ring, len(u), 0)
         if not w.dot(u).is_one():
             raise VdkError("orbit witness does not certify u")
         return w
@@ -239,7 +214,7 @@ def decompose_with(u, moving, cert, quotient):
     if len(u) < 4:
         raise VdkError("decomposition needs n >= 4")
     b = cert.dot(u)
-    if _scale(quotient, b) != moving:
+    if quotient.scale(b) != moving:
         raise VdkError("quotient does not reproduce the moving vector")
     if not u.dot(quotient).is_zero():
         raise VdkError("quotient is not orthogonal to u")
@@ -308,7 +283,7 @@ def X_tul(datum, mult=None, system=None):
     ring = datum.fixed.ring
     word = W.empty(system or linear_system(len(datum.fixed)), ring)
     for t in datum.terms:
-        word = word * x_small(datum.fixed, _scale(t, a), system=system)
+        word = word * x_small(datum.fixed, t.scale(a), system=system)
     return simplify(word)
 
 
@@ -318,7 +293,7 @@ def Y_tul(datum, mult=None, system=None):
     ring = datum.fixed.ring
     word = W.empty(system or linear_system(len(datum.fixed)), ring)
     for t in datum.terms:
-        word = word * x_small(_scale(t, a), datum.fixed, system=system)
+        word = word * x_small(t.scale(a), datum.fixed, system=system)
     return simplify(word)
 
 
@@ -375,46 +350,21 @@ def xeqy_words(x, y, u, v, b, r):
     zu = RVector(ring, zu)
     zv = RVector(ring, zv)
     b3r = b * b * b * r
-    lhs = X_tul_of(u, _scale(v, b3r * b), b, cert=zu, quotient=_scale(v, b3r))
-    rhs = Y_tul_of(_scale(u, b3r * b), v, b, cert=zv, quotient=_scale(u, b3r))
-    y1 = Y_tul_of(_scale(x, -(b * r)), v, b, cert=zv, quotient=_scale(x, -r))
-    x1 = X_tul_of(u, _scale(y, b), b, cert=zu, quotient=y)
+    lhs = X_tul_of(u, v.scale(b3r * b), b, cert=zu, quotient=v.scale(b3r))
+    rhs = Y_tul_of(u.scale(b3r * b), v, b, cert=zv, quotient=u.scale(b3r))
+    y1 = Y_tul_of(x.scale(-(b * r)), v, b, cert=zv, quotient=x.scale(-r))
+    x1 = X_tul_of(u, y.scale(b), b, cert=zu, quotient=y)
     g_direct = W.commutator(y1, x1)
     # X route: conjugation rewrites the commutator as
     #   X_{u, yb + v b^4 r}(b) * X_{u, -yb}(b)
-    px = X_tul_of(u, _scale(y, b) + _scale(v, b3r * b), b, cert=zu,
-                  quotient=y + _scale(v, b3r))
-    px = px * X_tul_of(u, _scale(y, -b), b, cert=zu, quotient=-y)
+    px = X_tul_of(u, y.scale(b) + v.scale(b3r * b), b, cert=zu,
+                  quotient=y + v.scale(b3r))
+    px = px * X_tul_of(u, y.scale(-b), b, cert=zu, quotient=-y)
     # Y route: Y_{-xbr, v}(b) * Y_{xbr + u b^4 r, v}(b)
-    py = y1 * Y_tul_of(_scale(x, b * r) + _scale(u, b3r * b), v, b, cert=zv,
-                       quotient=_scale(x, r) + _scale(u, b3r))
+    py = y1 * Y_tul_of(x.scale(b * r) + u.scale(b3r * b), v, b, cert=zv,
+                       quotient=x.scale(r) + u.scale(b3r))
     return XeqYWords(lhs=lhs, rhs=rhs, g_direct=simplify(g_direct),
                      path_x=simplify(px), path_y=simplify(py))
-
-
-def xeqy_check(x, y, u, v, b, r, exact_equal=None):
-    """Tiered equality verdict for the two-route commutator computation.
-
-    Always checks the matrix tier; when an exact-tier equality callable is
-    supplied (a coset-table tester for this ring), checks that too.  The
-    verdict lists, per comparison, the strongest tier that certified it.
-    """
-    words = xeqy_words(x, y, u, v, b, r)
-    names = ("rhs", "g_direct", "path_x", "path_y")
-    others = (words.rhs, words.g_direct, words.path_x, words.path_y)
-    base_mat = phi(words.lhs)
-    verdict = {}
-    all_ok = True
-    for name, wrd in zip(names, others):
-        if exact_equal is not None:
-            ok = exact_equal(words.lhs, wrd)
-            tier = "exact"
-        else:
-            ok = phi(wrd) == base_mat
-            tier = "matrix"
-        verdict[name] = (ok, tier)
-        all_ok = all_ok and ok
-    return {"equal": all_ok, "comparisons": verdict, "words": words}
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +379,12 @@ class OrbitVector:
     witness: StWord
 
     def cert(self):
-        w = contragredient(phi(self.witness)) * basis_vector(self.vec.ring, len(self.vec), 0)
-        return w
+        return phi(contragredient(self.witness)) * basis_vector(self.vec.ring, len(self.vec), 0)
 
     @staticmethod
     def from_word(word, n):
         vec = phi(word) * basis_vector(word.ring, n, 0)
         return OrbitVector(vec=vec, witness=word)
-
-    @staticmethod
-    def search(vec, system=None, node_cap=10**6):
-        letters = elementary_orbit_witness(vec, node_cap)
-        if letters is None:
-            return None
-        system = system or linear_system(len(vec))
-        return OrbitVector(vec=vec, witness=W.from_ij_letters(system, vec.ring, letters))
 
 
 @dataclass

@@ -151,7 +151,7 @@ def phi(w):
     so each letter costs a column operation, not a matrix product.  A
     D-type unipotent 1 + c*e_ab - c*e_(b',a') (x' the position of -x) is
     two of them: e_ab * e_(b',a') = 0 = e_(b',a') * e_ab, since b != b' and
-    a' != a.  The factors are those of the product of the unipotents.
+    a' != a.
     """
     system, ring = w.system, w.ring
     n = system.matrix_size()
@@ -177,8 +177,7 @@ def phi(w):
                 else:
                     target[row] = x
     data = {(row, j): v for j, col in enumerate(cols) for row, v in col.items() if v != zero}
-    roots = system.roots
-    return RMatrix(ring, n, data, tuple(("unip", system, roots[idx], c) for idx, c in w.letters))
+    return RMatrix(ring, n, data)
 
 
 def transpose_anti(w):
@@ -194,6 +193,26 @@ def transpose_anti(w):
     for idx, c in reversed(w.letters):
         neg = sys.index[-sys.roots[idx]]
         out.append((neg, c))
+    return StWord(sys, w.ring, out)
+
+
+def contragredient(w):
+    """The letterwise contragredient, in the same letter order: x_a(c) ->
+    x_(-a)(-c) over an A-system and x_a(c) -> x_(-a)(c) over a D-system.
+
+    phi of the result is (phi(w)^t)^-1, since M -> (M^t)^-1 is a
+    homomorphism and takes each root unipotent to one at the opposite root:
+    (1 + c*e_ij)^-t = 1 - c*e_ji in type A, and in type D
+    (1 + c*e_ab - c*e_(b',a'))^-t = 1 + c*e_(a',b') - c*e_ba, which is
+    x_(-a)(c) because -a has the entries of a mirrored, (a', b') then (b, a).
+    """
+    sys = w.system
+    if sys.family not in ("A", "D"):
+        raise WordError("the contragredient is only defined for the A and D families")
+    negate = sys.family == "A"
+    out = []
+    for idx, c in w.letters:
+        out.append((sys.index[-sys.roots[idx]], -c if negate else c))
     return StWord(sys, w.ring, out)
 
 

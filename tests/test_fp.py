@@ -279,6 +279,23 @@ def test_orbit_with_witnesses():
         assert (phi(ov.witness) * basis_vector(F2, 4, 0)).key() == key
 
 
+@pytest.mark.parametrize("spec, n, size", [("f2", 4, 15), ("f3", 3, 26), ("z/4", 3, 56)])
+def test_orbit_witness_and_orbit_share_one_search(spec, n, size):
+    # the early-stopping search keeps the parents of the full one
+    from steinberg.matrices import elementary_orbit_witness
+    from steinberg.vdk import linear_system
+    from steinberg.words import from_ij_letters
+
+    ring = make_ring(spec)
+    orbit = orbit_with_witnesses(ring, n)
+    assert len(orbit) == size
+    for ov in orbit.values():
+        letters = elementary_orbit_witness(ov.vec)
+        assert from_ij_letters(linear_system(n), ring, letters) == ov.witness
+    with pytest.raises(Inconclusive):
+        orbit_with_witnesses(ring, n, node_cap=size - 1)
+
+
 def test_star_presentation_domains():
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     star = star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))

@@ -3,14 +3,10 @@ import random
 import pytest
 
 from steinberg.matrices import (
-    MatrixError,
     basis_vector,
-    contragredient,
-    elementary_a,
     elementary_orbit_witness,
     gram_hyperbolic,
     identity_matrix,
-    inverse,
     is_unimodular,
     matrix_group_order,
     transvection,
@@ -19,7 +15,7 @@ from steinberg.matrices import (
 )
 from steinberg.rings import make_ring
 from steinberg.roots import Root, RootSystemError, build_system
-from steinberg.words import StWord, from_ij_letters, phi
+from steinberg.words import StWord, contragredient, empty, from_ij_letters, phi, x_ij
 
 
 def test_unipotent_a_family():
@@ -62,32 +58,24 @@ def test_transvection_laws_random():
         done += 1
         assert transvection(u, v) * transvection(u, w) == transvection(u, v + w)
         assert (transvection(u, v) * transvection(u, -v)).is_identity()
-        # the contragredient law t(u,v)* = t(v,-u)
-        assert contragredient(transvection(u, v)) == transvection(v, -u)
+        # the contragredient law t(u,v)* = t(v,-u), that is t(v,-u)^t t(u,v) = 1
+        assert (transvection(v, -u).transpose() * transvection(u, v)).is_identity()
 
 
 def test_transvection_basis_case():
+    a3 = build_system("A3")
     z6 = make_ring("z/6")
     u = basis_vector(z6, 4, 0)
     v = basis_vector(z6, 4, 1).scale(z6.el(4))
-    assert transvection(u, v) == elementary_a(z6, 4, 0, 1, 4)
+    assert transvection(u, v) == unipotent(a3, Root((1, -1, 0, 0)), z6.el(4))
 
 
 def test_contragredient_identity_and_elementary():
+    a3 = build_system("A3")
     z6 = make_ring("z/6")
-    ident = identity_matrix(z6, 4)
-    assert contragredient(ident) == ident
-    m = elementary_a(z6, 4, 0, 1, 5)
-    assert contragredient(m) == elementary_a(z6, 4, 1, 0, 1)
-
-
-def test_contragredient_needs_factors():
-    z6 = make_ring("z/6")
-    from steinberg.matrices import RMatrix
-
-    bare = RMatrix(z6, 2, {(0, 0): 1, (1, 1): 1})
-    with pytest.raises(MatrixError):
-        contragredient(bare)
+    assert phi(contragredient(empty(a3, z6))) == identity_matrix(z6, 4)
+    w = x_ij(a3, z6, 0, 1, 5)
+    assert phi(contragredient(w)) == unipotent(a3, Root((-1, 1, 0, 0)), z6.el(1))
 
 
 def test_inverse_by_factor_reversal():
@@ -96,9 +84,10 @@ def test_inverse_by_factor_reversal():
     rng = random.Random(5)
     for _ in range(50):
         letters = [(rng.randrange(24), z4.el(rng.randrange(4))) for _ in range(4)]
-        m = phi(StWord(d4, z4, letters))
-        assert (m * inverse(m)).is_identity()
-        assert (contragredient(m).transpose() * m).is_identity()
+        w = StWord(d4, z4, letters)
+        m = phi(w)
+        assert (m * phi(w.inverse())).is_identity()
+        assert (phi(contragredient(w)).transpose() * m).is_identity()
 
 
 def test_is_unimodular():

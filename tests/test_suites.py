@@ -109,6 +109,35 @@ def test_cli_flag_overrides():
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "cfg, reason",
+    [
+        (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("prod(f2,f3)", "z")),
+         "is not z/N"),
+        (SuiteConfig(suite="k2-exact", systems=("A2",), rings=("z",)), "z is infinite"),
+        (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/4",), ideal="[2]"),
+         "is not a splitting ideal"),
+    ],
+)
+def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
+    rep = run_suite(cfg)
+    assert rep.verdict == "inconclusive"
+    for check in json.loads(rep.to_json())["checks"]:
+        assert check["inconclusive"] == 1 and not check["failures"]
+        assert reason in check["info"]["reason"]
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--ring", "foo"], "'foo'"), (["--system", "Q7"], "'Q7'"), (["--system", "A"], "'A'")],
+)
+def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
+    assert cli.main(["--suite", "vdk-identities", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
+
+
 def test_tier_policy_downgrades_to_matrix():
     rep = run_suite(SuiteConfig(suite="tulenbaev-identities", tier="matrix"))
     assert rep.verdict == "pass"
