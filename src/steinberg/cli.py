@@ -4,7 +4,9 @@ Configuration comes from a JSON document (--config) or from flags; flags
 override the document.  The JSON report written with --out is canonical
 (sorted keys, no timings), so identical configurations produce identical
 bytes.  Exit status is 0 exactly when every requested suite passes, and 2
-when a ring spec or a root system name does not parse.
+when a ring spec or a root system name does not parse, when a suite is
+given a ring or a system it would not read, or when relative-generation or
+amalgam needs an --ideal.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 from .rings import RingError, make_ring
 from .roots import RootSystemError, build_system
-from .suites import SUITES, SuiteConfig, run_suite
+from .suites import SUITES, SuiteConfig, config_error, run_suite
 
 
 def build_parser():
@@ -76,7 +78,8 @@ def _configs_from_args(args):
 
 
 def _config_error(cfg):
-    """Why a config names a ring or a root system that does not parse, or None."""
+    """Why a config names a ring or a root system that does not parse, or
+    that its suite would not read, or None."""
     for spec in cfg.rings:
         try:
             make_ring(spec)
@@ -87,7 +90,7 @@ def _config_error(cfg):
             build_system(name)
         except RootSystemError as exc:
             return f"bad root system {name!r}: {exc}"
-    return None
+    return config_error(cfg)
 
 
 def main(argv=None):

@@ -23,6 +23,7 @@ from .matrices import (
     matrix_group_order,
     orbit_bfs,
     orbit_letters,
+    right_multiplier,
     unipotent,
 )
 from .rings import Elem, UnsupportedRingError
@@ -611,42 +612,56 @@ class KernelReport:
         return self.st_order == self.kernel_order * self.image_order
 
 
+def column_unipotents(sp):
+    """The matrix of each table column: column 2g is generator g, the root
+    unipotent x_alpha(b) of its key (alpha, b) in sp.gen_index, and column
+    2g+1 its inverse x_alpha(-b)."""
+    datum, ring = sp.system, sp.ring
+    cols = [None] * (2 * sp.presentation.ngens)
+    for (ri, pay), g in sp.gen_index.items():
+        xi = Elem(ring, pay)
+        cols[2 * g] = unipotent(datum, datum.roots[ri], xi)
+        cols[2 * g + 1] = unipotent(datum, datum.roots[ri], -xi)
+    return cols
+
+
+def coset_images(sp, tbl):
+    """phi of every coset of the table, by coset, as flat row-major payload
+    tuples (RMatrix.flat).
+
+    The walk follows the table's breadth-first spanning tree from coset 0;
+    each tree edge c -> c*x is one right multiplication by the unipotent of
+    column x, a column operation or two.
+    """
+    steps = [right_multiplier(g) for g in column_unipotents(sp)]
+    mats = [None] * tbl.n
+    mats[0] = identity_matrix(sp.ring, sp.system.matrix_size()).flat()
+    order = [0]
+    for c in order:  # the queue grows while it is read
+        m = mats[c]
+        for d, step in zip(tbl.rows[c], steps):
+            if mats[d] is None:
+                mats[d] = step(m)
+                order.append(d)
+    return mats
+
+
 def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
     """Enumerate St, push every coset through phi, and cut out the kernel.
 
     The kernel is exactly the fiber of the identity matrix; centrality is
-    tested against every generator, exhaustively, in the table.
+    tested against every generator, exhaustively, in the table.  The
+    cross-check closes the generator matrices under multiplication, apart
+    from the table.  A root system without a matrix realization raises
+    before anything is enumerated.
     """
+    datum.matrix_size()
     sp = steinberg_presentation(datum, ring)
     tbl = enumerate_steinberg(sp, max_cosets=max_cosets)
-    colmats = [None] * (2 * sp.presentation.ngens)  # column 2g is generator g, 2g+1 its inverse
-    for (ri, pay), g in sp.gen_index.items():
-        xi = Elem(ring, pay)
-        colmats[2 * g] = unipotent(datum, datum.roots[ri], xi)
-        colmats[2 * g + 1] = unipotent(datum, datum.roots[ri], -xi)
-    # matrices per coset, along the spanning tree
-    mats = [None] * tbl.n
-    keys = {}
-    mats[0] = identity_matrix(ring, datum.matrix_size())
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        row = tbl.rows[c]
-        for x in range(tbl.ncols):
-            d = row[x]
-            if mats[d] is None:
-                mats[d] = mats[c] * colmats[x]
-                order.append(d)
-    kernel = []
-    for c in range(tbl.n):
-        k = mats[c].key()
-        keys.setdefault(k, 0)
-        keys[k] += 1
-        if mats[c].is_identity():
-            kernel.append(c)
-    image_order = len(keys)
+    mats = coset_images(sp, tbl)
+    ident = mats[0]
+    kernel = [c for c, m in enumerate(mats) if m == ident]
+    image_order = len(set(mats))
     # exhaustive centrality: kernel elements must commute with every generator
     witnesses = []
     reps = tbl.rep_letters()
@@ -659,7 +674,7 @@ def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
                 witnesses.append({"kernel_coset": c, "column": x})
     bfs_order = None
     if cross_check:
-        bfs_order = matrix_group_order(colmats[0::2])
+        bfs_order = matrix_group_order(column_unipotents(sp)[0::2])
     return KernelReport(
         system=datum.name,
         ring=ring.spec,

@@ -167,6 +167,12 @@ class RMatrix:
     def __hash__(self):
         return hash((id(self.ring), self.key()))
 
+    def flat(self):
+        """The entries as one row-major tuple of n*n payloads, zeros included:
+        a hashable key, and the form right_multiplier works on."""
+        get, zero, n = self.data.get, self.ring.zero_p, self.n
+        return tuple(get((i, j), zero) for i in range(n) for j in range(n))
+
     def to_dense(self):
         return [
             [self.ring.to_literal(self.data.get((i, j), self.ring.zero_p)) for j in range(self.n)]
@@ -330,60 +336,52 @@ def _orbit_euclid(u):
     return [(i, j, ring.el(-r)) for i, j, r in ops]
 
 
-def matrix_group_order(gens, cap=10**7):
-    """|<gens>| by breadth-first closure; Inconclusive beyond the cap."""
-    if not gens:
-        return 1
-    ring = gens[0].ring
-    if type(ring).__name__ == "ZModRing" and ring.n == 2:
-        return _group_order_f2(gens, cap)
-    seen = {identity_matrix(ring, gens[0].n).key()}
-    frontier = [identity_matrix(ring, gens[0].n)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                k = prod.key()
-                if k not in seen:
-                    seen.add(k)
-                    if len(seen) > cap:
-                        raise Inconclusive("matrix group closure cap exceeded")
-                    nxt.append(prod)
-        frontier = nxt
-    return len(seen)
+def right_multiplier(g):
+    """The map m -> m*g on flat row-major payload tuples (RMatrix.flat).
 
+    Write g = 1 + N; then m*g = m + m*N, and each nonzero entry c of N at
+    (i, j) adds c times column i of m to column j: a root unipotent costs
+    one column operation per entry of RootDatum.unipotent_entries, as in
+    words.phi.  Columns are read from m and written to a copy, so the rule
+    holds for every g, not only for unipotents.
+    """
+    ring, n = g.ring, g.n
+    padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
+    minus_one = ring.p_neg(ring.one_p)
+    cells = []  # (flat index of m[r][i], of m[r][j], c) per entry and row r
+    for i in range(n):
+        for j in range(n):
+            c = g.data.get((i, j), zero)
+            if i == j:
+                c = padd(c, minus_one)
+            if c != zero:
+                cells.extend((r + i, r + j, c) for r in range(0, n * n, n))
 
-def _group_order_f2(gens, cap):
-    n = gens[0].n
-
-    def pack(m):
-        rows = [0] * n
-        for (i, j), p in m.data.items():
-            if p:
-                rows[i] |= 1 << j
-        return tuple(rows)
-
-    def mul(a, b):
-        out = []
-        for i in range(n):
-            acc = 0
-            r = a[i]
-            for j in range(n):
-                if r >> j & 1:
-                    acc ^= b[j]
-            out.append(acc)
+    def times_g(m):
+        out = list(m)
+        for src, dst, c in cells:
+            a = m[src]
+            if a != zero:
+                out[dst] = padd(out[dst], pmul(a, c))
         return tuple(out)
 
-    packed_gens = [pack(g) for g in gens]
-    ident = tuple(1 << i for i in range(n))
+    return times_g
+
+
+def matrix_group_order(gens, cap=10**7):
+    """|<gens>| by breadth-first closure on flat payload tuples, one
+    right_multiplier per generator; Inconclusive beyond the cap."""
+    if not gens:
+        return 1
+    steps = [right_multiplier(g) for g in gens]
+    ident = identity_matrix(gens[0].ring, gens[0].n).flat()
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for m in frontier:
-            for g in packed_gens:
-                prod = mul(m, g)
+            for step in steps:
+                prod = step(m)
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:

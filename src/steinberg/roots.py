@@ -18,6 +18,11 @@ class RootSystemError(Exception):
     pass
 
 
+class NoMatrixRealization(RootSystemError):
+    """The root system has no matrix realization here (the E family, or
+    subsystem data), so no question about matrices can be asked of it."""
+
+
 class Root:
     """A root, held as exact coordinates in the ambient Euclidean space."""
 
@@ -81,12 +86,12 @@ class RootDatum:
 
     def matrix_size(self):
         if self.realization != "standard":
-            raise RootSystemError("subsystem data has no matrix realization of its own")
+            raise NoMatrixRealization("subsystem data has no matrix realization of its own")
         if self.family == "A":
             return self.rank + 1
         if self.family == "D":
             return 2 * self.rank
-        raise RootSystemError(f"no matrix realization for family {self.family}")
+        raise NoMatrixRealization(f"no matrix realization for family {self.family}")
 
     def unipotent_entries(self, ri):
         """The entries (i, j, sign) of x_alpha(1) - 1 for alpha = roots[ri].

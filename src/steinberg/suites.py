@@ -46,7 +46,7 @@ from .rings import (
     make_ring,
     split_data,
 )
-from .roots import build_system
+from .roots import NoMatrixRealization, build_system
 from .vdk import (
     FSymbol,
     OrbitVector,
@@ -177,9 +177,10 @@ class VerificationReport:
 class _Check:
     """Context helper: times a check and appends it to the suite output.
 
-    A check that stops on Inconclusive (a cap) or UnsupportedRingError (a
-    question this ring or ideal cannot answer) counts as inconclusive, with
-    the reason in its info.
+    A check that stops on Inconclusive (a cap), UnsupportedRingError (a
+    question this ring or ideal cannot answer) or NoMatrixRealization (a
+    matrix question about a root system without matrices) counts as
+    inconclusive, with the reason in its info.
     """
 
     def __init__(self, out, name, tier):
@@ -193,7 +194,9 @@ class _Check:
     def __exit__(self, exc_type, exc, tb):
         self.rec.wall_time = time.perf_counter() - self._t0
         self.out.append(self.rec)
-        if exc_type is not None and issubclass(exc_type, (Inconclusive, UnsupportedRingError)):
+        if exc_type is not None and issubclass(
+            exc_type, (Inconclusive, UnsupportedRingError, NoMatrixRealization)
+        ):
             self.rec.inconclusive += 1
             self.rec.info = {**(self.rec.info or {}), "reason": str(exc)}
             return True
@@ -285,8 +288,7 @@ def suite_chevalley(config):
     checks = []
     for sysname in systems:
         datum = build_system(sysname)
-        pats, sums = _chevalley_tables(datum)
-        size = datum.matrix_size()
+        tables = None  # built in the first check, which may find no matrices
         for ringspec in rings:
             ring = make_ring(ringspec)
             with _Check(checks, f"chevalley-{sysname}-{ringspec}", "matrix") as rec:
@@ -294,7 +296,8 @@ def suite_chevalley(config):
                     raise UnsupportedRingError(
                         f"the batched check multiplies integer matrices mod N; {ring.spec} is not z/N"
                     )
-                _chevalley_check(rec, pats, sums, size, ring.n)
+                tables = tables or (*_chevalley_tables(datum), datum.matrix_size())
+                _chevalley_check(rec, *tables, ring.n)
     return checks
 
 
@@ -1138,9 +1141,50 @@ SUITES = {
 }
 
 
+# How many rings and root systems each suite reads (None: any number).
+# The others build their own; a report must not name them.
+_READS = {
+    "chevalley-relations": (None, None),
+    "vdk-identities": (0, 0),
+    "tulenbaev-identities": (None, 0),
+    "xeqy": (0, 0),
+    "star-presentation": (0, 0),
+    "psi-s-relations": (0, 0),
+    "k2-exact": (None, None),
+    "relative-generation": (1, None),
+    "amalgam": (1, 1),
+    "tmap-diagram": (0, 0),
+}
+
+
+def config_error(config):
+    """Why a suite would not run the config as given, or None.
+
+    The report records every ring and system of its config, so a suite
+    takes no more of them than it reads; and relative-generation and
+    amalgam default to the ideal (X), which needs a ring with a generator X.
+    """
+    most_rings, most_systems = _READS.get(config.suite, (None, None))
+    for option, given, most in (
+        ("--ring", config.rings, most_rings),
+        ("--system", config.systems, most_systems),
+    ):
+        if most is not None and len(given) > most:
+            takes = "no" if most == 0 else f"at most {most}"
+            return f"suite {config.suite} takes {takes} {option}, got {len(given)}"
+    if config.suite in ("relative-generation", "amalgam") and config.rings and not config.ideal:
+        ring = make_ring(config.rings[0])
+        if not hasattr(ring, "gen"):
+            return f"suite {config.suite} needs --ideal over {ring.spec}: it has no generator X for the default ideal"
+    return None
+
+
 def run_suite(config):
     if config.suite not in SUITES:
         raise ValueError(f"unknown suite {config.suite!r}; have {sorted(SUITES)}")
+    error = config_error(config)
+    if error:
+        raise ValueError(error)
     warnings = []
     if config.samples == 0:
         warnings.append("sample count is zero; sampled checks are vacuous")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from steinberg.fp import (
     WordTester,
     additive_basis,
     amalgam_presentation,
+    coset_images,
     enumerate_steinberg,
     eval_word,
     inverse_letters,
@@ -21,9 +23,9 @@ from steinberg.fp import (
     todd_coxeter,
 )
 from steinberg.matrices import Inconclusive, basis_vector
-from steinberg.rings import FGIdeal, make_ring, split_data
-from steinberg.roots import build_system
-from steinberg.words import phi, x_ij
+from steinberg.rings import Elem, FGIdeal, make_ring, split_data
+from steinberg.roots import NoMatrixRealization, build_system
+from steinberg.words import StWord, phi, x_ij
 
 F2 = make_ring("f2")
 A2 = build_system("A2")
@@ -217,6 +219,31 @@ def test_k2_nontrivial_kernel_z4():
     assert rep.kernel_order == 2
     assert rep.image_order == 43008
     assert rep.central
+
+
+@pytest.mark.parametrize("system, spec, sample", [("A2", "f3", None), ("A3", "f2", None), ("A2", "z/4", 2000)])
+def test_coset_images_are_phi_of_tree_words(system, spec, sample):
+    # the flat tuple of each coset is phi of its spanning-tree word,
+    # a product of unipotents taken apart from the walk in coset_images
+    datum, ring = build_system(system), make_ring(spec)
+    sp = steinberg_presentation(datum, ring)
+    tbl = enumerate_steinberg(sp)
+    mats = coset_images(sp, tbl)
+    key_of = {g: key for key, g in sp.gen_index.items()}
+    reps = tbl.rep_letters()
+    cosets = range(tbl.n) if sample is None else random.Random(5).sample(range(tbl.n), sample)
+    for c in cosets:
+        letters = []
+        for x in reps[c]:
+            ri, pay = key_of[x // 2]  # column 2g is generator g, 2g+1 its inverse
+            xi = Elem(ring, pay)
+            letters.append((ri, -xi if x % 2 else xi))
+        assert mats[c] == phi(StWord(datum, ring, letters)).flat()
+
+
+def test_k2_compute_refuses_e_family_before_enumerating():
+    with pytest.raises(NoMatrixRealization):
+        k2_compute(build_system("E6"), F2, max_cosets=1000)
 
 
 def test_zero_ring_gives_trivial_group():

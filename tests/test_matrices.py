@@ -3,12 +3,14 @@ import random
 import pytest
 
 from steinberg.matrices import (
+    RMatrix,
     basis_vector,
     elementary_orbit_witness,
     gram_hyperbolic,
     identity_matrix,
     is_unimodular,
     matrix_group_order,
+    right_multiplier,
     transvection,
     unipotent,
     vector,
@@ -136,3 +138,45 @@ def test_matrix_group_orders():
     f3 = make_ring("f3")
     gens3 = [unipotent(a2, r, f3.el(s)) for r in a2.roots for s in (1, 2)]
     assert matrix_group_order(gens3) == 5616  # |SL(3,3)|
+
+
+def test_matrix_group_orders_over_f2_and_z4():
+    # one closure for every ring: F2 had a bit-packed closure of its own
+    a3, f2 = build_system("A3"), make_ring("f2")
+    assert matrix_group_order([unipotent(a3, r, f2.one()) for r in a3.roots]) == 20160
+    a2, z4 = build_system("A2"), make_ring("z/4")
+    assert matrix_group_order([unipotent(a2, r, z4.one()) for r in a2.roots]) == 43008  # |SL(3,Z/4)|
+
+
+def _dense(ring, rows):
+    entries = {(i, j): ring.el(x) for i, row in enumerate(rows) for j, x in enumerate(row)}
+    return RMatrix(ring, len(rows), {ij: x.payload for ij, x in entries.items() if not x.is_zero()})
+
+
+def test_matrix_group_order_with_generators_that_are_not_unipotent():
+    # <diag(-1,-1,1), permutation matrices> over F3: the monomial matrices
+    # with entries +-1 whose signs multiply to 1, (Z/2)^2 x| S3 of order 24
+    f3 = make_ring("f3")
+    gens = [
+        _dense(f3, [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+        _dense(f3, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        _dense(f3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    ]
+    assert matrix_group_order(gens) == 24
+    assert matrix_group_order(gens[:1]) == 2
+    assert matrix_group_order(gens[1:]) == 6
+
+
+@pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])"])
+def test_right_multiplier_matches_matrix_product(spec):
+    ring = make_ring(spec)
+    pool = list(ring.payloads())
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        for _ in range(60):
+            m, g = (
+                RMatrix(ring, n, {(i, j): p for i in range(n) for j in range(n)
+                                  if (p := rng.choice(pool)) != ring.zero_p and rng.random() < 0.6})
+                for _ in range(2)
+            )
+            assert right_multiplier(g)(m.flat()) == (m * g).flat()

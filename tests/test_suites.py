@@ -117,6 +117,10 @@ def test_cli_flag_overrides():
         (SuiteConfig(suite="k2-exact", systems=("A2",), rings=("z",)), "z is infinite"),
         (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/4",), ideal="[2]"),
          "is not a splitting ideal"),
+        (SuiteConfig(suite="chevalley-relations", systems=("E6",), rings=("z/2",)),
+         "no matrix realization"),
+        (SuiteConfig(suite="k2-exact", systems=("E6",), rings=("f2",), max_cosets=1000),
+         "no matrix realization"),
     ],
 )
 def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
@@ -136,6 +140,37 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--suite", "vdk-identities", "--ring", "z/9"], "--ring"),
+        (["--suite", "xeqy", "--system", "A3"], "--system"),
+        (["--suite", "star-presentation", "--ring", "f2"], "--ring"),
+        (["--suite", "psi-s-relations", "--system", "A3"], "--system"),
+        (["--suite", "tmap-diagram", "--ring", "z/6"], "--ring"),
+        (["--suite", "tulenbaev-identities", "--system", "A3"], "--system"),
+        (["--suite", "relative-generation", "--ring", "f2", "--ring", "f3", "--ideal", "[1]"], "--ring"),
+        (["--suite", "amalgam", "--system", "D4", "--system", "D5"], "--system"),
+    ],
+)
+def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
+    assert cli.main(flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and flags[1] in err and named in err
+
+
+@pytest.mark.parametrize("suite", ["relative-generation", "amalgam"])
+def test_default_ideal_needs_a_generator(suite, capsys):
+    system = "D4" if suite == "amalgam" else "A2"
+    assert cli.main(["--suite", suite, "--ring", "z/4", "--system", system]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and suite in err and "--ideal" in err
+    with pytest.raises(ValueError, match="--ideal"):
+        run_suite(SuiteConfig(suite=suite, rings=("z/4",), systems=(system,)))
 
 
 def test_tier_policy_downgrades_to_matrix():
