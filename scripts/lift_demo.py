@@ -50,11 +50,7 @@ def main():
     print("~w =", res.lift_w)
     print("word length:", len(res.word))
     MB = phi(res.word)
-    localized = RMatrix(
-        loc,
-        n,
-        {ij: lam.p_fn(p) for ij, p in MB.data.items() if lam.p_fn(p) != loc.zero_p},
-    )
+    localized = RMatrix(loc, n, tuple(map(lam.p_fn, MB.data)))
     ok = localized == transvection(ov.vec, vloc)
     print("localize(phi(word)) == t(u, v):", ok)
     return 0 if ok else 1

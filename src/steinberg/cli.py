@@ -5,8 +5,8 @@ override the document.  The JSON report written with --out is canonical
 (sorted keys, no timings), so identical configurations produce identical
 bytes.  Exit status is 0 exactly when every requested suite passes, and 2
 when a ring spec or a root system name does not parse, when a suite is
-given a ring or a system it would not read, or when relative-generation or
-amalgam needs an --ideal.
+given a ring, a system, an --ideal or an --n it would not read, or when
+relative-generation or amalgam needs an --ideal.
 """
 
 from __future__ import annotations

@@ -67,9 +67,6 @@ class CosetTable:
     def n(self):
         return len(self.rows)
 
-    def order(self):
-        return self.n
-
     def trace(self, coset, letters):
         rows = self.rows
         for l in letters:
@@ -82,23 +79,32 @@ class CosetTable:
     def permutation(self, letters):
         return tuple(self.trace(c, letters) for c in range(self.n))
 
-    def rep_letters(self):
-        """Spanning-tree words: for each coset, letters carrying 0 there."""
+    def tree(self):
+        """The breadth-first spanning tree from coset 0: the (parent, column)
+        edge of each coset, None at coset 0.
+
+        In a standardized table each coset d > 0 first appears, in row-major
+        order, at its tree edge, in a row c < d, and after every coset below
+        it; so one pass over the rows finds the edges in coset order.
+        """
         if self._tree is None:
-            parent = {0: ()}
-            frontier = [0]
-            while frontier:
-                nxt = []
-                for c in frontier:
-                    row = self.rows[c]
-                    for x in range(self.ncols):
-                        d = row[x]
-                        if d not in parent:
-                            parent[d] = parent[c] + (x,)
-                            nxt.append(d)
-                frontier = nxt
-            self._tree = [parent[c] for c in range(self.n)]
+            tree = [None]
+            for c, row in enumerate(self.rows):
+                for x, d in enumerate(row):
+                    if d == len(tree):
+                        tree.append((c, x))
+            if len(tree) != self.n:
+                raise PresentationError("coset table is not standardized")
+            self._tree = tree
         return self._tree
+
+    def rep_letters(self, coset):
+        """The spanning-tree word of a coset: letters carrying 0 there."""
+        tree, letters = self.tree(), []
+        while coset:
+            coset, x = tree[coset]
+            letters.append(x)
+        return tuple(reversed(letters))
 
     def to_json(self):
         return {"ncols": self.ncols, "rows": [list(r) for r in self.rows]}
@@ -280,11 +286,6 @@ def _standardize(table, ncols):
     for old, new in remap.items():
         rows[new] = [remap[d] for d in table[old]]
     return rows
-
-
-def eval_word(tbl, letters):
-    """The permutation of cosets induced by a letter word."""
-    return tbl.permutation(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +577,6 @@ class WordTester:
     def matrix_equal(self, w1, w2):
         return W.phi(w1) == W.phi(w2)
 
-    def equal(self, w1, w2, tier="auto"):
-        """Returns (verdict, tier_used); matrix equality alone reports the
-        weaker tier honestly."""
-        if tier in ("exact", "auto") and self.table is not None:
-            return self.exact_equal(w1, w2), "exact"
-        if simplify(w1) == simplify(w2):
-            return True, "syntactic"
-        return self.matrix_equal(w1, w2), "matrix"
-
     def equator(self):
         """The strongest available equality callable with its tier label."""
         if self.table is not None:
@@ -606,7 +598,7 @@ class KernelReport:
     kernel_cosets: list
     central: bool
     witnesses: list
-    bfs_image_order: int = None
+    bfs_image_order: int
 
     def factorization_ok(self):
         return self.st_order == self.kernel_order * self.image_order
@@ -626,27 +618,20 @@ def column_unipotents(sp):
 
 
 def coset_images(sp, tbl):
-    """phi of every coset of the table, by coset, as flat row-major payload
-    tuples (RMatrix.flat).
+    """phi of every coset of the table, by coset, as row-major payload
+    tuples (RMatrix.data).
 
-    The walk follows the table's breadth-first spanning tree from coset 0;
-    each tree edge c -> c*x is one right multiplication by the unipotent of
-    column x, a column operation or two.
+    Each edge c -> c*x of the table's spanning tree is one right
+    multiplication by the unipotent of column x, a column operation or two.
     """
     steps = [right_multiplier(g) for g in column_unipotents(sp)]
-    mats = [None] * tbl.n
-    mats[0] = identity_matrix(sp.ring, sp.system.matrix_size()).flat()
-    order = [0]
-    for c in order:  # the queue grows while it is read
-        m = mats[c]
-        for d, step in zip(tbl.rows[c], steps):
-            if mats[d] is None:
-                mats[d] = step(m)
-                order.append(d)
+    mats = [identity_matrix(sp.ring, sp.system.matrix_size()).data]
+    for c, x in tbl.tree()[1:]:
+        mats.append(steps[x](mats[c]))
     return mats
 
 
-def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
+def k2_compute(datum, ring, max_cosets=10**6):
     """Enumerate St, push every coset through phi, and cut out the kernel.
 
     The kernel is exactly the fiber of the identity matrix; centrality is
@@ -664,17 +649,13 @@ def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
     image_order = len(set(mats))
     # exhaustive centrality: kernel elements must commute with every generator
     witnesses = []
-    reps = tbl.rep_letters()
     for c in kernel:
-        repw = reps[c]
+        repw = tbl.rep_letters(c)
         for x in range(tbl.ncols):
             left = tbl.trace(tbl.rows[0][x], repw)
             right = tbl.rows[tbl.coset_of(repw)][x]
             if left != right:
                 witnesses.append({"kernel_coset": c, "column": x})
-    bfs_order = None
-    if cross_check:
-        bfs_order = matrix_group_order(column_unipotents(sp)[0::2])
     return KernelReport(
         system=datum.name,
         ring=ring.spec,
@@ -684,7 +665,7 @@ def k2_compute(datum, ring, max_cosets=10**6, cross_check=True):
         kernel_cosets=kernel,
         central=not witnesses,
         witnesses=witnesses,
-        bfs_image_order=bfs_order,
+        bfs_image_order=matrix_group_order(column_unipotents(sp)[0::2]),
     )
 
 

@@ -1,7 +1,7 @@
 """Exact matrix models for the A and D families.
 
-Matrices are sparse payload dictionaries over a rings.Ring, and nothing
-here inverts a matrix.  Every invertible matrix the workbench meets is the
+A matrix is the row-major tuple of its payloads over a rings.Ring, and
+nothing here inverts one.  Every invertible matrix the workbench meets is the
 image phi(w) of a word w in the Steinberg generators, so inverses and
 contragredients are taken on the word (StWord.inverse and
 words.contragredient) and mapped through phi, which stays exact over every
@@ -91,70 +91,58 @@ def basis_vector(ring, n, k, scale=1):
 
 
 class RMatrix:
-    """Sparse square matrix over a ring."""
+    """Square matrix over a ring: `data` is the row-major tuple of its n*n
+    payloads, zeros included, and is its own hash key."""
 
-    __slots__ = ("ring", "n", "data", "_rows")
+    __slots__ = ("ring", "n", "data")
 
     def __init__(self, ring, n, data):
         self.ring = ring
         self.n = n
-        self.data = data  # {(i, j): payload}, zero payloads never stored
-        self._rows = None
-
-    def rows(self):
-        if self._rows is None:
-            rows = {}
-            for (i, j), p in self.data.items():
-                rows.setdefault(i, []).append((j, p))
-            self._rows = rows
-        return self._rows
-
-    def entry(self, i, j):
-        return Elem(self.ring, self.data.get((i, j), self.ring.zero_p))
+        self.data = data
 
     def __mul__(self, other):
         if isinstance(other, RVector):
             return self.apply(other)
         if self.ring is not other.ring or self.n != other.n:
             raise MatrixError("matrix shape/ring mismatch")
-        ring = self.ring
-        padd, pmul, pz = ring.p_add, ring.p_mul, ring.zero_p
-        orows = other.rows()
-        out = {}
-        for (i, k), a in self.data.items():
-            row = orows.get(k)
-            if not row:
-                continue
-            for j, b in row:
-                key = (i, j)
-                cur = out.get(key)
-                v = pmul(a, b)
-                out[key] = v if cur is None else padd(cur, v)
-        return RMatrix(ring, self.n, {k: v for k, v in out.items() if v != pz})
+        ring, n = self.ring, self.n
+        padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
+        a, b = self.data, other.data
+        out = []
+        for r in range(0, n * n, n):
+            row = [zero] * n
+            for k in range(n):
+                x = a[r + k]
+                if x != zero:
+                    for j, y in enumerate(b[k * n:(k + 1) * n]):
+                        if y != zero:
+                            row[j] = padd(row[j], pmul(x, y))
+            out.extend(row)
+        return RMatrix(ring, n, tuple(out))
 
     def apply(self, vec):
-        if len(vec) != self.n:
+        n = self.n
+        if len(vec) != n:
             raise MatrixError("matrix/vector size mismatch")
         ring = self.ring
-        padd, pmul, pz = ring.p_add, ring.p_mul, ring.zero_p
-        out = [pz] * self.n
+        padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
         vp = [x.payload for x in vec.entries]
-        for (i, j), a in self.data.items():
-            if vp[j] != pz:
-                out[i] = padd(out[i], pmul(a, vp[j]))
-        return RVector(ring, [Elem(ring, p) for p in out])
+        out = []
+        for r in range(0, n * n, n):
+            acc = zero
+            for a, v in zip(self.data[r:r + n], vp):
+                if a != zero and v != zero:
+                    acc = padd(acc, pmul(a, v))
+            out.append(Elem(ring, acc))
+        return RVector(ring, out)
 
     def transpose(self):
-        return RMatrix(self.ring, self.n, {(j, i): p for (i, j), p in self.data.items()})
+        n = self.n
+        return RMatrix(self.ring, n, tuple(p for j in range(n) for p in self.data[j::n]))
 
     def is_identity(self):
-        if len(self.data) != self.n:
-            return False
-        one = self.ring.one_p
-        return all(self.data.get((i, i)) == one for i in range(self.n))
-
-    def key(self):
-        return (self.n, tuple(sorted((ij, p) for ij, p in self.data.items())))
+        return self.data == identity_matrix(self.ring, self.n).data
 
     def __eq__(self, other):
         return (
@@ -165,41 +153,34 @@ class RMatrix:
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.key()))
-
-    def flat(self):
-        """The entries as one row-major tuple of n*n payloads, zeros included:
-        a hashable key, and the form right_multiplier works on."""
-        get, zero, n = self.data.get, self.ring.zero_p, self.n
-        return tuple(get((i, j), zero) for i in range(n) for j in range(n))
+        return hash((id(self.ring), self.n, self.data))
 
     def to_dense(self):
-        return [
-            [self.ring.to_literal(self.data.get((i, j), self.ring.zero_p)) for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        n, lit = self.n, self.ring.to_literal
+        return [[lit(p) for p in self.data[r:r + n]] for r in range(0, n * n, n)]
 
     def __repr__(self):
+        n, rep = self.n, self.ring.p_repr
         body = "; ".join(
-            " ".join(self.ring.p_repr(self.data.get((i, j), self.ring.zero_p)) for j in range(self.n))
-            for i in range(self.n)
+            " ".join(rep(p) for p in self.data[r:r + n]) for r in range(0, n * n, n)
         )
         return f"[{body}]"
 
 
 def identity_matrix(ring, n):
-    return RMatrix(ring, n, {(i, i): ring.one_p for i in range(n)})
+    one, zero = ring.one_p, ring.zero_p
+    return RMatrix(ring, n, tuple(one if k % (n + 1) == 0 else zero for k in range(n * n)))
 
 
 def unipotent(datum, root, xi):
     """The elementary root unipotent for the standard A/D realization."""
     n = datum.matrix_size()
     ring = xi.ring
-    data = {(i, i): ring.one_p for i in range(n)}
+    data = list(identity_matrix(ring, n).data)
     if not xi.is_zero():
         for i, j, sign in datum.unipotent_entries(datum.index[root]):
-            data[(i, j)] = xi.payload if sign > 0 else ring.p_neg(xi.payload)
-    return RMatrix(ring, n, data)
+            data[i * n + j] = xi.payload if sign > 0 else ring.p_neg(xi.payload)
+    return RMatrix(ring, n, tuple(data))
 
 
 def transvection(u, v):
@@ -210,27 +191,20 @@ def transvection(u, v):
         raise MatrixError("transvection vectors must share a ring")
     ring = u.ring
     n = len(u)
-    data = {(i, i): ring.one_p for i in range(n)}
+    data = list(identity_matrix(ring, n).data)
     for i, a in enumerate(u.entries):
         if a.is_zero():
             continue
         for j, b in enumerate(v.entries):
-            p = ring.p_mul(a.payload, b.payload)
-            if p == ring.zero_p:
-                continue
-            cur = data.get((i, j), ring.zero_p)
-            s = ring.p_add(cur, p)
-            if s == ring.zero_p:
-                data.pop((i, j), None)
-            else:
-                data[(i, j)] = s
-    return RMatrix(ring, n, data)
+            data[i * n + j] = ring.p_add(data[i * n + j], ring.p_mul(a.payload, b.payload))
+    return RMatrix(ring, n, tuple(data))
 
 
 def gram_hyperbolic(ring, rank):
     """The anti-diagonal Gram matrix of the split even orthogonal form."""
     n = 2 * rank
-    return RMatrix(ring, n, {(i, n - 1 - i): ring.one_p for i in range(n)})
+    one, zero = ring.one_p, ring.zero_p
+    return RMatrix(ring, n, tuple(one if j == n - 1 - i else zero for i in range(n) for j in range(n)))
 
 
 def is_unimodular(u):
@@ -337,7 +311,7 @@ def _orbit_euclid(u):
 
 
 def right_multiplier(g):
-    """The map m -> m*g on flat row-major payload tuples (RMatrix.flat).
+    """The map m -> m*g on row-major payload tuples (RMatrix.data).
 
     Write g = 1 + N; then m*g = m + m*N, and each nonzero entry c of N at
     (i, j) adds c times column i of m to column j: a root unipotent costs
@@ -348,14 +322,13 @@ def right_multiplier(g):
     ring, n = g.ring, g.n
     padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
     minus_one = ring.p_neg(ring.one_p)
-    cells = []  # (flat index of m[r][i], of m[r][j], c) per entry and row r
-    for i in range(n):
-        for j in range(n):
-            c = g.data.get((i, j), zero)
-            if i == j:
-                c = padd(c, minus_one)
-            if c != zero:
-                cells.extend((r + i, r + j, c) for r in range(0, n * n, n))
+    cells = []  # (index of m[r][i], of m[r][j], c) per entry and row r
+    for k, c in enumerate(g.data):
+        i, j = divmod(k, n)
+        if i == j:
+            c = padd(c, minus_one)
+        if c != zero:
+            cells.extend((r + i, r + j, c) for r in range(0, n * n, n))
 
     def times_g(m):
         out = list(m)
@@ -369,12 +342,12 @@ def right_multiplier(g):
 
 
 def matrix_group_order(gens, cap=10**7):
-    """|<gens>| by breadth-first closure on flat payload tuples, one
+    """|<gens>| by breadth-first closure on row-major payload tuples, one
     right_multiplier per generator; Inconclusive beyond the cap."""
     if not gens:
         return 1
     steps = [right_multiplier(g) for g in gens]
-    ident = identity_matrix(gens[0].ring, gens[0].n).flat()
+    ident = identity_matrix(gens[0].ring, gens[0].n).data
     seen = {ident}
     frontier = [ident]
     while frontier:

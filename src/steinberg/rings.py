@@ -212,9 +212,6 @@ class Ring:
             self._enum_order = {p: i for i, p in enumerate(self.payloads())}
         return self._enum_order
 
-    def enum_key(self, p):
-        return self.enum_order()[p]
-
     # -- serialization
     def from_literal(self, lit):
         raise SpecError(f"cannot parse {lit!r} as element of {self.spec}")

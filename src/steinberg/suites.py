@@ -1044,27 +1044,13 @@ def suite_tmap(config):
             j = rng.randrange(1, n)
             cB = _rand_ideal_elem(Bz, rng)
             vloc = (Ms * basis_vector(locz, n, j)).scale(lamz(cB))
-            vB_entries = []
-            ok = True
-            for x in vloc.entries:
-                num, k = x.payload
-                if k != 0 and num != Bz.zero_p:
-                    ok = False
-                    break
-                vB_entries.append(Elem(Bz, num if k == 0 else Bz.zero_p))
-            if not ok:
+            vB = _numerators(Bz, vloc)
+            if vB is None:
                 # clear denominators: scale by a power of 2 inside the ideal
                 vloc = vloc.scale(lamz(az * az))
-                vB_entries = []
-                for x in vloc.entries:
-                    num, k = x.payload
-                    if k != 0 and num != Bz.zero_p:
-                        ok = False
-                        break
-                    vB_entries.append(Elem(Bz, num if k == 0 else Bz.zero_p))
-                if not ok:
+                vB = _numerators(Bz, vloc)
+                if vB is None:
                     continue
-            vB = RVector(Bz, vB_entries)
             made += 1
             rec.instances += 1
             if rng.randrange(2):
@@ -1078,14 +1064,21 @@ def suite_tmap(config):
     return checks
 
 
+def _numerators(B, vloc):
+    """A vector over the localization of B as a vector over B, or None when
+    an entry has a denominator."""
+    entries = []
+    for x in vloc.entries:
+        num, k = x.payload
+        if k != 0 and num != B.zero_p:
+            return None
+        entries.append(Elem(B, num if k == 0 else B.zero_p))
+    return RVector(B, entries)
+
+
 def _tmap_diagram_ok(res, lam, loc, u, vloc, mirrored=False):
     MB = phi(res.word)
-    data = {}
-    for ij, p in MB.data.items():
-        q = lam.p_fn(p)
-        if q != loc.zero_p:
-            data[ij] = q
-    localized = RMatrix(loc, MB.n, data)
+    localized = RMatrix(loc, MB.n, tuple(map(lam.p_fn, MB.data)))
     target = transvection(vloc, u) if mirrored else transvection(u, vloc)
     return localized == target
 
@@ -1141,30 +1134,34 @@ SUITES = {
 }
 
 
-# How many rings and root systems each suite reads (None: any number).
-# The others build their own; a report must not name them.
+# How many rings and root systems each suite reads (None: any number), and
+# whether it reads --ideal and --n.  The others build their own; a report
+# must not name them.
 _READS = {
-    "chevalley-relations": (None, None),
-    "vdk-identities": (0, 0),
-    "tulenbaev-identities": (None, 0),
-    "xeqy": (0, 0),
-    "star-presentation": (0, 0),
-    "psi-s-relations": (0, 0),
-    "k2-exact": (None, None),
-    "relative-generation": (1, None),
-    "amalgam": (1, 1),
-    "tmap-diagram": (0, 0),
+    "chevalley-relations": (None, None, False, False),
+    "vdk-identities": (0, 0, False, True),
+    "tulenbaev-identities": (None, 0, False, True),
+    "xeqy": (0, 0, False, True),
+    "star-presentation": (0, 0, False, True),
+    "psi-s-relations": (0, 0, False, True),
+    "k2-exact": (None, None, False, False),
+    "relative-generation": (1, None, True, False),
+    "amalgam": (1, 1, True, False),
+    "tmap-diagram": (0, 0, False, True),
 }
 
 
 def config_error(config):
     """Why a suite would not run the config as given, or None.
 
-    The report records every ring and system of its config, so a suite
-    takes no more of them than it reads; and relative-generation and
-    amalgam default to the ideal (X), which needs a ring with a generator X.
+    The report records every ring and system of its config, and its ideal
+    and n, so a suite takes no more of them than it reads; and
+    relative-generation and amalgam default to the ideal (X), which needs a
+    ring with a generator X.
     """
-    most_rings, most_systems = _READS.get(config.suite, (None, None))
+    most_rings, most_systems, reads_ideal, reads_n = _READS.get(
+        config.suite, (None, None, True, True)
+    )
     for option, given, most in (
         ("--ring", config.rings, most_rings),
         ("--system", config.systems, most_systems),
@@ -1172,6 +1169,10 @@ def config_error(config):
         if most is not None and len(given) > most:
             takes = "no" if most == 0 else f"at most {most}"
             return f"suite {config.suite} takes {takes} {option}, got {len(given)}"
+    if config.ideal and not reads_ideal:
+        return f"suite {config.suite} takes no --ideal, got {config.ideal!r}"
+    if config.n != SuiteConfig.n and not reads_n:
+        return f"suite {config.suite} takes no --n, got {config.n}"
     if config.suite in ("relative-generation", "amalgam") and config.rings and not config.ideal:
         ring = make_ring(config.rings[0])
         if not hasattr(ring, "gen"):

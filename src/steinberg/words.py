@@ -155,29 +155,21 @@ def phi(w):
     """
     system, ring = w.system, w.ring
     n = system.matrix_size()
-    if not w.letters:
-        return identity_matrix(ring, n)
     padd, pmul, pneg, zero = ring.p_add, ring.p_mul, ring.p_neg, ring.zero_p
     entries = system.unipotent_entries
-    cols = [{j: ring.one_p} for j in range(n)]  # column j as {row: payload}
+    starts = range(0, n * n, n)
+    m = list(identity_matrix(ring, n).data)
     for idx, c in w.letters:
         p = c.payload
         if p == zero:
             continue
         for i, j, sign in entries(idx):
             coef = p if sign > 0 else pneg(p)
-            target = cols[j]
-            for row, v in cols[i].items():
-                x = pmul(v, coef)
-                cur = target.get(row)
-                if cur is not None:
-                    x = padd(cur, x)
-                if x == zero:
-                    target.pop(row, None)
-                else:
-                    target[row] = x
-    data = {(row, j): v for j, col in enumerate(cols) for row, v in col.items() if v != zero}
-    return RMatrix(ring, n, data)
+            for r in starts:
+                v = m[r + i]
+                if v != zero:
+                    m[r + j] = padd(m[r + j], pmul(v, coef))
+    return RMatrix(ring, n, tuple(m))
 
 
 def transpose_anti(w):
@@ -274,7 +266,7 @@ class SemidirectElement:
         return self.kernel * self._lift(self.quotient)
 
     def phi_pair(self):
-        return (phi(self.as_word()).key(), phi(self.quotient).key())
+        return (phi(self.as_word()).data, phi(self.quotient).data)
 
     def matrix_equal(self, other):
         return self.phi_pair() == other.phi_pair()

@@ -11,7 +11,6 @@ from steinberg.fp import (
     amalgam_presentation,
     coset_images,
     enumerate_steinberg,
-    eval_word,
     inverse_letters,
     k2_compute,
     orbit_with_witnesses,
@@ -88,7 +87,7 @@ def test_table_soundness_and_determinism():
         col = [t1.rows[c][x] for c in range(n)]
         assert sorted(col) == list(range(n))
     for rel in sp.presentation.relators:
-        perm = eval_word(t1, rel)
+        perm = t1.permutation(rel)
         assert perm == tuple(range(n))
 
 
@@ -214,31 +213,33 @@ def test_st3_f2_order_and_k2():
 def test_k2_nontrivial_kernel_z4():
     # the known Z/2 kernel over z/4: the enumerator must not collapse it
     z4 = make_ring("z/4")
-    rep = k2_compute(A2, z4, cross_check=False)
+    rep = k2_compute(A2, z4)
     assert rep.st_order == 86016
     assert rep.kernel_order == 2
-    assert rep.image_order == 43008
+    assert rep.image_order == 43008 == rep.bfs_image_order
     assert rep.central
 
 
 @pytest.mark.parametrize("system, spec, sample", [("A2", "f3", None), ("A3", "f2", None), ("A2", "z/4", 2000)])
 def test_coset_images_are_phi_of_tree_words(system, spec, sample):
-    # the flat tuple of each coset is phi of its spanning-tree word,
-    # a product of unipotents taken apart from the walk in coset_images
+    # the tree word of each coset carries 0 there, and its payload tuple is
+    # phi of that word, a product of unipotents taken apart from the walk in
+    # coset_images
     datum, ring = build_system(system), make_ring(spec)
     sp = steinberg_presentation(datum, ring)
     tbl = enumerate_steinberg(sp)
     mats = coset_images(sp, tbl)
     key_of = {g: key for key, g in sp.gen_index.items()}
-    reps = tbl.rep_letters()
     cosets = range(tbl.n) if sample is None else random.Random(5).sample(range(tbl.n), sample)
     for c in cosets:
+        word = tbl.rep_letters(c)
+        assert tbl.coset_of(word) == c
         letters = []
-        for x in reps[c]:
+        for x in word:
             ri, pay = key_of[x // 2]  # column 2g is generator g, 2g+1 its inverse
             xi = Elem(ring, pay)
             letters.append((ri, -xi if x % 2 else xi))
-        assert mats[c] == phi(StWord(datum, ring, letters)).flat()
+        assert mats[c] == phi(StWord(datum, ring, letters)).data
 
 
 def test_k2_compute_refuses_e_family_before_enumerating():
@@ -267,18 +268,13 @@ def test_word_letters_and_additivity_merge():
 def test_word_tester_tiers():
     from steinberg.words import commutator
 
-    tester = WordTester(A3, F2)
     a = commutator(x_ij(A3, F2, 0, 1, 1), x_ij(A3, F2, 1, 2, 1))
     b = x_ij(A3, F2, 0, 2, 1)
-    verdict, tier = tester.equal(a, b)
-    assert verdict and tier == "exact"
-    tester_m = WordTester(A3, F2, exact=False)
-    verdict, tier = tester_m.equal(a, b)
-    assert verdict and tier == "matrix"
-    # syntactic equality short-circuits before the matrix tier
-    c = x_ij(A3, F2, 0, 1, 1) * x_ij(A3, F2, 2, 3, 1) * x_ij(A3, F2, 2, 3, 1)
-    verdict, tier = tester_m.equal(x_ij(A3, F2, 0, 1, 1), c)
-    assert verdict and tier == "syntactic"
+    c = x_ij(A3, F2, 1, 2, 1)
+    equal, tier = WordTester(A3, F2).equator()
+    assert equal(a, b) and not equal(a, c) and tier == "exact"
+    equal_m, tier = WordTester(A3, F2, exact=False).equator()
+    assert equal_m(a, b) and not equal_m(a, c) and tier == "matrix"
 
 
 def test_relative_generation_a2():

@@ -4,6 +4,7 @@ import pytest
 
 from steinberg.matrices import (
     RMatrix,
+    RVector,
     basis_vector,
     elementary_orbit_witness,
     gram_hyperbolic,
@@ -15,7 +16,7 @@ from steinberg.matrices import (
     unipotent,
     vector,
 )
-from steinberg.rings import make_ring
+from steinberg.rings import Elem, make_ring
 from steinberg.roots import Root, RootSystemError, build_system
 from steinberg.words import StWord, contragredient, empty, from_ij_letters, phi, x_ij
 
@@ -25,9 +26,9 @@ def test_unipotent_a_family():
     z6 = make_ring("z/6")
     root = Root((1, -1, 0, 0))
     m = unipotent(a3, root, z6.el(5))
-    assert m.entry(0, 1).payload == 5
-    assert m.entry(1, 0).is_zero()
-    assert m.entry(0, 0).is_one()
+    assert m.data[0 * 4 + 1] == 5
+    assert m.data[1 * 4 + 0] == z6.zero_p
+    assert m.data[0 * 4 + 0] == z6.one_p
 
 
 def test_unipotent_e_unsupported():
@@ -149,8 +150,7 @@ def test_matrix_group_orders_over_f2_and_z4():
 
 
 def _dense(ring, rows):
-    entries = {(i, j): ring.el(x) for i, row in enumerate(rows) for j, x in enumerate(row)}
-    return RMatrix(ring, len(rows), {ij: x.payload for ij, x in entries.items() if not x.is_zero()})
+    return RMatrix(ring, len(rows), tuple(ring.el(x).payload for row in rows for x in row))
 
 
 def test_matrix_group_order_with_generators_that_are_not_unipotent():
@@ -175,8 +175,50 @@ def test_right_multiplier_matches_matrix_product(spec):
     for n in (2, 3, 4):
         for _ in range(60):
             m, g = (
-                RMatrix(ring, n, {(i, j): p for i in range(n) for j in range(n)
-                                  if (p := rng.choice(pool)) != ring.zero_p and rng.random() < 0.6})
+                RMatrix(ring, n, tuple(p if (p := rng.choice(pool)) != ring.zero_p and rng.random() < 0.6
+                                       else ring.zero_p for _ in range(n * n)))
                 for _ in range(2)
             )
-            assert right_multiplier(g)(m.flat()) == (m * g).flat()
+            assert right_multiplier(g)(m.data) == (m * g).data
+
+
+def _ref_apply(ring, rows, vec):
+    """rows * vec on nested lists of payloads, from p_add and p_mul alone."""
+    out = []
+    for row in rows:
+        acc = ring.zero_p
+        for a, b in zip(row, vec):
+            acc = ring.p_add(acc, ring.p_mul(a, b))
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)"])
+def test_dense_matrix_matches_nested_lists(spec):
+    # an independent reference for RMatrix: the product tests above lean on
+    # RMatrix.__mul__ themselves
+    ring = make_ring(spec)
+    pool = list(ring.payloads())  # zero included
+    rng = random.Random(spec)
+    flat = lambda rows: tuple(p for row in rows for p in row)  # noqa: E731
+    for n in range(1, 6):
+        ident = [[ring.one_p if i == j else ring.zero_p for j in range(n)] for i in range(n)]
+        for _ in range(40):
+            a, b = (
+                [[rng.choice(pool) if rng.random() < 0.7 else ring.zero_p for _ in range(n)] for _ in range(n)]
+                for _ in range(2)
+            )
+            ma, mb = RMatrix(ring, n, flat(a)), RMatrix(ring, n, flat(b))
+            product_cols = [_ref_apply(ring, a, col) for col in zip(*b)]
+            assert (ma * mb).data == flat(zip(*product_cols))
+            vec = [rng.choice(pool) for _ in range(n)]
+            got = ma * RVector(ring, [Elem(ring, p) for p in vec])
+            assert [x.payload for x in got] == _ref_apply(ring, a, vec)
+            assert ma.transpose().data == flat(zip(*a))
+            assert ma.is_identity() == (a == ident)
+        assert identity_matrix(ring, n).data == flat(ident)
+        assert RMatrix(ring, n, flat(ident)).is_identity()
+        for k in range(n * n):  # one entry off the identity
+            data = list(flat(ident))
+            data[k] = rng.choice([p for p in pool if p != data[k]])
+            assert not RMatrix(ring, n, tuple(data)).is_identity()

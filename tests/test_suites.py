@@ -153,6 +153,10 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
         (["--suite", "tulenbaev-identities", "--system", "A3"], "--system"),
         (["--suite", "relative-generation", "--ring", "f2", "--ring", "f3", "--ideal", "[1]"], "--ring"),
         (["--suite", "amalgam", "--system", "D4", "--system", "D5"], "--system"),
+        (["--suite", "k2-exact", "--system", "A2", "--ring", "f2", "--ideal", "[1]", "--n", "7",
+          "--format", "json"], "--ideal"),
+        (["--suite", "chevalley-relations", "--n", "9"], "--n"),
+        (["--suite", "xeqy", "--ideal", "[1]"], "--ideal"),
     ],
 )
 def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
@@ -160,6 +164,9 @@ def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and flags[1] in err and named in err
+    (config,) = cli._configs_from_args(cli.build_parser().parse_args(flags))
+    with pytest.raises(ValueError, match=named):
+        run_suite(config)
 
 
 @pytest.mark.parametrize("suite", ["relative-generation", "amalgam"])

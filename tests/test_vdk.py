@@ -266,15 +266,7 @@ def test_tmap_invertible_a_lands_at_m0():
     vB = RVector(f3, [Elem(f3, p.payload) for p in vloc.entries])
     res = t_map(f3, a, ideal, FSymbol(u=ov, v=vB), n=4)
     assert res.m == 0
-    loc_mat = RMatrix(
-        loc,
-        4,
-        {
-            ij: lam.p_fn(p)
-            for ij, p in phi(res.word).data.items()
-            if lam.p_fn(p) != loc.zero_p
-        },
-    )
+    loc_mat = RMatrix(loc, 4, tuple(lam.p_fn(p) for p in phi(res.word).data))
     assert loc_mat == transvection(ov.vec, vloc)
 
 

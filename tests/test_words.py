@@ -212,23 +212,24 @@ def _unipotent_by_hand(system, root, c):
     """x_root(c) in the standard realization, from the root's coordinates."""
     ring = c.ring
     n = system.matrix_size()
-    data = {(i, i): ring.one_p for i in range(n)}
+    data = [ring.one_p if i == j else ring.zero_p for i in range(n) for j in range(n)]
     if not c.is_zero():
         if system.family == "A":
-            data[(root.coords.index(1), root.coords.index(-1))] = c.payload
+            data[root.coords.index(1) * n + root.coords.index(-1)] = c.payload
         else:
             (p, sp), (q, sq) = [(k + 1, x) for k, x in enumerate(root.coords) if x]
             i, j = sp * p, -sq * q
             pos = lambda k: k - 1 if k > 0 else n + k  # noqa: E731
-            data[(pos(i), pos(j))] = c.payload
-            data[(pos(-j), pos(-i))] = ring.p_neg(c.payload)
-    return RMatrix(ring, n, data)
+            data[pos(i) * n + pos(j)] = c.payload
+            data[pos(-j) * n + pos(-i)] = ring.p_neg(c.payload)
+    return RMatrix(ring, n, tuple(data))
 
 
 def _phi_by_products(w):
     """The product of the letters' unipotents, one matrix product a letter."""
     n = w.system.matrix_size()
-    acc = RMatrix(w.ring, n, {(i, i): w.ring.one_p for i in range(n)})
+    acc = RMatrix(w.ring, n, tuple(w.ring.one_p if i == j else w.ring.zero_p
+                                   for i in range(n) for j in range(n)))
     for idx, c in w.letters:
         acc = acc * _unipotent_by_hand(w.system, w.system.roots[idx], c)
     return acc
