@@ -4,8 +4,8 @@
 Usage: python scripts/run_all_suites.py [outdir]
 
 Prints the human-readable report per suite and exits nonzero if anything
-fails.  Set STEINBERG_CACHE to a directory to reuse coset tables across
-invocations.
+fails.  Coset tables are built once per process and shared by the suites
+that ask for them; nothing is cached on disk.
 """
 
 import pathlib

@@ -4,8 +4,10 @@ Configuration comes from a JSON document (--config) or from flags; flags
 override the document.  The JSON report written with --out is canonical
 (sorted keys, no timings), so identical configurations produce identical
 bytes.  Exit status is 0 exactly when every requested suite passes, and 2
-when a ring spec or a root system name does not parse, when a suite is
-given a ring, a system, an --ideal or an --n it would not read, or when
+when neither --suite nor --config is given, when the --config document
+cannot be read or names an unknown suite or a non-integer count, when a
+ring spec or a root system name does not parse, when a suite is given a
+ring, a system, an --ideal or an --n it would not read, or when
 relative-generation or amalgam needs an --ideal.
 """
 
@@ -46,13 +48,16 @@ def build_parser():
 def _configs_from_args(args):
     docs = []
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read --config {args.config}: {exc}") from None
         docs = doc["suites"] if isinstance(doc, dict) and "suites" in doc else [doc]
     elif args.suite:
         docs = [{"suite": args.suite}]
     else:
-        raise SystemExit("need --suite or --config")
+        raise ValueError("need --suite or --config")
     configs = []
     for doc in docs:
         cfg = SuiteConfig.from_dict(doc)
@@ -93,14 +98,21 @@ def _config_error(cfg):
     return config_error(cfg)
 
 
+def _usage_error(error):
+    print(f"steinberg-verify: error: {error}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    configs = _configs_from_args(args)
+    try:
+        configs = _configs_from_args(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     for cfg in configs:
         error = _config_error(cfg)
         if error:
-            print(f"steinberg-verify: error: {error}", file=sys.stderr)
-            return 2
+            return _usage_error(error)
     ok = True
     json_blobs = []
     for cfg in configs:

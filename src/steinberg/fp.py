@@ -1,10 +1,29 @@
 """Finite presentations, coset enumeration, and the exact equality tier.
 
-The enumerator is a deterministic HLT-style Todd-Coxeter with immediate
+`todd_coxeter` is a deterministic HLT-style Todd-Coxeter with immediate
 coincidence handling and an optional lookahead/compaction pass when the
-allocation budget is exceeded.  Completed tables are canonicalized by a
-breadth-first renumbering, so identical inputs give byte-identical tables,
-which also makes the on-disk cache (STEINBERG_CACHE) sound.
+allocation budget is exceeded.  Completed tables are standardized by one
+breadth-first renumbering, so identical inputs give identical tables.
+
+The regular table of St(Phi, R) is not enumerated as a whole.
+`regular_table` enumerates the right cosets of U+ = <x_alpha(b) : alpha > 0>
+(1,344 of them for St(A2,Z/4), against 86,016 elements), and labels each
+element g by (U+ g, u) with u in U+_E, the image of U+ in E(Phi, R).  The
+labels are a bijection onto St exactly when phi is injective on U+ <= St.
+That is a standard lemma (Steinberg, Lectures on Chevalley Groups, 1967;
+Milnor, Introduction to Algebraic K-Theory, 1971, section 9), but the
+builder does not cite it; it checks four things and raises when one fails:
+
+1. phi kills every relator, so phi is a homomorphism on the presented group.
+2. The positive sub-presentation P+ (the relators whose letters are all
+   positive) enumerates to exactly |U+_E| elements.  P+ maps onto U+ <= St,
+   which phi maps onto U+_E; both maps are then injective, so K2 meets U+
+   trivially.
+3. Every Schreier element phi(w_c) X_x phi(w_{cx})^{-1} lies in U+_E.
+4. The breadth-first pass over the labels reaches index x |U+_E| of them.
+
+A standardized regular table of a group on fixed generators is unique, so
+the table is the one a whole-group enumeration would give, row for row.
 """
 
 from __future__ import annotations
@@ -12,12 +31,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 from dataclasses import dataclass
 
 from . import words as W
 from .matrices import (
     Inconclusive,
+    RMatrix,
     RVector,
     identity_matrix,
     matrix_group_order,
@@ -27,6 +46,7 @@ from .matrices import (
     unipotent,
 )
 from .rings import Elem, UnsupportedRingError
+from .roots import _positive_system
 from .words import simplify
 
 
@@ -105,13 +125,6 @@ class CosetTable:
             coset, x = tree[coset]
             letters.append(x)
         return tuple(reversed(letters))
-
-    def to_json(self):
-        return {"ncols": self.ncols, "rows": [list(r) for r in self.rows]}
-
-    @staticmethod
-    def from_json(obj):
-        return CosetTable(obj["ncols"], [list(r) for r in obj["rows"]])
 
 
 def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6, alloc_factor=6):
@@ -250,8 +263,21 @@ def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6, alloc_factor=6):
             table, p, alpha = _compact(table, p, rep, ncols, alpha)
             alloc_cap = len(table) + alloc_cap
 
-    table, p, _ = _compact(table, p, rep, ncols, len(table))
-    rows = _standardize(table, ncols)
+    # one breadth-first renumbering of the live cosets: the standardized table
+    number = {0: 0}
+    order, rows = [0], []
+    for c in order:  # the queue grows while it is read
+        row = []
+        for d in table[c]:
+            d = rep(d)
+            k = number.get(d)
+            if k is None:
+                k = number[d] = len(order)
+                order.append(d)
+            row.append(k)
+        rows.append(row)
+    if len(order) != live:
+        raise PresentationError("coset table is not connected")
     return CosetTable(ncols, rows)
 
 
@@ -264,28 +290,6 @@ def _compact(table, p, rep, ncols, alpha):
         new_table.append([-1 if d == -1 else remap[rep(d)] for d in row])
     new_alpha = sum(1 for k in old_live if k < alpha)
     return new_table, list(range(len(new_table))), new_alpha
-
-
-def _standardize(table, ncols):
-    """Renumber cosets in breadth-first order of first appearance."""
-    n = len(table)
-    remap = {0: 0}
-    order = [0]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for x in range(ncols):
-            d = table[c][x]
-            if d != -1 and d not in remap:
-                remap[d] = len(remap)
-                order.append(d)
-    if len(remap) != n:
-        raise PresentationError("coset table is not connected")
-    rows = [None] * n
-    for old, new in remap.items():
-        rows[new] = [remap[d] for d in table[old]]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -431,124 +435,123 @@ def steinberg_presentation(datum, ring):
 
 
 # ---------------------------------------------------------------------------
-# table cache
+# the regular table of St(Phi, R), from the coset table of U+
 
 
 _MEMO = {}
 
 
-def enumerate_steinberg(sp, subgroup_letterwords=(), max_cosets=10**6):
-    """Run (or recall) the enumeration for a Steinberg presentation."""
-    key = (
-        sp.presentation.key(),
-        tuple(tuple(w) for w in subgroup_letterwords),
-        max_cosets,
+def enumerate_steinberg(sp, max_cosets=10**6):
+    """The regular table of St(Phi, R), built once per presentation."""
+    key = (sp.presentation.key(), max_cosets)
+    if key not in _MEMO:
+        _MEMO[key] = regular_table(sp, max_cosets)
+    return _MEMO[key]
+
+
+def positive_generators(sp):
+    """The generators x_alpha(b) with alpha > 0, in generator order."""
+    roots = sp.system.roots
+    positive = set(_positive_system(sp.system)[0])
+    return sorted(g for (ri, _), g in sp.gen_index.items() if roots[ri] in positive)
+
+
+def uplus_table(sp, max_cosets=10**6):
+    """The coset table of the right cosets U+ g of U+ = <x_alpha(b) : alpha > 0,
+    b in the additive basis> in St(Phi, R)."""
+    subgroup = [(2 * g,) for g in positive_generators(sp)]
+    return todd_coxeter(sp.presentation, subgroup, max_cosets=max_cosets)
+
+
+def regular_table(sp, max_cosets=10**6):
+    """The standardized regular table of St(Phi, R), read off its U+ table.
+
+    Each element g is the pair (c, u): its coset c = U+ g, and u = phi(g
+    w_c^{-1}) in U+_E, where w_c is the tree word of c.  Right multiplication
+    by column x sends (c, u) to (c x, u s), with the Schreier element
+    s = phi(w_c) X_x phi(w_{cx})^{-1} in U+_E.  The pairs are a bijection
+    with St exactly when U+ <= St maps injectively into E; see the module
+    docstring for the four checks that make the table exact.
+    """
+    datum, ring = sp.system, sp.ring
+    size = datum.matrix_size()  # NoMatrixRealization before any enumeration
+    pres = sp.presentation
+    ncols = 2 * pres.ngens
+    cols = column_unipotents(sp)
+    steps = [right_multiplier(g) for g in cols]
+    ident = identity_matrix(ring, size).data
+    for rel in pres.relators:
+        m = ident
+        for x in rel:
+            m = steps[x](m)
+        if m != ident:
+            raise PresentationError(f"phi does not kill the relator {rel}")
+
+    # U+_E, indexed by the regular table of the positive sub-presentation P+
+    positive = positive_generators(sp)
+    new = {g: k for k, g in enumerate(positive)}
+    prels = tuple(
+        tuple(2 * new[x >> 1] | (x & 1) for x in rel)
+        for rel in pres.relators
+        if all(x >> 1 in new for x in rel)
     )
-    if key in _MEMO:
-        return _MEMO[key]
-    cache_dir = os.environ.get("STEINBERG_CACHE")
-    path = None
-    if cache_dir:
-        digest = hashlib.sha256(json.dumps([key[0], [list(w) for w in key[1]], key[2]]).encode()).hexdigest()
-        path = os.path.join(cache_dir, f"table-{digest}.json")
-        tbl = _load_table(path, sp, subgroup_letterwords)
-        if tbl is not None:
-            _MEMO[key] = tbl
-            return tbl
-    tbl = todd_coxeter(sp.presentation, subgroup_letterwords, max_cosets=max_cosets)
-    _MEMO[key] = tbl
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(tbl.to_json(), fh, sort_keys=True, separators=(",", ":"))
-        os.replace(tmp, path)
-    return tbl
+    ptbl = todd_coxeter(Presentation(ngens=len(positive), relators=prels), max_cosets=max_cosets)
+    psteps = [steps[2 * g + e] for g in positive for e in (0, 1)]
+    elems = [ident]
+    for c, x in ptbl.tree()[1:]:
+        elems.append(psteps[x](elems[c]))
+    index = {m: i for i, m in enumerate(elems)}
+    nu = ptbl.n
+    if len(index) != nu:
+        raise PresentationError(f"U+ of the presentation has {nu} elements, U+ in E {len(index)}")
 
+    utbl = uplus_table(sp, max_cosets)
+    total = utbl.n * nu
+    if total > max_cosets:
+        raise Inconclusive(f"|St| = {utbl.n} x {nu} = {total} exceeds max_cosets={max_cosets}")
 
-def _load_table(path, sp, subgroup_letterwords):
-    """The cached table at `path`, or None when it is missing or unsound."""
-    try:
-        with open(path) as fh:
-            tbl = CosetTable.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    if not table_fits(tbl, sp.presentation, subgroup_letterwords):
-        return None
-    if not subgroup_letterwords and not root_cycles_regular(tbl, sp):
-        return None
-    return tbl
+    # phi(w_c) and its inverse, walked down the tree of the U+ table: the
+    # transpose of phi(w_c)^{-1} = X^{-1} phi(w_parent)^{-1} is a right product
+    mats = coset_images(sp, utbl)
+    tsteps = [right_multiplier(cols[x ^ 1].transpose()) for x in range(ncols)]
+    inv_t = [ident]
+    for c, x in utbl.tree()[1:]:
+        inv_t.append(tsteps[x](inv_t[c]))
+    invs = [RMatrix(ring, size, m).transpose() for m in inv_t]
 
+    # cell (c, x): (c x) * nu and the column u -> u s of its Schreier element
+    columns, cells = {}, []
+    for c, row in enumerate(utbl.rows):
+        cell = []
+        for x, d in enumerate(row):
+            s = RMatrix(ring, size, steps[x](mats[c])) * invs[d]
+            j = index.get(s.data)
+            if j is None:
+                raise PresentationError(f"Schreier element of ({c}, {x}) is not in U+")
+            if j not in columns:
+                word = ptbl.rep_letters(j)
+                columns[j] = [ptbl.trace(u, word) for u in range(nu)]
+            cell.append((d * nu, columns[j]))
+        cells.append(cell)
 
-def table_fits(tbl, pres, subgroup_letterwords=()):
-    """Whether `tbl` is a complete, standardized coset table of `pres`.
-
-    Checks the width (2 columns per generator), that each column is a
-    permutation inverted by its partner column, that every relator closes
-    at every coset, that the subgroup words fix coset 0, and that the rows
-    are in breadth-first standard order (so the table is connected).  A
-    table that passes is the coset table of some subgroup containing the
-    subgroup words; these checks cannot tell it from a quotient's table.
-    """
-    ncols, rows = tbl.ncols, tbl.rows
-    n = len(rows)
-    if ncols != 2 * pres.ngens or n == 0:
-        return False
-    for row in rows:
-        if len(row) != ncols or not all(type(d) is int and 0 <= d < n for d in row):
-            return False
-    cols = [[row[x] for row in rows] for x in range(ncols)]
-    ident = list(range(n))
-    for x in range(ncols):
-        back = cols[x ^ 1]
-        if [back[d] for d in cols[x]] != ident:
-            return False
-    for w in pres.relators:
-        images = ident
-        for l in w:
-            col = cols[l]
-            images = [col[c] for c in images]
-        if images != ident:
-            return False
-    if any(tbl.coset_of(w) != 0 for w in subgroup_letterwords):
-        return False
-    try:
-        return _standardize(rows, ncols) == rows
-    except PresentationError:
-        return False
-
-
-def root_cycles_regular(tbl, sp):
-    """Whether every cycle of each generator x_alpha(b) in `tbl`, a table that
-    passes table_fits for `sp`'s presentation, is as long as the additive
-    order of b.
-
-    The regular table of St(Phi, R) (no subgroup words) has this property,
-    since phi embeds each root subgroup.  It rejects a table in which a root
-    subgroup collapses, such as the one-coset table, at O(n) cost per
-    generator.  A table of a quotient that keeps every root subgroup, such
-    as the table of E(R) = St(Phi, R)/K2, still passes.
-    """
-    ring, rows = sp.ring, tbl.rows
-    n = len(rows)
-    orders = {}
-    for (_, b), g in sp.gen_index.items():
-        if b not in orders:
-            k, x = 1, b
-            while x != ring.zero_p:
-                x = ring.p_add(x, b)
-                k += 1
-            orders[b] = k
-        col, seen = [row[2 * g] for row in rows], bytearray(n)
-        for start in range(n):
-            length, c = 0, start
-            while not seen[c]:
-                seen[c] = 1
-                c = col[c]
-                length += 1
-            if length not in (0, orders[b]):
-                return False
-    return True
+    # breadth-first from (0, 1): numbers in order of first appearance
+    number = [-1] * total
+    number[0] = 0
+    order, rows = [0], []
+    for state in order:  # the queue grows while it is read
+        c, u = divmod(state, nu)
+        row = []
+        for base, col in cells[c]:
+            t = base + col[u]
+            k = number[t]
+            if k < 0:
+                k = number[t] = len(order)
+                order.append(t)
+            row.append(k)
+        rows.append(row)
+    if len(order) != total:
+        raise PresentationError(f"the regular action reaches {len(order)} of {total} elements")
+    return CosetTable(ncols, rows)
 
 
 # ---------------------------------------------------------------------------

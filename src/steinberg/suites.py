@@ -96,10 +96,17 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(d):
+        """The config of a JSON document; ValueError names a field that is
+        missing or not an integer where one is needed."""
+        if not isinstance(d, dict) or "suite" not in d:
+            raise ValueError(f"a config document is an object with a 'suite', got {d!r}")
         cfg = SuiteConfig(suite=d["suite"])
         for k in ("n", "samples", "seed", "max_cosets"):
             if k in d:
-                setattr(cfg, k, int(d[k]))
+                try:
+                    setattr(cfg, k, int(d[k]))
+                except (TypeError, ValueError):
+                    raise ValueError(f"config field {k!r} must be an integer, got {d[k]!r}") from None
         for k in ("ideal", "tier"):
             if k in d:
                 setattr(cfg, k, d[k])
@@ -1159,6 +1166,8 @@ def config_error(config):
     relative-generation and amalgam default to the ideal (X), which needs a
     ring with a generator X.
     """
+    if config.suite not in SUITES:
+        return f"unknown suite {config.suite!r}; have {sorted(SUITES)}"
     most_rings, most_systems, reads_ideal, reads_n = _READS.get(
         config.suite, (None, None, True, True)
     )
@@ -1181,8 +1190,6 @@ def config_error(config):
 
 
 def run_suite(config):
-    if config.suite not in SUITES:
-        raise ValueError(f"unknown suite {config.suite!r}; have {sorted(SUITES)}")
     error = config_error(config)
     if error:
         raise ValueError(error)

@@ -1,11 +1,11 @@
-import json
+import dataclasses
 import random
 
 import pytest
 
 from steinberg.fp import (
-    CosetTable,
     Presentation,
+    PresentationError,
     WordTester,
     additive_basis,
     amalgam_presentation,
@@ -14,12 +14,13 @@ from steinberg.fp import (
     inverse_letters,
     k2_compute,
     orbit_with_witnesses,
+    positive_generators,
+    regular_table,
     relative_subgroup_index,
-    root_cycles_regular,
     star_presentations,
     steinberg_presentation,
-    table_fits,
     todd_coxeter,
+    uplus_table,
 )
 from steinberg.matrices import Inconclusive, basis_vector
 from steinberg.rings import Elem, FGIdeal, make_ring, split_data
@@ -253,6 +254,7 @@ def test_zero_ring_gives_trivial_group():
     assert sp.presentation.ngens == 0
     t = todd_coxeter(sp.presentation)
     assert t.n == 1
+    assert regular_table(sp).rows == t.rows == [[]]
 
 
 def test_word_letters_and_additivity_merge():
@@ -342,90 +344,77 @@ def test_amalgam_structure():
     assert am3.gluing_relators == []
 
 
-def test_table_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("STEINBERG_CACHE", str(tmp_path))
-    from steinberg import fp
-
-    sp = steinberg_presentation(A2, F2)
-    key_memo = dict(fp._MEMO)
-    fp._MEMO.clear()
-    t1 = enumerate_steinberg(sp)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    fp._MEMO.clear()
-    t2 = enumerate_steinberg(sp)
-    assert t1.rows == t2.rows
-    fp._MEMO.clear()
-    fp._MEMO.update(key_memo)
-
-
-def test_coset_table_serialization():
-    t = todd_coxeter(Presentation(ngens=1, relators=((0, 0, 0),)))
-    blob = json.dumps(t.to_json())
-    t2 = CosetTable.from_json(json.loads(blob))
-    assert t2.rows == t.rows
-
-
-@pytest.mark.parametrize("corruption", ["not-json", "broken-permutation", "wrong-width", "relator-fails"])
-def test_cache_discards_unsound_table(tmp_path, monkeypatch, corruption):
-    monkeypatch.setenv("STEINBERG_CACHE", str(tmp_path))
-    from steinberg import fp
-
-    sp = steinberg_presentation(A2, F2)
-    saved = dict(fp._MEMO)
-    fp._MEMO.clear()
-    try:
-        good = enumerate_steinberg(sp)
-        (path,) = tmp_path.iterdir()
-        blob = json.loads(path.read_text())
-        if corruption == "not-json":
-            text = "{"
-        elif corruption == "broken-permutation":
-            row = blob["rows"][5]
-            assert row[0] != row[2]
-            row[0], row[2] = row[2], row[0]
-            text = json.dumps(blob)
-        elif corruption == "wrong-width":
-            # a sound table, but of a one-generator presentation
-            text = json.dumps(todd_coxeter(Presentation(ngens=1, relators=((0, 0, 0),))).to_json())
-        else:
-            # every generator swaps two cosets: a permutation table that only
-            # the relators reject
-            bad = CosetTable(12, [[1] * 12, [0] * 12])
-            assert table_fits(bad, Presentation(ngens=6, relators=()))
-            assert not table_fits(bad, sp.presentation)
-            text = json.dumps(bad.to_json())
-        path.write_text(text)
-        fp._MEMO.clear()
-        again = enumerate_steinberg(sp)
-        assert again.rows == good.rows
-        assert json.loads(path.read_text()) == good.to_json()
-    finally:
-        fp._MEMO.clear()
-        fp._MEMO.update(saved)
+@pytest.mark.parametrize(
+    "system, spec, index",
+    [
+        ("A2", "f2", 21),
+        ("A3", "f2", 315),
+        ("A2", "f3", 208),
+        ("A2", "z/4", 1344),
+        ("A2", "quo(poly(f2,X),[0,0,1])", 672),
+        ("D3", "f2", 315),  # the D-family realization
+    ],
+)
+def test_regular_table_matches_whole_group_enumeration(system, spec, index):
+    # the U+ route and HLT on the whole group give the same standardized
+    # table, row for row; |St| = [St : U+] * |R|^|Phi+|
+    datum, ring = build_system(system), make_ring(spec)
+    sp = steinberg_presentation(datum, ring)
+    assert uplus_table(sp).n == index
+    npos = len(datum.roots) // 2
+    assert len(positive_generators(sp)) == npos * len(additive_basis(ring)[0])
+    tbl = regular_table(sp)
+    assert tbl.n == index * len(list(ring.payloads())) ** npos
+    assert tbl.rows == todd_coxeter(sp.presentation).rows
 
 
-def test_cache_rejects_collapsed_root_subgroups(tmp_path, monkeypatch):
-    monkeypatch.setenv("STEINBERG_CACHE", str(tmp_path))
-    from steinberg import fp
+def _positive_relator(sp, length):
+    """The first relator of `length` letters on two or more positive-root
+    generators: a commutator relator among positive roots."""
+    positive = set(positive_generators(sp))
+    for k, rel in enumerate(sp.presentation.relators):
+        gens = {x >> 1 for x in rel}
+        if len(rel) == length and len(gens) > 1 and gens <= positive:
+            return k
+    raise AssertionError(f"no positive commutator relator of length {length}")
 
-    sp = steinberg_presentation(A2, F2)
-    collapsed = CosetTable(12, [[0] * 12])
-    # the one-coset table closes every relator; only the cycle lengths of
-    # the root generators show that it is not St(A2,F2)
-    assert table_fits(collapsed, sp.presentation)
-    assert not root_cycles_regular(collapsed, sp)
-    saved = dict(fp._MEMO)
-    fp._MEMO.clear()
-    try:
-        good = enumerate_steinberg(sp)
-        assert root_cycles_regular(good, sp)
-        (path,) = tmp_path.iterdir()
-        path.write_text(json.dumps(collapsed.to_json()))
-        fp._MEMO.clear()
-        assert enumerate_steinberg(sp).rows == good.rows
-        sp3 = steinberg_presentation(A2, make_ring("f3"))
-        assert root_cycles_regular(enumerate_steinberg(sp3), sp3)
-    finally:
-        fp._MEMO.clear()
-        fp._MEMO.update(saved)
+
+def _without(sp, k, replacement=()):
+    rels = list(sp.presentation.relators)
+    rels[k:k + 1] = [replacement] if replacement else []
+    pres = dataclasses.replace(sp.presentation, relators=tuple(rels))
+    return dataclasses.replace(sp, presentation=pres)
+
+
+@pytest.mark.parametrize(
+    "spec, length, error, match",
+    [
+        # [x_alpha(1), x_beta(1)] = x_{alpha+beta}(1) dropped: U+ is infinite
+        ("f2", 5, Inconclusive, "live cosets exceeded"),
+        # [x_alpha(1), x_{alpha+beta}(1)] = 1 dropped: U+ has 81 elements, 27 in E
+        ("f3", 4, PresentationError, "has 81 elements, U\\+ in E 27"),
+    ],
+)
+def test_regular_table_refuses_a_presentation_missing_a_u_plus_relator(spec, length, error, match):
+    sp = steinberg_presentation(A2, make_ring(spec))
+    with pytest.raises(error, match=match):
+        regular_table(_without(sp, _positive_relator(sp, length)), max_cosets=2000)
+
+
+def test_regular_table_refuses_a_relator_phi_does_not_kill():
+    # over f3 the commutator [x_alpha(1), x_beta(1)] = x_{alpha+beta}(N) has a
+    # sign; flipping it gives a presentation that does not map to E
+    sp = steinberg_presentation(A2, make_ring("f3"))
+    k = _positive_relator(sp, 6)
+    rel = sp.presentation.relators[k]
+    # [a, b] x_gamma(N)^{-1} becomes [a, b] x_gamma(N) = [a, b] x_gamma(-N)^{-1}
+    with pytest.raises(PresentationError, match="phi does not kill"):
+        regular_table(_without(sp, k, rel[:4] + inverse_letters(rel[4:])))
+
+
+def test_regular_table_cap_is_checked_before_the_rows():
+    # 1344 cosets of U+ times |U+_E| = 64 is 86016 > 50000: Inconclusive
+    # from the size check, before the breadth-first pass builds a row
+    sp = steinberg_presentation(A2, make_ring("z/4"))
+    with pytest.raises(Inconclusive, match="1344 x 64 = 86016"):
+        regular_table(sp, max_cosets=50_000)

@@ -169,6 +169,33 @@ def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
         run_suite(config)
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"suite": "foo"}', "unknown suite 'foo'"),
+        ('{"suite": "k2-exact", "n": "x"}', "'n' must be an integer"),
+        ('{"n": 3}', "with a 'suite'"),
+        ("{", "cannot read --config"),
+        (None, "cannot read --config"),  # no such file
+    ],
+)
+def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and named in err
+
+
+def test_cli_needs_a_suite_or_a_config(capsys):
+    assert cli.main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "need --suite or --config" in err
+
+
 @pytest.mark.parametrize("suite", ["relative-generation", "amalgam"])
 def test_default_ideal_needs_a_generator(suite, capsys):
     system = "D4" if suite == "amalgam" else "A2"
