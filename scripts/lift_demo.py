@@ -40,7 +40,7 @@ def main():
     ov = OrbitVector.from_word(word_u, n)
     c = X * B.el(rng.randrange(1, 5))
     vloc = (phi(contragredient(word_u)) * basis_vector(loc, n, 1)).scale(lam(c))
-    vB = RVector(B, [Elem(B, p.payload[0]) for p in vloc.entries])
+    vB = RVector(B, tuple(p[0] for p in vloc.data))
 
     print("u  =", ov.vec)
     print("v  =", vB)

@@ -559,30 +559,44 @@ def regular_table(sp, max_cosets=10**6):
 
 
 class WordTester:
-    """Tiered equality of words over one (system, finite ring) pair."""
+    """Tiered equality of words over one (system, finite ring) pair.
+
+    The exact table is built at the first exact comparison, so its time, or
+    its Inconclusive past max_cosets, falls on the check that asked for it;
+    a failed build is raised again at each later exact comparison."""
 
     def __init__(self, datum, ring, max_cosets=10**6, exact=True):
         self.datum = datum
         self.ring = ring
-        self.sp = steinberg_presentation(datum, ring) if exact else None
-        self.table = (
-            enumerate_steinberg(self.sp, max_cosets=max_cosets) if exact else None
-        )
+        self.max_cosets = max_cosets
+        self.exact = exact
+        self._built = None  # (presentation, table), or the Inconclusive
+
+    def _table(self):
+        if self._built is None:
+            try:
+                sp = steinberg_presentation(self.datum, self.ring)
+                self._built = (sp, enumerate_steinberg(sp, max_cosets=self.max_cosets))
+            except Inconclusive as exc:
+                self._built = exc
+        if isinstance(self._built, Inconclusive):
+            raise self._built
+        return self._built
 
     def exact_equal(self, w1, w2):
-        l1 = self.sp.word_letters(w1)
-        l2 = self.sp.word_letters(w2)
-        return self.table.coset_of(l1) == self.table.coset_of(l2)
+        sp, table = self._table()
+        return table.coset_of(sp.word_letters(w1)) == table.coset_of(sp.word_letters(w2))
 
     def exact_trivial(self, w):
-        return self.table.coset_of(self.sp.word_letters(w)) == 0
+        sp, table = self._table()
+        return table.coset_of(sp.word_letters(w)) == 0
 
     def matrix_equal(self, w1, w2):
         return W.phi(w1) == W.phi(w2)
 
     def equator(self):
         """The strongest available equality callable with its tier label."""
-        if self.table is not None:
+        if self.exact:
             return self.exact_equal, "exact"
         return self.matrix_equal, "matrix"
 
@@ -721,7 +735,7 @@ def orbit_with_witnesses(ring, n, node_cap=10**6, system=None):
     parent = orbit_bfs(ring, n, node_cap)
     return {
         vec: OrbitVector(
-            vec=RVector(ring, [Elem(ring, p) for p in vec]),
+            vec=RVector(ring, vec),
             witness=W.from_ij_letters(system, ring, orbit_letters(ring, parent, vec)),
         )
         for vec in parent
@@ -752,7 +766,7 @@ def star_presentations(n, ring, ideal, node_cap=10**6):
     orbit = orbit_with_witnesses(ring, n, node_cap=node_cap)
     ideal_payloads = sorted(ideal.payload_set(), key=ring.enum_order().__getitem__)
     ivecs = [
-        RVector(ring, [Elem(ring, p) for p in tup])
+        RVector(ring, tup)
         for tup in itertools.product(ideal_payloads, repeat=n)
     ]
     fs = []

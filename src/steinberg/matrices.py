@@ -22,72 +22,76 @@ class Inconclusive(Exception):
 
 
 class RVector:
-    __slots__ = ("ring", "entries")
+    """Vector over a ring: `data` is the tuple of its payloads, zeros
+    included, and is its own hash key.  vector() builds one from Elems or
+    ints."""
 
-    def __init__(self, ring, entries):
+    __slots__ = ("ring", "data")
+
+    def __init__(self, ring, data):
         self.ring = ring
-        self.entries = tuple(ring.el(x) for x in entries)
+        self.data = data
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.data)
 
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
+    @property
+    def entries(self):
+        """The entries as Elems, for the callers that need elements."""
+        ring = self.ring
+        return [Elem(ring, p) for p in self.data]
 
     def __add__(self, other):
-        return RVector(self.ring, [a + b for a, b in zip(self.entries, other.entries)])
+        return RVector(self.ring, tuple(map(self.ring.p_add, self.data, other.data)))
 
     def __sub__(self, other):
-        return RVector(self.ring, [a - b for a, b in zip(self.entries, other.entries)])
+        return self + -other
 
     def __neg__(self):
-        return RVector(self.ring, [-a for a in self.entries])
+        return RVector(self.ring, tuple(map(self.ring.p_neg, self.data)))
 
     def scale(self, c):
-        c = self.ring.el(c)
-        return RVector(self.ring, [a * c for a in self.entries])
+        c = self.ring.el(c).payload
+        pmul = self.ring.p_mul
+        return RVector(self.ring, tuple(pmul(a, c) for a in self.data))
 
     def dot(self, other):
-        acc = self.ring.zero()
-        for a, b in zip(self.entries, other.entries):
-            acc = acc + a * b
-        return acc
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.entries)
+        ring = self.ring
+        padd, pmul = ring.p_add, ring.p_mul
+        acc = ring.zero_p
+        for a, b in zip(self.data, other.data):
+            acc = padd(acc, pmul(a, b))
+        return Elem(ring, acc)
 
     def zero_positions(self):
-        return [i for i, a in enumerate(self.entries) if a.is_zero()]
-
-    def key(self):
-        return tuple(a.payload for a in self.entries)
+        zero = self.ring.zero_p
+        return [i for i, a in enumerate(self.data) if a == zero]
 
     def __eq__(self, other):
         return (
             isinstance(other, RVector)
             and self.ring is other.ring
-            and self.key() == other.key()
+            and self.data == other.data
         )
 
     def __hash__(self):
-        return hash((id(self.ring), self.key()))
+        return hash((id(self.ring), self.data))
 
     def to_literal(self):
-        return [self.ring.to_literal(a.payload) for a in self.entries]
+        return [self.ring.to_literal(p) for p in self.data]
 
     def __repr__(self):
-        return "vec[" + ",".join(repr(a) for a in self.entries) + "]"
+        return "vec[" + ",".join(map(self.ring.p_repr, self.data)) + "]"
 
 
 def vector(ring, entries):
-    return RVector(ring, entries)
+    """The vector of `entries`, each an Elem of `ring` or an int."""
+    return RVector(ring, tuple(ring.el(x).payload for x in entries))
 
 
 def basis_vector(ring, n, k, scale=1):
-    return RVector(ring, [scale if i == k else 0 for i in range(n)])
+    s, zero = ring.el(scale).payload, ring.zero_p
+    return RVector(ring, tuple(s if i == k else zero for i in range(n)))
 
 
 class RMatrix:
@@ -127,15 +131,15 @@ class RMatrix:
             raise MatrixError("matrix/vector size mismatch")
         ring = self.ring
         padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
-        vp = [x.payload for x in vec.entries]
+        vp = vec.data
         out = []
         for r in range(0, n * n, n):
             acc = zero
             for a, v in zip(self.data[r:r + n], vp):
                 if a != zero and v != zero:
                     acc = padd(acc, pmul(a, v))
-            out.append(Elem(ring, acc))
-        return RVector(ring, out)
+            out.append(acc)
+        return RVector(ring, tuple(out))
 
     def transpose(self):
         n = self.n
@@ -190,13 +194,14 @@ def transvection(u, v):
     if u.ring is not v.ring:
         raise MatrixError("transvection vectors must share a ring")
     ring = u.ring
+    padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
     n = len(u)
     data = list(identity_matrix(ring, n).data)
-    for i, a in enumerate(u.entries):
-        if a.is_zero():
+    for i, a in enumerate(u.data):
+        if a == zero:
             continue
-        for j, b in enumerate(v.entries):
-            data[i * n + j] = ring.p_add(data[i * n + j], ring.p_mul(a.payload, b.payload))
+        for k, b in enumerate(v.data, i * n):
+            data[k] = padd(data[k], pmul(a, b))
     return RMatrix(ring, n, tuple(data))
 
 
@@ -209,8 +214,8 @@ def gram_hyperbolic(ring, rank):
 
 def is_unimodular(u):
     """A certificate w with w^t u = 1, or None; may raise UnsupportedRingError."""
-    w = lin_solve(list(u.entries), u.ring.one())
-    return None if w is None else RVector(u.ring, w)
+    w = lin_solve(u.entries, u.ring.one())
+    return None if w is None else vector(u.ring, w)
 
 
 def elementary_orbit_witness(u, node_cap=10**6):
@@ -225,7 +230,7 @@ def elementary_orbit_witness(u, node_cap=10**6):
     if n < 3:
         raise MatrixError("orbit witness needs n >= 3")
     if ring.is_finite:
-        target = u.key()
+        target = u.data
         parent = orbit_bfs(ring, n, node_cap, target)
         return orbit_letters(ring, parent, target) if target in parent else None
     if type(ring).__name__ == "ZRing":
@@ -283,7 +288,7 @@ def orbit_letters(ring, parent, state):
 
 def _orbit_euclid(u):
     ring = u.ring
-    vals = [x.payload for x in u.entries]
+    vals = list(u.data)
     n = len(vals)
     ops = []  # ops applied to u, in application order, driving it to e_1
 

@@ -73,6 +73,7 @@ class RootDatum:
         self._signs = {}
         self._cocycle = None
         self._unipotent_entries = None
+        self._ij_index = None
 
     @property
     def name(self):
@@ -146,6 +147,13 @@ class RootDatum:
             elif c != 0:
                 raise RootSystemError(f"{root} is not an A-type root")
         return i, j
+
+    def ij_index(self):
+        """For the A family, the map (i, j) -> index of the root e_i - e_j,
+        0-based; built once."""
+        if self._ij_index is None:
+            self._ij_index = {self.a_indices(r): k for k, r in enumerate(self.roots)}
+        return self._ij_index
 
     def d_pair(self, root):
         """The canonical signed pair (i, j) with |i| < |j| for a D-type root."""

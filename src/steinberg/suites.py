@@ -240,7 +240,7 @@ def _rand_elem(ring, rng):
 
 
 def _rand_vector(ring, n, rng):
-    return RVector(ring, [_rand_elem(ring, rng) for _ in range(n)])
+    return RVector(ring, tuple(_rand_elem(ring, rng).payload for _ in range(n)))
 
 
 def _rand_orthogonal(ring, n, rng, to):
@@ -365,7 +365,7 @@ def _chevalley_check(rec, pats, sums, size, N):
 def _all_vectors(ring, n):
     pool = list(ring.payloads())
     for tup in itertools.product(pool, repeat=n):
-        yield RVector(ring, [Elem(ring, p) for p in tup])
+        yield RVector(ring, tup)
 
 
 def suite_vdk(config):
@@ -409,7 +409,7 @@ def suite_vdk(config):
                     for w in ws:
                         rec.instances += 1
                         terms = canonical_decomposition(u, v, w)
-                        acc = vector(ring, [0] * n)
+                        acc = RVector(ring, (ring.zero_p,) * n)
                         ok = True
                         for t in terms:
                             if not t.dot(v).is_zero() or len(t.zero_positions()) < 2:
@@ -422,10 +422,10 @@ def suite_vdk(config):
         want_xg = _want(config, 300)
         while rec.instances < want_xg:
             u = _rand_vector(z6, n, rng)
-            cert = lin_solve(list(u.entries), z6.one())
+            cert = lin_solve(u.entries, z6.one())
             if cert is None:
                 continue
-            cert = RVector(z6, cert)
+            cert = vector(z6, cert)
             v = _rand_orthogonal(z6, n, rng, u)
             vv = _rand_orthogonal(z6, n, rng, u)
             rec.instances += 1
@@ -638,7 +638,7 @@ def suite_xeqy(config):
                 for u in vecs:
                     if not (x.dot(u).is_zero() and u.dot(y).is_zero()):
                         continue
-                    if lin_solve(list(u.entries), b) is None:
+                    if lin_solve(u.entries, b) is None:
                         continue
                     for v in vecs:
                         if not (
@@ -647,7 +647,7 @@ def suite_xeqy(config):
                             and y.dot(v).is_zero()
                         ):
                             continue
-                        if lin_solve(list(v.entries), b) is None:
+                        if lin_solve(v.entries, b) is None:
                             continue
                         rec.instances += 1
                         rw = xeqy_words(x, y, u, v, b, one)
@@ -715,7 +715,7 @@ def suite_star(config):
     iota_cache = {}
 
     def iota_phi(sym):
-        key = (sym.u.vec.key(), sym.v.key())
+        key = (sym.u.vec.data, sym.v.data)
         hit = iota_cache.get(key)
         if hit is None:
             word = iota(sym)
@@ -725,16 +725,16 @@ def suite_star(config):
 
     by_u = {}
     for sym in star.f_symbols:
-        by_u.setdefault(sym.u.vec.key(), []).append(sym)
+        by_u.setdefault(sym.u.vec.data, []).append(sym)
     with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         for key in sorted(by_u):
             group = by_u[key]
             ov = group[0].u
-            by_v = {sym.v.key(): sym for sym in group}
+            by_v = {sym.v.data: sym for sym in group}
             for s1 in group:
                 for s2 in group:
                     rec.instances += 1
-                    target = by_v[(s1.v + s2.v).key()]
+                    target = by_v[(s1.v + s2.v).data]
                     lhs = iota_phi(s1)[1] * iota_phi(s2)[1]
                     if lhs != iota_phi(target)[1]:
                         rec.fail(u=_lit(ov.vec), v=_lit(s1.v), w=_lit(s2.v))
@@ -747,12 +747,12 @@ def suite_star(config):
             seen = {}
             for sym in group:
                 wrd = Y_gen(sym.v, ov.vec, cert=cert)
-                seen[sym.v.key()] = phi(wrd)
+                seen[sym.v.data] = phi(wrd)
             for s1 in group:
                 for s2 in group:
                     rec.instances += 1
-                    lhs = seen[s1.v.key()] * seen[s2.v.key()]
-                    if lhs != seen[(s1.v + s2.v).key()]:
+                    lhs = seen[s1.v.data] * seen[s2.v.data]
+                    if lhs != seen[(s1.v + s2.v).data]:
                         rec.fail(v=_lit(ov.vec), u=_lit(s1.v), u2=_lit(s2.v))
     with _Check(checks, "conjugation-iota-f2[eps]-sampled", "matrix") as rec:
         fs = star.f_symbols
@@ -1031,7 +1031,7 @@ def suite_tmap(config):
                 if c_p == loc.zero_p:
                     continue
                 vloc = base_v.scale(Elem(loc, c_p))
-                vB = RVector(B, [Elem(B, x.payload) for x in vloc.entries])
+                vB = RVector(B, vloc.data)
                 rec.instances += 1
                 res = t_map(B, a, ideal, FSymbol(u=ov, v=vB), n=n)
                 if not _tmap_diagram_ok(res, lam, loc, ov.vec, vloc):
@@ -1074,13 +1074,12 @@ def suite_tmap(config):
 def _numerators(B, vloc):
     """A vector over the localization of B as a vector over B, or None when
     an entry has a denominator."""
-    entries = []
-    for x in vloc.entries:
-        num, k = x.payload
+    out = []
+    for num, k in vloc.data:
         if k != 0 and num != B.zero_p:
             return None
-        entries.append(Elem(B, num if k == 0 else B.zero_p))
-    return RVector(B, entries)
+        out.append(num if k == 0 else B.zero_p)
+    return RVector(B, tuple(out))
 
 
 def _tmap_diagram_ok(res, lam, loc, u, vloc, mirrored=False):
@@ -1100,10 +1099,7 @@ def _rand_loc_word(system, B, loc, lam, rng):
             continue
         c = _rand_loc_elem(B, loc, lam, rng)
         letters.append((i, j, c))
-    word = W.empty(system, loc)
-    for i, j, c in letters:
-        word = word * W.x_ij(system, loc, i, j, c)
-    return word
+    return W.from_ij_letters(system, loc, letters)
 
 
 def _rand_loc_elem(B, loc, lam, rng):
@@ -1141,20 +1137,20 @@ SUITES = {
 }
 
 
-# How many rings and root systems each suite reads (None: any number), and
-# whether it reads --ideal and --n.  The others build their own; a report
-# must not name them.
+# How many rings and root systems each suite reads (None: any number),
+# whether it reads --ideal, and the least --n it runs at (None: no --n); it
+# builds the others, and a report must not name them.  Unlisted: all read.
 _READS = {
-    "chevalley-relations": (None, None, False, False),
-    "vdk-identities": (0, 0, False, True),
-    "tulenbaev-identities": (None, 0, False, True),
-    "xeqy": (0, 0, False, True),
-    "star-presentation": (0, 0, False, True),
-    "psi-s-relations": (0, 0, False, True),
-    "k2-exact": (None, None, False, False),
-    "relative-generation": (1, None, True, False),
-    "amalgam": (1, 1, True, False),
-    "tmap-diagram": (0, 0, False, True),
+    "chevalley-relations": (None, None, False, None),
+    "vdk-identities": (0, 0, False, 4),
+    "tulenbaev-identities": (None, 0, False, 4),
+    "xeqy": (0, 0, False, 4),
+    "star-presentation": (0, 0, False, 4),
+    "psi-s-relations": (0, 0, False, 3),
+    "k2-exact": (None, None, False, None),
+    "relative-generation": (1, None, True, None),
+    "amalgam": (1, 1, True, None),
+    "tmap-diagram": (0, 0, False, 4),
 }
 
 
@@ -1162,14 +1158,14 @@ def config_error(config):
     """Why a suite would not run the config as given, or None.
 
     The report records every ring and system of its config, and its ideal
-    and n, so a suite takes no more of them than it reads; and
-    relative-generation and amalgam default to the ideal (X), which needs a
-    ring with a generator X.
+    and n, so a suite takes no more of them than it reads, and no n below
+    the least its constructions need; and relative-generation and amalgam
+    default to the ideal (X), which needs a ring with a generator X.
     """
     if config.suite not in SUITES:
         return f"unknown suite {config.suite!r}; have {sorted(SUITES)}"
-    most_rings, most_systems, reads_ideal, reads_n = _READS.get(
-        config.suite, (None, None, True, True)
+    most_rings, most_systems, reads_ideal, least_n = _READS.get(
+        config.suite, (None, None, True, 0)
     )
     for option, given, most in (
         ("--ring", config.rings, most_rings),
@@ -1180,8 +1176,10 @@ def config_error(config):
             return f"suite {config.suite} takes {takes} {option}, got {len(given)}"
     if config.ideal and not reads_ideal:
         return f"suite {config.suite} takes no --ideal, got {config.ideal!r}"
-    if config.n != SuiteConfig.n and not reads_n:
+    if least_n is None and config.n != SuiteConfig.n:
         return f"suite {config.suite} takes no --n, got {config.n}"
+    if least_n is not None and config.n < least_n:
+        return f"suite {config.suite} needs --n >= {least_n}, got {config.n}"
     if config.suite in ("relative-generation", "amalgam") and config.rings and not config.ideal:
         ring = make_ring(config.rings[0])
         if not hasattr(ring, "gen"):

@@ -16,13 +16,14 @@ divisibility data) explicitly; nothing is re-derived implicitly.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import words as W
 from .matrices import RVector, basis_vector, vector
-from .rings import lin_solve, localization, unique_divide
+from .rings import Elem, lin_solve, localization, unique_divide
 from .roots import build_system
-from .words import StWord, contragredient, phi, simplify, transpose_anti
+from .words import StWord, contragredient, phi, simplify
 
 
 class VdkError(Exception):
@@ -57,44 +58,48 @@ def x_small(u, v, index=None, mode=None, system=None):
     if not u.dot(v).is_zero():
         raise VdkError("x_small needs u^t v = 0")
     system = system or linear_system(n)
+    zero = u.ring.zero_p
     if mode is None:
         if index is not None:
             raise VdkError("an explicit index needs an explicit mode")
-        vz = v.zero_positions()
-        if vz:
-            mode, index = "v", vz[0]
+        if zero in v.data:
+            mode, index = "v", v.data.index(zero)
+        elif zero in u.data:
+            mode, index = "u", u.data.index(zero)
         else:
-            uz = u.zero_positions()
-            if not uz:
-                raise VdkError("x_small needs a zero coordinate in u or v")
-            mode, index = "u", uz[0]
-    if mode == "v":
-        if not v[index].is_zero():
-            raise VdkError(f"v[{index}] is not zero")
-        return simplify(_x_small_primary(system, u, v, index))
-    if mode == "u":
-        if not u[index].is_zero():
-            raise VdkError(f"u[{index}] is not zero")
-        return simplify(transpose_anti(_x_small_primary(system, v, u, index)))
-    raise VdkError(f"unknown mode {mode!r}")
+            raise VdkError("x_small needs a zero coordinate in u or v")
+    if mode not in ("u", "v"):
+        raise VdkError(f"unknown mode {mode!r}")
+    a, b = (u, v) if mode == "v" else (v, u)
+    if b.data[index] != zero:
+        raise VdkError(f"{mode}[{index}] is not zero")
+    return simplify(_x_small_primary(system, a, b, index, transpose=mode == "u"))
 
 
-def _x_small_primary(system, u, v, i):
+def _x_small_primary(system, u, v, i, transpose=False):
     # t(u,v) = t(e_i u_i, v) * t(u - e_i u_i, v), the second factor being
-    # the commutator of the two "column" and "row" products at slot i
+    # the commutator [col, row] of the "column" and "row" products at slot
+    # i.  With `transpose`, the letters x_ab(c) become x_ba(c) in reverse
+    # order, which transposes phi: transpose_anti's work, without its root
+    # lookup per letter.  Zero letters are left out, as simplify drops them.
     ring = u.ring
-    n = len(u)
-    head = W.empty(system, ring)
-    for j in range(n):
-        if j != i:
-            head = head * W.x_ij(system, ring, i, j, u[i] * v[j])
-    col = W.empty(system, ring)
-    row = W.empty(system, ring)
-    for j in range(n):
-        if j != i:
-            col = col * W.x_ij(system, ring, j, i, u[j])
-            row = row * W.x_ij(system, ring, i, j, v[j])
-    return head * W.commutator(col, row)
+    pmul, pneg, zero = ring.p_mul, ring.p_neg, ring.zero_p
+    ud, vd = u.data, v.data
+    others = [j for j in range(len(ud)) if j != i]
+    col = [(j, i, ud[j]) for j in others]
+    row = [(i, j, vd[j]) for j in others]
+    letters = [(i, j, pmul(ud[i], vd[j])) for j in others] + col + row
+    letters += [(a, b, pneg(c)) for a, b, c in reversed(col)]
+    letters += [(a, b, pneg(c)) for a, b, c in reversed(row)]
+    if transpose:
+        letters = [(b, a, c) for a, b, c in reversed(letters)]
+    at = system.ij_index()
+    return StWord(system, ring, [(at[a, b], Elem(ring, c)) for a, b, c in letters if c != zero])
+
+
+def _product(system, ring, words):
+    """The simplified product of `words`, in order."""
+    return simplify(StWord(system, ring, [x for w in words for x in w.letters]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,19 +110,21 @@ def decomposition_terms(a, b, c):
     """[(e_p b_q - e_q b_p) * (a_p c_q - a_q c_p)]_{p<q}; sums to
     (c^t b) a - (a^t b) c."""
     ring = a.ring
-    n = len(a)
+    padd, pmul, pneg, zero = ring.p_add, ring.p_mul, ring.p_neg, ring.zero_p
+    ad, bd, cd = a.data, b.data, c.data
+    n = len(ad)
     out = []
     for p in range(n):
         for q in range(p + 1, n):
-            coef = a[p] * c[q] - a[q] * c[p]
-            if coef.is_zero():
+            coef = padd(pmul(ad[p], cd[q]), pneg(pmul(ad[q], cd[p])))
+            if coef == zero:
                 continue
-            entries = [ring.zero()] * n
-            entries[p] = b[q] * coef
-            entries[q] = -(b[p] * coef)
-            term = RVector(ring, entries)
-            if not term.is_zero():
-                out.append(term)
+            at_p, at_q = pmul(bd[q], coef), pneg(pmul(bd[p], coef))
+            if at_p == zero and at_q == zero:
+                continue
+            data = [zero] * n
+            data[p], data[q] = at_p, at_q
+            out.append(RVector(ring, tuple(data)))
     return out
 
 
@@ -142,11 +149,9 @@ def X_gen(u, v, cert=None, witness=None, system=None):
     cert = _resolve_cert(u, cert, witness)
     if not u.dot(v).is_zero():
         raise VdkError("X_gen needs u^t v = 0")
+    system = system or linear_system(len(u))
     terms = decomposition_terms(v, u, cert)
-    word = W.empty(system or linear_system(len(u)), u.ring)
-    for t in terms:
-        word = word * x_small(u, t, system=system)
-    return simplify(word)
+    return _product(system, u.ring, [x_small(u, t, system=system) for t in terms])
 
 
 def Y_gen(u, v, cert=None, witness=None, system=None):
@@ -154,11 +159,9 @@ def Y_gen(u, v, cert=None, witness=None, system=None):
     cert = _resolve_cert(v, cert, witness)
     if not u.dot(v).is_zero():
         raise VdkError("Y_gen needs u^t v = 0")
+    system = system or linear_system(len(u))
     terms = canonical_decomposition(u, v, cert)
-    word = W.empty(system or linear_system(len(u)), u.ring)
-    for t in terms:
-        word = word * x_small(t, v, system=system)
-    return simplify(word)
+    return _product(system, u.ring, [x_small(t, v, system=system) for t in terms])
 
 
 def _resolve_cert(u, cert, witness):
@@ -172,10 +175,10 @@ def _resolve_cert(u, cert, witness):
         if not w.dot(u).is_one():
             raise VdkError("orbit witness does not certify u")
         return w
-    sol = lin_solve(list(u.entries), u.ring.one())
+    sol = lin_solve(u.entries, u.ring.one())
     if sol is None:
         raise VdkError("u is not unimodular")
-    return RVector(u.ring, sol)
+    return vector(u.ring, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ class TulenbaevDatum:
     k: int
 
     def check(self):
-        acc = vector(self.fixed.ring, [0] * len(self.fixed))
+        acc = RVector(self.fixed.ring, (self.fixed.ring.zero_p,) * len(self.fixed))
         for t in self.terms:
             if not t.dot(self.fixed).is_zero():
                 raise VdkError("term not orthogonal to the fixed vector")
@@ -241,10 +244,10 @@ def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
         raise VdkError("decompose_in_D needs u^t v = 0")
     apow = a**k
     if cert is None:
-        sol = lin_solve(list(u.entries), apow)
+        sol = lin_solve(u.entries, apow)
         if sol is None:
             raise VdkError(f"a^{k} is not in the ideal of u")
-        cert = RVector(ring, sol)
+        cert = vector(ring, sol)
     elif cert.dot(u) != apow:
         raise VdkError("bad divisibility certificate")
     if quotient is None:
@@ -259,17 +262,12 @@ def _divide_vector(v, apow, ideal):
     if apow.is_one():
         return v
     if ideal is not None:
-        return RVector(ring, [unique_divide(ideal, apow, x) for x in v.entries])
+        return vector(ring, [unique_divide(ideal, apow, x) for x in v.entries])
     if ring.exact_div:
-        out = []
-        for x in v.entries:
-            q = ring.p_try_div(x.payload, apow.payload)
-            if q is None:
-                raise VdkError("entry not divisible")
-            out.append(q)
-        from .rings import Elem
-
-        return RVector(ring, [Elem(ring, q) for q in out])
+        out = tuple(ring.p_try_div(x, apow.payload) for x in v.data)
+        if None in out:
+            raise VdkError("entry not divisible")
+        return RVector(ring, out)
     raise VdkError("no division route available")
 
 
@@ -280,32 +278,28 @@ def X_tul(datum, mult=None, system=None):
     through, which is the common case (xeqy, the lifting map); identities
     like the conjugation law use an independent multiplier in I(u)."""
     a = datum.b if mult is None else mult
-    ring = datum.fixed.ring
-    word = W.empty(system or linear_system(len(datum.fixed)), ring)
-    for t in datum.terms:
-        word = word * x_small(datum.fixed, t.scale(a), system=system)
-    return simplify(word)
+    u = datum.fixed
+    system = system or linear_system(len(u))
+    return _product(system, u.ring, [x_small(u, t.scale(a), system=system) for t in datum.terms])
 
 
 def Y_tul(datum, mult=None, system=None):
     """Y_{u,v}(a) = prod x(u_k a, v); phi-image t(u a, v)."""
     a = datum.b if mult is None else mult
-    ring = datum.fixed.ring
-    word = W.empty(system or linear_system(len(datum.fixed)), ring)
-    for t in datum.terms:
-        word = word * x_small(t.scale(a), datum.fixed, system=system)
-    return simplify(word)
+    v = datum.fixed
+    system = system or linear_system(len(v))
+    return _product(system, v.ring, [x_small(t.scale(a), v, system=system) for t in datum.terms])
 
 
 def X_tul_of(u, v, a, k=1, cert=None, quotient=None, ideal=None, system=None):
     if ideal is None and quotient is None and cert is None and a.is_one():
-        return X_tul(decompose_in_D(u, v, 0, a), system=system)
+        k = 0
     return X_tul(decompose_in_D(u, v, k, a, cert, quotient, ideal), system=system)
 
 
 def Y_tul_of(u, v, a, k=1, cert=None, quotient=None, ideal=None, system=None):
     if ideal is None and quotient is None and cert is None and a.is_one():
-        return Y_tul(decompose_in_D(v, u, 0, a), system=system)
+        k = 0
     return Y_tul(decompose_in_D(v, u, k, a, cert, quotient, ideal), system=system)
 
 
@@ -343,12 +337,12 @@ def xeqy_words(x, y, u, v, b, r):
             raise VdkError(f"hypothesis {tag} = 0 fails")
     if x.dot(y) != b:
         raise VdkError("hypothesis x^t y = b fails")
-    zu = lin_solve(list(u.entries), b)
-    zv = lin_solve(list(v.entries), b)
+    zu = lin_solve(u.entries, b)
+    zv = lin_solve(v.entries, b)
     if zu is None or zv is None:
         raise VdkError("b must lie in I(u) and I(v)")
-    zu = RVector(ring, zu)
-    zv = RVector(ring, zv)
+    zu = vector(ring, zu)
+    zv = vector(ring, zv)
     b3r = b * b * b * r
     lhs = X_tul_of(u, v.scale(b3r * b), b, cert=zu, quotient=v.scale(b3r))
     rhs = Y_tul_of(u.scale(b3r * b), v, b, cert=zv, quotient=u.scale(b3r))
@@ -417,11 +411,7 @@ def basis_orbit_vector(ring, n, k, system=None):
     system = system or linear_system(n)
     if k == 0:
         return OrbitVector(basis_vector(ring, n, 0), W.empty(system, ring))
-    word = (
-        W.x_ij(system, ring, k, 0, 1)
-        * W.x_ij(system, ring, 0, k, -1)
-        * W.x_ij(system, ring, k, 0, 1)
-    )
+    word = W.from_ij_letters(system, ring, ((k, 0, 1), (0, k, -1), (k, 0, 1)))
     return OrbitVector.from_word(word, n)
 
 
@@ -480,7 +470,7 @@ def t_map(B, a, ideal, sym, n=4, cap=8, system_b=None):
             raise VdkError("moving vector has an entry outside the ideal")
     u = nice.vec
     w = nice.cert()
-    moving_loc = RVector(loc, [lam(x) for x in moving.entries])
+    moving_loc = RVector(loc, tuple(map(lam.p_fn, moving.data)))
     if not u.dot(moving_loc).is_zero():
         raise VdkError("generator pairing fails over the localization")
     lift = _find_lifts(B, a, lam, u, w, moving, cap)
@@ -513,16 +503,12 @@ def _find_lifts(B, a, lam, u, w, moving, cap):
             continue
         a2m = am * am
         if finite:
-            import itertools
-
-            from .rings import Elem
-
             for ku in itertools.product(kernel, repeat=n):
-                cu = RVector(B, [Elem(B, B.p_add(x.payload, k)) for x, k in zip(base_u, ku)])
+                cu = RVector(B, tuple(map(B.p_add, base_u.data, ku)))
                 if not cu.dot(moving).is_zero():
                     continue
                 for kw in itertools.product(kernel, repeat=n):
-                    cw = RVector(B, [Elem(B, B.p_add(x.payload, k)) for x, k in zip(base_w, kw)])
+                    cw = RVector(B, tuple(map(B.p_add, base_w.data, kw)))
                     if cw.dot(cu) == a2m:
                         return m, cu, cw
         else:
@@ -533,16 +519,9 @@ def _find_lifts(B, a, lam, u, w, moving, cap):
 
 def _preimage_vector(B, lam, vec, am):
     """A canonical preimage of vec * am under the localization map."""
-    out = []
-    for x in vec.entries:
-        target = x * lam(am)
-        pre = _preimage_payload(B, lam, target.payload)
-        if pre is None:
-            return None
-        out.append(pre)
-    from .rings import Elem
-
-    return RVector(B, [Elem(B, p) for p in out])
+    scale, pmul = lam.p_fn(am.payload), lam.target.p_mul
+    out = tuple(_preimage_payload(B, lam, pmul(x, scale)) for x in vec.data)
+    return None if None in out else RVector(B, out)
 
 
 def _preimage_payload(B, lam, target):

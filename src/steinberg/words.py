@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import RMatrix, identity_matrix
-from .rings import SplitData
+from .rings import Elem, SplitData
 
 
 class WordError(Exception):
@@ -86,27 +86,17 @@ def word(system, ring, letters):
     return StWord(system, ring, out)
 
 
-def generator(system, ring, root, c):
-    return word(system, ring, [(root, c)])
-
-
 def x_ij(system, ring, i, j, c):
     """x_ij over an A-system, 0-based matrix indices (root e_i - e_j)."""
-    if system.family != "A":
-        raise WordError("x_ij needs an A-family system")
-    n = system.rank + 1
-    coords = tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
-    from .roots import Root
-
-    return generator(system, ring, Root(coords), c)
+    return from_ij_letters(system, ring, ((i, j, c),))
 
 
 def from_ij_letters(system, ring, letters):
     """Lift (i, j, coeff) matrix letters to a word, in the same order."""
-    out = empty(system, ring)
-    for i, j, c in letters:
-        out = out * x_ij(system, ring, i, j, c)
-    return out
+    if system.family != "A":
+        raise WordError("x_ij needs an A-family system")
+    at = system.ij_index()
+    return StWord(system, ring, tuple((at[i, j], ring.el(c)) for i, j, c in letters))
 
 
 def empty(system, ring):
@@ -130,15 +120,16 @@ def simplify(w):
     result is the same group element in every quotient where the letters
     make sense.
     """
+    padd, zero = w.ring.p_add, w.ring.zero_p
     stack = []
     for idx, c in w.letters:
-        if c.is_zero():
+        p = c.payload
+        if p == zero:
             continue
         if stack and stack[-1][0] == idx:
-            merged = stack[-1][1] + c
-            stack.pop()
-            if not merged.is_zero():
-                stack.append((idx, merged))
+            merged = padd(stack.pop()[1].payload, p)
+            if merged != zero:
+                stack.append((idx, Elem(w.ring, merged)))
         else:
             stack.append((idx, c))
     return StWord(w.system, w.ring, stack)

@@ -301,7 +301,7 @@ def test_orbit_with_witnesses():
     orbit = orbit_with_witnesses(F2, 4)
     assert len(orbit) == 15
     for key, ov in orbit.items():
-        assert (phi(ov.witness) * basis_vector(F2, 4, 0)).key() == key
+        assert (phi(ov.witness) * basis_vector(F2, 4, 0)).data == key
 
 
 @pytest.mark.parametrize("spec, n, size", [("f2", 4, 15), ("f3", 3, 26), ("z/4", 3, 56)])

@@ -212,8 +212,8 @@ def test_dense_matrix_matches_nested_lists(spec):
             product_cols = [_ref_apply(ring, a, col) for col in zip(*b)]
             assert (ma * mb).data == flat(zip(*product_cols))
             vec = [rng.choice(pool) for _ in range(n)]
-            got = ma * RVector(ring, [Elem(ring, p) for p in vec])
-            assert [x.payload for x in got] == _ref_apply(ring, a, vec)
+            got = ma * RVector(ring, tuple(vec))
+            assert list(got.data) == _ref_apply(ring, a, vec)
             assert ma.transpose().data == flat(zip(*a))
             assert ma.is_identity() == (a == ident)
         assert identity_matrix(ring, n).data == flat(ident)
@@ -222,3 +222,49 @@ def test_dense_matrix_matches_nested_lists(spec):
             data = list(flat(ident))
             data[k] = rng.choice([p for p in pool if p != data[k]])
             assert not RMatrix(ring, n, tuple(data)).is_identity()
+
+
+@pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)"])
+def test_payload_vectors_match_class_arithmetic(spec):
+    # every vector operation against lists of payloads and the class p_*
+    # methods alone, which also sidesteps the rings' lookup tables
+    ring = make_ring(spec)
+    cls = type(ring)
+    add = lambda a, b: cls.p_add(ring, a, b)  # noqa: E731
+    mul = lambda a, b: cls.p_mul(ring, a, b)  # noqa: E731
+    neg = lambda a: cls.p_neg(ring, a)  # noqa: E731
+    zero, one = ring.zero_p, ring.one_p
+    pool = list(ring.payloads())
+    rng = random.Random(spec)
+    for n in range(1, 6):
+        lists = [[zero] * n] + [[rng.choice(pool) for _ in range(n)] for _ in range(30)]
+        for a in lists:
+            b, c = rng.choice(lists), rng.choice(pool)
+            u = vector(ring, [Elem(ring, p) for p in a])
+            v = RVector(ring, tuple(b))
+            assert u.data == tuple(a) and len(u) == n
+            assert (u + v).data == tuple(add(x, y) for x, y in zip(a, b))
+            assert (u - v).data == tuple(add(x, neg(y)) for x, y in zip(a, b))
+            assert (-u).data == tuple(neg(x) for x in a)
+            assert u.scale(Elem(ring, c)).data == tuple(mul(x, c) for x in a)
+            acc = zero
+            for x, y in zip(a, b):
+                acc = add(acc, mul(x, y))
+            assert u.dot(v) == Elem(ring, acc)
+            assert u.zero_positions() == [i for i, x in enumerate(a) if x == zero]
+            assert (u == v) == (a == b) and u == RVector(ring, tuple(a))
+            assert hash(u) == hash(RVector(ring, tuple(a)))
+            assert u != RVector(make_ring("z/1"), tuple(a))
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            m = RMatrix(ring, n, tuple(p for row in rows for p in row))
+            want = []
+            for row in rows:
+                acc = zero
+                for x, y in zip(row, a):
+                    acc = add(acc, mul(x, y))
+                want.append(acc)
+            assert m.apply(u).data == tuple(want) == (m * u).data
+            t = [[add(one if i == j else zero, mul(a[i], b[j])) for j in range(n)] for i in range(n)]
+            assert transvection(u, v).data == tuple(p for row in t for p in row)
+        assert vector(ring, [1, 0] * n).data == (one, zero) * n
+        assert basis_vector(ring, n, n - 1, 1).data == (zero,) * (n - 1) + (one,)

@@ -170,6 +170,51 @@ def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
 
 
 @pytest.mark.parametrize(
+    "suite, n",
+    [
+        ("vdk-identities", 3),
+        ("vdk-identities", 2),
+        ("tulenbaev-identities", 3),
+        ("xeqy", 3),
+        ("star-presentation", 3),
+        ("tmap-diagram", 3),
+        ("tmap-diagram", 2),
+        ("psi-s-relations", 2),
+    ],
+)
+def test_n_below_a_suites_least_is_a_usage_error(suite, n, capsys):
+    # these used to end in a VdkError or RootSystemError traceback
+    assert cli.main(["--suite", suite, "--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and suite in err and f"got {n}" in err
+    with pytest.raises(ValueError, match="--n >="):
+        run_suite(SuiteConfig(suite=suite, n=n))
+
+
+def test_least_n_is_accepted():
+    for suite, n in (("psi-s-relations", 3), ("vdk-identities", 4), ("tmap-diagram", 5)):
+        assert S.config_error(SuiteConfig(suite=suite, n=n)) is None
+
+
+@pytest.mark.parametrize(
+    "suite", ["vdk-identities", "tulenbaev-identities", "xeqy", "star-presentation"]
+)
+def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
+    # St(A3,F2) needs far more than 100 cosets; the table used to be built
+    # outside every check, and its Inconclusive ended the run in a traceback
+    assert cli.main(["--suite", suite, "--max-cosets", "100", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "inconclusive"
+    exact = [c for c in report["checks"] if c["tier"] == "exact"]
+    assert exact
+    for c in exact:
+        assert c["inconclusive"] == 1 and not c["failures"]
+        assert "cosets" in c["info"]["reason"]
+    assert all(not c["inconclusive"] for c in report["checks"] if c["tier"] != "exact")
+
+
+@pytest.mark.parametrize(
     "text, named",
     [
         ('{"suite": "foo"}', "unknown suite 'foo'"),

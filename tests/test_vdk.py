@@ -20,6 +20,7 @@ from steinberg.vdk import (
     X_tul,
     X_tul_of,
     Y_gen,
+    Y_tul,
     basis_orbit_vector,
     canonical_decomposition,
     decompose_in_D,
@@ -40,7 +41,7 @@ A3 = linear_system(4)
 
 def rand_vec(ring, n, rng):
     pool = list(ring.payloads())
-    return RVector(ring, [Elem(ring, pool[rng.randrange(len(pool))]) for _ in range(n)])
+    return RVector(ring, tuple(pool[rng.randrange(len(pool))] for _ in range(n)))
 
 
 def test_x_small_single_letter_case():
@@ -175,7 +176,7 @@ def test_x_tul_one_matches_xgen_exact_f2():
 
     tester = WordTester(A3, F2)
     vecs = [
-        RVector(F2, [Elem(F2, (k >> i) & 1) for i in range(4)]) for k in range(1, 16)
+        RVector(F2, tuple((k >> i) & 1 for i in range(4))) for k in range(1, 16)
     ]
     for u in vecs:
         for v in vecs + [vector(F2, [0] * 4)]:
@@ -263,7 +264,7 @@ def test_tmap_invertible_a_lands_at_m0():
     uw = W.x_ij(A3, loc, 1, 0, lam(f3.el(2)))
     ov = OrbitVector.from_word(uw, 4)
     vloc = (phi(contragredient(uw)) * basis_vector(loc, 4, 1)).scale(lam(f3.el(1)))
-    vB = RVector(f3, [Elem(f3, p.payload) for p in vloc.entries])
+    vB = RVector(f3, vloc.data)
     res = t_map(f3, a, ideal, FSymbol(u=ov, v=vB), n=4)
     assert res.m == 0
     loc_mat = RMatrix(loc, 4, tuple(lam.p_fn(p) for p in phi(res.word).data))
@@ -276,6 +277,167 @@ def test_tmap_rejects_vectors_outside_ideal():
     ideal = FGIdeal(B, [a])
     loc, lam = localization(B, a)
     ov = basis_orbit_vector(loc, 4, 0)
-    bad_v = RVector(B, [B.el((1, 0))] + [B.zero()] * 3)
+    bad_v = vector(B, [B.el((1, 0))] + [B.zero()] * 3)
     with pytest.raises(VdkError):
         t_map(B, a, ideal, FSymbol(u=ov, v=bad_v), n=4)
+
+
+# ---------------------------------------------------------------------------
+# the word builders against the letter-by-letter builders they replace:
+# W.x_ij letters, word concatenation and simplify, on Elem arithmetic
+
+
+def _ref_x_small(u, v, index=None, mode=None):
+    system, ring = linear_system(len(u)), u.ring
+    a, b = u.entries, v.entries
+    if mode is None:
+        vz = [k for k, x in enumerate(b) if x.is_zero()]
+        uz = [k for k, x in enumerate(a) if x.is_zero()]
+        mode, index = ("v", vz[0]) if vz else ("u", uz[0])
+    if mode == "u":
+        a, b = b, a
+
+    def x(i, j, c):
+        return W.x_ij(system, ring, i, j, c)
+
+    others = [j for j in range(len(a)) if j != index]
+    head = W.empty(system, ring)
+    col = W.empty(system, ring)
+    row = W.empty(system, ring)
+    for j in others:
+        head = head * x(index, j, a[index] * b[j])
+        col = col * x(j, index, a[j])
+        row = row * x(index, j, b[j])
+    word = head * W.commutator(col, row)
+    return simplify(word if mode == "v" else W.transpose_anti(word))
+
+
+def _ref_terms(a, b, c):
+    ring, n = a.ring, len(a)
+    a, b, c = a.entries, b.entries, c.entries
+    out = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            coef = a[p] * c[q] - a[q] * c[p]
+            entries = [ring.zero()] * n
+            entries[p] = b[q] * coef
+            entries[q] = -(b[p] * coef)
+            if not all(x.is_zero() for x in entries):
+                out.append(vector(ring, entries))
+    return out
+
+
+def _ref_scale(vec, c):
+    return vector(vec.ring, [x * c for x in vec.entries])
+
+
+def _ref_product(words, ring):
+    out = W.empty(A3, ring)
+    for w in words:
+        out = out * w
+    return simplify(out)
+
+
+def _ref_X(u, quotient, cert, a):
+    terms = _ref_terms(quotient, u, cert)
+    return _ref_product([_ref_x_small(u, _ref_scale(t, a)) for t in terms], u.ring)
+
+
+def _ref_Y(v, quotient, cert, a):
+    terms = _ref_terms(quotient, v, cert)
+    return _ref_product([_ref_x_small(_ref_scale(t, a), v) for t in terms], v.ring)
+
+
+BUILDER_RINGS = ["z/6", "f3", "quo(poly(f2,X),[0,0,1])"]
+
+
+def test_x_ij_is_the_root_e_i_minus_e_j():
+    from steinberg.roots import Root
+
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                coords = tuple(1 if k == i else -1 if k == j else 0 for k in range(4))
+                assert W.x_ij(A3, Z6, i, j, 5) == W.word(A3, Z6, [(Root(coords), 5)])
+
+
+@pytest.mark.parametrize("spec", BUILDER_RINGS)
+def test_x_small_matches_the_reference_builder(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    done = 0
+    while done < 150:
+        u = rand_vec(ring, 4, rng)
+        v = rand_vec(ring, 4, rng)
+        if not u.dot(v).is_zero():
+            continue
+        choices = [("v", i) for i in v.zero_positions()] + [("u", i) for i in u.zero_positions()]
+        if not choices:
+            continue
+        done += 1
+        assert x_small(u, v) == _ref_x_small(u, v)
+        for mode, i in choices:
+            assert x_small(u, v, index=i, mode=mode) == _ref_x_small(u, v, index=i, mode=mode)
+
+
+@pytest.mark.parametrize("spec", BUILDER_RINGS)
+def test_generators_match_the_reference_builders(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    one = ring.one()
+    done = 0
+    while done < 40:
+        u = rand_vec(ring, 4, rng)
+        sol = lin_solve(u.entries, one)
+        v = rand_vec(ring, 4, rng)
+        if sol is None or not u.dot(v).is_zero():
+            continue
+        done += 1
+        cert = vector(ring, sol)
+        assert canonical_decomposition(v, u, cert) == _ref_terms(v, u, cert)
+        assert X_gen(u, v, cert=cert) == _ref_X(u, v, cert, one)
+        assert Y_gen(v, u, cert=cert) == _ref_Y(u, v, cert, one)
+        # Tulenbaev data: a moving vector w*b with b = z^t u, any multiplier
+        z = rand_vec(ring, 4, rng)
+        datum = decompose_with(u, v.scale(z.dot(u)), z, v)
+        a = Elem(ring, rng.choice(list(ring.payloads())))
+        assert X_tul(datum, mult=a) == _ref_X(u, v, z, a)
+        assert Y_tul(datum, mult=a) == _ref_Y(u, v, z, a)
+
+
+@pytest.mark.parametrize("spec", BUILDER_RINGS)
+def test_xeqy_words_match_the_reference_builders(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    pool = [Elem(ring, p) for p in ring.payloads()]
+    e = [basis_vector(ring, 4, k) for k in range(4)]
+    done = 0
+    while done < 25:
+        p = list(range(4))
+        rng.shuffle(p)
+        x3, x4, y3, y4, alpha, beta, r = (rng.choice(pool) for _ in range(7))
+        b = x3 * y3 + x4 * y4
+        if b.is_zero() or lin_solve([alpha], b) is None or lin_solve([beta], b) is None:
+            continue
+        done += 1
+        u, v = e[p[0]].scale(alpha), e[p[1]].scale(beta)
+        x = vector(ring, [x3 * s + x4 * t for s, t in zip(e[p[2]].entries, e[p[3]].entries)])
+        y = vector(ring, [y3 * s + y4 * t for s, t in zip(e[p[2]].entries, e[p[3]].entries)])
+        got = xeqy_words(x, y, u, v, b, r)
+        zu = vector(ring, lin_solve(u.entries, b))
+        zv = vector(ring, lin_solve(v.entries, b))
+        b3r = b * b * b * r
+
+        def add(s, t):
+            return vector(ring, [i + j for i, j in zip(s.entries, t.entries)])
+
+        y1 = _ref_Y(v, _ref_scale(x, -r), zv, b)
+        x1 = _ref_X(u, y, zu, b)
+        assert got.lhs == _ref_X(u, _ref_scale(v, b3r), zu, b)
+        assert got.rhs == _ref_Y(v, _ref_scale(u, b3r), zv, b)
+        assert got.g_direct == simplify(W.commutator(y1, x1))
+        px = _ref_X(u, add(y, _ref_scale(v, b3r)), zu, b) * _ref_X(u, _ref_scale(y, -ring.one()), zu, b)
+        assert got.path_x == simplify(px)
+        py = y1 * _ref_Y(v, add(_ref_scale(x, r), _ref_scale(u, b3r)), zv, b)
+        assert got.path_y == simplify(py)
+

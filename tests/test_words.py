@@ -149,7 +149,7 @@ def test_z_generator():
         * unipotent(A3, -alpha, Z6.el(-3))
     )
     assert phi(z) == expected
-    assert simplify(z_generator(A3, Z6, alpha, 2, 0)) == W.generator(A3, Z6, alpha, 2)
+    assert simplify(z_generator(A3, Z6, alpha, 2, 0)) == W.word(A3, Z6, [(alpha, 2)])
 
 
 def test_z_generator_dies_in_quotient():
