@@ -264,8 +264,9 @@ def _rand_word(system, ring, rng, length):
 
 
 # Each batched temporary of the chevalley suite holds at most about this
-# many bytes of int64 matrices (0.3 MB), which keeps the suite's peak memory
-# where the unbatched loop had it.
+# many bytes of int64 matrices (0.3 MB): one chunk of betas times every s,
+# the batch that the row operations update in place, which keeps the
+# suite's peak memory where the unbatched loop had it.
 _CHEVALLEY_BATCH_BYTES = 300_000
 
 
@@ -308,14 +309,37 @@ def suite_chevalley(config):
     return checks
 
 
+def _left_unipotent(m, at, d, N):
+    """m <- X m mod N in place, for a root unipotent X = 1 + D.
+
+    `at` lists index tuples (target row, source row) into m, one per
+    position of D, and d[e] the entry of D at position e, broadcasting
+    against a row of m.  Each position adds d[e] times its source row to
+    its target row; the sources are read before any row changes, so a
+    target that is another position's source still gives X m.  With m and
+    d in [0, N), each updated row stays below N^2 before it is reduced.
+    """
+    adds = [d[e] * m[src] for e, (_, src) in enumerate(at)]
+    for (tgt, _), add in zip(at, adds):
+        m[tgt] = (m[tgt] + add) % N
+
+
 def _chevalley_check(rec, pats, sums, size, N):
     """Additivity and the commutator formula over Z/N, exhaustively.
 
-    The products run in numpy batches: per root over all (r, s) for
-    additivity, and per (alpha, r) over all (beta, s) for the commutators,
-    in chunks of beta of at most _CHEVALLEY_BATCH_BYTES.  Failures are
-    reported in the order of the loops over (alpha, beta, r, s).
+    Every factor is a root unipotent X = 1 + D, so X M adds multiples of
+    rows of M to other rows (_left_unipotent).  D is read off the table's
+    matrix x_root(k) itself, at the positions of the root's entries, so any
+    table is multiplied as written.  The products run in numpy batches:
+    per root over all (r, s) for additivity, and per (alpha, r) over all
+    (beta, s) for the commutators, in chunks of beta of at most
+    _CHEVALLEY_BATCH_BYTES.  Each factor reduces the rows it touches mod N,
+    so no int64 value exceeds N^2, and the check is exact for every N with
+    N^2 < 2^63; a larger N is unsupported.  Failures are reported in the
+    order of the loops over (alpha, beta, r, s).
     """
+    if N * N >= 2**63:
+        raise UnsupportedRingError(f"the int64 row operations need N^2 < 2^63; z/{N} is larger")
     nroots = len(pats)
     # mats[ri, r] is x_root(r); mats[ri, 0] is the identity
     mats = numpy.broadcast_to(numpy.eye(size, dtype=numpy.int64), (nroots, N, size, size)).copy()
@@ -323,12 +347,28 @@ def _chevalley_check(rec, pats, sums, size, N):
     for ri, entries in enumerate(pats):
         for i, j, sign in entries:
             mats[ri, :, i, j] = (sign * coeffs) % N
+    # the positions of D per root, padded with zero updates of row 0, and
+    # d[ri, k, e] = (x_root(k) - 1)[position e] mod N
+    places = [list(dict.fromkeys((i, j) for i, j, _ in entries)) for entries in pats]
+    width = max(map(len, places), default=0)
+    tgt = numpy.zeros((nroots, width), dtype=numpy.int64)
+    src = numpy.zeros((nroots, width), dtype=numpy.int64)
+    d = numpy.zeros((nroots, N, width), dtype=numpy.int64)
+    for ri, at in enumerate(places):
+        for e, (i, j) in enumerate(at):
+            tgt[ri, e], src[ri, e] = i, j
+            d[ri, :, e] = (mats[ri, :, i, j] - (i == j)) % N
+
+    def rows(ri):
+        return [((..., t, slice(None)), (..., s, slice(None))) for t, s in zip(tgt[ri], src[ri])]
+
     nonzero = coeffs[1:]
-    # additivity
+    # additivity: x_root(r) applied to x_root(s), batched over (r, s)
     total = (nonzero[:, None] + nonzero[None, :]) % N
     for ri in range(nroots):
         m = mats[ri]
-        lhs = m[1:, None] @ m[None, 1:] % N
+        lhs = numpy.broadcast_to(m[None, 1:], (N - 1, N - 1, size, size)).copy()
+        _left_unipotent(lhs, rows(ri), d[ri, 1:].T[:, :, None, None], N)
         bad = ~(lhs == m[total]).all(axis=(2, 3))
         rec.instances += bad.size
         for r, s in numpy.argwhere(bad):
@@ -341,13 +381,22 @@ def _chevalley_check(rec, pats, sums, size, N):
         pairs = [sums[ai][bi] for bi in betas]
         tags = numpy.array([0 if tag is None else tag for tag, _ in pairs], dtype=numpy.int64)
         signs = numpy.array([sign for _, sign in pairs], dtype=numpy.int64)
+        alpha = rows(ai)
         bad = numpy.zeros((len(betas), N - 1, N - 1), dtype=bool)  # [beta, r, s]
         for lo in range(0, len(betas), chunk):
             part = betas[lo:lo + chunk]
-            bs = mats[part, 1:]
-            bs_inv = mats[part, :0:-1]
+            inv = mats[part, :0:-1]  # x_beta(-s), s = 1 .. N-1
+            # x_beta(s) over the batch: its rows differ per beta, so they
+            # are picked out of the batch seen as one stack of rows
+            first = (numpy.arange(len(part))[:, None] * (N - 1) + nonzero[None, :] - 1) * size
+            beta = [((first + t[:, None]).ravel(), (first + s[:, None]).ravel())
+                    for t, s in zip(tgt[part].T, src[part].T)]
+            dbeta = d[part, 1:].reshape(-1, width).T[:, :, None]
             for r in range(1, N):
-                comm = mats[ai, r] @ bs @ mats[ai, N - r] @ bs_inv % N
+                comm = inv.copy()
+                _left_unipotent(comm, alpha, d[ai, N - r], N)
+                _left_unipotent(comm.reshape(-1, size), beta, dbeta, N)
+                _left_unipotent(comm, alpha, d[ai, r], N)
                 want = mats[
                     tags[lo:lo + chunk, None],
                     (signs[lo:lo + chunk, None] * r * nonzero[None, :]) % N,
@@ -638,8 +687,10 @@ def suite_xeqy(config):
                 for u in vecs:
                     if not (x.dot(u).is_zero() and u.dot(y).is_zero()):
                         continue
-                    if lin_solve(u.entries, b) is None:
+                    zu = lin_solve(u.entries, b)
+                    if zu is None:
                         continue
+                    zu = vector(f2, zu)
                     for v in vecs:
                         if not (
                             u.dot(v).is_zero()
@@ -647,10 +698,11 @@ def suite_xeqy(config):
                             and y.dot(v).is_zero()
                         ):
                             continue
-                        if lin_solve(v.entries, b) is None:
+                        zv = lin_solve(v.entries, b)
+                        if zv is None:
                             continue
                         rec.instances += 1
-                        rw = xeqy_words(x, y, u, v, b, one)
+                        rw = xeqy_words(x, y, u, v, b, one, zu=zu, zv=vector(f2, zv))
                         base = rw.lhs
                         for tag, wd in (
                             ("rhs", rw.rhs),
@@ -674,15 +726,19 @@ def suite_xeqy(config):
             scales = [z6.el(1), z6.el(5), b, b * 5]
             alpha = scales[rng.randrange(4)]
             beta = scales[rng.randrange(4)]
-            if lin_solve([alpha], b) is None or lin_solve([beta], b) is None:
+            za, zb = lin_solve([alpha], b), lin_solve([beta], b)
+            if za is None or zb is None:
                 continue
             u = basis_vector(z6, n, perm[0]).scale(alpha)
             v = basis_vector(z6, n, perm[1]).scale(beta)
+            # the lexicographically least solutions, as lin_solve over u and v gives them
+            zu = basis_vector(z6, n, perm[0]).scale(za[0])
+            zv = basis_vector(z6, n, perm[1]).scale(zb[0])
             x = basis_vector(z6, n, perm[2]).scale(x3) + basis_vector(z6, n, perm[3]).scale(x4)
             y = basis_vector(z6, n, perm[2]).scale(y3) + basis_vector(z6, n, perm[3]).scale(y4)
             r = _rand_elem(z6, rng)
             rec.instances += 1
-            rw = xeqy_words(x, y, u, v, b, r)
+            rw = xeqy_words(x, y, u, v, b, r, zu=zu, zv=zv)
             mats = [phi(rw.lhs), phi(rw.rhs), phi(rw.g_direct), phi(rw.path_x), phi(rw.path_y)]
             if any(m != mats[0] for m in mats):
                 rec.fail(x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v), b=_lit(b), r=_lit(r))
@@ -1159,7 +1215,8 @@ def config_error(config):
 
     The report records every ring and system of its config, and its ideal
     and n, so a suite takes no more of them than it reads, and no n below
-    the least its constructions need; and relative-generation and amalgam
+    the least its constructions need; no suite takes a negative sample
+    count; and relative-generation and amalgam
     default to the ideal (X), which needs a ring with a generator X.
     """
     if config.suite not in SUITES:
@@ -1180,6 +1237,8 @@ def config_error(config):
         return f"suite {config.suite} takes no --n, got {config.n}"
     if least_n is not None and config.n < least_n:
         return f"suite {config.suite} needs --n >= {least_n}, got {config.n}"
+    if config.samples < 0:
+        return f"suite {config.suite} needs --samples >= 0, got {config.samples}"
     if config.suite in ("relative-generation", "amalgam") and config.rings and not config.ideal:
         ring = make_ring(config.rings[0])
         if not hasattr(ring, "gen"):

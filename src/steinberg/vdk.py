@@ -155,12 +155,16 @@ def X_gen(u, v, cert=None, witness=None, system=None):
 
 
 def Y_gen(u, v, cert=None, witness=None, system=None):
-    """The mirrored generator for unimodular v: phi-image t(u, v)."""
+    """The mirrored generator for unimodular v: phi-image t(u, v).  Its
+    terms are the canonical decomposition of u, whose hypotheses are
+    checked here once each."""
     cert = _resolve_cert(v, cert, witness)
     if not u.dot(v).is_zero():
         raise VdkError("Y_gen needs u^t v = 0")
+    if len(u) < 4:
+        raise VdkError("canonical decomposition needs n >= 4")
     system = system or linear_system(len(u))
-    terms = canonical_decomposition(u, v, cert)
+    terms = decomposition_terms(u, v, cert)
     return _product(system, u.ring, [x_small(t, v, system=system) for t in terms])
 
 
@@ -212,19 +216,23 @@ class TulenbaevDatum:
 
 
 def decompose_with(u, moving, cert, quotient):
-    """The canonical decomposition of moving = quotient * (cert^t u)."""
-    ring = u.ring
+    """The canonical decomposition of moving = quotient * (cert^t u).
+
+    Needs n >= 4, moving = quotient * b and u^t quotient = 0, which make
+    u^t moving = 0 too."""
     if len(u) < 4:
         raise VdkError("decomposition needs n >= 4")
-    b = cert.dot(u)
+    return _decompose(u, moving, cert, cert.dot(u), quotient, 1)
+
+
+def _decompose(u, moving, cert, b, quotient, k):
+    """decompose_with for a caller that has checked n and knows b = cert^t u."""
     if quotient.scale(b) != moving:
         raise VdkError("quotient does not reproduce the moving vector")
     if not u.dot(quotient).is_zero():
         raise VdkError("quotient is not orthogonal to u")
-    if not u.dot(moving).is_zero():
-        raise VdkError("moving vector is not orthogonal to u")
     terms = decomposition_terms(quotient, u, cert)
-    return TulenbaevDatum(fixed=u, terms=terms, b=b, target=moving, cert=cert, k=1).check()
+    return TulenbaevDatum(fixed=u, terms=terms, b=b, target=moving, cert=cert, k=k).check()
 
 
 def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
@@ -252,9 +260,7 @@ def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
         raise VdkError("bad divisibility certificate")
     if quotient is None:
         quotient = _divide_vector(v, apow, ideal)
-    datum = decompose_with(u, v, cert, quotient)
-    datum.k = k
-    return datum
+    return _decompose(u, v, cert, apow, quotient, k)
 
 
 def _divide_vector(v, apow, ideal):
@@ -316,11 +322,12 @@ class XeqYWords:
     path_y: StWord    # the Y-route evaluation
 
 
-def xeqy_words(x, y, u, v, b, r):
+def xeqy_words(x, y, u, v, b, r, zu=None, zv=None):
     """All five words of the two-route commutator computation.
 
     Hypotheses (checked exactly): u^t v = 0, x^t y = b, x^t v = 0,
-    u^t y = 0, x^t u = 0, y^t v = 0, and b in I(u) and I(v).
+    u^t y = 0, x^t u = 0, y^t v = 0, and b in I(u) and I(v).  The
+    certificates zu^t u = b and zv^t v = b are solved for unless given.
     """
     ring = u.ring
     b = ring.el(b)
@@ -337,12 +344,9 @@ def xeqy_words(x, y, u, v, b, r):
             raise VdkError(f"hypothesis {tag} = 0 fails")
     if x.dot(y) != b:
         raise VdkError("hypothesis x^t y = b fails")
-    zu = lin_solve(u.entries, b)
-    zv = lin_solve(v.entries, b)
+    zu, zv = (_ideal_cert(w, z, b) for w, z in ((u, zu), (v, zv)))
     if zu is None or zv is None:
         raise VdkError("b must lie in I(u) and I(v)")
-    zu = vector(ring, zu)
-    zv = vector(ring, zv)
     b3r = b * b * b * r
     lhs = X_tul_of(u, v.scale(b3r * b), b, cert=zu, quotient=v.scale(b3r))
     rhs = Y_tul_of(u.scale(b3r * b), v, b, cert=zv, quotient=u.scale(b3r))
@@ -359,6 +363,14 @@ def xeqy_words(x, y, u, v, b, r):
                        quotient=x.scale(r) + u.scale(b3r))
     return XeqYWords(lhs=lhs, rhs=rhs, g_direct=simplify(g_direct),
                      path_x=simplify(px), path_y=simplify(py))
+
+
+def _ideal_cert(u, cert, b):
+    """A z with z^t u = b: `cert` if it is one, solved for if it is None."""
+    if cert is None:
+        sol = lin_solve(u.entries, b)
+        return None if sol is None else vector(u.ring, sol)
+    return cert if cert.dot(u) == b else None
 
 
 # ---------------------------------------------------------------------------

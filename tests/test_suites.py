@@ -121,6 +121,8 @@ def test_cli_flag_overrides():
          "no matrix realization"),
         (SuiteConfig(suite="k2-exact", systems=("E6",), rings=("f2",), max_cosets=1000),
          "no matrix realization"),
+        (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/3037000500",)),
+         "need N^2 < 2^63"),
     ],
 )
 def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
@@ -190,6 +192,18 @@ def test_n_below_a_suites_least_is_a_usage_error(suite, n, capsys):
     assert err.count("\n") == 1 and suite in err and f"got {n}" in err
     with pytest.raises(ValueError, match="--n >="):
         run_suite(SuiteConfig(suite=suite, n=n))
+
+
+def test_negative_samples_is_a_usage_error(capsys):
+    # this used to run at the floor and exit 0
+    assert cli.main(["--suite", "xeqy", "--samples", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "--samples" in err and "got -1" in err
+    cfg = SuiteConfig.from_dict({"suite": "xeqy", "samples": -1})
+    with pytest.raises(ValueError, match="--samples >= 0"):
+        run_suite(cfg)
+    assert S.config_error(SuiteConfig.from_dict({"suite": "xeqy", "samples": 0})) is None
 
 
 def test_least_n_is_accepted():
@@ -298,7 +312,9 @@ def _chevalley_loop(pats, sums, size, N):
 
 
 def _corrupt(kind):
-    """A _chevalley_tables with one sign or one unipotent entry wrong."""
+    """A _chevalley_tables with one sign or one unipotent entry wrong, or
+    with two unipotent entries that chain, so that a product which updates
+    its rows one after another reads a row it has already changed."""
     honest = S._chevalley_tables
 
     def tables(datum):
@@ -312,6 +328,10 @@ def _corrupt(kind):
         elif kind == "diagonal":  # x_alpha(r) = 1 + r*e_ii is not additive
             (i, _, sign), *rest = pats[3]
             pats[3] = ((i, i, sign), *rest)
+        elif kind == "chain":  # D^2 != 0: the first entry's target row is the second's source
+            (i, j, sign), *_ = pats[3]
+            k = min(set(range(3)) - {i, j})
+            pats[3] = ((j, k, sign), (i, j, sign))
         else:  # the second D entry with the wrong sign
             first, (i, j, sign) = pats[5]
             pats[5] = (first, (i, j, -sign))
@@ -322,7 +342,8 @@ def _corrupt(kind):
 
 @pytest.mark.parametrize(
     "kind,sysname,ringspec",
-    [("sign", "A3", "z/4"), ("diagonal", "A3", "z/3"), ("d-entry", "D4", "z/3"), ("sign", "D4", "z/6")],
+    [("sign", "A3", "z/4"), ("diagonal", "A3", "z/3"), ("d-entry", "D4", "z/3"), ("sign", "D4", "z/6"),
+     ("chain", "A3", "z/4"), ("chain", "D4", "z/3")],
 )
 def test_batched_chevalley_reports_the_loop_failures(monkeypatch, kind, sysname, ringspec):
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt(kind))

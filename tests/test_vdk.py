@@ -426,6 +426,7 @@ def test_xeqy_words_match_the_reference_builders(spec):
         got = xeqy_words(x, y, u, v, b, r)
         zu = vector(ring, lin_solve(u.entries, b))
         zv = vector(ring, lin_solve(v.entries, b))
+        assert xeqy_words(x, y, u, v, b, r, zu=zu, zv=zv) == got
         b3r = b * b * b * r
 
         def add(s, t):
@@ -441,3 +442,69 @@ def test_xeqy_words_match_the_reference_builders(spec):
         py = y1 * _ref_Y(v, add(_ref_scale(x, r), _ref_scale(u, b3r)), zv, b)
         assert got.path_y == simplify(py)
 
+
+
+def _e(k, scale=1, n=4):
+    return basis_vector(Z6, n, k).scale(Z6.el(scale))
+
+
+# Each public builder with valid arguments, then with one hypothesis broken
+# at a time.  Every hypothesis is checked once on each call path, so each
+# broken case must still end in VdkError.
+HYPOTHESES = {
+    "x_small": (lambda: x_small(_e(0), _e(1)), {
+        "u^t v": lambda: x_small(_e(0), _e(0) + _e(1)),
+    }),
+    "X_gen": (lambda: X_gen(_e(0), _e(1), cert=_e(0)), {
+        "cert^t u": lambda: X_gen(_e(0), _e(1), cert=_e(1)),
+        "witness": lambda: X_gen(_e(1), _e(0), witness=W.StWord(A3, Z6, [])),
+        "unimodular u": lambda: X_gen(_e(0, 2), _e(1)),
+        "u^t v": lambda: X_gen(_e(0), _e(0) + _e(1), cert=_e(0)),
+    }),
+    "Y_gen": (lambda: Y_gen(_e(0), _e(1), cert=_e(1)), {
+        "cert^t v": lambda: Y_gen(_e(0), _e(1), cert=_e(0)),
+        "u^t v": lambda: Y_gen(_e(1), _e(1), cert=_e(1)),
+        "n": lambda: Y_gen(_e(0, n=3), _e(1, n=3), cert=_e(1, n=3)),
+    }),
+    "canonical_decomposition": (lambda: canonical_decomposition(_e(0), _e(1), _e(1)), {
+        "w^t v": lambda: canonical_decomposition(_e(0), _e(1), _e(0)),
+        "u^t v": lambda: canonical_decomposition(_e(1), _e(1), _e(1)),
+        "n": lambda: canonical_decomposition(_e(0, n=3), _e(1, n=3), _e(1, n=3)),
+    }),
+    "decompose_with": (lambda: decompose_with(_e(0), _e(1, 2), _e(0, 2), _e(1)), {
+        "n": lambda: decompose_with(_e(0, n=3), _e(1, 2, n=3), _e(0, 2, n=3), _e(1, n=3)),
+        "quotient": lambda: decompose_with(_e(0), _e(1, 2), _e(0, 2), _e(1, 2)),
+        "u^t quotient": lambda: decompose_with(_e(0), _e(1, 2), _e(0, 2), _e(1) + _e(0, 3)),
+        "u^t moving": lambda: decompose_with(_e(0), _e(0, 2), _e(0, 2), _e(1)),
+    }),
+    "decompose_in_D": (lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0, 2), quotient=_e(1)), {
+        "n": lambda: decompose_in_D(_e(0, n=3), _e(1, 2, n=3), 1, 2, cert=_e(0, 2, n=3), quotient=_e(1, n=3)),
+        "u^t v": lambda: decompose_in_D(_e(0), _e(0, 2), 1, 2, cert=_e(0, 2), quotient=_e(0)),
+        "cert^t u": lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0), quotient=_e(1)),
+        "a^k in I(u)": lambda: decompose_in_D(_e(0, 2), _e(1, 0), 1, 3),
+        "quotient": lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0, 2), quotient=_e(1, 2)),
+        "u^t quotient": lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0, 2), quotient=_e(1) + _e(0, 3)),
+    }),
+    "xeqy_words": (lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, zu=_e(0), zv=_e(1)), {
+        "u^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(0), 1, 1),
+        "x^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(2, 3), 1, 1),
+        "u^t y": lambda: xeqy_words(_e(2), _e(2) + _e(0), _e(0), _e(1), 1, 1),
+        "x^t u": lambda: xeqy_words(_e(2) + _e(0), _e(2), _e(0), _e(1), 1, 1),
+        "y^t v": lambda: xeqy_words(_e(2), _e(2) + _e(1), _e(0), _e(1), 1, 1),
+        "x^t y": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 2, 1),
+        "b in I(u)": lambda: xeqy_words(_e(2), _e(2), _e(0, 2), _e(1), 1, 1),
+        "b in I(v)": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1, 2), 1, 1),
+        "zu^t u": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, zu=_e(1), zv=_e(1)),
+        "zv^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, zu=_e(0), zv=_e(0)),
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, broken", [(entry, tag) for entry, (_, cases) in HYPOTHESES.items() for tag in cases]
+)
+def test_each_hypothesis_is_checked(entry, broken):
+    valid, cases = HYPOTHESES[entry]
+    valid()
+    with pytest.raises(VdkError):
+        cases[broken]()
