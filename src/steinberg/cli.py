@@ -5,10 +5,11 @@ override the document.  The JSON report written with --out is canonical
 (sorted keys, no timings), so identical configurations produce identical
 bytes.  Exit status is 0 exactly when every requested suite passes, and 2
 when neither --suite nor --config is given, when the --config document
-cannot be read or names an unknown suite or a non-integer count, when a
-ring spec or a root system name does not parse, when a suite is given a
-ring, a system, an --ideal or an --n it would not read, or when
-relative-generation or amalgam needs an --ideal.
+cannot be read, names an unknown suite or has a field of the wrong type,
+when a ring spec or a root system name does not parse, when a suite is
+given a ring, a system, an --ideal or an --n it would not read, or when
+the --ideal of relative-generation or amalgam, or its default (X), does
+not resolve over the suite's ring.
 """
 
 from __future__ import annotations

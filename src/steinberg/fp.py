@@ -28,9 +28,7 @@ the table is the one a whole-group enumeration would give, row for row.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass
 
 from . import words as W
@@ -61,10 +59,6 @@ class Presentation:
     ngens: int
     relators: tuple
     names: tuple = ()
-
-    def key(self):
-        payload = json.dumps([self.ngens, [list(r) for r in self.relators]]).encode()
-        return hashlib.sha256(payload).hexdigest()
 
 
 def inverse_letters(wordletters):
@@ -443,7 +437,7 @@ _MEMO = {}
 
 def enumerate_steinberg(sp, max_cosets=10**6):
     """The regular table of St(Phi, R), built once per presentation."""
-    key = (sp.presentation.key(), max_cosets)
+    key = (sp.presentation.ngens, sp.presentation.relators, max_cosets)
     if key not in _MEMO:
         _MEMO[key] = regular_table(sp, max_cosets)
     return _MEMO[key]

@@ -16,6 +16,13 @@ Supported constructions, written in the spec grammar used by the CLI:
     quo(poly(S,V),[c0,c1,...])   quotient by a monic relator polynomial
     loc(S,a)     localization by the powers of a
     semi(S,a)    S extended by the augmentation ideal V*S_a[V]
+
+A finite localization and a quotient R/I by an ideal (quotient_ring) are
+both an ImageRing: the image of the base under an idempotent payload map,
+x -> x*e for the idempotent power e of a, or x -> the first member of
+x + I.  Over a domain with exact division loc() gives fractions instead.
+Polynomial arithmetic, with one long division, lives in PolyRing; the
+quo() rings and the ideal part of semi() use it.
 """
 
 from __future__ import annotations
@@ -344,9 +351,10 @@ class ProductRing(Ring):
         return itertools.product(self.a.payloads(), self.b.payloads())
 
     def from_literal(self, lit):
+        if isinstance(lit, int):
+            return self.p_from_int(lit)
         if isinstance(lit, (tuple, list)) and len(lit) == 2:
-            return (self.a.from_literal(lit[0]) if not isinstance(lit[0], int) else self.a.p_from_int(lit[0]),
-                    self.b.from_literal(lit[1]) if not isinstance(lit[1], int) else self.b.p_from_int(lit[1]))
+            return (self.a.from_literal(lit[0]), self.b.from_literal(lit[1]))
         raise SpecError(f"product element literal must be a pair, got {lit!r}")
 
     def to_literal(self, p):
@@ -413,27 +421,12 @@ class PolyRing(Ring):
         ginv = _unit_inverse(self.base, g[-1])
         if ginv is None:
             raise UnsupportedRingError(f"{self.spec}: leading coefficient not invertible")
-        bz = self.base.zero_p
-        rem = list(f)
-        q = [bz] * max(len(f) - len(g) + 1, 0)
-        while len(rem) >= len(g):
-            if rem[-1] == bz:
-                rem.pop()
-                continue
-            c = self.base.p_mul(rem[-1], ginv)
-            k = len(rem) - len(g)
-            q[k] = c
-            for i, gc in enumerate(g):
-                rem[k + i] = self.base.p_add(rem[k + i], self.base.p_neg(self.base.p_mul(c, gc)))
-            rem.pop()
-        return _strip(q, bz) if _strip(rem, bz) == () else None
+        q, rem = _poly_divmod(self.base, f, g, ginv)
+        return q if rem == () else None
 
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)):
-            out = []
-            for c in lit:
-                out.append(self.base.p_from_int(c) if isinstance(c, int) else self.base.from_literal(c))
-            return _strip(out, self.base.zero_p)
+            return _strip([self.base.from_literal(c) for c in lit], self.base.zero_p)
         if isinstance(lit, int):
             return self.p_from_int(lit)
         raise SpecError(f"polynomial literal must be a coefficient list, got {lit!r}")
@@ -442,24 +435,40 @@ class PolyRing(Ring):
         return [self.base.to_literal(c) for c in p]
 
     def p_repr(self, p):
-        return _poly_repr(self.base, self.var, p)
+        if not p:
+            return "0"
+        base = self.base
+        terms = []
+        for i, c in enumerate(p):
+            if c == base.zero_p:
+                continue
+            cs = base.p_repr(c)
+            if i == 0:
+                terms.append(cs)
+            else:
+                head = "" if c == base.one_p else cs + "*"
+                terms.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
+        return "+".join(terms)
 
 
-def _poly_repr(base, var, p):
-    """A coefficient tuple over `base`, written as a polynomial in `var`."""
-    if not p:
-        return "0"
-    terms = []
-    for i, c in enumerate(p):
-        if c == base.zero_p:
+def _poly_divmod(base, f, g, ginv):
+    """Quotient and remainder of the long division of f by g over `base`,
+    where ginv is the inverse of g's leading coefficient."""
+    bz = base.zero_p
+    padd, pmul, pneg = base.p_add, base.p_mul, base.p_neg
+    rem = list(f)
+    q = [bz] * max(len(f) - len(g) + 1, 0)
+    low = g[:-1]
+    while len(rem) >= len(g):
+        c = rem.pop()
+        if c == bz:
             continue
-        cs = base.p_repr(c)
-        if i == 0:
-            terms.append(cs)
-        else:
-            head = "" if c == base.one_p else cs + "*"
-            terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-    return "+".join(terms)
+        c = pmul(c, ginv)
+        k = len(rem) - len(low)
+        q[k] = c
+        for i, gc in enumerate(low):
+            rem[k + i] = padd(rem[k + i], pneg(pmul(c, gc)))
+    return _strip(q, bz), _strip(rem, bz)
 
 
 def _unit_inverse(ring, p):
@@ -500,16 +509,7 @@ class QuoPolyRing(Ring):
         self.one_p = self._reduce(polyring.one_p)
 
     def _reduce(self, f):
-        bz = self.base.zero_p
-        rem = list(f)
-        while len(rem) > self.deg:
-            c = rem[-1]
-            k = len(rem) - 1 - self.deg
-            if c != bz:
-                for i, rc in enumerate(self.relator[:-1]):
-                    rem[k + i] = self.base.p_add(rem[k + i], self.base.p_neg(self.base.p_mul(c, rc)))
-            rem.pop()
-        return _strip(rem, bz)
+        return _poly_divmod(self.base, f, self.relator, self.base.one_p)[1]
 
     def p_add(self, f, g):
         return self.poly.p_add(f, g)
@@ -541,64 +541,42 @@ class QuoPolyRing(Ring):
         return self.poly.p_repr(p)
 
 
-class FiniteLocalization(Ring):
-    """e*R for the idempotent power e of a; the finite model of R_a."""
+class ImageRing(Ring):
+    """The image of a finite base ring under an idempotent payload map.
 
-    def __init__(self, base, a_payload):
-        if not base.is_finite:
-            raise SpecError("FiniteLocalization needs a finite base")
-        e = a_payload
-        seen = {}
-        k = 1
-        while base.p_mul(e, e) != e:
-            if e in seen:
-                raise RingError("no idempotent power found")  # cannot happen in finite comm rings
-            seen[e] = k
-            e = base.p_mul(e, a_payload)
-            k += 1
-        super().__init__(f"loc({base.spec},{_lit_str(base.to_literal(a_payload))})")
+    Payloads are the base payloads that `image` maps onto, in order of first
+    appearance in the base enumeration; each operation is the base operation
+    followed by `image`, and literals and reprs are the base's.  With
+    x -> x*e for the idempotent power e of a this is e*R, the finite model
+    of R_a; with x -> the first member of x + I it is R/I.
+    """
+
+    def __init__(self, spec, base, image):
+        super().__init__(spec)
         self.base = base
-        self.a_payload = a_payload
-        self.e = e
+        self.image = image
         self.is_finite = True
-        self.zero_p = base.zero_p
-        self.one_p = e
-        reps = []
-        seen_set = set()
-        for p in base.payloads():
-            q = base.p_mul(p, e)
-            if q not in seen_set:
-                seen_set.add(q)
-                reps.append(q)
-        self._reps = reps
+        self._pays = list(dict.fromkeys(map(image, base.payloads())))
+        self.zero_p = image(base.zero_p)
+        self.one_p = image(base.one_p)
 
     def p_add(self, x, y):
-        return self.base.p_add(x, y)
+        return self.image(self.base.p_add(x, y))
 
     def p_neg(self, x):
-        return self.base.p_neg(x)
+        return self.image(self.base.p_neg(x))
 
     def p_mul(self, x, y):
-        return self.base.p_mul(x, y)
+        return self.image(self.base.p_mul(x, y))
 
     def p_from_int(self, n):
-        return self.base.p_mul(self.base.p_from_int(n), self.e)
-
-    def project(self, p):
-        """The localization map on payloads: x -> x*e."""
-        return self.base.p_mul(p, self.e)
-
-    def p_inv(self, p):
-        for q in self._reps:
-            if self.p_mul(p, q) == self.one_p:
-                return q
-        return None
+        return self.image(self.base.p_from_int(n))
 
     def payloads(self):
-        return iter(self._reps)
+        return iter(self._pays)
 
     def from_literal(self, lit):
-        return self.project(self.base.from_literal(lit) if not isinstance(lit, int) else self.base.p_from_int(lit))
+        return self.image(self.base.from_literal(lit))
 
     def to_literal(self, p):
         return self.base.to_literal(p)
@@ -643,6 +621,8 @@ class FractionLocalization(Ring):
         return p
 
     def p_add(self, x, y):
+        if x[0] == self.base.zero_p:  # sums start from 0; skip the powers of a
+            return y
         k = max(x[1], y[1])
         nx = self.base.p_mul(x[0], self._apow(k - x[1]))
         ny = self.base.p_mul(y[0], self._apow(k - y[1]))
@@ -690,10 +670,8 @@ class FractionLocalization(Ring):
 
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)) and len(lit) == 2 and isinstance(lit[1], int):
-            num = self.base.p_from_int(lit[0]) if isinstance(lit[0], int) else self.base.from_literal(lit[0])
-            return self._canon(num, lit[1])
-        num = self.base.p_from_int(lit) if isinstance(lit, int) else self.base.from_literal(lit)
-        return self._canon(num, 0)
+            return self._canon(self.base.from_literal(lit[0]), lit[1])
+        return self._canon(self.base.from_literal(lit), 0)
 
     def to_literal(self, p):
         return [self.base.to_literal(p[0]), p[1]]
@@ -719,6 +697,7 @@ class SemidirectRing(Ring):
         self.base = base
         self.a_payload = a_elem.payload
         self.loc = loc
+        self.ideal_poly = PolyRing(loc, "X")  # the arithmetic of the ideal part
         self._lam_p = lam.p_fn
         self.is_domain = base.is_domain
         self.zero_p = (base.zero_p, ())
@@ -731,43 +710,18 @@ class SemidirectRing(Ring):
             raise RingError("ideal part must have zero constant term")
         return out
 
-    def _fadd(self, f, g):
-        n = max(len(f), len(g))
-        lz = self.loc.zero_p
-        return _strip(
-            [
-                self.loc.p_add(f[i] if i < len(f) else lz, g[i] if i < len(g) else lz)
-                for i in range(n)
-            ],
-            lz,
-        )
-
-    def _fscale(self, c, f):
-        return _strip([self.loc.p_mul(c, x) for x in f], self.loc.zero_p)
-
-    def _fmul(self, f, g):
-        if not f or not g:
-            return ()
-        lz = self.loc.zero_p
-        out = [lz] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if a == lz:
-                continue
-            for j, b in enumerate(g):
-                out[i + j] = self.loc.p_add(out[i + j], self.loc.p_mul(a, b))
-        return _strip(out, lz)
-
     def p_add(self, x, y):
-        return (self.base.p_add(x[0], y[0]), self._fadd(x[1], y[1]))
+        return (self.base.p_add(x[0], y[0]), self.ideal_poly.p_add(x[1], y[1]))
 
     def p_neg(self, x):
-        return (self.base.p_neg(x[0]), tuple(self.loc.p_neg(c) for c in x[1]))
+        return (self.base.p_neg(x[0]), self.ideal_poly.p_neg(x[1]))
 
     def p_mul(self, x, y):
         r, f = x
         s, g = y
-        mixed = self._fadd(self._fscale(self._lam_p(r), g), self._fscale(self._lam_p(s), f))
-        return (self.base.p_mul(r, s), self._fadd(mixed, self._fmul(f, g)))
+        P = self.ideal_poly
+        mixed = P.p_add(P.p_mul((self._lam_p(r),), g), P.p_mul((self._lam_p(s),), f))
+        return (self.base.p_mul(r, s), P.p_add(mixed, P.p_mul(f, g)))
 
     def p_from_int(self, n):
         return (self.base.p_from_int(n), ())
@@ -801,12 +755,7 @@ class SemidirectRing(Ring):
 
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)) and len(lit) == 2 and isinstance(lit[1], (tuple, list)):
-            r = self.base.p_from_int(lit[0]) if isinstance(lit[0], int) else self.base.from_literal(lit[0])
-            f = self._fcanon(tuple(
-                self.loc.p_from_int(c) if isinstance(c, int) else self.loc.from_literal(c)
-                for c in lit[1]
-            ))
-            return (r, f)
+            return (self.base.from_literal(lit[0]), self._fcanon(tuple(self.loc.from_literal(c) for c in lit[1])))
         if isinstance(lit, int):
             return self.p_from_int(lit)
         raise SpecError(f"semidirect element literal must be [base, [coeffs...]], got {lit!r}")
@@ -818,7 +767,7 @@ class SemidirectRing(Ring):
         r, f = p
         if not f:
             return self.base.p_repr(r)
-        return f"({self.base.p_repr(r)}+{_poly_repr(self.loc, 'X', f)})"
+        return f"({self.base.p_repr(r)}+{self.ideal_poly.p_repr(f)})"
 
 
 def _lit_str(lit):
@@ -988,7 +937,7 @@ def _parse_ring(s, i):
             i = _expect(s, i, ",")
             lit, i = _parse_literal(s, i)
             i = _expect(s, i, ")")
-            a = base.el(lit) if not isinstance(lit, int) else Elem(base, base.p_from_int(lit))
+            a = base.el(lit)
             if head == "loc":
                 ring, _ = localization(base, a)
                 return ring, i
@@ -1074,9 +1023,14 @@ def localization(ring, a):
     """
     a = ring.el(a)
     if ring.is_finite:
-        loc = _intern(FiniteLocalization(ring, a.payload))
-        lam = RingMorphism(ring, loc, loc.project, name="lam_a")
-        return loc, lam
+        spec = f"loc({ring.spec},{_lit_str(ring.to_literal(a.payload))})"
+        loc = _RING_CACHE.get(spec)
+        if loc is None:
+            e = a.payload
+            while ring.p_mul(e, e) != e:  # some power of a is idempotent
+                e = ring.p_mul(e, a.payload)
+            loc = _intern(ImageRing(spec, ring, functools.partial(ring.p_mul, e)))
+        return loc, RingMorphism(ring, loc, loc.image, name="lam_a")
     if a.is_zero():
         zero = _intern(ZModRing(1))
         return zero, RingMorphism(ring, zero, lambda p: 0, name="lam_0")
@@ -1255,8 +1209,7 @@ def unique_divide(ideal, a, m):
             if inv is None:
                 raise DivisibilityError(f"{a!r} does not act invertibly on the augmentation ideal")
             ideal._div_cache[key] = inv
-        coeffs = tuple(ring.loc.p_mul(c, inv) for c in m.payload[1])
-        out = Elem(ring, (ring.base.zero_p, _strip(coeffs, ring.loc.zero_p)))
+        out = Elem(ring, (ring.base.zero_p, ring.ideal_poly.p_mul((inv,), m.payload[1])))
     else:
         if not ring.is_finite:
             raise UnsupportedRingError("unique_divide needs a finite ring or a named ideal")
@@ -1287,60 +1240,6 @@ def unique_divide(ideal, a, m):
 # quotients and splitting sections
 
 
-class QuotientRing(Ring):
-    """R/I for a finite ring; payloads are least coset representatives."""
-
-    def __init__(self, base, ideal):
-        gens = _lit_str([base.to_literal(g.payload) for g in ideal.gens])
-        super().__init__(f"quo_ideal({base.spec},{gens})")
-        self.base = base
-        self.ideal = ideal
-        order = base.enum_order()
-        iset = ideal.payload_set()
-        rep = {}
-        reps = []
-        for p in base.payloads():
-            if p in rep:
-                continue
-            coset = sorted((base.p_add(p, i) for i in iset), key=order.__getitem__)
-            r = coset[0]
-            for q in coset:
-                rep[q] = r
-            reps.append(r)
-        self._rep = rep
-        self._reps = reps
-        self.is_finite = True
-        self.zero_p = rep[base.zero_p]
-        self.one_p = rep[base.one_p]
-
-    def rep(self, p):
-        return self._rep[p]
-
-    def p_add(self, x, y):
-        return self._rep[self.base.p_add(x, y)]
-
-    def p_neg(self, x):
-        return self._rep[self.base.p_neg(x)]
-
-    def p_mul(self, x, y):
-        return self._rep[self.base.p_mul(x, y)]
-
-    def p_from_int(self, n):
-        return self._rep[self.base.p_from_int(n)]
-
-    def payloads(self):
-        return iter(self._reps)
-
-    def from_literal(self, lit):
-        return self._rep[self.base.from_literal(lit) if not isinstance(lit, int) else self.base.p_from_int(lit)]
-
-    def to_literal(self, p):
-        return self.base.to_literal(p)
-
-    def p_repr(self, p):
-        return self.base.p_repr(p)
-
-
 def _is_var_ideal(ring, ideal):
     return (
         isinstance(ring, PolyRing)
@@ -1354,8 +1253,9 @@ _QUOTIENT_CACHE = {}
 
 
 def quotient_ring(ring, ideal):
-    """(R/I, pi).  Finite rings take least-representative cosets; a
-    polynomial ring modulo its variable projects onto the coefficient ring."""
+    """(R/I, pi).  A finite ring maps each coset to its first member in
+    enumeration order; a polynomial ring modulo its variable projects onto
+    the coefficient ring."""
     key = ideal.key()
     if key in _QUOTIENT_CACHE:
         return _QUOTIENT_CACHE[key]
@@ -1363,8 +1263,15 @@ def quotient_ring(ring, ideal):
         pi = RingMorphism(ring, ring.base, lambda p: p[0] if p else ring.base.zero_p, name="pi")
         out = (ring.base, pi)
     elif ring.is_finite:
-        q = QuotientRing(ring, ideal).tabulate()
-        out = (q, RingMorphism(ring, q, q.rep, name="pi"))
+        first = {}
+        iset = ideal.payload_set()
+        for p in ring.payloads():
+            if p not in first:  # the first member of its coset
+                for i in iset:
+                    first[ring.p_add(p, i)] = p
+        gens = _lit_str([ring.to_literal(g.payload) for g in ideal.gens])
+        q = ImageRing(f"quo_ideal({ring.spec},{gens})", ring, first.__getitem__).tabulate()
+        out = (q, RingMorphism(ring, q, q.image, name="pi"))
     else:
         raise UnsupportedRingError(f"quotient of {ring.spec} is not supported")
     _QUOTIENT_CACHE[key] = out

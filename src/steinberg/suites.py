@@ -39,6 +39,8 @@ from .matrices import (
 from .rings import (
     Elem,
     FGIdeal,
+    RingError,
+    SemidirectRing,
     UnsupportedRingError,
     ZModRing,
     lin_solve,
@@ -97,7 +99,7 @@ class SuiteConfig:
     @staticmethod
     def from_dict(d):
         """The config of a JSON document; ValueError names a field that is
-        missing or not an integer where one is needed."""
+        missing or of the wrong type."""
         if not isinstance(d, dict) or "suite" not in d:
             raise ValueError(f"a config document is an object with a 'suite', got {d!r}")
         cfg = SuiteConfig(suite=d["suite"])
@@ -107,12 +109,19 @@ class SuiteConfig:
                     setattr(cfg, k, int(d[k]))
                 except (TypeError, ValueError):
                     raise ValueError(f"config field {k!r} must be an integer, got {d[k]!r}") from None
-        for k in ("ideal", "tier"):
-            if k in d:
-                setattr(cfg, k, d[k])
         for k in ("rings", "systems"):
             if k in d:
+                if not (isinstance(d[k], list) and all(isinstance(x, str) for x in d[k])):
+                    raise ValueError(f"config field {k!r} must be a list of strings, got {d[k]!r}")
                 setattr(cfg, k, tuple(d[k]))
+        if "ideal" in d:
+            if not isinstance(d["ideal"], str):
+                raise ValueError(f"config field 'ideal' must be a string, got {d['ideal']!r}")
+            cfg.ideal = d["ideal"]
+        if "tier" in d:
+            if d["tier"] not in ("exact", "matrix", "auto"):
+                raise ValueError(f"config field 'tier' must be one of exact, matrix, auto, got {d['tier']!r}")
+            cfg.tier = d["tier"]
         return cfg
 
     def to_dict(self):
@@ -749,16 +758,6 @@ def suite_xeqy(config):
 # star-presentation (the two-generator-family relations and the X=Y bridge)
 
 
-def _resolve_ideal(ring, spec_text):
-    if spec_text == "kernel":
-        return FGIdeal(ring, kind="semi-kernel")
-    if spec_text:
-        gens = json.loads(spec_text)
-        return FGIdeal(ring, [ring.el(g) for g in gens])
-    # default: the whole ring
-    return FGIdeal(ring, [ring.one()])
-
-
 def suite_star(config):
     checks = []
     n = config.n
@@ -1024,12 +1023,42 @@ def suite_k2(config):
     return checks
 
 
+def _ring_and_ideal(config):
+    """The ring spec, ring and ideal that relative-generation and amalgam
+    read: the first ring (default F2[eps]) and the ideal, a JSON list of
+    element literals or kernel over a semi(...) ring (default (X)).
+    ValueError says why the ideal is unusable."""
+    ringspec = (config.rings or ("quo(poly(f2,X),[0,0,1])",))[0]
+    ring = make_ring(ringspec)
+    text = config.ideal
+    if not text:
+        if not hasattr(ring, "gen"):
+            raise ValueError(
+                f"suite {config.suite} needs --ideal over {ring.spec}: it has no generator X for the default ideal"
+            )
+        return ringspec, ring, FGIdeal(ring, [ring.gen()])
+    if text == "kernel":
+        if isinstance(ring, SemidirectRing):
+            return ringspec, ring, ring.kernel_ideal()
+        reason = "kernel needs a semi(...) ring"
+    else:
+        try:
+            gens = json.loads(text)
+            if isinstance(gens, list):
+                return ringspec, ring, FGIdeal(ring, gens)
+            reason = "not a JSON list"
+        except (RingError, TypeError, ValueError) as exc:
+            reason = str(exc)
+    raise ValueError(
+        f"suite {config.suite} needs --ideal as a JSON list of elements of {ring.spec}"
+        f" or kernel over a semi(...) ring, got {text!r}: {reason}"
+    )
+
+
 def suite_relative(config):
     checks = []
     systems = config.systems or ("A2", "A3")
-    ringspec = (config.rings or ("quo(poly(f2,X),[0,0,1])",))[0]
-    ring = make_ring(ringspec)
-    ideal = _resolve_ideal(ring, config.ideal or json.dumps([ring.to_literal(ring.gen().payload)]))
+    ringspec, ring, ideal = _ring_and_ideal(config)
     sd = None
     for sysname in systems:
         datum = build_system(sysname)
@@ -1045,10 +1074,8 @@ def suite_relative(config):
 def suite_amalgam(config):
     checks = []
     sysname = (config.systems or ("D4",))[0]
-    ringspec = (config.rings or ("quo(poly(f2,X),[0,0,1])",))[0]
     datum = build_system(sysname)
-    ring = make_ring(ringspec)
-    ideal = _resolve_ideal(ring, config.ideal or json.dumps([ring.to_literal(ring.gen().payload)]))
+    ringspec, ring, ideal = _ring_and_ideal(config)
     am = amalgam_presentation(datum, ring, ideal)
     with _Check(checks, f"amalgam-coverage-{sysname}", "exact-arith") as rec:
         rec.instances = len(datum.roots)
@@ -1216,8 +1243,8 @@ def config_error(config):
     The report records every ring and system of its config, and its ideal
     and n, so a suite takes no more of them than it reads, and no n below
     the least its constructions need; no suite takes a negative sample
-    count; and relative-generation and amalgam
-    default to the ideal (X), which needs a ring with a generator X.
+    count; and the ideal of relative-generation and amalgam must resolve
+    over their ring: their default (X) needs a ring with a generator X.
     """
     if config.suite not in SUITES:
         return f"unknown suite {config.suite!r}; have {sorted(SUITES)}"
@@ -1239,10 +1266,11 @@ def config_error(config):
         return f"suite {config.suite} needs --n >= {least_n}, got {config.n}"
     if config.samples < 0:
         return f"suite {config.suite} needs --samples >= 0, got {config.samples}"
-    if config.suite in ("relative-generation", "amalgam") and config.rings and not config.ideal:
-        ring = make_ring(config.rings[0])
-        if not hasattr(ring, "gen"):
-            return f"suite {config.suite} needs --ideal over {ring.spec}: it has no generator X for the default ideal"
+    if reads_ideal:
+        try:
+            _ring_and_ideal(config)
+        except ValueError as exc:
+            return str(exc)
     return None
 
 

@@ -198,21 +198,6 @@ class TulenbaevDatum:
     fixed: RVector
     terms: list
     b: object  # Elem
-    target: RVector
-    cert: RVector
-    k: int
-
-    def check(self):
-        acc = RVector(self.fixed.ring, (self.fixed.ring.zero_p,) * len(self.fixed))
-        for t in self.terms:
-            if not t.dot(self.fixed).is_zero():
-                raise VdkError("term not orthogonal to the fixed vector")
-            if len(t.zero_positions()) < 2:
-                raise VdkError("term without two zero slots")
-            acc = acc + t
-        if acc != self.target:
-            raise VdkError("terms do not sum to the target")
-        return self
 
 
 def decompose_with(u, moving, cert, quotient):
@@ -222,17 +207,20 @@ def decompose_with(u, moving, cert, quotient):
     u^t moving = 0 too."""
     if len(u) < 4:
         raise VdkError("decomposition needs n >= 4")
-    return _decompose(u, moving, cert, cert.dot(u), quotient, 1)
+    return _decompose(u, moving, cert, cert.dot(u), quotient)
 
 
-def _decompose(u, moving, cert, b, quotient, k):
-    """decompose_with for a caller that has checked n and knows b = cert^t u."""
+def _decompose(u, moving, cert, b, quotient):
+    """decompose_with for a caller that has checked n and knows b = cert^t u.
+
+    The two checks here are all the datum needs: every term is orthogonal
+    to u and has two zero slots by construction, and with u^t quotient = 0
+    the terms sum to (cert^t u) quotient = moving."""
     if quotient.scale(b) != moving:
         raise VdkError("quotient does not reproduce the moving vector")
     if not u.dot(quotient).is_zero():
         raise VdkError("quotient is not orthogonal to u")
-    terms = decomposition_terms(quotient, u, cert)
-    return TulenbaevDatum(fixed=u, terms=terms, b=b, target=moving, cert=cert, k=k).check()
+    return TulenbaevDatum(fixed=u, terms=decomposition_terms(quotient, u, cert), b=b)
 
 
 def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
@@ -260,7 +248,7 @@ def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
         raise VdkError("bad divisibility certificate")
     if quotient is None:
         quotient = _divide_vector(v, apow, ideal)
-    return _decompose(u, v, cert, apow, quotient, k)
+    return _decompose(u, v, cert, apow, quotient)
 
 
 def _divide_vector(v, apow, ideal):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from steinberg.rings import (
     make_ring,
     morphism_failures,
     quotient_ring,
+    random_payload,
     ring_axiom_failures,
     semidirect_ring,
     split_data,
@@ -77,7 +80,7 @@ def test_axioms_on_infinite_rings():
 def test_localization_finite_idempotent():
     z6 = make_ring("z/6")
     loc, lam = localization(z6, z6.el(2))
-    assert loc.e == 4
+    assert loc.one_p == 4
     assert sorted(loc.payloads()) == [0, 2, 4]
     assert lam(z6.el(1)).payload == 4
     # a becomes invertible
@@ -90,11 +93,33 @@ def test_localization_kernel_is_annihilator():
     # ker(lam) = elements killed by a high power of a, checked exhaustively
     z6 = make_ring("z/6")
     loc, lam = localization(z6, z6.el(2))
-    e = loc.e
+    e = loc.one_p
     for p in z6.payloads():
         killed = lam.p_fn(p) == loc.zero_p
         annihilated = z6.p_mul(p, e) == 0
         assert killed == annihilated
+
+
+def test_image_ring_payload_order():
+    # the base payloads in order of first appearance under the image map;
+    # lin_solve tie-breaks, splitting sections and sorted ideal lists
+    # depend on this order
+    z12 = make_ring("z/12")
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    quotients = [
+        quotient_ring(z12, FGIdeal(z12, [z12.el(2)]))[0],
+        quotient_ring(z12, FGIdeal(z12, [z12.el(3)]))[0],
+        quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))[0],
+    ]
+    got = [list(make_ring(s).payloads()) for s in ("loc(z/6,2)", "loc(prod(f2,f3),[0,1])", "loc(z/4,2)")]
+    assert got + [list(q.payloads()) for q in quotients] == [
+        [0, 4, 2],
+        [(0, 0), (0, 1), (0, 2)],
+        [0],
+        [0, 1],
+        [0, 1, 2],
+        [(), (1,)],
+    ]
 
 
 def test_localization_nilpotent_gives_zero_ring():
@@ -246,6 +271,24 @@ def test_quotient_ring_is_a_ring():
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     quo, pi = quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))
     assert ring_axiom_failures(quo) == []
+
+
+@pytest.mark.parametrize("spec", ["poly(f3,X)", "poly(z,X)"])
+def test_polynomial_long_division(spec):
+    # p_try_div and the quo() reduction share one long division; a leading
+    # coefficient of -1 makes it multiply by an inverse other than 1
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    lead = ring.base.p_from_int(-1)
+    for _ in range(40):
+        f = random_payload(ring, rng)
+        g = random_payload(ring, rng) + (lead,)
+        assert ring.p_try_div(ring.p_mul(f, g), g) == f
+        if len(g) > 1:
+            assert ring.p_try_div(ring.p_add(ring.p_mul(f, g), ring.one_p), g) is None
+    f3i = make_ring("quo(poly(f3,X),[1,0,1])")  # X^2 = -1
+    x = f3i.gen()
+    assert ((x * x).payload, (x * x * x).payload) == ((2,), (0, 2))
 
 
 def test_substitute():

@@ -159,6 +159,13 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
           "--format", "json"], "--ideal"),
         (["--suite", "chevalley-relations", "--n", "9"], "--n"),
         (["--suite", "xeqy", "--ideal", "[1]"], "--ideal"),
+        # an ideal that does not resolve over the ring used to end in a
+        # traceback, or ({}) to run with no generators
+        (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "[2"], "--ideal"),
+        (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "[[5,5]]"], "--ideal"),
+        (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "7"], "--ideal"),
+        (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "kernel"], "--ideal"),
+        (["--suite", "amalgam", "--ring", "z/4", "--ideal", "{}"], "--ideal"),
     ],
 )
 def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
@@ -234,6 +241,11 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         ('{"suite": "foo"}', "unknown suite 'foo'"),
         ('{"suite": "k2-exact", "n": "x"}', "'n' must be an integer"),
         ('{"n": 3}', "with a 'suite'"),
+        ('{"suite": "k2-exact", "rings": 5}', "'rings' must be a list of strings"),
+        ('{"suite": "k2-exact", "systems": [3]}', "'systems' must be a list of strings"),
+        ('{"suite": "k2-exact", "rings": "f2"}', "'rings' must be a list of strings"),
+        ('{"suite": "relative-generation", "ideal": 5}', "'ideal' must be a string"),
+        ('{"suite": "k2-exact", "tier": 5}', "'tier' must be one of"),
         ("{", "cannot read --config"),
         (None, "cannot read --config"),  # no such file
     ],

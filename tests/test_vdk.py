@@ -399,7 +399,15 @@ def test_generators_match_the_reference_builders(spec):
         assert Y_gen(v, u, cert=cert) == _ref_Y(u, v, cert, one)
         # Tulenbaev data: a moving vector w*b with b = z^t u, any multiplier
         z = rand_vec(ring, 4, rng)
-        datum = decompose_with(u, v.scale(z.dot(u)), z, v)
+        moving = v.scale(z.dot(u))
+        datum = decompose_with(u, moving, z, v)
+        # decompose_with checks only the quotient; these follow from it
+        acc = vector(ring, [0] * 4)
+        for t in datum.terms:
+            assert t.dot(u).is_zero()
+            assert len(t.zero_positions()) >= 2
+            acc = acc + t
+        assert acc == moving
         a = Elem(ring, rng.choice(list(ring.payloads())))
         assert X_tul(datum, mult=a) == _ref_X(u, v, z, a)
         assert Y_tul(datum, mult=a) == _ref_Y(u, v, z, a)
