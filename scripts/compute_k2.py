@@ -17,16 +17,22 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steinberg.fp import k2_compute
-from steinberg.rings import make_ring
-from steinberg.roots import build_system
+from steinberg.rings import RingError, make_ring
+from steinberg.roots import RootSystemError, build_system
 
 
 def main():
     args = sys.argv[1:]
+    if len(args) % 2:
+        print("compute_k2.py: error: need SYSTEM RING pairs", file=sys.stderr)
+        return 2
     pairs = list(zip(args[::2], args[1::2])) or [("A2", "f2"), ("A3", "f2"), ("A2", "z/4")]
-    for sysname, ringspec in pairs:
-        datum = build_system(sysname)
-        ring = make_ring(ringspec)
+    try:
+        built = [(build_system(s), make_ring(r)) for s, r in pairs]
+    except (RingError, RootSystemError) as exc:
+        print(f"compute_k2.py: error: {exc}", file=sys.stderr)
+        return 2
+    for (sysname, ringspec), (datum, ring) in zip(pairs, built):
         t0 = time.perf_counter()
         rep = k2_compute(datum, ring)
         dt = time.perf_counter() - t0

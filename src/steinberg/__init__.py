@@ -15,7 +15,7 @@ from .rings import (
     substitute,
     unique_divide,
 )
-from .roots import RootDatum, a3_subsystems, build_system, structure_constant
+from .roots import RootDatum, build_system, structure_constant
 
 __all__ = [
     "Elem",
@@ -32,7 +32,6 @@ __all__ = [
     "substitute",
     "unique_divide",
     "RootDatum",
-    "a3_subsystems",
     "build_system",
     "structure_constant",
 ]

@@ -5,11 +5,12 @@ override the document.  The JSON report written with --out is canonical
 (sorted keys, no timings), so identical configurations produce identical
 bytes.  Exit status is 0 exactly when every requested suite passes, and 2
 when neither --suite nor --config is given, when the --config document
-cannot be read, names an unknown suite or has a field of the wrong type,
-when a ring spec or a root system name does not parse, when a suite is
-given a ring, a system, an --ideal or an --n it would not read, or when
-the --ideal of relative-generation or amalgam, or its default (X), does
-not resolve over the suite's ring.
+cannot be read, names an unknown suite or has a field that is unknown or
+of the wrong type, and on every config that suites.config_error rejects:
+a ring spec or a root system name that does not parse, a ring, a system,
+an --ideal or an --n that the suite would not read, or an --ideal of
+relative-generation, or its default (X), that does not resolve over the
+suite's ring.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import argparse
 import json
 import sys
 
-from .rings import RingError, make_ring
-from .roots import RootSystemError, build_system
 from .suites import SUITES, SuiteConfig, config_error, run_suite
 
 
@@ -83,22 +82,6 @@ def _configs_from_args(args):
     return configs
 
 
-def _config_error(cfg):
-    """Why a config names a ring or a root system that does not parse, or
-    that its suite would not read, or None."""
-    for spec in cfg.rings:
-        try:
-            make_ring(spec)
-        except RingError as exc:
-            return f"bad ring spec {spec!r}: {exc}"
-    for name in cfg.systems:
-        try:
-            build_system(name)
-        except RootSystemError as exc:
-            return f"bad root system {name!r}: {exc}"
-    return config_error(cfg)
-
-
 def _usage_error(error):
     print(f"steinberg-verify: error: {error}", file=sys.stderr)
     return 2
@@ -111,7 +94,7 @@ def main(argv=None):
     except ValueError as exc:
         return _usage_error(exc)
     for cfg in configs:
-        error = _config_error(cfg)
+        error = config_error(cfg)
         if error:
             return _usage_error(error)
     ok = True

@@ -781,65 +781,3 @@ def star_presentations(n, ring, ideal, node_cap=10**6):
         s_symbols=ss,
     )
 
-
-# ---------------------------------------------------------------------------
-# the rank >= 3 amalgam
-
-
-@dataclass
-class AmalgamData:
-    system: object
-    ring: object
-    ideal: object
-    subsystems: list
-    generators: list        # (sub_index, parent_root_index, s_payload, r_payload)
-    gluing_relators: list   # pairs of generator indices to be identified
-    root_coverage: dict     # parent root index -> list of subsystem indices
-
-    def canonical_word(self, gen):
-        """The image of a z-symbol in St(parent system, R)."""
-        _, ri, s, r = self.generators[gen]
-        return W.z_generator(
-            self.system, self.ring, ri, Elem(self.ring, s), Elem(self.ring, r)
-        )
-
-
-def amalgam_presentation(datum, ring, ideal):
-    """The colimit presentation: one z-family per A_3 subsystem, glued along
-    shared roots.  Returns the data plus the coverage map; the canonical-map
-    identity checks are the callers' (they pick the tier)."""
-    from .roots import a3_subsystems
-
-    subs = a3_subsystems(datum)
-    if not subs:
-        raise PresentationError(f"{datum.name} has no A3 subsystems")
-    ideal_payloads = sorted(ideal.payload_set(), key=ring.enum_order().__getitem__)
-    nonzero_s = [p for p in ideal_payloads if p != ring.zero_p]
-    rpool = list(ring.payloads())
-    generators = []
-    gen_of = {}
-    coverage = {ri: [] for ri in range(len(datum.roots))}
-    for si, sub in enumerate(subs):
-        for root in sub.roots:
-            ri = datum.index[root]
-            coverage[ri].append(si)
-            for s in nonzero_s:
-                for r in rpool:
-                    gen_of[(si, ri, s, r)] = len(generators)
-                    generators.append((si, ri, s, r))
-    gluing = []
-    for ri in range(len(datum.roots)):
-        present = coverage[ri]
-        for a, b in itertools.combinations(present, 2):
-            for s in nonzero_s:
-                for r in rpool:
-                    gluing.append((gen_of[(a, ri, s, r)], gen_of[(b, ri, s, r)]))
-    return AmalgamData(
-        system=datum,
-        ring=ring,
-        ideal=ideal,
-        subsystems=subs,
-        generators=generators,
-        gluing_relators=gluing,
-        root_coverage=coverage,
-    )

@@ -191,7 +191,7 @@ class Ring:
             if x.ring is not self:
                 raise RingError(f"element of {x.ring.spec} used in {self.spec}")
             return x
-        if isinstance(x, int):
+        if _is_int(x):
             return Elem(self, self.p_from_int(x))
         return Elem(self, self.from_literal(x))
 
@@ -275,7 +275,9 @@ class ZRing(Ring):
         return q if r == 0 else None
 
     def from_literal(self, lit):
-        return int(lit)
+        if not _is_int(lit):
+            raise SpecError(f"integer literal must be an int, got {lit!r}")
+        return lit
 
 
 class ZModRing(Ring):
@@ -312,7 +314,14 @@ class ZModRing(Ring):
         return range(self.n)
 
     def from_literal(self, lit):
-        return int(lit) % self.n
+        if not _is_int(lit):
+            raise SpecError(f"element of {self.spec} must be an int, got {lit!r}")
+        return lit % self.n
+
+
+def _is_int(x):
+    """An int literal; a JSON true or false is a bool, which is not one."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_prime(n):
@@ -351,7 +360,7 @@ class ProductRing(Ring):
         return itertools.product(self.a.payloads(), self.b.payloads())
 
     def from_literal(self, lit):
-        if isinstance(lit, int):
+        if _is_int(lit):
             return self.p_from_int(lit)
         if isinstance(lit, (tuple, list)) and len(lit) == 2:
             return (self.a.from_literal(lit[0]), self.b.from_literal(lit[1]))
@@ -427,7 +436,7 @@ class PolyRing(Ring):
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)):
             return _strip([self.base.from_literal(c) for c in lit], self.base.zero_p)
-        if isinstance(lit, int):
+        if _is_int(lit):
             return self.p_from_int(lit)
         raise SpecError(f"polynomial literal must be a coefficient list, got {lit!r}")
 
@@ -669,7 +678,7 @@ class FractionLocalization(Ring):
         )
 
     def from_literal(self, lit):
-        if isinstance(lit, (tuple, list)) and len(lit) == 2 and isinstance(lit[1], int):
+        if isinstance(lit, (tuple, list)) and len(lit) == 2 and _is_int(lit[1]):
             return self._canon(self.base.from_literal(lit[0]), lit[1])
         return self._canon(self.base.from_literal(lit), 0)
 
@@ -756,7 +765,7 @@ class SemidirectRing(Ring):
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)) and len(lit) == 2 and isinstance(lit[1], (tuple, list)):
             return (self.base.from_literal(lit[0]), self._fcanon(tuple(self.loc.from_literal(c) for c in lit[1])))
-        if isinstance(lit, int):
+        if _is_int(lit):
             return self.p_from_int(lit)
         raise SpecError(f"semidirect element literal must be [base, [coeffs...]], got {lit!r}")
 

@@ -3,7 +3,7 @@
 A and D carry their standard matrix realizations (special linear and split
 even orthogonal), and the sign table is read off honest integer matrix
 commutators there.  The E family has no matrix model here; its signs come
-from the bilinear cocycle on the root lattice fixed in sign_from_cocycle.
+from the bilinear cocycle on the root lattice fixed in _cocycle_sign.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ class RootSystemError(Exception):
 
 
 class NoMatrixRealization(RootSystemError):
-    """The root system has no matrix realization here (the E family, or
-    subsystem data), so no question about matrices can be asked of it."""
+    """The root system has no matrix realization here (the E family), so no
+    question about matrices can be asked of it."""
 
 
 class Root:
@@ -62,12 +62,10 @@ class Root:
 class RootDatum:
     """A root system plus its sign table N_{a,b} on pairs with a+b a root."""
 
-    def __init__(self, family, rank, roots, realization="standard", ambient=None):
+    def __init__(self, family, rank, roots):
         self.family = family
         self.rank = rank
         self.roots = tuple(roots)
-        self.realization = realization
-        self.ambient = ambient
         self.index = {r: i for i, r in enumerate(self.roots)}
         self.root_set = frozenset(self.roots)
         self._signs = {}
@@ -86,8 +84,6 @@ class RootDatum:
         return len(self.roots)
 
     def matrix_size(self):
-        if self.realization != "standard":
-            raise NoMatrixRealization("subsystem data has no matrix realization of its own")
         if self.family == "A":
             return self.rank + 1
         if self.family == "D":
@@ -102,7 +98,7 @@ class RootDatum:
         - c*e_(-j,-i).
         """
         if self._unipotent_entries is None:
-            self.matrix_size()  # raises for realizations without matrices
+            self.matrix_size()  # raises for the E family
             entries = []
             for root in self.roots:
                 if self.family == "A":
@@ -130,8 +126,6 @@ class RootDatum:
         return cached
 
     def _compute_sign(self, alpha, beta):
-        if self.realization == "sub":
-            return self.ambient.sign(alpha, beta)
         if self.family in ("A", "D"):
             return _matrix_sign(self, alpha, beta)
         return _cocycle_sign(self, alpha, beta)
@@ -169,8 +163,7 @@ class RootDatum:
         return signed - 1 if signed > 0 else 2 * l + signed
 
     def __repr__(self):
-        tag = "" if self.realization == "standard" else " (subsystem)"
-        return f"RootDatum({self.name}, {len(self.roots)} roots{tag})"
+        return f"RootDatum({self.name}, {len(self.roots)} roots)"
 
 
 def build_system(family, rank=None):
@@ -365,62 +358,22 @@ def _solve_integer(mat, rhs):
 # A3 subsystems
 
 
-def a3_subsystems(datum):
-    """All closed subsystems of type A_3 (span intersections of 12 roots).
+def a3_chain(datum, alpha):
+    """Roots (beta, gamma) with <alpha,beta> = <beta,gamma> = -1 and
+    <alpha,gamma> = 0, the first in root order, or None.
 
-    Each comes back as a RootDatum with realization "sub" whose roots are
-    honest roots of the parent and whose signs are the parent's.  Spans are
-    deduplicated by reduced row echelon signature before the (more costly)
-    membership pass, so triples inside the same subsystem are only solved
-    once.
+    Such a chain is a base of type A3: a simply-laced root system is closed
+    under its reflections, so alpha+beta = s_beta(alpha), beta+gamma and
+    alpha+beta+gamma = s_gamma(alpha+beta) are roots, and with alpha, beta,
+    gamma and the negatives they are the 12 roots of an A3 subsystem
+    containing alpha.  Conversely every root of an A3 subsystem heads such
+    a chain inside it, so None means alpha lies in no A3 subsystem.
     """
-    roots = datum.roots
-    n = len(roots)
-    members_by_span = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        rref = _rref((roots[i].coords, roots[j].coords, roots[k].coords))
-        if len(rref) != 3 or rref in members_by_span:
+    for beta in datum.roots:
+        if alpha.dot(beta) != -1:
             continue
-        members_by_span[rref] = frozenset(
-            m for m, r in enumerate(roots) if _reduces_to_zero(r.coords, rref)
-        )
-    found = {}
-    for members in members_by_span.values():
-        if len(members) != 12 or members in found:
-            continue
-        sub_roots = sorted(roots[m] for m in members)
-        found[members] = RootDatum("A", 3, sub_roots, realization="sub", ambient=datum)
-    return [found[m] for m in sorted(found, key=sorted)]
+        for gamma in datum.roots:
+            if beta.dot(gamma) == -1 and alpha.dot(gamma) == 0:
+                return beta, gamma
+    return None
 
-
-def _rref(rows):
-    """Reduced row echelon form as a canonical tuple; zero rows dropped."""
-    work = [[Fraction(c) for c in row] for row in rows]
-    cols = len(work[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [v - f * w for v, w in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r])
-
-
-def _reduces_to_zero(coords, rref):
-    vec = [Fraction(c) for c in coords]
-    cols = len(vec)
-    for row in rref:
-        lead = next(c for c in range(cols) if row[c] != 0)
-        if vec[lead] != 0:
-            f = vec[lead]
-            vec = [v - f * w for v, w in zip(vec, row)]
-    return all(v == 0 for v in vec)

@@ -268,10 +268,6 @@ def semidirect_identity(split, system):
     return SemidirectElement(split, system, from_ring, empty(system, split.quotient))
 
 
-def semidirect_commutator_direct(x, y):
-    return x * y * x.inverse() * y.inverse()
-
-
 def semidirect_commutator(x, y):
     """The closed form for a commutator in a split extension:
 
@@ -279,7 +275,7 @@ def semidirect_commutator(x, y):
                             * (c^-1 conj by [b,d]),  [b,d])
 
     with all conjugations acting through the lifted quotient words.  Must
-    agree with the directly multiplied commutator.
+    agree with the directly multiplied commutator(x, y).
     """
     a, b = x.kernel, x.quotient
     c, d = y.kernel, y.quotient

@@ -147,11 +147,20 @@ def test_criterion_08_tmap_diagram():
 
 def test_criterion_09_amalgam():
     rep, wall = suite_report("amalgam")
-    cov = checks_named(rep, "amalgam-coverage")[0]
-    glue = checks_named(rep, "amalgam-gluing")[0]
-    ok = rep.verdict == "pass" and cov.instances == 24 and glue.instances >= 1000
-    announce(9, ok, f"D4/f2[eps] amalgam: {glue.instances} gluing relators "
-                    f"phi-trivial, all 24 roots covered, {wall:.1f}s")
+    (cov,) = rep.checks
+    # A2 has no A3 subsystem: the check must be able to fail, as a verdict
+    a2, _ = suite_report("amalgam", systems=("A2",))
+    (a2_cov,) = a2.checks
+    ok = (
+        rep.verdict == "pass"
+        and cov.name == "amalgam-coverage-D4"
+        and cov.instances == 24
+        and a2.verdict == "fail"
+        and a2_cov.instances == 6
+        and len(a2_cov.failures) == 6
+    )
+    announce(9, ok, f"all {cov.instances} roots of D4 lie in an A3 subsystem, {wall:.2f}s; "
+                    f"A2 fails on {len(a2_cov.failures)} of {a2_cov.instances} roots")
 
 
 def test_criterion_10_reproducibility():

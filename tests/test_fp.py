@@ -8,7 +8,6 @@ from steinberg.fp import (
     PresentationError,
     WordTester,
     additive_basis,
-    amalgam_presentation,
     coset_images,
     enumerate_steinberg,
     inverse_letters,
@@ -329,19 +328,6 @@ def test_star_presentation_domains():
     assert len(star.s_symbols) == 1920
     for sym in star.f_symbols[:20]:
         assert sym.u.vec.dot(sym.v).is_zero()
-
-
-def test_amalgam_structure():
-    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
-    ideal = FGIdeal(f2e, [f2e.gen()])
-    d4 = build_system("D4")
-    am = amalgam_presentation(d4, f2e, ideal)
-    assert len(am.subsystems) == 12
-    assert all(am.root_coverage[ri] for ri in range(24))
-    # a single-subsystem amalgam has no gluing relators
-    am3 = amalgam_presentation(A3, f2e, ideal)
-    assert len(am3.subsystems) == 1
-    assert am3.gluing_relators == []
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,18 @@ def test_bad_specs():
             make_ring(bad)
 
 
+@pytest.mark.parametrize("spec", ["z", "z/4", "prod(f2,f3)", "poly(f3,X)"])
+@pytest.mark.parametrize("lit", [2.7, True, False, "2"])
+def test_element_literals_are_ints(spec, lit):
+    # int(lit) used to truncate 2.7 to 2 and read true as 1
+    ring = make_ring(spec)
+    with pytest.raises(SpecError):
+        ring.from_literal(lit)
+    with pytest.raises(SpecError):
+        ring.el(lit)
+    assert ring.from_literal(3) == ring.p_from_int(3)
+
+
 def test_crt_isomorphism_exhaustive():
     # prod(z/2,z/3) is z/6 in disguise: the additive generator matches up
     z6 = make_ring("z/6")
@@ -137,6 +149,9 @@ def test_localization_integers():
     assert (half * loc.el(2)) == loc.one()
     # cross-multiplied equality through canonical forms
     assert loc.el([6, 1]) == loc.el(3)
+    # the exponent is an int too: [1, true] used to give the payload (1, True)
+    with pytest.raises(SpecError):
+        loc.el([1, True])
 
 
 def test_semidirect_ring_unit_and_products():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from steinberg.roots import Root, RootSystemError, a3_subsystems, build_system, structure_constant
+from steinberg.roots import Root, RootSystemError, a3_chain, build_system, structure_constant
 
 
 def test_root_counts():
@@ -63,38 +63,22 @@ def test_e6_cocycle_antisymmetry():
     assert seen
 
 
-def test_a3_subsystems_trivial_cases():
+def test_a3_chain_trivial_cases():
     a3 = build_system("A3")
-    subs = a3_subsystems(a3)
-    assert len(subs) == 1
-    assert subs[0].root_set == a3.root_set
-    assert a3_subsystems(build_system("A2")) == []
+    assert all(a3_chain(a3, r) is not None for r in a3.roots)
+    a2 = build_system("A2")
+    assert all(a3_chain(a2, r) is None for r in a2.roots)
 
 
-def test_d4_subsystems_cover_and_restrict():
-    d4 = build_system("D4")
-    subs = a3_subsystems(d4)
-    assert subs, "D4 must contain A3 subsystems"
-    covered = set()
-    for sub in subs:
-        assert len(sub.roots) == 12
-        covered |= sub.root_set
-        # internal signs restrict the ambient table
-        for al, be in itertools.product(sub.roots, repeat=2):
-            if (al + be) in sub:
-                assert sub.sign(al, be) == d4.sign(al, be)
-    assert covered == d4.root_set
-
-
-def test_d5_subsystem_sign_restriction():
-    d5 = build_system("D5")
-    subs = a3_subsystems(d5)
-    assert subs
-    sub = subs[0]
-    for al, be in itertools.product(sub.roots, repeat=2):
-        if (al + be) in sub:
-            assert (al + be) in d5
-            assert sub.sign(al, be) == d5.sign(al, be)
+def test_a3_chain_pairings_and_roots():
+    for name in ("D4", "D5", "E6"):
+        datum = build_system(name)
+        for alpha in datum.roots:
+            beta, gamma = a3_chain(datum, alpha)
+            assert (alpha.dot(beta), beta.dot(gamma), alpha.dot(gamma)) == (-1, -1, 0)
+            positive = [alpha, beta, gamma, alpha + beta, beta + gamma, alpha + beta + gamma]
+            chain = set(positive) | {-r for r in positive}
+            assert len(chain) == 12 and chain <= datum.root_set
 
 
 def test_d_pair_convention():

@@ -165,7 +165,15 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
         (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "[[5,5]]"], "--ideal"),
         (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "7"], "--ideal"),
         (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "kernel"], "--ideal"),
-        (["--suite", "amalgam", "--ring", "z/4", "--ideal", "{}"], "--ideal"),
+        # amalgam reads one system and no ring or ideal
+        (["--suite", "amalgam", "--ideal", "{}"], "--ideal"),
+        (["--suite", "amalgam", "--ring", "z/4"], "--ring"),
+        # an element literal is an int: a float used to be truncated and a
+        # JSON true read as 1
+        (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "[2.5]"], "--ideal"),
+        (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "[true]"], "--ideal"),
+        (["--suite", "relative-generation", "--ring", "z", "--system", "A2", "--ideal", "[2.7]"], "--ideal"),
+        (["--suite", "relative-generation", "--system", "A2", "--ideal", "[[0, true]]"], "--ideal"),
     ],
 )
 def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
@@ -248,6 +256,8 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         ('{"suite": "k2-exact", "tier": 5}', "'tier' must be one of"),
         ("{", "cannot read --config"),
         (None, "cannot read --config"),  # no such file
+        # a misspelt field used to be ignored, and the default rings ran
+        ('{"suite": "k2-exact", "ring": ["z/4"]}', "unknown config field 'ring'"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -267,15 +277,37 @@ def test_cli_needs_a_suite_or_a_config(capsys):
     assert err.count("\n") == 1 and "need --suite or --config" in err
 
 
-@pytest.mark.parametrize("suite", ["relative-generation", "amalgam"])
+@pytest.mark.parametrize("suite", ["relative-generation"])
 def test_default_ideal_needs_a_generator(suite, capsys):
-    system = "D4" if suite == "amalgam" else "A2"
-    assert cli.main(["--suite", suite, "--ring", "z/4", "--system", system]) == 2
+    assert cli.main(["--suite", suite, "--ring", "z/4", "--system", "A2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and suite in err and "--ideal" in err
     with pytest.raises(ValueError, match="--ideal"):
-        run_suite(SuiteConfig(suite=suite, rings=("z/4",), systems=(system,)))
+        run_suite(SuiteConfig(suite=suite, rings=("z/4",), systems=("A2",)))
+
+
+@pytest.mark.parametrize(
+    "cfg, named",
+    [
+        (SuiteConfig(suite="k2-exact", rings=("bogus",)), "bad ring spec 'bogus'"),
+        (SuiteConfig(suite="k2-exact", systems=("Q3",)), "bad root system 'Q3'"),
+        (SuiteConfig(suite="amalgam", systems=("A",)), "bad root system 'A'"),
+    ],
+)
+def test_run_suite_rejects_a_ring_or_system_that_does_not_parse(cfg, named):
+    # these used to raise SpecError and RootSystemError, which the CLI
+    # caught with a second validation of its own
+    with pytest.raises(ValueError, match=named):
+        run_suite(cfg)
+    assert S.config_error(cfg).startswith(named)
+
+
+def test_from_dict_rejects_an_unknown_field():
+    with pytest.raises(ValueError, match="unknown config field 'ring'"):
+        SuiteConfig.from_dict({"suite": "k2-exact", "ring": ["z/4"]})
+    doc = SuiteConfig(suite="k2-exact", rings=("z/4",)).to_dict()
+    assert SuiteConfig.from_dict(doc) == SuiteConfig(suite="k2-exact", rings=("z/4",))
 
 
 def test_tier_policy_downgrades_to_matrix():
