@@ -5,20 +5,26 @@ coincidence handling and an optional lookahead/compaction pass when the
 allocation budget is exceeded.  Completed tables are standardized by one
 breadth-first renumbering, so identical inputs give identical tables.
 
-The regular table of St(Phi, R) is not enumerated as a whole.
-`regular_table` enumerates the right cosets of U+ = <x_alpha(b) : alpha > 0>
-(1,344 of them for St(A2,Z/4), against 86,016 elements), and labels each
-element g by (U+ g, u) with u in U+_E, the image of U+ in E(Phi, R).  The
-labels are a bijection onto St exactly when phi is injective on U+ <= St.
-That is a standard lemma (Steinberg, Lectures on Chevalley Groups, 1967;
-Milnor, Introduction to Algebraic K-Theory, 1971, section 9), but the
-builder does not cite it; it checks four things and raises when one fails:
+St(Phi, R) is never enumerated as a whole.  `uplus_data` enumerates the
+right cosets of U+ = <x_alpha(b) : alpha > 0> (1,344 of them for
+St(A2,Z/4), against 86,016 elements) and U+_E, the image of U+ in
+E(Phi, R).  Everything exact is read off that pair, once two checks pass
+(a failed check raises):
 
 1. phi kills every relator, so phi is a homomorphism on the presented group.
 2. The positive sub-presentation P+ (the relators whose letters are all
    positive) enumerates to exactly |U+_E| elements.  P+ maps onto U+ <= St,
    which phi maps onto U+_E; both maps are then injective, so K2 meets U+
-   trivially.
+   trivially.  This is a standard lemma (Steinberg, Lectures on Chevalley
+   Groups, 1967; Milnor, Introduction to Algebraic K-Theory, 1971,
+   section 9), checked here rather than cited.
+
+Then |St| = [St : U+] |U+_E|, which `relative_subgroup_index` reads, and
+`k2_compute` counts K2 as the U+ cosets that phi maps into U+_E and tests
+its centrality in the U+ table.  `regular_table`, which `WordTester` reads,
+labels each element g by (U+ g, u) with u in U+_E; the labels are a
+bijection onto St by check 2, and two more checks guard the build:
+
 3. Every Schreier element phi(w_c) X_x phi(w_{cx})^{-1} lies in U+_E.
 4. The breadth-first pass over the labels reaches index x |U+_E| of them.
 
@@ -43,7 +49,7 @@ from .matrices import (
     right_multiplier,
     unipotent,
 )
-from .rings import Elem, UnsupportedRingError
+from .rings import Elem, UnsupportedRingError, ZModRing
 from .roots import _positive_system
 from .words import simplify
 
@@ -429,15 +435,19 @@ def steinberg_presentation(datum, ring):
 
 
 # ---------------------------------------------------------------------------
-# the regular table of St(Phi, R), from the coset table of U+
+# the U+ table, and the regular table of St(Phi, R) read off it
 
 
 _MEMO = {}
 
 
+def _memo_key(sp, max_cosets):
+    return (sp.presentation.ngens, sp.presentation.relators, max_cosets)
+
+
 def enumerate_steinberg(sp, max_cosets=10**6):
     """The regular table of St(Phi, R), built once per presentation."""
-    key = (sp.presentation.ngens, sp.presentation.relators, max_cosets)
+    key = _memo_key(sp, max_cosets)
     if key not in _MEMO:
         _MEMO[key] = regular_table(sp, max_cosets)
     return _MEMO[key]
@@ -450,6 +460,22 @@ def positive_generators(sp):
     return sorted(g for (ri, _), g in sp.gen_index.items() if roots[ri] in positive)
 
 
+def simple_root_generators(sp):
+    """The generators x_alpha(b) with alpha or -alpha simple, in generator order.
+
+    Their unipotents generate E(Phi, R), the group of all x_gamma(r).  In a
+    simply-laced system every positive root gamma of height > 1 is beta +
+    alpha_i with beta a root and alpha_i simple, and [x_beta(r),
+    x_alpha_i(1)] = x_gamma(N r) with N = +-1; x_alpha_i(1) is a product of
+    the x_alpha_i(b), so by induction on the height the group holds every
+    x_gamma(r).  Negative roots are the same with -alpha_i.
+    """
+    roots = sp.system.roots
+    simple = _positive_system(sp.system)[1]
+    ends = set(simple) | {-a for a in simple}
+    return sorted(g for (ri, _), g in sp.gen_index.items() if roots[ri] in ends)
+
+
 def uplus_table(sp, max_cosets=10**6):
     """The coset table of the right cosets U+ g of U+ = <x_alpha(b) : alpha > 0,
     b in the additive basis> in St(Phi, R)."""
@@ -457,20 +483,42 @@ def uplus_table(sp, max_cosets=10**6):
     return todd_coxeter(sp.presentation, subgroup, max_cosets=max_cosets)
 
 
-def regular_table(sp, max_cosets=10**6):
-    """The standardized regular table of St(Phi, R), read off its U+ table.
+@dataclass
+class UPlus:
+    """The U+ table of St(Phi, R) with U+_E, after checks 1 and 2."""
 
-    Each element g is the pair (c, u): its coset c = U+ g, and u = phi(g
-    w_c^{-1}) in U+_E, where w_c is the tree word of c.  Right multiplication
-    by column x sends (c, u) to (c x, u s), with the Schreier element
-    s = phi(w_c) X_x phi(w_{cx})^{-1} in U+_E.  The pairs are a bijection
-    with St exactly when U+ <= St maps injectively into E; see the module
-    docstring for the four checks that make the table exact.
+    cols: list  # the matrix of each table column (column_unipotents)
+    steps: list  # right_multiplier of each column
+    positive: list  # the St generator of each generator of P+
+    ptbl: CosetTable  # the regular table of P+, which is U+ in St
+    index: dict  # payload tuple of u in U+_E -> its element of ptbl
+    utbl: CosetTable  # the right cosets of U+ in St
+
+    @property
+    def order(self):
+        """|U+| = |U+_E|."""
+        return self.ptbl.n
+
+    def u_letters(self, j):
+        """The P+ tree word of element j of U+_E, in St letters."""
+        positive = self.positive
+        return tuple(2 * positive[x >> 1] | (x & 1) for x in self.ptbl.rep_letters(j))
+
+
+def uplus_data(sp, max_cosets=10**6):
+    """Checks 1 and 2 of the module docstring, U+_E and the U+ table, built
+    once per presentation and realization.
+
+    The memo shares `enumerate_steinberg`'s dict and presentation key; the
+    key also names the system and ring, since `index` holds matrices of one
+    realization.  A root system without a matrix realization raises before
+    anything is enumerated; each enumeration is capped at max_cosets.
     """
-    datum, ring = sp.system, sp.ring
-    size = datum.matrix_size()  # NoMatrixRealization before any enumeration
+    key = ("uplus", sp.system.name, sp.ring.spec) + _memo_key(sp, max_cosets)
+    if key in _MEMO:
+        return _MEMO[key]
+    ring, size = sp.ring, sp.system.matrix_size()
     pres = sp.presentation
-    ncols = 2 * pres.ngens
     cols = column_unipotents(sp)
     steps = [right_multiplier(g) for g in cols]
     ident = identity_matrix(ring, size).data
@@ -495,11 +543,28 @@ def regular_table(sp, max_cosets=10**6):
     for c, x in ptbl.tree()[1:]:
         elems.append(psteps[x](elems[c]))
     index = {m: i for i, m in enumerate(elems)}
-    nu = ptbl.n
-    if len(index) != nu:
-        raise PresentationError(f"U+ of the presentation has {nu} elements, U+ in E {len(index)}")
+    if len(index) != ptbl.n:
+        raise PresentationError(f"U+ of the presentation has {ptbl.n} elements, U+ in E {len(index)}")
 
-    utbl = uplus_table(sp, max_cosets)
+    data = UPlus(cols, steps, positive, ptbl, index, uplus_table(sp, max_cosets))
+    _MEMO[key] = data
+    return data
+
+
+def regular_table(sp, max_cosets=10**6):
+    """The standardized regular table of St(Phi, R), read off its U+ table.
+
+    Each element g is the pair (c, u): its coset c = U+ g, and u = phi(g
+    w_c^{-1}) in U+_E, where w_c is the tree word of c.  Right multiplication
+    by column x sends (c, u) to (c x, u s), with the Schreier element
+    s = phi(w_c) X_x phi(w_{cx})^{-1} in U+_E.  The pairs are a bijection
+    with St exactly when U+ <= St maps injectively into E; see the module
+    docstring for the four checks that make the table exact.
+    """
+    up = uplus_data(sp, max_cosets)
+    ring, size = sp.ring, sp.system.matrix_size()
+    cols, steps, ptbl, index, utbl = up.cols, up.steps, up.ptbl, up.index, up.utbl
+    ncols, nu = utbl.ncols, ptbl.n
     total = utbl.n * nu
     if total > max_cosets:
         raise Inconclusive(f"|St| = {utbl.n} x {nu} = {total} exceeds max_cosets={max_cosets}")
@@ -508,7 +573,7 @@ def regular_table(sp, max_cosets=10**6):
     # transpose of phi(w_c)^{-1} = X^{-1} phi(w_parent)^{-1} is a right product
     mats = coset_images(sp, utbl)
     tsteps = [right_multiplier(cols[x ^ 1].transpose()) for x in range(ncols)]
-    inv_t = [ident]
+    inv_t = [identity_matrix(ring, size).data]
     for c, x in utbl.tree()[1:]:
         inv_t.append(tsteps[x](inv_t[c]))
     invs = [RMatrix(ring, size, m).transpose() for m in inv_t]
@@ -606,10 +671,13 @@ class KernelReport:
     st_order: int
     image_order: int
     kernel_order: int
-    kernel_cosets: list
+    kernel_cosets: list  # the U+ cosets that meet K2, one element each
+    kernel_words: list  # St letters of the element k_c of K2 in each
     central: bool
     witnesses: list
-    bfs_image_order: int
+    bfs_image_order: int | None  # |E| by the image_route, None when inconclusive
+    image_route: str  # "bfs", "sl-formula" or "inconclusive"
+    uplus_order: int  # |U+_E|
 
     def factorization_ok(self):
         return self.st_order == self.kernel_order * self.image_order
@@ -642,42 +710,97 @@ def coset_images(sp, tbl):
     return mats
 
 
-def k2_compute(datum, ring, max_cosets=10**6):
-    """Enumerate St, push every coset through phi, and cut out the kernel.
+# The image BFS holds one payload tuple per element of E: 10^7 of them take
+# gigabytes.
+BFS_CAP = 10**7
 
-    The kernel is exactly the fiber of the identity matrix; centrality is
-    tested against every generator, exhaustively, in the table.  The
-    cross-check closes the generator matrices under multiplication, apart
-    from the table.  A root system without a matrix realization raises
-    before anything is enumerated.
+
+def k2_compute(datum, ring, max_cosets=10**6):
+    """K2(Phi, R) = ker(St -> E) and its centrality, from the U+ table alone.
+
+    Checks 1 and 2 of the module docstring (`uplus_data`) prove that U+
+    meets K2 trivially.  A U+ coset U+ g maps into U+_E exactly when g lies
+    in U+ K2, and U+ K2 is |K2| cosets of U+; so |K2| is the number of U+
+    cosets c with phi(w_c) in U+_E, and |St| = [St : U+] |U+_E|.  In such
+    a coset, k_c = u_c^{-1} w_c lies in K2, where u_c is the P+ tree word of
+    phi(w_c).  It is central exactly when x k x^{-1} k^{-1} traces coset 0
+    to coset 0 for every column x: the commutator lies in K2, since phi of it
+    is 1, and the only element of K2 in U+ is 1.
+
+    The image order is cross-checked apart from the table: by
+    `matrix_group_order` on the unipotents of the +-simple roots when the
+    image fits under BFS_CAP, else by |SL(n, Z/N)| in type A over Z/N, else
+    not at all (image_route "inconclusive").  max_cosets caps the U+ index,
+    not |St|.  A root system without a matrix realization raises before
+    anything is enumerated.
     """
-    datum.matrix_size()
     sp = steinberg_presentation(datum, ring)
-    tbl = enumerate_steinberg(sp, max_cosets=max_cosets)
-    mats = coset_images(sp, tbl)
-    ident = mats[0]
-    kernel = [c for c, m in enumerate(mats) if m == ident]
-    image_order = len(set(mats))
-    # exhaustive centrality: kernel elements must commute with every generator
-    witnesses = []
-    for c in kernel:
-        repw = tbl.rep_letters(c)
-        for x in range(tbl.ncols):
-            left = tbl.trace(tbl.rows[0][x], repw)
-            right = tbl.rows[tbl.coset_of(repw)][x]
-            if left != right:
-                witnesses.append({"kernel_coset": c, "column": x})
+    up = uplus_data(sp, max_cosets)
+    utbl, nu = up.utbl, up.order
+    kernel, words = [], []
+    for c, m in enumerate(coset_images(sp, utbl)):
+        j = up.index.get(m)
+        if j is not None:
+            kernel.append(c)
+            words.append(inverse_letters(up.u_letters(j)) + utbl.rep_letters(c))
+    witnesses = [
+        {"kernel_coset": c, "column": x}
+        for c, k in zip(kernel, words)
+        for x in noncentral_columns(utbl, k)
+    ]
+    st_order = utbl.n * nu
+    image_order = utbl.n // len(kernel) * nu
+    if st_order // len(kernel) <= BFS_CAP:
+        gens = [up.cols[2 * g] for g in simple_root_generators(sp)]
+        bfs, route = matrix_group_order(gens, cap=BFS_CAP), "bfs"
+    elif datum.family == "A" and isinstance(ring, ZModRing):
+        bfs, route = special_linear_order(datum.matrix_size(), ring.n), "sl-formula"
+    else:
+        bfs, route = None, "inconclusive"
     return KernelReport(
         system=datum.name,
         ring=ring.spec,
-        st_order=tbl.n,
+        st_order=st_order,
         image_order=image_order,
         kernel_order=len(kernel),
         kernel_cosets=kernel,
+        kernel_words=words,
         central=not witnesses,
         witnesses=witnesses,
-        bfs_image_order=matrix_group_order(column_unipotents(sp)[0::2]),
+        bfs_image_order=bfs,
+        image_route=route,
+        uplus_order=nu,
     )
+
+
+def noncentral_columns(utbl, k):
+    """The columns x for which x k x^{-1} k^{-1} does not trace coset 0 to
+    coset 0 of the U+ table: for k in K2, the generators k fails to commute
+    with."""
+    kinv = inverse_letters(k)
+    return [x for x in range(utbl.ncols) if utbl.coset_of((x,) + k + (x ^ 1,) + kinv)]
+
+
+def special_linear_order(n, modulus):
+    """|SL(n, Z/N)| = prod over p^k || N of p^((k-1)(n^2-1)) |SL(n, F_p)|.
+
+    Z/N is the product of the Z/p^k, and SL(n, Z/p^k) -> SL(n, F_p) is onto
+    with kernel the matrices 1 + pM of determinant 1, p^((k-1)(n^2-1)) of
+    them.  Z/N is semilocal, so SL(n, Z/N) = E(n, Z/N).
+    """
+    order, p, rest = 1, 2, modulus
+    while rest > 1:
+        k = 0
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if k:
+            sl = p ** (n * (n - 1) // 2)
+            for i in range(2, n + 1):
+                sl *= p**i - 1
+            order *= p ** ((k - 1) * (n * n - 1)) * sl
+        p += 1
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +819,8 @@ class RelativeIndexReport:
 
 
 def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
-    """Index of <z_alpha(s, r)> in St(Phi, R) against |St(Phi, R/I)|."""
+    """Index of <z_alpha(s, r)> in St(Phi, R) against |St(Phi, R/I)|, which
+    is [St : U+] |U+_E| over R/I (`uplus_data`)."""
     sp = steinberg_presentation(datum, ring)
     ideal_payloads = sorted(
         split.ideal.payload_set(), key=ring.enum_order().__getitem__
@@ -710,10 +834,9 @@ def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
                 zw = W.z_generator(datum, ring, ri, Elem(ring, s), Elem(ring, r))
                 subgroup.append(sp.word_letters(zw))
     tbl = todd_coxeter(sp.presentation, subgroup, max_cosets=max_cosets)
-    spq = steinberg_presentation(datum, split.quotient)
-    tblq = enumerate_steinberg(spq, max_cosets=max_cosets)
+    upq = uplus_data(steinberg_presentation(datum, split.quotient), max_cosets)
     return RelativeIndexReport(
-        system=datum.name, ring=ring.spec, index=tbl.n, quotient_order=tblq.n
+        system=datum.name, ring=ring.spec, index=tbl.n, quotient_order=upq.utbl.n * upq.order
     )
 
 

@@ -72,6 +72,7 @@ class RootDatum:
         self._cocycle = None
         self._unipotent_entries = None
         self._ij_index = None
+        self._pairings = None
 
     @property
     def name(self):
@@ -89,6 +90,15 @@ class RootDatum:
         if self.family == "D":
             return 2 * self.rank
         raise NoMatrixRealization(f"no matrix realization for family {self.family}")
+
+    def pairings(self):
+        """The ints <roots[i], roots[j]>, as rows by i: computed once, on
+        doubled coordinates, which are integral in every family (E has
+        half-integer ones)."""
+        if self._pairings is None:
+            doubled = numpy.array([[int(2 * c) for c in r.coords] for r in self.roots], dtype=numpy.int64)
+            self._pairings = (doubled @ doubled.T // 4).tolist()
+        return self._pairings
 
     def unipotent_entries(self, ri):
         """The entries (i, j, sign) of x_alpha(1) - 1 for alpha = roots[ri].
@@ -369,11 +379,13 @@ def a3_chain(datum, alpha):
     containing alpha.  Conversely every root of an A3 subsystem heads such
     a chain inside it, so None means alpha lies in no A3 subsystem.
     """
-    for beta in datum.roots:
-        if alpha.dot(beta) != -1:
+    pairings = datum.pairings()
+    row_a = pairings[datum.index[alpha]]
+    for bi, ab in enumerate(row_a):
+        if ab != -1:
             continue
-        for gamma in datum.roots:
-            if beta.dot(gamma) == -1 and alpha.dot(gamma) == 0:
-                return beta, gamma
+        for gi, bg in enumerate(pairings[bi]):
+            if bg == -1 and row_a[gi] == 0:
+                return datum.roots[bi], datum.roots[gi]
     return None
 

@@ -12,16 +12,21 @@ from steinberg.fp import (
     enumerate_steinberg,
     inverse_letters,
     k2_compute,
+    noncentral_columns,
     orbit_with_witnesses,
     positive_generators,
     regular_table,
     relative_subgroup_index,
+    simple_root_generators,
+    special_linear_order,
     star_presentations,
     steinberg_presentation,
     todd_coxeter,
+    uplus_data,
     uplus_table,
 )
-from steinberg.matrices import Inconclusive, basis_vector
+from steinberg import fp, suites
+from steinberg.matrices import Inconclusive, basis_vector, matrix_group_order, unipotent
 from steinberg.rings import Elem, FGIdeal, make_ring, split_data
 from steinberg.roots import NoMatrixRealization, build_system
 from steinberg.words import StWord, phi, x_ij
@@ -240,6 +245,96 @@ def test_coset_images_are_phi_of_tree_words(system, spec, sample):
             xi = Elem(ring, pay)
             letters.append((ri, -xi if x % 2 else xi))
         assert mats[c] == phi(StWord(datum, ring, letters)).data
+
+
+@pytest.mark.parametrize("system, spec", [("A2", "z/4"), ("A3", "f2"), ("A2", "f3")])
+def test_k2_on_the_uplus_table_matches_the_regular_table(system, spec):
+    # the regular-table route: phi of every element, the kernel as the fiber
+    # of the identity and the image as the set of images
+    datum, ring = build_system(system), make_ring(spec)
+    sp = steinberg_presentation(datum, ring)
+    tbl = enumerate_steinberg(sp)
+    mats = coset_images(sp, tbl)
+    kernel = {c for c, m in enumerate(mats) if m == mats[0]}
+    rep = k2_compute(datum, ring)
+    assert (rep.st_order, rep.kernel_order, rep.image_order) == (tbl.n, len(kernel), len(set(mats)))
+    assert rep.factorization_ok() and rep.central and rep.image_route == "bfs"
+    # each k_c is an element of K2, and they are pairwise distinct
+    assert {tbl.coset_of(k) for k in rep.kernel_words} == kernel
+    # k_c lies in its U+ coset c
+    up = uplus_data(sp)
+    assert [up.utbl.coset_of(k) for k in rep.kernel_words] == rep.kernel_cosets
+
+
+@pytest.mark.parametrize("system, spec", [("A2", "z/4"), ("A3", "f2")])
+def test_centrality_check_fails_for_a_noncentral_element(system, spec):
+    sp = steinberg_presentation(build_system(system), make_ring(spec))
+    utbl = uplus_data(sp).utbl
+    rep = k2_compute(sp.system, sp.ring)
+    assert all(noncentral_columns(utbl, k) == [] for k in rep.kernel_words)
+    # x_alpha(1), the generator of column 0, in place of k
+    assert noncentral_columns(utbl, (0,))
+
+
+def test_kernel_count_that_does_not_divide_the_index_fails_factorization(monkeypatch):
+    # one more matrix in U+_E: phi of U+ coset 5 is counted as a kernel
+    # coset, and 2 does not divide [St : U+] = 21
+    sp = steinberg_presentation(A2, F2)
+    up = uplus_data(sp)
+    fake = dataclasses.replace(up, index={**up.index, coset_images(sp, up.utbl)[5]: 0})
+    monkeypatch.setattr(fp, "uplus_data", lambda sp, max_cosets: fake)
+    rep = k2_compute(A2, F2)
+    assert up.utbl.n == 21 and rep.kernel_order == 2
+    assert not rep.factorization_ok()
+
+
+@pytest.mark.parametrize("system, spec", [("A2", "f2"), ("A2", "f3"), ("A3", "f2"), ("A2", "z/4")])
+def test_simple_root_bfs_is_the_all_roots_bfs(system, spec):
+    sp = steinberg_presentation(build_system(system), make_ring(spec))
+    cols = fp.column_unipotents(sp)
+    simple = simple_root_generators(sp)
+    assert len(simple) == 2 * sp.system.rank * len(additive_basis(sp.ring)[0])
+    assert matrix_group_order([cols[2 * g] for g in simple]) == matrix_group_order(cols[0::2])
+
+
+@pytest.mark.parametrize("system, spec, order", [("A2", "z/4", 43008), ("A3", "f2", 20160)])
+def test_special_linear_formula_matches_the_bfs(system, spec, order, monkeypatch):
+    datum, ring = build_system(system), make_ring(spec)
+    gens = [unipotent(datum, r, ring.one()) for r in datum.roots]
+    assert special_linear_order(datum.matrix_size(), ring.n) == matrix_group_order(gens) == order
+    # the formula decides once the BFS would pass its cap
+    monkeypatch.setattr(fp, "BFS_CAP", 1000)
+    rep = k2_compute(datum, ring)
+    assert (rep.image_route, rep.bfs_image_order) == ("sl-formula", order)
+
+
+def test_special_linear_formula_on_composite_moduli():
+    assert special_linear_order(3, 12) == 43008 * 5616  # Z/4 x Z/3
+    assert special_linear_order(4, 4) == 660_602_880 == 2**15 * 20160
+    assert special_linear_order(3, 1) == 1
+
+
+def test_image_past_the_bfs_cap_without_a_formula_is_inconclusive(monkeypatch):
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    monkeypatch.setattr(fp, "BFS_CAP", 100)
+    rep = k2_compute(A2, f2e)
+    assert (rep.image_route, rep.bfs_image_order) == ("inconclusive", None)
+    # the suite reports it inconclusive, never pass
+    report = suites.run_suite(suites.SuiteConfig(suite="k2-exact", systems=("A2",), rings=(f2e.spec,)))
+    (check,) = report.checks
+    assert (check.inconclusive, check.failures, report.verdict) == (1, [], "inconclusive")
+    assert check.info["st_order"] == rep.st_order == 672 * 64
+
+
+def test_enumerate_steinberg_fills_the_uplus_memo(monkeypatch):
+    sp = steinberg_presentation(A2, F2)
+    enumerate_steinberg(sp)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated again")
+
+    monkeypatch.setattr(fp, "todd_coxeter", no_enumeration)
+    assert k2_compute(A2, F2).st_order == 168
 
 
 def test_k2_compute_refuses_e_family_before_enumerating():

@@ -81,6 +81,29 @@ def test_a3_chain_pairings_and_roots():
             assert len(chain) == 12 and chain <= datum.root_set
 
 
+def _chain_by_rational_pairings(datum, alpha):
+    # the search a3_chain makes, on Root.dot over the exact coordinates
+    for beta in datum.roots:
+        if alpha.dot(beta) != -1:
+            continue
+        for gamma in datum.roots:
+            if beta.dot(gamma) == -1 and alpha.dot(gamma) == 0:
+                return beta, gamma
+    return None
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "D3", "D4", "D5", "D6", "E6", "E7", "E8"])
+def test_a3_chain_matches_the_rational_pairing_search(name):
+    datum = build_system(name)
+    assert all(
+        datum.pairings()[i][j] == a.dot(b)
+        for i, a in enumerate(datum.roots[:12])
+        for j, b in enumerate(datum.roots)
+    )
+    for alpha in datum.roots:
+        assert a3_chain(datum, alpha) == _chain_by_rational_pairings(datum, alpha)
+
+
 def test_d_pair_convention():
     d4 = build_system("D4")
     root = Root((1, -1, 0, 0))
