@@ -3,7 +3,8 @@
 `todd_coxeter` is a deterministic HLT-style Todd-Coxeter with immediate
 coincidence handling and an optional lookahead/compaction pass when the
 allocation budget is exceeded.  Completed tables are standardized by one
-breadth-first renumbering, so identical inputs give identical tables.
+breadth-first renumbering (`standardize`, which `regular_table` shares), so
+identical inputs give identical tables.
 
 St(Phi, R) is never enumerated as a whole.  `uplus_data` enumerates the
 right cosets of U+ = <x_alpha(b) : alpha > 0> (1,344 of them for
@@ -26,7 +27,8 @@ labels each element g by (U+ g, u) with u in U+_E; the labels are a
 bijection onto St by check 2, and two more checks guard the build:
 
 3. Every Schreier element phi(w_c) X_x phi(w_{cx})^{-1} lies in U+_E.
-4. The breadth-first pass over the labels reaches index x |U+_E| of them.
+4. The breadth-first pass (`standardize`) over the labels reaches
+   index x |U+_E| of them.
 
 A standardized regular table of a group on fixed generators is unique, so
 the table is the one a whole-group enumeration would give, row for row.
@@ -35,7 +37,10 @@ the table is the one a whole-group enumeration would give, row for row.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
+
+import numpy
 
 from . import words as W
 from .matrices import (
@@ -76,28 +81,27 @@ def inverse_letters(wordletters):
 
 
 class CosetTable:
-    """A complete standardized coset table; coset 0 is the subgroup."""
+    """A complete standardized coset table; coset 0 is the subgroup.
 
-    def __init__(self, ncols, rows):
+    `table` is one flat array('i') of ncols entries per coset: the image of
+    coset c under column x is table[c * ncols + x].  A table without columns
+    (the trivial group) has one coset.
+    """
+
+    def __init__(self, ncols, table):
         self.ncols = ncols
-        self.rows = rows
+        self.table = table
+        self.n = len(table) // ncols if ncols else 1
         self._tree = None
 
-    @property
-    def n(self):
-        return len(self.rows)
-
     def trace(self, coset, letters):
-        rows = self.rows
+        table, ncols = self.table, self.ncols
         for l in letters:
-            coset = rows[coset][l]
+            coset = table[coset * ncols + l]
         return coset
 
     def coset_of(self, letters):
         return self.trace(0, letters)
-
-    def permutation(self, letters):
-        return tuple(self.trace(c, letters) for c in range(self.n))
 
     def tree(self):
         """The breadth-first spanning tree from coset 0: the (parent, column)
@@ -105,14 +109,13 @@ class CosetTable:
 
         In a standardized table each coset d > 0 first appears, in row-major
         order, at its tree edge, in a row c < d, and after every coset below
-        it; so one pass over the rows finds the edges in coset order.
+        it; so one pass over the table finds the edges in coset order.
         """
         if self._tree is None:
-            tree = [None]
-            for c, row in enumerate(self.rows):
-                for x, d in enumerate(row):
-                    if d == len(tree):
-                        tree.append((c, x))
+            tree, ncols = [None], self.ncols
+            for i, d in enumerate(self.table):
+                if d == len(tree):
+                    tree.append(divmod(i, ncols))
             if len(tree) != self.n:
                 raise PresentationError("coset table is not standardized")
             self._tree = tree
@@ -125,6 +128,43 @@ class CosetTable:
             coset, x = tree[coset]
             letters.append(x)
         return tuple(reversed(letters))
+
+
+def standardize(nxt):
+    """The standardized table of a complete next-state array.
+
+    nxt is an int32 array of shape (n, ncols): state s goes to nxt[s, x]
+    under column x.  States are renumbered in order of first appearance
+    when the rows are read breadth-first from state 0 (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 5).  The pass
+    runs one breadth-first level at a time: a level is the set of states
+    first seen in the rows of the level before, read in row-major order,
+    which is exactly the numbering of the one-state-at-a-time pass.  Raises
+    PresentationError when state 0 does not reach all n states.
+    """
+    n, ncols = nxt.shape
+    number = numpy.full(n, -1, numpy.int32)
+    number[0] = 0
+    levels = [numpy.zeros(1, numpy.int32)]
+    count = 1
+    while True:
+        seen = nxt[levels[-1]].ravel()
+        seen = seen[number[seen] < 0]
+        if not seen.size:
+            break
+        fresh, first = numpy.unique(seen, return_index=True)
+        fresh = fresh[numpy.argsort(first, kind="stable")]
+        number[fresh] = numpy.arange(count, count + fresh.size, dtype=numpy.int32)
+        count += fresh.size
+        levels.append(fresh)
+    if count != n:
+        raise PresentationError(f"the breadth-first pass reaches {count} of {n} states")
+    # the rows in their new order, renumbered, written straight into the table
+    table = array("i", [0]) * (n * ncols)
+    rows = numpy.frombuffer(table, numpy.intc).reshape(n, ncols)
+    numpy.take(nxt, numpy.concatenate(levels), axis=0, out=rows, mode="clip")
+    numpy.take(number, rows, out=rows, mode="clip")
+    return CosetTable(ncols, table)
 
 
 def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6, alloc_factor=6):
@@ -263,22 +303,15 @@ def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6, alloc_factor=6):
             table, p, alpha = _compact(table, p, rep, ncols, alpha)
             alloc_cap = len(table) + alloc_cap
 
-    # one breadth-first renumbering of the live cosets: the standardized table
-    number = {0: 0}
-    order, rows = [0], []
-    for c in order:  # the queue grows while it is read
-        row = []
-        for d in table[c]:
-            d = rep(d)
-            k = number.get(d)
-            if k is None:
-                k = number[d] = len(order)
-                order.append(d)
-            row.append(k)
-        rows.append(row)
-    if len(order) != live:
-        raise PresentationError("coset table is not connected")
-    return CosetTable(ncols, rows)
+    # the live rows, their entries through rep and numbered 0..live-1 in row
+    # order, standardized
+    root = numpy.array([rep(k) for k in range(len(p))], numpy.int32)
+    is_live = root == numpy.arange(len(p), dtype=numpy.int32)
+    label = (numpy.cumsum(is_live, dtype=numpy.int32) - 1)[root]
+    nxt = numpy.array([table[k] for k in numpy.flatnonzero(is_live).tolist()], numpy.int32)
+    del table[:], p[:]  # copied; free them before the renumbering
+    numpy.take(label, nxt, out=nxt, mode="clip")  # in place: "clip" is unbuffered
+    return standardize(nxt)
 
 
 def _compact(table, p, rep, ncols, alpha):
@@ -578,39 +611,31 @@ def regular_table(sp, max_cosets=10**6):
         inv_t.append(tsteps[x](inv_t[c]))
     invs = [RMatrix(ring, size, m).transpose() for m in inv_t]
 
-    # cell (c, x): (c x) * nu and the column u -> u s of its Schreier element
-    columns, cells = {}, []
-    for c, row in enumerate(utbl.rows):
-        cell = []
-        for x, d in enumerate(row):
-            s = RMatrix(ring, size, steps[x](mats[c])) * invs[d]
-            j = index.get(s.data)
-            if j is None:
-                raise PresentationError(f"Schreier element of ({c}, {x}) is not in U+")
-            if j not in columns:
-                word = ptbl.rep_letters(j)
-                columns[j] = [ptbl.trace(u, word) for u in range(nu)]
-            cell.append((d * nu, columns[j]))
-        cells.append(cell)
+    # cell (c, x): its Schreier element s, as an element of U+_E
+    cells = []
+    for i, d in enumerate(utbl.table):
+        c, x = divmod(i, ncols)
+        s = RMatrix(ring, size, steps[x](mats[c])) * invs[d]
+        j = index.get(s.data)
+        if j is None:
+            raise PresentationError(f"Schreier element of ({c}, {x}) is not in U+")
+        cells.append(j)
 
-    # breadth-first from (0, 1): numbers in order of first appearance
-    number = [-1] * total
-    number[0] = 0
-    order, rows = [0], []
-    for state in order:  # the queue grows while it is read
-        c, u = divmod(state, nu)
-        row = []
-        for base, col in cells[c]:
-            t = base + col[u]
-            k = number[t]
-            if k < 0:
-                k = number[t] = len(order)
-                order.append(t)
-            row.append(k)
-        rows.append(row)
-    if len(order) != total:
-        raise PresentationError(f"the regular action reaches {len(order)} of {total} elements")
-    return CosetTable(ncols, rows)
+    # the column u -> u s of each Schreier element met, traced on P+ all at once
+    ptab = numpy.frombuffer(ptbl.table, numpy.intc).reshape(nu, ptbl.ncols)
+    met, slot = numpy.unique(numpy.array(cells, numpy.int32), return_inverse=True)
+    columns = numpy.empty((len(met), nu), numpy.int32)
+    for k, j in enumerate(met.tolist()):
+        col = numpy.arange(nu)
+        for x in ptbl.rep_letters(j):
+            col = ptab[col, x]
+        columns[k] = col
+
+    # element (c, u) is state c nu + u; column x sends it to (c x) nu + u s
+    dest = numpy.frombuffer(utbl.table, numpy.intc).reshape(utbl.n, ncols) * numpy.int32(nu)
+    nxt = numpy.empty((utbl.n, nu, ncols), numpy.int32)
+    numpy.add(columns[slot.reshape(utbl.n, ncols)].transpose(0, 2, 1), dest[:, None, :], out=nxt)
+    return standardize(nxt.reshape(total, ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +701,7 @@ class KernelReport:
     central: bool
     witnesses: list
     bfs_image_order: int | None  # |E| by the image_route, None when inconclusive
-    image_route: str  # "bfs", "sl-formula" or "inconclusive"
+    image_route: str  # "bfs", "sl-formula", "omega-formula" or "inconclusive"
     uplus_order: int  # |U+_E|
 
     def factorization_ok(self):
@@ -729,12 +754,25 @@ def k2_compute(datum, ring, max_cosets=10**6):
 
     The image order is cross-checked apart from the table: by
     `matrix_group_order` on the unipotents of the +-simple roots when the
-    image fits under BFS_CAP, else by |SL(n, Z/N)| in type A over Z/N, else
-    not at all (image_route "inconclusive").  max_cosets caps the U+ index,
-    not |St|.  A root system without a matrix realization raises before
-    anything is enumerated.
+    image fits under BFS_CAP, else by |SL(n, Z/N)| in type A over Z/N or by
+    |Omega+(2n, 2)| in type D over F2, else not at all (image_route
+    "inconclusive").  max_cosets caps the U+ index, not |St|.
+
+    In type D, phi is the vector realization in SO(2n, R), and the kernel
+    it cuts out holds, beside K2, the image of ker(Spin -> SO) = mu_2(R) =
+    {x : x^2 = 1}: over F3 the count is 2 where K2(D3, F3) = K2(A3, F3) = 1.
+    So type D is refused, with UnsupportedRingError, unless mu_2(R) = {1}.
+    The refusal, and that of a root system without a matrix realization,
+    comes before anything is enumerated.
     """
     sp = steinberg_presentation(datum, ring)
+    if datum.family == "D":
+        mu2 = sum(1 for x in ring.payloads() if ring.p_mul(x, x) == ring.one_p)
+        if mu2 > 1:
+            raise UnsupportedRingError(
+                f"the kernel of St({datum.name}, {ring.spec}) -> SO({datum.matrix_size()}) "
+                f"holds mu_2(R), of order {mu2}, beside K2"
+            )
     up = uplus_data(sp, max_cosets)
     utbl, nu = up.utbl, up.order
     kernel, words = [], []
@@ -755,6 +793,8 @@ def k2_compute(datum, ring, max_cosets=10**6):
         bfs, route = matrix_group_order(gens, cap=BFS_CAP), "bfs"
     elif datum.family == "A" and isinstance(ring, ZModRing):
         bfs, route = special_linear_order(datum.matrix_size(), ring.n), "sl-formula"
+    elif datum.family == "D" and isinstance(ring, ZModRing) and ring.n == 2:
+        bfs, route = omega_plus_order(datum.rank), "omega-formula"
     else:
         bfs, route = None, "inconclusive"
     return KernelReport(
@@ -800,6 +840,20 @@ def special_linear_order(n, modulus):
                 sl *= p**i - 1
             order *= p ** ((k - 1) * (n * n - 1)) * sl
         p += 1
+    return order
+
+
+def omega_plus_order(n):
+    """|Omega+(2n, 2)| = 2^(n(n-1)) (2^n - 1) prod_{0<i<n} (4^i - 1).
+
+    Over a field F_q the vector realization of D_n maps E(D_n, F_q) onto
+    Omega+(2n, q), of order q^(n(n-1)) (q^n - 1) prod_{0<i<n} (q^(2i) - 1)
+    when q is even (Artin, Geometric Algebra, 1957, ch. V; the ATLAS of
+    Finite Groups, 1985, gives O8+(2) = Omega+(8, 2) with 174,182,400).
+    """
+    order = 2 ** (n * (n - 1)) * (2**n - 1)
+    for i in range(1, n):
+        order *= 4**i - 1
     return order
 
 

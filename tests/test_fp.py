@@ -1,6 +1,8 @@
 import dataclasses
 import random
+from array import array
 
+import numpy
 import pytest
 
 from steinberg.fp import (
@@ -13,12 +15,14 @@ from steinberg.fp import (
     inverse_letters,
     k2_compute,
     noncentral_columns,
+    omega_plus_order,
     orbit_with_witnesses,
     positive_generators,
     regular_table,
     relative_subgroup_index,
     simple_root_generators,
     special_linear_order,
+    standardize,
     star_presentations,
     steinberg_presentation,
     todd_coxeter,
@@ -27,7 +31,7 @@ from steinberg.fp import (
 )
 from steinberg import fp, suites
 from steinberg.matrices import Inconclusive, basis_vector, matrix_group_order, unipotent
-from steinberg.rings import Elem, FGIdeal, make_ring, split_data
+from steinberg.rings import Elem, FGIdeal, UnsupportedRingError, make_ring, split_data
 from steinberg.roots import NoMatrixRealization, build_system
 from steinberg.words import StWord, phi, x_ij
 
@@ -85,15 +89,14 @@ def test_table_soundness_and_determinism():
     sp = steinberg_presentation(A2, F2)
     t1 = todd_coxeter(sp.presentation)
     t2 = todd_coxeter(sp.presentation)
-    assert t1.rows == t2.rows
+    assert t1.table == t2.table
     # every column is a bijection and every relator fixes every coset
     n = t1.n
+    assert len(t1.table) == n * t1.ncols
     for x in range(t1.ncols):
-        col = [t1.rows[c][x] for c in range(n)]
-        assert sorted(col) == list(range(n))
+        assert sorted(t1.table[x::t1.ncols]) == list(range(n))
     for rel in sp.presentation.relators:
-        perm = t1.permutation(rel)
-        assert perm == tuple(range(n))
+        assert [t1.trace(c, rel) for c in range(n)] == list(range(n))
 
 
 def test_steinberg_presentation_counts():
@@ -314,6 +317,35 @@ def test_special_linear_formula_on_composite_moduli():
     assert special_linear_order(3, 1) == 1
 
 
+def test_omega_formula_matches_the_bfs(monkeypatch):
+    d3 = build_system("D3")
+    gens = [unipotent(d3, r, F2.one()) for r in d3.roots]
+    assert omega_plus_order(3) == matrix_group_order(gens) == 20160
+    assert omega_plus_order(4) == 174_182_400  # O8+(2) in the ATLAS
+    # the formula decides once the BFS would pass its cap
+    monkeypatch.setattr(fp, "BFS_CAP", 1000)
+    rep = k2_compute(d3, F2)
+    assert (rep.image_route, rep.bfs_image_order, rep.image_order, rep.kernel_order) == (
+        "omega-formula", 20160, 20160, 1
+    )
+
+
+def test_type_d_kernel_with_mu2_is_refused(monkeypatch):
+    # St(D3,F3) = St(A3,F3) has K2 = 1, but the vector realization's kernel
+    # also holds -1 in Spin(6, F3): two kernel cosets, never reported as K2.
+    # The cap keeps a build that does not refuse out of the 6,065,280-element
+    # image BFS.
+    monkeypatch.setattr(fp, "BFS_CAP", 1000)
+    z3 = make_ring("z/3")
+    with pytest.raises(UnsupportedRingError, match="mu_2"):
+        k2_compute(build_system("D3"), z3)
+    assert k2_compute(A3, z3).kernel_order == 1
+    report = suites.run_suite(suites.SuiteConfig(suite="k2-exact", systems=("D3",), rings=("z/3",)))
+    (check,) = report.checks
+    assert (check.inconclusive, report.verdict) == (1, "inconclusive")
+    assert "mu_2" in check.info["reason"] and "st_order" not in check.info
+
+
 def test_image_past_the_bfs_cap_without_a_formula_is_inconclusive(monkeypatch):
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     monkeypatch.setattr(fp, "BFS_CAP", 100)
@@ -342,13 +374,61 @@ def test_k2_compute_refuses_e_family_before_enumerating():
         k2_compute(build_system("E6"), F2, max_cosets=1000)
 
 
+def _sequential_standardize(nxt):
+    """The one-state-at-a-time breadth-first renumbering from state 0."""
+    number = {0: 0}
+    order, table = [0], array("i")
+    for s in order:  # the queue grows while it is read
+        for t in nxt[s]:
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+            table.append(number[t])
+    return table
+
+
+def _next_states(tbl):
+    return numpy.frombuffer(tbl.table, numpy.intc).reshape(tbl.n, tbl.ncols)
+
+
+@pytest.mark.parametrize(
+    "system, spec", [("A2", "f2"), ("A3", "f2"), ("A2", "f3"), ("A2", "z/4"), ("A2", "quo(poly(f2,X),[0,0,1])")]
+)
+def test_standardize_is_the_sequential_breadth_first_pass(system, spec):
+    # the regular table with its states relabelled at random, state 0 kept:
+    # both passes give the numbering back, entry for entry
+    tbl = enumerate_steinberg(steinberg_presentation(build_system(system), make_ring(spec)))
+    rng = numpy.random.default_rng(7)
+    label = numpy.concatenate([[0], 1 + rng.permutation(tbl.n - 1)]).astype(numpy.int32)
+    nxt = numpy.empty((tbl.n, tbl.ncols), numpy.int32)
+    nxt[label] = label[_next_states(tbl)]
+    assert _sequential_standardize(nxt.tolist()) == standardize(nxt).table == tbl.table
+
+
+def test_standardize_refuses_a_disconnected_table():
+    # two copies of St(A2,F2) side by side: check 4 of the regular table
+    nxt = _next_states(enumerate_steinberg(steinberg_presentation(A2, F2)))
+    with pytest.raises(PresentationError, match="reaches 168 of 336 states"):
+        standardize(numpy.concatenate([nxt, nxt + 168]))
+
+
+def test_regular_table_refuses_a_schreier_element_outside_u_plus(monkeypatch):
+    # phi of U+ coset 5 replaced by that of coset 6: check 3 fails
+    sp = steinberg_presentation(A2, F2)
+    mats = coset_images(sp, uplus_data(sp).utbl)
+    monkeypatch.setattr(fp, "coset_images", lambda sp, tbl: mats[:5] + [mats[6]] + mats[6:])
+    with pytest.raises(PresentationError, match="Schreier element of \\(\\d+, \\d+\\) is not in U\\+"):
+        regular_table(sp)
+
+
 def test_zero_ring_gives_trivial_group():
     z1 = make_ring("z/1")
     sp = steinberg_presentation(A2, z1)
     assert sp.presentation.ngens == 0
     t = todd_coxeter(sp.presentation)
     assert t.n == 1
-    assert regular_table(sp).rows == t.rows == [[]]
+    assert regular_table(sp).table == t.table == array("i")
+    assert regular_table(sp).n == standardize(numpy.zeros((1, 0), numpy.int32)).n == 1
 
 
 def test_word_letters_and_additivity_merge():
@@ -446,7 +526,7 @@ def test_regular_table_matches_whole_group_enumeration(system, spec, index):
     assert len(positive_generators(sp)) == npos * len(additive_basis(ring)[0])
     tbl = regular_table(sp)
     assert tbl.n == index * len(list(ring.payloads())) ** npos
-    assert tbl.rows == todd_coxeter(sp.presentation).rows
+    assert tbl.table == todd_coxeter(sp.presentation).table
 
 
 def _positive_relator(sp, length):
