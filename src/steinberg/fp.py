@@ -656,7 +656,8 @@ class WordTester:
         self.exact = exact
         self._built = None  # (presentation, table), or the Inconclusive
 
-    def _table(self):
+    def table(self):
+        """The presentation and its table, built at the first call."""
         if self._built is None:
             try:
                 sp = steinberg_presentation(self.datum, self.ring)
@@ -668,11 +669,11 @@ class WordTester:
         return self._built
 
     def exact_equal(self, w1, w2):
-        sp, table = self._table()
+        sp, table = self.table()
         return table.coset_of(sp.word_letters(w1)) == table.coset_of(sp.word_letters(w2))
 
     def exact_trivial(self, w):
-        sp, table = self._table()
+        sp, table = self.table()
         return table.coset_of(sp.word_letters(w)) == 0
 
     def matrix_equal(self, w1, w2):
@@ -735,8 +736,10 @@ def coset_images(sp, tbl):
     return mats
 
 
-# The image BFS holds one payload tuple per element of E: 10^7 of them take
-# gigabytes.
+# The image BFS holds one payload tuple of n^2 entries per element of E, so
+# it is capped in entries, not in elements: the 943,488 3x3 matrices of
+# SL(3, Z/6), 8.5 x 10^6 entries, peak at 170 MB.  The 25-entry SL(5,2) of
+# A4 over F2 (2.5 x 10^8 entries) takes the formula instead.
 BFS_CAP = 10**7
 
 
@@ -754,9 +757,9 @@ def k2_compute(datum, ring, max_cosets=10**6):
 
     The image order is cross-checked apart from the table: by
     `matrix_group_order` on the unipotents of the +-simple roots when the
-    image fits under BFS_CAP, else by |SL(n, Z/N)| in type A over Z/N or by
-    |Omega+(2n, 2)| in type D over F2, else not at all (image_route
-    "inconclusive").  max_cosets caps the U+ index, not |St|.
+    image, counted in matrix entries, fits under BFS_CAP, else by
+    |SL(n, Z/N)| in type A over Z/N or by |Omega+(2n, 2)| in type D over
+    F2, else not at all (image_route "inconclusive").  max_cosets caps the U+ index, not |St|.
 
     In type D, phi is the vector realization in SO(2n, R), and the kernel
     it cuts out holds, beside K2, the image of ker(Spin -> SO) = mu_2(R) =
@@ -788,9 +791,10 @@ def k2_compute(datum, ring, max_cosets=10**6):
     ]
     st_order = utbl.n * nu
     image_order = utbl.n // len(kernel) * nu
-    if st_order // len(kernel) <= BFS_CAP:
+    entries = datum.matrix_size() ** 2
+    if st_order // len(kernel) * entries <= BFS_CAP:
         gens = [up.cols[2 * g] for g in simple_root_generators(sp)]
-        bfs, route = matrix_group_order(gens, cap=BFS_CAP), "bfs"
+        bfs, route = matrix_group_order(gens, cap=BFS_CAP // entries), "bfs"
     elif datum.family == "A" and isinstance(ring, ZModRing):
         bfs, route = special_linear_order(datum.matrix_size(), ring.n), "sl-formula"
     elif datum.family == "D" and isinstance(ring, ZModRing) and ring.n == 2:

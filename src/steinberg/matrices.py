@@ -56,12 +56,7 @@ class RVector:
         return RVector(self.ring, tuple(pmul(a, c) for a in self.data))
 
     def dot(self, other):
-        ring = self.ring
-        padd, pmul = ring.p_add, ring.p_mul
-        acc = ring.zero_p
-        for a, b in zip(self.data, other.data):
-            acc = padd(acc, pmul(a, b))
-        return Elem(ring, acc)
+        return Elem(self.ring, self.ring.p_dot(self.data, other.data))
 
     def zero_positions(self):
         zero = self.ring.zero_p

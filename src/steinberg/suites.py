@@ -11,9 +11,13 @@ falsity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
+import pickle
 import random
+import signal
 import time
 from dataclasses import dataclass, field, fields
 
@@ -220,6 +224,82 @@ class _Check:
             self.rec.info = {**(self.rec.info or {}), "reason": str(exc)}
             return True
         return False
+
+
+def _spread(task, items):
+    """[task(x) for x in items], computed on every CPU this process may use.
+
+    The items are dealt round-robin to k = min(CPUs, items) shares.  This
+    process runs share 0 itself; each other share runs in a forked child,
+    which pickles its list of results back over a pipe.  The results are
+    merged back in item order, so a caller sees the serial list.  An
+    exception raised in a child is raised here with the same type and
+    message.  Children are always reaped, and with one CPU nothing forks.
+    task may be a closure: the children share this process's memory as of
+    the fork, and only results cross the pipe.  A task must not draw on a
+    random stream, whose order would then depend on the share, nor wait on
+    another thread, which a forked child does not have.
+    """
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus, len(items))
+    if k <= 1:
+        return [task(x) for x in items]
+    children = []  # (pid, read end of its pipe)
+    try:
+        for i in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the child: run share i, send it, leave
+                try:
+                    os.close(r)
+                    try:
+                        blob = pickle.dumps(("ok", [task(x) for x in items[i::k]]))
+                    except BaseException as exc:  # sent to the parent, which raises it
+                        blob = pickle.dumps(("raise", type(exc), str(exc)))
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(blob)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        shares = [[task(x) for x in items[0::k]]]
+        for pid, r in children:
+            with os.fdopen(r, "rb", closefd=False) as fh:
+                blob = fh.read()
+            if not blob:
+                raise RuntimeError(f"the process of share {len(shares)} of {k} ended without its results")
+            tag, *body = pickle.loads(blob)
+            if tag == "raise":
+                exc_type, message = body
+                raise exc_type(message)
+            shares.append(body[0])
+    finally:
+        for pid, r in children:
+            os.close(r)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    out = [None] * len(items)
+    for i, share in enumerate(shares):
+        out[i::k] = share
+    return out
+
+
+def _spread_into(rec, task, items):
+    """Run task(item) -> (instances, failures) over the items with _spread,
+    and add the results to rec in item order, as the serial loop would."""
+    for instances, failures in _spread(task, items):
+        rec.instances += instances
+        for witness in failures:
+            rec.fail(**witness)
 
 
 def _want(config, floor, cap=None):
@@ -438,15 +518,7 @@ def suite_vdk(config):
         ring = make_ring(ringspec)
         with _Check(checks, f"x_small-contract-{ringspec}-exhaustive", "matrix") as rec:
             vecs = list(_all_vectors(ring, n))
-            for u in vecs:
-                for v in vecs:
-                    if not u.dot(v).is_zero():
-                        continue
-                    if not (v.zero_positions() or u.zero_positions()):
-                        continue
-                    rec.instances += 1
-                    if phi(x_small(u, v)) != transvection(u, v):
-                        rec.fail(u=_lit(u), v=_lit(v))
+            _spread_into(rec, functools.partial(_x_small_contract_at, vecs), vecs)
     z6 = make_ring("z/6")
     with _Check(checks, "x_small-contract-z/6-random", "matrix") as rec:
         want = _want(config, 500)
@@ -463,21 +535,7 @@ def suite_vdk(config):
         ring = make_ring(ringspec)
         with _Check(checks, f"canonical-split-{ringspec}-exhaustive", "exact-arith") as rec:
             vecs = list(_all_vectors(ring, n))
-            for v in vecs:
-                ws = [w for w in vecs if w.dot(v).is_one()]
-                us = [u for u in vecs if u.dot(v).is_zero()]
-                for u in us:
-                    for w in ws:
-                        rec.instances += 1
-                        terms = canonical_decomposition(u, v, w)
-                        acc = RVector(ring, (ring.zero_p,) * n)
-                        ok = True
-                        for t in terms:
-                            if not t.dot(v).is_zero() or len(t.zero_positions()) < 2:
-                                ok = False
-                            acc = acc + t
-                        if not ok or acc != u:
-                            rec.fail(u=_lit(u), v=_lit(v), w=_lit(w))
+            _spread_into(rec, functools.partial(_canonical_split_at, vecs), vecs)
     # X_gen / Y_gen contracts and the additivity shadow over z/6
     with _Check(checks, "xgen-ygen-contract-z/6", "matrix") as rec:
         want_xg = _want(config, 300)
@@ -541,6 +599,44 @@ def suite_vdk(config):
                     if not equal(baseY, Y_gen(v, u, cert=w)):
                         rec.fail(kind="Y", u=_lit(v), v=_lit(u), cert=_lit(w))
     return checks
+
+
+def _x_small_contract_at(vecs, u):
+    """phi(x_small(u, v)) against the transvection, for every v orthogonal
+    to u where u or v has a zero entry.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    for v in vecs:
+        if not u.dot(v).is_zero():
+            continue
+        if not (v.zero_positions() or u.zero_positions()):
+            continue
+        rec.instances += 1
+        if phi(x_small(u, v)) != transvection(u, v):
+            rec.fail(u=_lit(u), v=_lit(v))
+    return rec.instances, rec.failures
+
+
+def _canonical_split_at(vecs, v):
+    """The canonical decomposition of every u orthogonal to v, over every
+    certificate w with w.v = 1: its terms are orthogonal to v, have two
+    zero entries each and sum to u.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    ring = v.ring
+    ws = [w for w in vecs if w.dot(v).is_one()]
+    us = [u for u in vecs if u.dot(v).is_zero()]
+    for u in us:
+        for w in ws:
+            rec.instances += 1
+            terms = canonical_decomposition(u, v, w)
+            acc = RVector(ring, (ring.zero_p,) * len(v))
+            ok = True
+            for t in terms:
+                if not t.dot(v).is_zero() or len(t.zero_positions()) < 2:
+                    ok = False
+                acc = acc + t
+            if not ok or acc != u:
+                rec.fail(u=_lit(u), v=_lit(v), w=_lit(w))
+    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -691,41 +787,11 @@ def suite_xeqy(config):
     )
     equal, tier_label = tester.equator()
     with _Check(checks, "xeqy-f2-exhaustive", tier_label) as rec:
+        if tester.exact:
+            tester.table()  # built here once, not once per share
         vecs = list(_all_vectors(f2, n))
-        one = f2.one()
-        for x in vecs:
-            for y in vecs:
-                b = x.dot(y)
-                for u in vecs:
-                    if not (x.dot(u).is_zero() and u.dot(y).is_zero()):
-                        continue
-                    zu = lin_solve(u.entries, b)
-                    if zu is None:
-                        continue
-                    zu = vector(f2, zu)
-                    for v in vecs:
-                        if not (
-                            u.dot(v).is_zero()
-                            and x.dot(v).is_zero()
-                            and y.dot(v).is_zero()
-                        ):
-                            continue
-                        zv = lin_solve(v.entries, b)
-                        if zv is None:
-                            continue
-                        rec.instances += 1
-                        rw = xeqy_words(x, y, u, v, b, one, zu=zu, zv=vector(f2, zv))
-                        base = rw.lhs
-                        for tag, wd in (
-                            ("rhs", rw.rhs),
-                            ("g", rw.g_direct),
-                            ("path_x", rw.path_x),
-                            ("path_y", rw.path_y),
-                        ):
-                            if not equal(base, wd):
-                                rec.fail(
-                                    side=tag, x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v)
-                                )
+        task = functools.partial(_xeqy_at, vecs, equal)
+        _spread_into(rec, task, itertools.product(vecs, repeat=2))
     z6 = make_ring("z/6")
     rng = random.Random(config.seed)
     with _Check(checks, "xeqy-z/6-random", "matrix") as rec:
@@ -757,6 +823,40 @@ def suite_xeqy(config):
     return checks
 
 
+def _xeqy_at(vecs, equal, xy):
+    """The five X = Y words at (x, y), over every u orthogonal to x and y
+    and v orthogonal to x, y and u whose certificates exist, compared
+    by `equal`.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    x, y = xy
+    ring = x.ring
+    b = x.dot(y)
+    for u in vecs:
+        if not (x.dot(u).is_zero() and u.dot(y).is_zero()):
+            continue
+        zu = lin_solve(u.entries, b)
+        if zu is None:
+            continue
+        zu = vector(ring, zu)
+        for v in vecs:
+            if not (u.dot(v).is_zero() and x.dot(v).is_zero() and y.dot(v).is_zero()):
+                continue
+            zv = lin_solve(v.entries, b)
+            if zv is None:
+                continue
+            rec.instances += 1
+            rw = xeqy_words(x, y, u, v, b, ring.one(), zu=zu, zv=vector(ring, zv))
+            for tag, wd in (
+                ("rhs", rw.rhs),
+                ("g", rw.g_direct),
+                ("path_x", rw.path_x),
+                ("path_y", rw.path_y),
+            ):
+                if not equal(rw.lhs, wd):
+                    rec.fail(side=tag, x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v))
+    return rec.instances, rec.failures
+
+
 # ---------------------------------------------------------------------------
 # star-presentation (the two-generator-family relations and the X=Y bridge)
 
@@ -784,34 +884,43 @@ def suite_star(config):
     by_u = {}
     for sym in star.f_symbols:
         by_u.setdefault(sym.u.vec.data, []).append(sym)
-    with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
-        for key in sorted(by_u):
-            group = by_u[key]
-            ov = group[0].u
-            by_v = {sym.v.data: sym for sym in group}
-            for s1 in group:
-                for s2 in group:
-                    rec.instances += 1
-                    target = by_v[(s1.v + s2.v).data]
-                    lhs = iota_phi(s1)[1] * iota_phi(s2)[1]
-                    if lhs != iota_phi(target)[1]:
-                        rec.fail(u=_lit(ov.vec), v=_lit(s1.v), w=_lit(s2.v))
-    with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
+
+    def f_additivity(key):
+        rec = CheckRecord(name="", tier="")
+        group = by_u[key]
+        ov = group[0].u
+        by_v = {sym.v.data: sym for sym in group}
+        for s1 in group:
+            for s2 in group:
+                rec.instances += 1
+                target = by_v[(s1.v + s2.v).data]
+                lhs = iota_phi(s1)[1] * iota_phi(s2)[1]
+                if lhs != iota_phi(target)[1]:
+                    rec.fail(u=_lit(ov.vec), v=_lit(s1.v), w=_lit(s2.v))
+        return rec.instances, rec.failures
+
+    def s_additivity(key):
         # mirrored additivity for the S family, via the transpose symmetry
-        for key in sorted(by_u):
-            group = by_u[key]
-            ov = group[0].u
-            cert = ov.cert()
-            seen = {}
-            for sym in group:
-                wrd = Y_gen(sym.v, ov.vec, cert=cert)
-                seen[sym.v.data] = phi(wrd)
-            for s1 in group:
-                for s2 in group:
-                    rec.instances += 1
-                    lhs = seen[s1.v.data] * seen[s2.v.data]
-                    if lhs != seen[(s1.v + s2.v).data]:
-                        rec.fail(v=_lit(ov.vec), u=_lit(s1.v), u2=_lit(s2.v))
+        rec = CheckRecord(name="", tier="")
+        group = by_u[key]
+        ov = group[0].u
+        cert = ov.cert()
+        seen = {}
+        for sym in group:
+            wrd = Y_gen(sym.v, ov.vec, cert=cert)
+            seen[sym.v.data] = phi(wrd)
+        for s1 in group:
+            for s2 in group:
+                rec.instances += 1
+                lhs = seen[s1.v.data] * seen[s2.v.data]
+                if lhs != seen[(s1.v + s2.v).data]:
+                    rec.fail(v=_lit(ov.vec), u=_lit(s1.v), u2=_lit(s2.v))
+        return rec.instances, rec.failures
+
+    with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
+        _spread_into(rec, f_additivity, sorted(by_u))
+    with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
+        _spread_into(rec, s_additivity, sorted(by_u))
     with _Check(checks, "conjugation-iota-f2[eps]-sampled", "matrix") as rec:
         fs = star.f_symbols
         for _ in range(_want(config, 300, 300)):
@@ -935,39 +1044,50 @@ def suite_psi(config):
                         psi(i, j, xi + eta)
                     ):
                         rec.fail(i=i, j=j, xi=_lit(xi), eta=_lit(eta))
+
+    def disjoint_commute(ij):
+        rec = CheckRecord(name="", tier="")
+        i, j = ij
+        for h, k in idx_pairs:
+            if h == j or k == i or (i, j) == (h, k):
+                continue
+            for xi in pool:
+                for eta in pool:
+                    rec.instances += 1
+                    left = psi(i, j, xi) * psi(h, k, eta)
+                    right = psi(h, k, eta) * psi(i, j, xi)
+                    if not left.matrix_equal(right):
+                        rec.fail(i=i, j=j, h=h, k=k, xi=_lit(xi), eta=_lit(eta))
+        return rec.instances, rec.failures
+
+    def commutator_chain(ij):
+        rec = CheckRecord(name="", tier="")
+        i, j = ij
+        for k in range(n):
+            if k in (i, j):
+                continue
+            for xi in pool:
+                for eta in pool:
+                    rec.instances += 1
+                    a = psi(i, j, xi)
+                    b = psi(j, k, eta)
+                    formula = W.semidirect_commutator(a, b)
+                    direct = W.commutator(a, b)
+                    target = psi(i, k, xi * eta)
+                    expansion = _expansion_tuple(sd, system, n, i, j, k, xi, eta)
+                    ok = (
+                        formula.matrix_equal(direct)
+                        and direct.matrix_equal(target)
+                        and expansion.matrix_equal(target)
+                    )
+                    if not ok:
+                        rec.fail(i=i, j=j, k=k, xi=_lit(xi), eta=_lit(eta))
+        return rec.instances, rec.failures
+
     with _Check(checks, "psi-disjoint-commute-f2[eps]-exhaustive", "matrix") as rec:
-        for i, j in idx_pairs:
-            for h, k in idx_pairs:
-                if h == j or k == i or (i, j) == (h, k):
-                    continue
-                for xi in pool:
-                    for eta in pool:
-                        rec.instances += 1
-                        left = psi(i, j, xi) * psi(h, k, eta)
-                        right = psi(h, k, eta) * psi(i, j, xi)
-                        if not left.matrix_equal(right):
-                            rec.fail(i=i, j=j, h=h, k=k, xi=_lit(xi), eta=_lit(eta))
+        _spread_into(rec, disjoint_commute, idx_pairs)
     with _Check(checks, "psi-commutator-chain-f2[eps]-exhaustive", "matrix") as rec:
-        for i, j in idx_pairs:
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                for xi in pool:
-                    for eta in pool:
-                        rec.instances += 1
-                        a = psi(i, j, xi)
-                        b = psi(j, k, eta)
-                        formula = W.semidirect_commutator(a, b)
-                        direct = W.commutator(a, b)
-                        target = psi(i, k, xi * eta)
-                        expansion = _expansion_tuple(sd, system, n, i, j, k, xi, eta)
-                        ok = (
-                            formula.matrix_equal(direct)
-                            and direct.matrix_equal(target)
-                            and expansion.matrix_equal(target)
-                        )
-                        if not ok:
-                            rec.fail(i=i, j=j, k=k, xi=_lit(xi), eta=_lit(eta))
+        _spread_into(rec, commutator_chain, idx_pairs)
     return checks
 
 
@@ -1109,7 +1229,9 @@ def suite_tmap(config):
         ideal_loc = sorted(
             {lam.p_fn(p) for p in ideal.payload_set()}, key=loc.enum_order().__getitem__
         )
-        for key in sorted(orbit):
+
+        def diagram(key):
+            rec = CheckRecord(name="", tier="")
             ov = orbit[key]
             Ms = phi(W.contragredient(ov.witness))
             base_v = Ms * basis_vector(loc, n, 1)
@@ -1122,6 +1244,9 @@ def suite_tmap(config):
                 res = t_map(B, a, ideal, FSymbol(u=ov, v=vB), n=n)
                 if not _tmap_diagram_ok(res, lam, loc, ov.vec, vloc):
                     rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m)
+            return rec.instances, rec.failures
+
+        _spread_into(rec, diagram, sorted(orbit))
     # the augmentation extension of the integers
     Bz = make_ring("semi(z,2)")
     az = Bz.el(2)

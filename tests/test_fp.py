@@ -311,6 +311,17 @@ def test_special_linear_formula_matches_the_bfs(system, spec, order, monkeypatch
     assert (rep.image_route, rep.bfs_image_order) == ("sl-formula", order)
 
 
+def test_bfs_cap_counts_matrix_entries(monkeypatch):
+    # |SL(5,2)| = 9,999,360 is under 10^7 elements, but its 25-entry tuples
+    # are 2.5 x 10^8 entries: the formula decides, and no BFS starts
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("image BFS started")
+
+    monkeypatch.setattr(fp, "matrix_group_order", no_bfs)
+    rep = k2_compute(build_system("A4"), F2)
+    assert (rep.image_route, rep.bfs_image_order, rep.kernel_order) == ("sl-formula", 9_999_360, 1)
+
+
 def test_special_linear_formula_on_composite_moduli():
     assert special_linear_order(3, 12) == 43008 * 5616  # Z/4 x Z/3
     assert special_linear_order(4, 4) == 660_602_880 == 2**15 * 20160

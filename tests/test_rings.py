@@ -9,6 +9,7 @@ from steinberg.rings import (
     DivisibilityError,
     Elem,
     FGIdeal,
+    Ring,
     SpecError,
     UnsupportedRingError,
     lin_solve,
@@ -356,6 +357,15 @@ def test_add_mul_closure_random(spec, data):
     y = Elem(ring, data.draw(st.sampled_from(pool)))
     assert (x + y).payload in ring.enum_order()
     assert (x * y).payload in ring.enum_order()
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_zmod_dot_is_the_generic_loop(n, data):
+    ring = make_ring(f"z/{n}")
+    size = data.draw(st.integers(0, 6))
+    xs, ys = (data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)) for _ in range(2))
+    assert ring.p_dot(xs, ys) == Ring.p_dot(ring, xs, ys)
 
 
 def _f2eps_model(op, x, y):

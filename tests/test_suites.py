@@ -1,10 +1,14 @@
+import functools
 import json
+import os
 
 import numpy
 import pytest
 
-from steinberg import cli
+from steinberg import cli, fp
 from steinberg import suites as S
+from steinberg.matrices import Inconclusive
+from steinberg.rings import make_ring
 from steinberg.roots import build_system
 from steinberg.suites import (
     SUITES,
@@ -412,3 +416,89 @@ def test_batched_chevalley_passes_and_counts_every_instance():
         next(c.instances for c in rep.checks if c.name == "chevalley-D4-z/4"),
         [],
     )
+
+
+def _cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_spread_returns_the_serial_list_in_item_order(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    got = S._spread(lambda x: (x * x, os.getpid()), range(10))
+    assert [sq for sq, _ in got] == [x * x for x in range(10)]
+    # share i holds the items i, i + k, ...; share 0 runs here
+    pids = [pid for _, pid in got]
+    assert len(set(pids)) == cpus and pids[0::cpus] == [os.getpid()] * len(pids[0::cpus])
+    assert S._spread(lambda x: x, []) == []
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_spread_check_keeps_the_serial_witness_order(monkeypatch, cpus):
+    # every instance fails: the decomposition of u is w, which is not orthogonal to v
+    monkeypatch.setattr(S, "canonical_decomposition", lambda u, v, w: [w])
+    vecs = list(S._all_vectors(make_ring("f2"), 4))
+    task = functools.partial(S._canonical_split_at, vecs)
+    serial = S.CheckRecord(name="serial", tier="exact-arith")
+    for v in vecs:
+        instances, failures = task(v)
+        serial.instances += instances
+        for witness in failures:
+            serial.fail(**witness)
+    _cpus(monkeypatch, cpus)
+    assert S._spread(task, vecs) == [task(v) for v in vecs]
+    rec = S.CheckRecord(name="spread", tier="exact-arith")
+    S._spread_into(rec, task, vecs)
+    assert rec.instances == serial.instances == 960
+    assert len(rec.failures) == 32 and rec.failures == serial.failures
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_spread_raises_a_childs_exception_here(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+
+    def task(x):
+        if x == 1:  # in share 1, a child
+            raise Inconclusive(f"cap reached at item {x}")
+        return x
+
+    checks = []
+    with S._Check(checks, "spread", "exact") as rec:
+        S._spread_into(rec, lambda x: (task(x), []), range(4))
+    (check,) = checks
+    assert check.inconclusive == 1 and check.info == {"reason": "cap reached at item 1"}
+    assert _no_children_left()
+    # an exception in this process's share still reaps the children
+    def here(x):
+        if x == 0:
+            raise ValueError("item 0 failed")
+        return x
+
+    with pytest.raises(ValueError, match="item 0 failed"):
+        S._spread(here, range(4))
+    assert _no_children_left()
+
+
+def test_spread_xeqy_enumerates_its_table_once(monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(fp, "_MEMO", {})
+    here, calls = os.getpid(), []
+    build = fp.regular_table
+
+    def counted(sp, max_cosets):
+        assert os.getpid() == here, "a share enumerated the table again"
+        calls.append(sp.system.name)
+        return build(sp, max_cosets)
+
+    monkeypatch.setattr(fp, "regular_table", counted)
+    rep = run_suite(SuiteConfig(suite="xeqy"))
+    assert rep.verdict == "pass" and calls == ["A3"]
+    assert _no_children_left()
