@@ -79,6 +79,11 @@ def inverse_letters(wordletters):
 # ---------------------------------------------------------------------------
 # Todd-Coxeter
 
+# Todd-Coxeter runs a lookahead pass and compacts its rows once it has
+# defined more than max(ALLOC_FACTOR * max_cosets / 4, 10000) rows, dead
+# ones included.
+ALLOC_FACTOR = 6
+
 
 class CosetTable:
     """A complete standardized coset table; coset 0 is the subgroup.
@@ -167,7 +172,7 @@ def standardize(nxt):
     return CosetTable(ncols, table)
 
 
-def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6, alloc_factor=6):
+def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6):
     """Enumerate cosets of <subgroup_words> in the presented group.
 
     Raises Inconclusive when the live-coset cap is hit; never reports a
@@ -270,7 +275,7 @@ def todd_coxeter(pres, subgroup_words=(), max_cosets=10**6, alloc_factor=6):
     for w in subs:
         scan_and_fill(0, w, tuple(l ^ 1 for l in w))
 
-    alloc_cap = max(alloc_factor * max_cosets // 4, 10000)
+    alloc_cap = max(ALLOC_FACTOR * max_cosets // 4, 10000)
     lookaheads = 0
     alpha = 0
     while alpha < len(table):
@@ -880,9 +885,7 @@ def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
     """Index of <z_alpha(s, r)> in St(Phi, R) against |St(Phi, R/I)|, which
     is [St : U+] |U+_E| over R/I (`uplus_data`)."""
     sp = steinberg_presentation(datum, ring)
-    ideal_payloads = sorted(
-        split.ideal.payload_set(), key=ring.enum_order().__getitem__
-    )
+    ideal_payloads = sorted(split.ideal.payload_set())
     subgroup = []
     for ri in range(len(datum.roots)):
         for s in ideal_payloads:
@@ -939,7 +942,7 @@ def star_presentations(n, ring, ideal, node_cap=10**6):
     from .vdk import FSymbol, SSymbol
 
     orbit = orbit_with_witnesses(ring, n, node_cap=node_cap)
-    ideal_payloads = sorted(ideal.payload_set(), key=ring.enum_order().__getitem__)
+    ideal_payloads = sorted(ideal.payload_set())
     ivecs = [
         RVector(ring, tup)
         for tup in itertools.product(ideal_payloads, repeat=n)

@@ -11,34 +11,38 @@ Supported constructions, written in the spec grammar used by the CLI:
     z            integers
     z/N          integers mod N
     fP           prime field alias for z/P
-    prod(S,T)    direct product
+    prod(S,T)    direct product of finite rings
     poly(S,V)    univariate polynomials over S
-    quo(poly(S,V),[c0,c1,...])   quotient by a monic relator polynomial
+    quo(poly(S,V),[c0,c1,...])   quotient of a finite S by a monic relator
     loc(S,a)     localization by the powers of a
     semi(S,a)    S extended by the augmentation ideal V*S_a[V]
 
-A finite localization and a quotient R/I by an ideal (quotient_ring) are
-both an ImageRing: the image of the base under an idempotent payload map,
-x -> x*e for the idempotent power e of a, or x -> the first member of
-x + I.  Over a domain with exact division loc() gives fractions instead.
-Polynomial arithmetic, with one long division, lives in PolyRing; the
-quo() rings and the ideal part of semi() use it.
+Every finite ring has one representation: its payloads are the ints
+0..q-1 in enumeration order, so sorting payloads puts them in enumeration
+order.  z/N is the identity coding.  Every other finite ring is compiled,
+when it is made, into a FiniteRing, whose add, mul and neg are lookups in
+tables built once from the construction: a product, a quo() ring, a
+finite localization (the image of x -> x*e, for e the idempotent power of
+a) and a quotient R/I by an ideal (the image of x -> the first member of
+x + I).  The two image rings keep a section, the base code of each of
+their codes.  Over a domain with exact division loc() gives fractions
+instead.  Polynomial arithmetic, with one long division, lives in
+PolyRing; the quo() tables and the ideal part of semi() use it.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import operator
 from dataclasses import dataclass
 
 
-# Finite rings with at most this many elements serve p_add, p_mul and p_neg
-# from tables (see Ring.tabulate).  A table has |R|^2 entries, so the bound
-# caps one at 4,096 pairs, which the class arithmetic fills in at most about
-# 50 ms (F2[X]/(X^6+X+1) on a 2-core Xeon).  Both costs grow as |R|^2, so
-# larger rings keep their class arithmetic.
-TABLE_MAX_SIZE = 64
+# A finite ring other than z/N with more elements than this is refused when
+# it is made.  Its tables have |R|^2 entries each; the slowest build at the
+# cap, a 256-element quotient of poly(f2,X), takes about 1.2 s (2-core Xeon).
+FINITE_MAX_SIZE = 256
 
 # Over a base other than Z, FractionLocalization tries this many powers of a
 # in a division before it gives up.  No exact bound is known there, so the
@@ -61,6 +65,12 @@ class UnsupportedRingError(RingError):
 
 class DivisibilityError(RingError):
     """Division requested in an ideal that is not uniquely divisible."""
+
+
+class RingSizeError(SpecError, UnsupportedRingError):
+    """A finite ring other than z/N with more than FINITE_MAX_SIZE elements:
+    a bad spec when parsed, an inconclusive check when a suite builds it
+    (a quotient R/I, say)."""
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,6 @@ class Ring:
 
     def __init__(self, spec):
         self.spec = spec
-        self._enum_order = None
 
     # -- payload arithmetic, provided by subclasses
     def p_add(self, a, b):
@@ -157,12 +166,7 @@ class Ring:
         return acc
 
     def p_from_int(self, n):
-        neg = n < 0
-        n = abs(n)
-        acc, one = self.zero_p, self.one_p
-        for _ in range(n):
-            acc = self.p_add(acc, one)
-        return self.p_neg(acc) if neg else acc
+        raise NotImplementedError
 
     def p_try_div(self, a, b):
         """Payload q with b*q == a, or None.  Only meaningful if exact_div."""
@@ -170,29 +174,6 @@ class Ring:
 
     def p_repr(self, p):
         return repr(p)
-
-    def tabulate(self):
-        """Serve p_add, p_mul and p_neg from tables, if the ring is finite
-        with at most TABLE_MAX_SIZE elements; returns the ring.
-
-        The tables are built once from the class methods, which stay the
-        definition of the arithmetic: the lookups are bound on the instance,
-        and a payload outside payloads() falls through to the class method.
-        Payloads are unchanged, so literals, reprs and reports are too.
-        """
-        if not self.is_finite:
-            return self
-        pays = list(itertools.islice(self.payloads(), TABLE_MAX_SIZE + 1))
-        if len(pays) > TABLE_MAX_SIZE:
-            return self
-        cls = type(self)
-        add = {a: {b: cls.p_add(self, a, b) for b in pays} for a in pays}
-        mul = {a: {b: cls.p_mul(self, a, b) for b in pays} for a in pays}
-        neg = {a: cls.p_neg(self, a) for a in pays}
-        self.p_add = _table_op2(add, functools.partial(cls.p_add, self))
-        self.p_mul = _table_op2(mul, functools.partial(cls.p_mul, self))
-        self.p_neg = _table_op1(neg, functools.partial(cls.p_neg, self))
-        return self
 
     # -- element-level conveniences
     def el(self, x):
@@ -219,14 +200,7 @@ class Ring:
             yield Elem(self, p)
 
     def size(self):
-        if not self.is_finite:
-            raise UnsupportedRingError(f"{self.spec} is infinite")
-        return len(self.enum_order())
-
-    def enum_order(self):
-        if self._enum_order is None:
-            self._enum_order = {p: i for i, p in enumerate(self.payloads())}
-        return self._enum_order
+        raise UnsupportedRingError(f"{self.spec} is infinite")
 
     # -- serialization
     def from_literal(self, lit):
@@ -237,26 +211,6 @@ class Ring:
 
     def __repr__(self):
         return f"Ring({self.spec})"
-
-
-def _table_op2(table, fallback):
-    def op(a, b):
-        try:
-            return table[a][b]
-        except KeyError:
-            return fallback(a, b)
-
-    return op
-
-
-def _table_op1(table, fallback):
-    def op(a):
-        try:
-            return table[a]
-        except KeyError:
-            return fallback(a)
-
-    return op
 
 
 class ZRing(Ring):
@@ -290,6 +244,9 @@ class ZRing(Ring):
 
 
 class ZModRing(Ring):
+    """z/N, the identity coding of a finite ring: (a*b) % N is faster than
+    a table lookup (81 ns against 92 ns a p_mul on z/6, 2-core Xeon)."""
+
     is_finite = True
     exact_div = False
 
@@ -319,13 +276,11 @@ class ZModRing(Ring):
     def p_from_int(self, k):
         return k % self.n
 
-    def tabulate(self):
-        # (a*b) % n is faster than a table lookup: 81 ns against 92 ns a
-        # p_mul on z/6 (2-core Xeon)
-        return self
-
     def payloads(self):
         return range(self.n)
+
+    def size(self):
+        return self.n
 
     def from_literal(self, lit):
         if not _is_int(lit):
@@ -349,42 +304,64 @@ def _is_prime(n):
     return True
 
 
-class ProductRing(Ring):
-    def __init__(self, a, b):
-        super().__init__(f"prod({a.spec},{b.spec})")
-        self.a = a
-        self.b = b
-        self.is_finite = a.is_finite and b.is_finite
-        self.zero_p = (a.zero_p, b.zero_p)
-        self.one_p = (a.one_p, b.one_p)
+class FiniteRing(Ring):
+    """A finite ring on the codes 0..q-1, with tables for its arithmetic.
 
-    def p_add(self, x, y):
-        return (self.a.p_add(x[0], y[0]), self.b.p_add(x[1], y[1]))
+    pays lists the construction's own payloads in its enumeration order,
+    and code i stands for pays[i]; add and mul are the construction's
+    arithmetic on them, literal and rep its literals and reprs, and parse
+    reads a literal other than an int into one of its payloads.  All of
+    them run here, once, to fill the add, mul and neg tables and the
+    decode lists; the ring then computes on codes alone.
+    """
 
-    def p_neg(self, x):
-        return (self.a.p_neg(x[0]), self.b.p_neg(x[1]))
+    is_finite = True
 
-    def p_mul(self, x, y):
-        return (self.a.p_mul(x[0], y[0]), self.b.p_mul(x[1], y[1]))
+    def __init__(self, spec, pays, add, mul, literal, rep, parse):
+        super().__init__(spec)
+        self._code = {p: i for i, p in enumerate(pays)}
+        code = self._code.__getitem__
+        self.add_table = [[code(add(x, y)) for y in pays] for x in pays]
+        self.mul_table = [[code(mul(x, y)) for y in pays] for x in pays]
+        identity = list(range(len(pays)))
+        self.zero_p = self.add_table.index(identity)
+        self.one_p = self.mul_table.index(identity)
+        self.neg_table = [row.index(self.zero_p) for row in self.add_table]
+        self._ints = [self.zero_p]  # n*1 for 0 <= n < the characteristic
+        while (n1 := self.add_table[self._ints[-1]][self.one_p]) != self.zero_p:
+            self._ints.append(n1)
+        self.literals = [literal(p) for p in pays]
+        self.reprs = [rep(p) for p in pays]
+        self._parse = parse
+
+    def p_add(self, a, b):
+        return self.add_table[a][b]
+
+    def p_neg(self, a):
+        return self.neg_table[a]
+
+    def p_mul(self, a, b):
+        return self.mul_table[a][b]
 
     def p_from_int(self, n):
-        return (self.a.p_from_int(n), self.b.p_from_int(n))
+        return self._ints[n % len(self._ints)]
 
     def payloads(self):
-        return itertools.product(self.a.payloads(), self.b.payloads())
+        return range(len(self.neg_table))
+
+    def size(self):
+        return len(self.neg_table)
 
     def from_literal(self, lit):
         if _is_int(lit):
             return self.p_from_int(lit)
-        if isinstance(lit, (tuple, list)) and len(lit) == 2:
-            return (self.a.from_literal(lit[0]), self.b.from_literal(lit[1]))
-        raise SpecError(f"product element literal must be a pair, got {lit!r}")
+        return self._code[self._parse(lit)]
 
     def to_literal(self, p):
-        return [self.a.to_literal(p[0]), self.b.to_literal(p[1])]
+        return copy.deepcopy(self.literals[p])
 
     def p_repr(self, p):
-        return f"({self.a.p_repr(p[0])},{self.b.p_repr(p[1])})"
+        return self.reprs[p]
 
 
 def _strip(coeffs, zero):
@@ -510,102 +487,100 @@ def _unit_inverse(ring, p):
     return None
 
 
-class QuoPolyRing(Ring):
-    """poly(S,V) modulo a monic relator; payload is the reduced tuple."""
-
-    def __init__(self, polyring, relator):
-        if not isinstance(polyring, PolyRing):
-            raise SpecError("quo() expects a polynomial ring")
-        if len(relator) < 2:
-            raise SpecError("relator must have degree >= 1")
-        if relator[-1] != polyring.base.one_p:
-            raise SpecError("relator must be monic")
-        rel_lit = [polyring.base.to_literal(c) for c in relator]
-        super().__init__(f"quo({polyring.spec},{_lit_str(rel_lit)})")
-        self.poly = polyring
-        self.base = polyring.base
-        self.var = polyring.var
-        self.relator = relator
-        self.deg = len(relator) - 1
-        self.is_finite = self.base.is_finite
-        self.zero_p = ()
-        self.one_p = self._reduce(polyring.one_p)
-
-    def _reduce(self, f):
-        return _poly_divmod(self.base, f, self.relator, self.base.one_p)[1]
-
-    def p_add(self, f, g):
-        return self.poly.p_add(f, g)
-
-    def p_neg(self, f):
-        return self.poly.p_neg(f)
-
-    def p_mul(self, f, g):
-        return self._reduce(self.poly.p_mul(f, g))
-
-    def p_from_int(self, n):
-        return self._reduce(self.poly.p_from_int(n))
-
-    def gen(self):
-        return Elem(self, self._reduce((self.base.zero_p, self.base.one_p)))
-
-    def payloads(self):
-        base = list(self.base.payloads())
-        for tup in itertools.product(base, repeat=self.deg):
-            yield _strip(tup, self.base.zero_p)
-
-    def from_literal(self, lit):
-        return self._reduce(self.poly.from_literal(lit))
-
-    def to_literal(self, p):
-        return self.poly.to_literal(p)
-
-    def p_repr(self, p):
-        return self.poly.p_repr(p)
+def _check_size(spec, q):
+    if q > FINITE_MAX_SIZE:
+        raise RingSizeError(f"{spec}: a finite ring other than z/N has at most {FINITE_MAX_SIZE} elements")
 
 
-class ImageRing(Ring):
-    """The image of a finite base ring under an idempotent payload map.
+def _product(a, b):
+    """prod(a,b) of two finite rings; code i*|b|+j is the pair (i, j)."""
+    spec = f"prod({a.spec},{b.spec})"
+    if spec in _RING_CACHE:
+        return _RING_CACHE[spec]
+    if not (a.is_finite and b.is_finite):
+        raise SpecError(f"{spec}: prod() takes finite rings")
+    _check_size(spec, a.size() * b.size())
 
-    Payloads are the base payloads that `image` maps onto, in order of first
-    appearance in the base enumeration; each operation is the base operation
-    followed by `image`, and literals and reprs are the base's.  With
-    x -> x*e for the idempotent power e of a this is e*R, the finite model
-    of R_a; with x -> the first member of x + I it is R/I.
+    def parse(lit):
+        if isinstance(lit, (tuple, list)) and len(lit) == 2:
+            return (a.from_literal(lit[0]), b.from_literal(lit[1]))
+        raise SpecError(f"product element literal must be a pair, got {lit!r}")
+
+    return _intern(
+        FiniteRing(
+            spec,
+            list(itertools.product(a.payloads(), b.payloads())),
+            lambda x, y: (a.p_add(x[0], y[0]), b.p_add(x[1], y[1])),
+            lambda x, y: (a.p_mul(x[0], y[0]), b.p_mul(x[1], y[1])),
+            lambda x: [a.to_literal(x[0]), b.to_literal(x[1])],
+            lambda x: f"({a.p_repr(x[0])},{b.p_repr(x[1])})",
+            parse,
+        )
+    )
+
+
+def _quo_poly(polyring, relator):
+    """poly(S,V) modulo a monic relator, for a finite S.
+
+    The codes stand for the reduced coefficient tuples, in the order of
+    itertools.product over S; these rings alone have gen(), the class of V.
     """
+    base = polyring.base
+    if len(relator) < 2:
+        raise SpecError("relator must have degree >= 1")
+    if relator[-1] != base.one_p:
+        raise SpecError("relator must be monic")
+    spec = f"quo({polyring.spec},{_lit_str(polyring.to_literal(relator))})"
+    if spec in _RING_CACHE:
+        return _RING_CACHE[spec]
+    if not base.is_finite:
+        raise SpecError(f"{spec}: quo() takes a polynomial ring over a finite ring")
+    deg = len(relator) - 1
+    _check_size(spec, base.size() ** deg)
 
-    def __init__(self, spec, base, image):
-        super().__init__(spec)
-        self.base = base
-        self.image = image
-        self.is_finite = True
-        self._pays = list(dict.fromkeys(map(image, base.payloads())))
-        self.zero_p = image(base.zero_p)
-        self.one_p = image(base.one_p)
+    def reduce(f):
+        return _poly_divmod(base, f, relator, base.one_p)[1]
 
-    def p_add(self, x, y):
-        return self.image(self.base.p_add(x, y))
+    ring = FiniteRing(
+        spec,
+        [_strip(t, base.zero_p) for t in itertools.product(base.payloads(), repeat=deg)],
+        polyring.p_add,
+        lambda f, g: reduce(polyring.p_mul(f, g)),
+        polyring.to_literal,
+        polyring.p_repr,
+        lambda lit: reduce(polyring.from_literal(lit)),
+    )
+    ring.gen = functools.partial(Elem, ring, ring.from_literal([0, 1]))
+    return _intern(ring)
 
-    def p_neg(self, x):
-        return self.image(self.base.p_neg(x))
 
-    def p_mul(self, x, y):
-        return self.image(self.base.p_mul(x, y))
+def _image_ring(spec, base, image):
+    """The image of a finite base ring under image, an idempotent map of its
+    codes that respects + and *.
 
-    def p_from_int(self, n):
-        return self.image(self.base.p_from_int(n))
-
-    def payloads(self):
-        return iter(self._pays)
-
-    def from_literal(self, lit):
-        return self.image(self.base.from_literal(lit))
-
-    def to_literal(self, p):
-        return self.base.to_literal(p)
-
-    def p_repr(self, p):
-        return self.base.p_repr(p)
+    The codes follow the order in which the base enumeration first reaches
+    each image; literals and reprs are the base's.  section[c] is the base
+    code that code c stands for, and project maps a base code to its image's
+    code.  With x -> x*e for the idempotent power e of a this is e*R, the
+    finite model of R_a; with x -> the first member of x + I it is R/I.
+    """
+    section = {}
+    for x in base.payloads():  # stops at the first image past the cap
+        section[image(x)] = None
+        _check_size(spec, len(section))
+    section = list(section)
+    ring = FiniteRing(
+        spec,
+        section,
+        lambda x, y: image(base.p_add(x, y)),
+        lambda x, y: image(base.p_mul(x, y)),
+        base.to_literal,
+        base.p_repr,
+        lambda lit: image(base.from_literal(lit)),
+    )
+    ring.section = section
+    ring.project = [ring._code[image(x)] for x in base.payloads()].__getitem__
+    return ring
 
 
 class FractionLocalization(Ring):
@@ -843,19 +818,15 @@ def morphism_failures(m, samples=200, seed=0):
 
 
 def _sample_payloads(ring, count, rng):
-    if ring.is_finite:
-        pool = list(ring.payloads())
-        if len(pool) <= count:
-            return pool
-        return [pool[rng.randrange(len(pool))] for _ in range(count)]
+    if ring.is_finite and ring.size() <= count:
+        return list(ring.payloads())
     return [random_payload(ring, rng) for _ in range(count)]
 
 
 def random_payload(ring, rng, depth=3):
     """A small random payload for infinite rings (bounded degree/height)."""
     if ring.is_finite:
-        pool = list(ring.payloads())
-        return pool[rng.randrange(len(pool))]
+        return rng.randrange(ring.size())
     if isinstance(ring, ZRing):
         return rng.randrange(-9, 10)
     if isinstance(ring, PolyRing):
@@ -867,8 +838,6 @@ def random_payload(ring, rng, depth=3):
         deg = rng.randrange(depth + 1)
         f = [ring.loc.zero_p] + [random_payload(ring.loc, rng, depth - 1) for _ in range(deg)]
         return (random_payload(ring.base, rng, depth), ring._fcanon(tuple(f)))
-    if isinstance(ring, ProductRing):
-        return (random_payload(ring.a, rng, depth), random_payload(ring.b, rng, depth))
     raise UnsupportedRingError(f"cannot sample {ring.spec}")
 
 
@@ -934,7 +903,7 @@ def _parse_ring(s, i):
                 i = _expect(s, i, ",")
                 b, i = _parse_ring(s, i)
                 i = _expect(s, i, ")")
-                return _intern(ProductRing(a, b)), i
+                return _product(a, b), i
             if head == "poly":
                 base, i = _parse_ring(s, i)
                 i = _expect(s, i, ",")
@@ -953,8 +922,7 @@ def _parse_ring(s, i):
                 i = _expect(s, i, ")")
                 if not isinstance(base, PolyRing):
                     raise SpecError("quo() expects poly(...) as its first argument")
-                rel = base.from_literal(lit)
-                return _intern(QuoPolyRing(base, rel)), i
+                return _quo_poly(base, base.from_literal(lit)), i
             # loc / semi
             base, i = _parse_ring(s, i)
             i = _expect(s, i, ",")
@@ -989,10 +957,7 @@ def _parse_ring(s, i):
 
 
 def _intern(ring):
-    key = "".join(ring.spec.split())
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = ring.tabulate()
-    return _RING_CACHE[key]
+    return _RING_CACHE.setdefault(ring.spec, ring)
 
 
 def _expect(s, i, ch):
@@ -1052,16 +1017,15 @@ def localization(ring, a):
             e = a.payload
             while ring.p_mul(e, e) != e:  # some power of a is idempotent
                 e = ring.p_mul(e, a.payload)
-            loc = _intern(ImageRing(spec, ring, functools.partial(ring.p_mul, e)))
-        return loc, RingMorphism(ring, loc, loc.image, name="lam_a")
-    if a.is_zero():
+            loc = _intern(_image_ring(spec, ring, functools.partial(ring.p_mul, e)))
+    elif a.is_zero():
         zero = _intern(ZModRing(1))
         return zero, RingMorphism(ring, zero, lambda p: 0, name="lam_0")
-    if ring.is_domain and ring.exact_div:
+    elif ring.is_domain and ring.exact_div:
         loc = _intern(FractionLocalization(ring, a.payload))
-        lam = RingMorphism(ring, loc, loc.project, name="lam_a")
-        return loc, lam
-    raise UnsupportedRingError(f"localization of {ring.spec} is not supported")
+    else:
+        raise UnsupportedRingError(f"localization of {ring.spec} is not supported")
+    return loc, RingMorphism(ring, loc, loc.project, name="lam_a")
 
 
 def semidirect_ring(ring, a):
@@ -1145,8 +1109,7 @@ class FGIdeal:
         return self._elem_set
 
     def elements(self):
-        order = self.ring.enum_order()
-        for p in sorted(self.payload_set(), key=order.__getitem__):
+        for p in sorted(self.payload_set()):
             yield Elem(self.ring, p)
 
     def __repr__(self):
@@ -1171,15 +1134,11 @@ def lin_solve(u, b):
             raise RingError("lin_solve entries must share one ring")
     b = ring.el(b)
     if ring.is_finite:
-        pool = list(ring.payloads())
-        if len(pool) ** len(u) > 10**7:
+        if ring.size() ** len(u) > 10**7:
             raise UnsupportedRingError("exhaustive linear solve too large")
         ups = [x.payload for x in u]
-        for cand in itertools.product(pool, repeat=len(u)):
-            acc = ring.zero_p
-            for up, wp in zip(ups, cand):
-                acc = ring.p_add(acc, ring.p_mul(up, wp))
-            if acc == b.payload:
+        for cand in itertools.product(ring.payloads(), repeat=len(u)):
+            if ring.p_dot(ups, cand) == b.payload:
                 return [Elem(ring, wp) for wp in cand]
         return None
     if isinstance(ring, ZRing):
@@ -1293,8 +1252,8 @@ def quotient_ring(ring, ideal):
                 for i in iset:
                     first[ring.p_add(p, i)] = p
         gens = _lit_str([ring.to_literal(g.payload) for g in ideal.gens])
-        q = ImageRing(f"quo_ideal({ring.spec},{gens})", ring, first.__getitem__).tabulate()
-        out = (q, RingMorphism(ring, q, q.image, name="pi"))
+        q = _image_ring(f"quo_ideal({ring.spec},{gens})", ring, first.__getitem__)
+        out = (q, RingMorphism(ring, q, q.project, name="pi"))
     else:
         raise UnsupportedRingError(f"quotient of {ring.spec} is not supported")
     _QUOTIENT_CACHE[key] = out
@@ -1313,40 +1272,29 @@ def splitting_section(ring, ideal, candidate_cap=10**6):
     if not ring.is_finite:
         raise UnsupportedRingError(f"no registered section for {ring.spec}")
     quo, pi = quotient_ring(ring, ideal)
-    iset = sorted(ideal.payload_set(), key=ring.enum_order().__getitem__)
-    qreps = list(quo.payloads())
-    # sigma(q) must live in the fiber over q; 0 and 1 are forced
+    iset = sorted(ideal.payload_set())
+    qreps = quo.payloads()
+    # sigma(q) must live in the fiber over q, section[q] + I; 0 and 1 are forced
     fibers = []
-    free_idx = []
-    for idx, q in enumerate(qreps):
+    total = 1
+    for q in qreps:
         if q == quo.zero_p:
             fibers.append([ring.zero_p])
         elif q == quo.one_p:
             fibers.append([ring.one_p])
         else:
-            fibers.append([ring.p_add(q, i) for i in iset])
-            free_idx.append(idx)
-    total = 1
-    for idx in free_idx:
-        total *= len(fibers[idx])
-        if total > candidate_cap:
-            raise UnsupportedRingError("section search space too large")
-    pos = {q: i for i, q in enumerate(qreps)}
-    for choice in itertools.product(*fibers):
-        table = dict(zip(qreps, choice))
-        ok = True
-        for x in qreps:
-            if not ok:
-                break
-            for y in qreps:
-                if table[quo.p_add(x, y)] != ring.p_add(table[x], table[y]):
-                    ok = False
-                    break
-                if table[quo.p_mul(x, y)] != ring.p_mul(table[x], table[y]):
-                    ok = False
-                    break
-        if ok:
-            return RingMorphism(quo, ring, lambda p, t=table: t[p], name="sigma")
+            fibers.append([ring.p_add(quo.section[q], i) for i in iset])
+            total *= len(iset)
+            if total > candidate_cap:
+                raise UnsupportedRingError("section search space too large")
+    for table in itertools.product(*fibers):
+        if all(
+            table[quo.p_add(x, y)] == ring.p_add(table[x], table[y])
+            and table[quo.p_mul(x, y)] == ring.p_mul(table[x], table[y])
+            for x in qreps
+            for y in qreps
+        ):
+            return RingMorphism(quo, ring, table.__getitem__, name="sigma")
     return None
 
 

@@ -525,14 +525,8 @@ def _preimage_vector(B, lam, vec, am):
 
 
 def _preimage_payload(B, lam, target):
-    loc_ring = lam.target
     if B.is_finite:
-        # targets in e*B are their own canonical preimages
-        if lam.p_fn(target) == target:
-            return target
-        for p in B.payloads():
-            if lam.p_fn(p) == target:
-                return p
-        return None
+        # the canonical preimage of a code of e*B is the base code it stands for
+        return lam.target.section[target]
     num, k = target
     return num if k == 0 else None

@@ -79,10 +79,19 @@ def test_cap_is_inconclusive():
         todd_coxeter(p, max_cosets=4)
 
 
-def test_lookahead_path():
-    p = Presentation(ngens=2, relators=((0, 0), (2, 2), (0, 2, 0, 2, 0, 2)))
-    t = todd_coxeter(p, max_cosets=100, alloc_factor=1)
-    assert t.n == 6
+def test_lookahead_path(monkeypatch):
+    # HLT on St(A2,F3) peaks near 7,250 live cosets but defines more than
+    # the 12,000 rows that max_cosets=8000 allows before a lookahead
+    compactions = []
+    compact = fp._compact
+
+    def spy(*args):
+        compactions.append(1)
+        return compact(*args)
+
+    monkeypatch.setattr(fp, "_compact", spy)
+    t = todd_coxeter(steinberg_presentation(A2, make_ring("f3")).presentation, max_cosets=8000)
+    assert compactions and t.n == 5616
 
 
 def test_table_soundness_and_determinism():

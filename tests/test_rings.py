@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinberg import cli
 from steinberg.rings import (
-    TABLE_MAX_SIZE,
+    FINITE_MAX_SIZE,
     DivisibilityError,
     Elem,
     FGIdeal,
@@ -25,6 +26,7 @@ from steinberg.rings import (
     substitute,
     unique_divide,
 )
+from steinberg.vdk import _preimage_payload
 
 RING_SPECS = [
     "z/6",
@@ -93,9 +95,9 @@ def test_axioms_on_infinite_rings():
 def test_localization_finite_idempotent():
     z6 = make_ring("z/6")
     loc, lam = localization(z6, z6.el(2))
-    assert loc.one_p == 4
-    assert sorted(loc.payloads()) == [0, 2, 4]
-    assert lam(z6.el(1)).payload == 4
+    assert loc.to_literal(loc.one_p) == 4
+    assert sorted(map(loc.to_literal, loc.payloads())) == [0, 2, 4]
+    assert loc.to_literal(lam(z6.el(1)).payload) == 4
     # a becomes invertible
     a_img = lam(z6.el(2))
     assert any((a_img * x).payload == loc.one_p for x in loc.elements())
@@ -106,7 +108,7 @@ def test_localization_kernel_is_annihilator():
     # ker(lam) = elements killed by a high power of a, checked exhaustively
     z6 = make_ring("z/6")
     loc, lam = localization(z6, z6.el(2))
-    e = loc.one_p
+    e = loc.section[loc.one_p]
     for p in z6.payloads():
         killed = lam.p_fn(p) == loc.zero_p
         annihilated = z6.p_mul(p, e) == 0
@@ -114,9 +116,9 @@ def test_localization_kernel_is_annihilator():
 
 
 def test_image_ring_payload_order():
-    # the base payloads in order of first appearance under the image map;
-    # lin_solve tie-breaks, splitting sections and sorted ideal lists
-    # depend on this order
+    # the codes stand for the base elements in order of first appearance
+    # under the image map; lin_solve tie-breaks, splitting sections and
+    # sorted ideal lists depend on this order
     z12 = make_ring("z/12")
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     quotients = [
@@ -124,14 +126,14 @@ def test_image_ring_payload_order():
         quotient_ring(z12, FGIdeal(z12, [z12.el(3)]))[0],
         quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))[0],
     ]
-    got = [list(make_ring(s).payloads()) for s in ("loc(z/6,2)", "loc(prod(f2,f3),[0,1])", "loc(z/4,2)")]
-    assert got + [list(q.payloads()) for q in quotients] == [
+    rings = [make_ring(s) for s in ("loc(z/6,2)", "loc(prod(f2,f3),[0,1])", "loc(z/4,2)")] + quotients
+    assert [[r.to_literal(c) for c in r.payloads()] for r in rings] == [
         [0, 4, 2],
-        [(0, 0), (0, 1), (0, 2)],
+        [[0, 0], [0, 1], [0, 2]],
         [0],
         [0, 1],
         [0, 1, 2],
-        [(), (1,)],
+        [[], [1]],
     ]
 
 
@@ -167,7 +169,7 @@ def test_semidirect_ring_unit_and_products():
     a = s6.el([3, [0, 4]])
     b = s6.el([2, [0, 2]])
     # (3, 4X)(2, 2X) = (0, (3*2+2*4)X + 8X^2) with coefficients in e*(z/6)
-    assert (a * b).payload == (0, (0, 2, 2))
+    assert s6.to_literal((a * b).payload) == [0, [0, 2, 2]]
 
 
 def test_lin_solve_examples():
@@ -224,7 +226,8 @@ def test_unique_divide_poisoned_cache_raises():
     ideal = FGIdeal(f23, [f23.el((0, 1))])
     a = f23.el((0, 1))
     # a * (0,1) is (0,1), not (0,2): the cached map lies about the quotient
-    ideal._div_cache[("fg", a.payload)] = {(0, 0): (0, 0), (0, 1): (0, 2), (0, 2): (0, 1)}
+    c00, c01, c02 = (f23.from_literal(lit) for lit in ([0, 0], [0, 1], [0, 2]))
+    ideal._div_cache[("fg", a.payload)] = {c00: c00, c01: c02, c02: c01}
     with pytest.raises(DivisibilityError):
         unique_divide(ideal, a, f23.el((0, 2)))
 
@@ -263,7 +266,7 @@ def test_splitting_sections():
     f22 = make_ring("prod(f2,f2)")
     sig = splitting_section(f22, FGIdeal(f22, [f22.el((0, 1))]))
     assert sig is not None
-    assert sig.p_fn(sig.source.one_p) == (1, 1)
+    assert f22.to_literal(sig.p_fn(sig.source.one_p)) == [1, 1]
     f23 = make_ring("prod(f2,f3)")
     assert splitting_section(f23, FGIdeal(f23, [f23.el((0, 1))])) is None
     px = make_ring("poly(f2,X)")
@@ -281,6 +284,17 @@ def test_split_data_roundtrip():
         assert sd.defect(x).payload in sd.ideal.payload_set()
     assert morphism_failures(sd.sigma) == []
     assert morphism_failures(sd.pi) == []
+
+
+def test_splitting_section_reads_base_elements_through_the_section():
+    # F3[eps] modulo (eps): the classes of 1 and 2 have the first members
+    # 1 and 2, whose codes 3 and 6 differ from the class codes
+    f3e = make_ring("quo(poly(f3,X),[0,0,1])")
+    sd = split_data(f3e, FGIdeal(f3e, [f3e.gen()]))
+    assert sd.quotient.section == [0, 3, 6]
+    assert [f3e.to_literal(sd.sigma.p_fn(q)) for q in sd.quotient.payloads()] == [[], [1], [2]]
+    assert all(sd.pi.p_fn(sd.sigma.p_fn(q)) == q for q in sd.quotient.payloads())
+    assert morphism_failures(sd.sigma) == []
 
 
 def test_quotient_ring_is_a_ring():
@@ -304,7 +318,7 @@ def test_polynomial_long_division(spec):
             assert ring.p_try_div(ring.p_add(ring.p_mul(f, g), ring.one_p), g) is None
     f3i = make_ring("quo(poly(f3,X),[1,0,1])")  # X^2 = -1
     x = f3i.gen()
-    assert ((x * x).payload, (x * x * x).payload) == ((2,), (0, 2))
+    assert (f3i.to_literal((x * x).payload), f3i.to_literal((x * x * x).payload)) == ([2], [0, 2])
 
 
 def test_substitute():
@@ -355,8 +369,8 @@ def test_add_mul_closure_random(spec, data):
     pool = list(ring.payloads())
     x = Elem(ring, data.draw(st.sampled_from(pool)))
     y = Elem(ring, data.draw(st.sampled_from(pool)))
-    assert (x + y).payload in ring.enum_order()
-    assert (x * y).payload in ring.enum_order()
+    assert (x + y).payload in ring.payloads()
+    assert (x * y).payload in ring.payloads()
 
 
 @given(st.integers(1, 12), st.data())
@@ -394,47 +408,105 @@ def _table_rings():
         (f2e, _f2eps_model),
         (make_ring("prod(f2,f3)"), _prod_f2_f3_model),
         (make_ring("loc(prod(f2,f3),[0,1])"), _prod_f2_f3_model),
-        (quo, None),
+        (quo, _f2eps_model),  # F2[eps]/(eps) on the constants [] and [1]
     ]
 
 
 @pytest.mark.parametrize("index", range(4))
 def test_table_arithmetic_matches_class_arithmetic(index):
+    # the tables, read through the literals, against the arithmetic of the
+    # construction written out on those literals
     ring, model = _table_rings()[index]
-    assert ring.size() <= TABLE_MAX_SIZE
-    # the tables are bound on the instance; the class methods define them
-    assert {"p_add", "p_mul", "p_neg"} <= set(vars(ring))
-    cls = type(ring)
+    lit = lambda c: tuple(ring.to_literal(c))  # noqa: E731
     pool = list(ring.payloads())
     for x in pool:
-        assert ring.p_neg(x) == cls.p_neg(ring, x)
         for y in pool:
-            assert ring.p_add(x, y) == cls.p_add(ring, x, y)
-            assert ring.p_mul(x, y) == cls.p_mul(ring, x, y)
-            if model is not None:
-                assert ring.p_add(x, y) == model("add", x, y)
-                assert ring.p_mul(x, y) == model("mul", x, y)
+            assert lit(ring.p_add(x, y)) == model("add", lit(x), lit(y))
+            assert lit(ring.p_mul(x, y)) == model("mul", lit(x), lit(y))
     assert ring_axiom_failures(ring) == []
 
 
-def test_table_lookup_falls_back_for_other_payloads():
-    # F2[eps]/(eps) has the representatives () and (1,); eps = (0, 1) is a
-    # payload of the base, which the quotient's class arithmetic accepts
-    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
-    quo, _ = quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))
-    assert list(quo.payloads()) == [(), (1,)]
-    assert quo.p_add((0, 1), (1,)) == (1,)
-    assert quo.p_mul((1, 1), (1, 1)) == (1,)
-    assert quo.p_neg((0, 1)) == ()
+FINITE_SPECS = [s for s in RING_SPECS if make_ring(s).is_finite] + [
+    "f2",
+    "z/12",
+    "prod(f2,f2)",
+    "quo(poly(f3,X),[1,0,1])",
+    "quo(poly(f3,X),[1,0,0,0,1])",  # F3[X]/(X^4+1), 81 elements
+    "quo(poly(z/4,X),[1,0,0,1])",
+    "loc(prod(f2,f3),[0,1])",
+    "loc(z/4,2)",
+]
 
 
-def test_rings_above_the_size_bound_keep_class_arithmetic():
-    big = make_ring("quo(poly(f3,X),[1,0,0,0,1])")  # F3[X]/(X^4+1), 81 elements
-    assert big.size() == 81 > TABLE_MAX_SIZE
-    assert not {"p_add", "p_mul", "p_neg"} & set(vars(big))
-    assert ring_axiom_failures(big, samples=300) == []
-    # z/N keeps its modular arithmetic whatever its size
-    assert "p_mul" not in vars(make_ring("z/6"))
+@pytest.mark.parametrize("spec", FINITE_SPECS)
+def test_finite_ring_is_its_codes(spec):
+    ring = make_ring(spec)
+    assert list(ring.payloads()) == list(range(ring.size()))
+    assert all(ring.from_literal(ring.to_literal(c)) == c for c in ring.payloads())
+    assert make_ring(ring.spec) is ring
+    assert ring_axiom_failures(ring) == []
+
+
+def test_image_ring_section_inverts_the_projection():
+    # over loc(z/6,2) the codes 0, 1, 2 stand for 0, 4, 2: a code read as a
+    # base payload is wrong there
+    z6 = make_ring("z/6")
+    loc, lam = localization(z6, z6.el(2))
+    assert loc.section == [0, 4, 2]
+    for c in loc.payloads():
+        assert lam.p_fn(loc.section[c]) == c
+        pre = _preimage_payload(z6, lam, c)
+        assert lam.p_fn(pre) == c and z6.p_mul(pre, 4) == pre
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "prod(z/17,z/17)",
+        "quo(poly(f2,X),[1,1,0,0,0,0,0,0,0,1])",
+        "loc(z/1000003,2)",  # an image ring of a z/N base
+        "prod(z,f2)",
+        "quo(poly(z,X),[1,0,1])",
+    ],
+)
+def test_finite_rings_past_the_cap_or_infinite_are_refused(spec):
+    with pytest.raises(SpecError):
+        make_ring(spec)
+    assert cli.main(["--suite", "k2-exact", "--system", "A2", "--ring", spec]) == 2
+
+
+def _draw_finite_ring(data, depth):
+    """A nested prod/quo/loc ring over f2, f3 and z/4, built from its spec,
+    with at most FINITE_MAX_SIZE elements."""
+    ring = make_ring(data.draw(st.sampled_from(["f2", "f3", "z/4"])))
+    if depth == 0 or data.draw(st.booleans()):
+        return ring
+    kind = data.draw(st.sampled_from(["prod", "quo", "loc"]))
+    if kind == "prod":
+        other = _draw_finite_ring(data, depth - 1)
+        if ring.size() * other.size() <= FINITE_MAX_SIZE:
+            return make_ring(f"prod({ring.spec},{other.spec})")
+        return ring
+    inner = _draw_finite_ring(data, depth - 1)
+    if kind == "loc":
+        return make_ring(f"loc({inner.spec},{data.draw(st.integers(-3, 3))})")
+    if inner.size() == 1:  # a monic relator over the zero ring is 0
+        return inner
+    deg = data.draw(st.integers(1, 3))
+    if inner.size() ** deg > FINITE_MAX_SIZE:
+        return inner
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=deg, max_size=deg))
+    return make_ring(f"quo(poly({inner.spec},X),{coeffs + [1]})")
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_nested_finite_rings(data):
+    ring = _draw_finite_ring(data, 3)
+    assert list(ring.payloads()) == list(range(ring.size()))
+    assert all(ring.from_literal(ring.to_literal(c)) == c for c in ring.payloads())
+    assert make_ring(ring.spec) is ring
+    assert ring_axiom_failures(ring, samples=300, exhaustive_limit=16) == []
 
 
 def test_quotient_ring_spec_names_its_ideal():

@@ -127,6 +127,9 @@ def test_cli_flag_overrides():
          "no matrix realization"),
         (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/3037000500",)),
          "need N^2 < 2^63"),
+        # z/1000 / (500) would be a 500-element FiniteRing
+        (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/1000",), ideal="[500]"),
+         "has at most 256"),
     ],
 )
 def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
