@@ -35,6 +35,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -1014,9 +1015,7 @@ def localization(ring, a):
         spec = f"loc({ring.spec},{_lit_str(ring.to_literal(a.payload))})"
         loc = _RING_CACHE.get(spec)
         if loc is None:
-            e = a.payload
-            while ring.p_mul(e, e) != e:  # some power of a is idempotent
-                e = ring.p_mul(e, a.payload)
+            e = _idempotent_power(spec, ring, a.payload)
             loc = _intern(_image_ring(spec, ring, functools.partial(ring.p_mul, e)))
     elif a.is_zero():
         zero = _intern(ZModRing(1))
@@ -1026,6 +1025,33 @@ def localization(ring, a):
     else:
         raise UnsupportedRingError(f"localization of {ring.spec} is not supported")
     return loc, RingMorphism(ring, loc, loc.project, name="lam_a")
+
+
+def _idempotent_power(spec, ring, a):
+    """The idempotent power e of a in the finite ring, so that e*R models
+    the localization `spec` of R at a.
+
+    Over z/N, a^k for k past every exponent of N is 0 modulo the prime
+    powers of N that a's primes divide and a unit modulo the others, so e
+    is 1 modulo the prime powers prime to a and 0 modulo the rest (the
+    Chinese remainder theorem), and e*z/N has their product m elements; m
+    is checked against FINITE_MAX_SIZE here, before e*z/N is enumerated.
+    Any other finite ring is searched one power at a time; it has at most
+    FINITE_MAX_SIZE elements.
+    """
+    if isinstance(ring, ZModRing):
+        n = ring.n
+        m, g = n, math.gcd(n, a)
+        while g > 1:  # strip from m every prime of a
+            m //= g
+            g = math.gcd(m, g)
+        _check_size(spec, m)
+        rest = n // m
+        return rest * pow(rest, -1, m) % n
+    e = a
+    while ring.p_mul(e, e) != e:
+        e = ring.p_mul(e, a)
+    return e
 
 
 def semidirect_ring(ring, a):

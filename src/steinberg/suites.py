@@ -60,6 +60,7 @@ from .vdk import (
     X_tul,
     Y_gen,
     Y_tul,
+    basis_orbit_vector,
     canonical_decomposition,
     decompose_with,
     iota,
@@ -302,6 +303,13 @@ def _spread_into(rec, task, items):
             rec.fail(**witness)
 
 
+def _ready(tester):
+    """Build an exact tester's table in this process, inside the check that
+    asks for it, so that the shares of a spread find it built."""
+    if tester.exact:
+        tester.table()
+
+
 def _want(config, floor, cap=None):
     """Sampled-check budget: an explicit zero sample count means vacuous."""
     if config.samples == 0:
@@ -380,12 +388,16 @@ def _chevalley_tables(datum):
 
 
 def suite_chevalley(config):
+    """One check per (system, ring).  Which rings a check can run on is
+    decided here; the checks that run are spread over the CPUs once per
+    system, and each check's wall_time is that of the process that ran it."""
     systems = config.systems or ("A3", "A4", "D4", "D5")
     rings = config.rings or tuple(f"z/{k}" for k in range(2, 10))
     checks = []
     for sysname in systems:
         datum = build_system(sysname)
         tables = None  # built in the first check, which may find no matrices
+        todo = []  # (record, N) of the checks that run
         for ringspec in rings:
             ring = make_ring(ringspec)
             with _Check(checks, f"chevalley-{sysname}-{ringspec}", "matrix") as rec:
@@ -394,7 +406,21 @@ def suite_chevalley(config):
                         f"the batched check multiplies integer matrices mod N; {ring.spec} is not z/N"
                     )
                 tables = tables or (*_chevalley_tables(datum), datum.matrix_size())
-                _chevalley_check(rec, *tables, ring.n)
+                if ring.n * ring.n >= 2**63:
+                    raise UnsupportedRingError(
+                        f"the int64 row operations need N^2 < 2^63; z/{ring.n} is larger"
+                    )
+                todo.append((rec, ring.n))
+
+        def timed(N):
+            t0 = time.perf_counter()
+            return (*_chevalley_check(*tables, N), time.perf_counter() - t0)
+
+        runs = _spread(timed, [N for _, N in todo])
+        for (rec, _), (instances, failures, seconds) in zip(todo, runs):
+            rec.instances = instances
+            rec.failures = failures
+            rec.wall_time += seconds
     return checks
 
 
@@ -413,8 +439,9 @@ def _left_unipotent(m, at, d, N):
         m[tgt] = (m[tgt] + add) % N
 
 
-def _chevalley_check(rec, pats, sums, size, N):
+def _chevalley_check(pats, sums, size, N):
     """Additivity and the commutator formula over Z/N, exhaustively.
+    Returns (instances, failures).
 
     Every factor is a root unipotent X = 1 + D, so X M adds multiples of
     rows of M to other rows (_left_unipotent).  D is read off the table's
@@ -424,11 +451,10 @@ def _chevalley_check(rec, pats, sums, size, N):
     (beta, s) for the commutators, in chunks of beta of at most
     _CHEVALLEY_BATCH_BYTES.  Each factor reduces the rows it touches mod N,
     so no int64 value exceeds N^2, and the check is exact for every N with
-    N^2 < 2^63; a larger N is unsupported.  Failures are reported in the
+    N^2 < 2^63, which the caller ensures.  Failures are reported in the
     order of the loops over (alpha, beta, r, s).
     """
-    if N * N >= 2**63:
-        raise UnsupportedRingError(f"the int64 row operations need N^2 < 2^63; z/{N} is larger")
+    rec = CheckRecord(name="", tier="")
     nroots = len(pats)
     # mats[ri, r] is x_root(r); mats[ri, 0] is the identity
     mats = numpy.broadcast_to(numpy.eye(size, dtype=numpy.int64), (nroots, N, size, size)).copy()
@@ -494,6 +520,7 @@ def _chevalley_check(rec, pats, sums, size, N):
         rec.instances += bad.size
         for b, r, s in numpy.argwhere(bad):
             rec.fail(kind="commutator", alpha=ai, beta=betas[b], r=int(r) + 1, s=int(s) + 1)
+    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -518,15 +545,14 @@ def suite_vdk(config):
             _spread_into(rec, functools.partial(_x_small_contract_at, vecs), vecs)
     z6 = make_ring("z/6")
     with _Check(checks, "x_small-contract-z/6-random", "matrix") as rec:
-        want = _want(config, 500)
-        while rec.instances < want:
+        pairs = []
+        while len(pairs) < _want(config, 500):
             u = _rand_vector(z6, n, rng)
             v = _rand_orthogonal(z6, n, rng, u)
-            if not (v.zero_positions() or u.zero_positions()):
-                continue
-            rec.instances += 1
-            if phi(x_small(u, v)) != transvection(u, v):
-                rec.fail(u=_lit(u), v=_lit(v))
+            if v.zero_positions() or u.zero_positions():
+                pairs.append((u, v))
+        # the exhaustive check's harness, over the one v of each pair
+        _spread_into(rec, lambda uv: _x_small_contract_at([uv[1]], uv[0]), pairs)
     # the canonical decomposition identity, exhaustive over f2 and f3
     for ringspec in ("f2", "f3"):
         ring = make_ring(ringspec)
@@ -535,23 +561,15 @@ def suite_vdk(config):
             _spread_into(rec, functools.partial(_canonical_split_at, vecs), vecs)
     # X_gen / Y_gen contracts and the additivity shadow over z/6
     with _Check(checks, "xgen-ygen-contract-z/6", "matrix") as rec:
-        want_xg = _want(config, 300)
-        while rec.instances < want_xg:
+        samples = []  # (u, its certificate, v and vv orthogonal to u)
+        while len(samples) < _want(config, 300):
             u = _rand_vector(z6, n, rng)
             cert = lin_solve(u.entries, z6.one())
             if cert is None:
                 continue
             cert = vector(z6, cert)
-            v = _rand_orthogonal(z6, n, rng, u)
-            vv = _rand_orthogonal(z6, n, rng, u)
-            rec.instances += 1
-            if phi(X_gen(u, v, cert=cert)) != transvection(u, v):
-                rec.fail(kind="X", u=_lit(u), v=_lit(v))
-            if phi(Y_gen(v, u, cert=cert)) != transvection(v, u):
-                rec.fail(kind="Y", u=_lit(v), v=_lit(u))
-            lhs = phi(X_gen(u, v, cert=cert) * X_gen(u, vv, cert=cert))
-            if lhs != transvection(u, v + vv):
-                rec.fail(kind="additivity-shadow", u=_lit(u), v=_lit(v), w=_lit(vv))
+            samples.append((u, cert, _rand_orthogonal(z6, n, rng, u), _rand_orthogonal(z6, n, rng, u)))
+        _spread_into(rec, _xgen_ygen_contract_at, samples)
     # exact-tier well-definedness over f2 (index and certificate choices)
     f2 = make_ring("f2")
     tester = WordTester(
@@ -559,42 +577,13 @@ def suite_vdk(config):
         exact=config.tier != "matrix",
     )
     equal, tier_label = tester.equator()
+    vecs = list(_all_vectors(f2, n))
     with _Check(checks, "x_small-index-independence-f2", tier_label) as rec:
-        vecs = list(_all_vectors(f2, n))
-        for u in vecs:
-            for v in vecs:
-                if not u.dot(v).is_zero():
-                    continue
-                choices = [("v", i) for i in v.zero_positions()] + [
-                    ("u", i) for i in u.zero_positions()
-                ]
-                if len(choices) < 2:
-                    continue
-                base = x_small(u, v, index=choices[0][1], mode=choices[0][0])
-                for mode, idx in choices[1:]:
-                    rec.instances += 1
-                    other = x_small(u, v, index=idx, mode=mode)
-                    if not equal(base, other):
-                        rec.fail(u=_lit(u), v=_lit(v), mode=mode, index=idx)
+        _ready(tester)
+        _spread_into(rec, functools.partial(_x_small_index_at, vecs, equal), vecs)
     with _Check(checks, "xgen-certificate-independence-f2", tier_label) as rec:
-        vecs = list(_all_vectors(f2, n))
-        for u in vecs:
-            certs = [w for w in vecs if w.dot(u).is_one()]
-            if len(certs) < 2:
-                continue
-            for v in vecs:
-                if not u.dot(v).is_zero():
-                    continue
-                base = X_gen(u, v, cert=certs[0])
-                for w in certs[1:3]:
-                    rec.instances += 1
-                    if not equal(base, X_gen(u, v, cert=w)):
-                        rec.fail(kind="X", u=_lit(u), v=_lit(v), cert=_lit(w))
-                baseY = Y_gen(v, u, cert=certs[0])
-                for w in certs[1:3]:
-                    rec.instances += 1
-                    if not equal(baseY, Y_gen(v, u, cert=w)):
-                        rec.fail(kind="Y", u=_lit(v), v=_lit(u), cert=_lit(w))
+        _ready(tester)
+        _spread_into(rec, functools.partial(_xgen_certificate_at, vecs, equal), vecs)
     return checks
 
 
@@ -613,25 +602,90 @@ def _x_small_contract_at(vecs, u):
     return rec.instances, rec.failures
 
 
+def _xgen_ygen_contract_at(sample):
+    """phi of X_gen(u, v) and Y_gen(v, u) against their transvections, and
+    the additivity shadow X_gen(u, v) X_gen(u, vv) against the transvection
+    of v + vv.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    u, cert, v, vv = sample
+    rec.instances += 1
+    if phi(X_gen(u, v, cert=cert)) != transvection(u, v):
+        rec.fail(kind="X", u=_lit(u), v=_lit(v))
+    if phi(Y_gen(v, u, cert=cert)) != transvection(v, u):
+        rec.fail(kind="Y", u=_lit(v), v=_lit(u))
+    lhs = phi(X_gen(u, v, cert=cert) * X_gen(u, vv, cert=cert))
+    if lhs != transvection(u, v + vv):
+        rec.fail(kind="additivity-shadow", u=_lit(u), v=_lit(v), w=_lit(vv))
+    return rec.instances, rec.failures
+
+
+def _x_small_index_at(vecs, equal, u):
+    """x_small(u, v) over each choice of its zero slot against the first
+    choice, for every v orthogonal to u with two choices or more, compared
+    by `equal`.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    for v in vecs:
+        if not u.dot(v).is_zero():
+            continue
+        choices = [("v", i) for i in v.zero_positions()] + [
+            ("u", i) for i in u.zero_positions()
+        ]
+        if len(choices) < 2:
+            continue
+        base = x_small(u, v, index=choices[0][1], mode=choices[0][0])
+        for mode, idx in choices[1:]:
+            rec.instances += 1
+            other = x_small(u, v, index=idx, mode=mode)
+            if not equal(base, other):
+                rec.fail(u=_lit(u), v=_lit(v), mode=mode, index=idx)
+    return rec.instances, rec.failures
+
+
+def _xgen_certificate_at(vecs, equal, u):
+    """X_gen(u, v) and Y_gen(v, u) under the second and third certificate
+    of u against the first, for every v orthogonal to u, compared by
+    `equal`.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    certs = [w for w in vecs if w.dot(u).is_one()]
+    if len(certs) < 2:
+        return 0, []
+    for v in vecs:
+        if not u.dot(v).is_zero():
+            continue
+        base = X_gen(u, v, cert=certs[0])
+        for w in certs[1:3]:
+            rec.instances += 1
+            if not equal(base, X_gen(u, v, cert=w)):
+                rec.fail(kind="X", u=_lit(u), v=_lit(v), cert=_lit(w))
+        baseY = Y_gen(v, u, cert=certs[0])
+        for w in certs[1:3]:
+            rec.instances += 1
+            if not equal(baseY, Y_gen(v, u, cert=w)):
+                rec.fail(kind="Y", u=_lit(v), v=_lit(u), cert=_lit(w))
+    return rec.instances, rec.failures
+
+
 def _canonical_split_at(vecs, v):
     """The canonical decomposition of every u orthogonal to v, over every
     certificate w with w.v = 1: its terms are orthogonal to v, have two
-    zero entries each and sum to u.  Returns (instances, failures)."""
+    zero entries each and sum to u.  Returns (instances, failures).  The
+    terms are read as payload tuples."""
     rec = CheckRecord(name="", tier="")
     ring = v.ring
+    zero, vd = ring.zero_p, v.data
     ws = [w for w in vecs if w.dot(v).is_one()]
     us = [u for u in vecs if u.dot(v).is_zero()]
     for u in us:
         for w in ws:
             rec.instances += 1
-            terms = canonical_decomposition(u, v, w)
-            acc = RVector(ring, (ring.zero_p,) * len(v))
+            acc = (zero,) * len(vd)
             ok = True
-            for t in terms:
-                if not t.dot(v).is_zero() or len(t.zero_positions()) < 2:
+            for t in canonical_decomposition(u, v, w):
+                td = t.data
+                if ring.p_dot(td, vd) != zero or td.count(zero) < 2:
                     ok = False
-                acc = acc + t
-            if not ok or acc != u:
+                acc = tuple(map(ring.p_add, acc, td))
+            if not ok or acc != u.data:
                 rec.fail(u=_lit(u), v=_lit(v), w=_lit(w))
     return rec.instances, rec.failures
 
@@ -640,109 +694,114 @@ def _canonical_split_at(vecs, v):
 # tulenbaev-identities (the eight X/Y laws)
 
 
-def _sample_xlaw_data(ring, n, rng):
-    """u, w orth to u, certificates z (b = z^t u) and y (a = y^t u), g."""
-    u = _rand_vector(ring, n, rng)
-    w = _rand_orthogonal(ring, n, rng, u)
-    z = _rand_vector(ring, n, rng)
-    y = _rand_vector(ring, n, rng)
-    return u, w, z, y
-
-
-def _xlaw_checks(rec, ring, n, rng, samples, equal, system):
+def _draw_law_samples(ring, n, rng, samples, system):
+    """The data of `samples` instances of the X or Y laws, drawn in order:
+    u, w orthogonal to u, certificates z (b = z^t u) and y (a = y^t u), a
+    scalar c, w2 orthogonal to u and a word g of four letters."""
+    out = []
     for _ in range(samples):
-        u, w, z, y = _sample_xlaw_data(ring, n, rng)
-        b = z.dot(u)
-        a = y.dot(u)
+        u = _rand_vector(ring, n, rng)
+        w = _rand_orthogonal(ring, n, rng, u)
+        z = _rand_vector(ring, n, rng)
+        y = _rand_vector(ring, n, rng)
         c = _rand_elem(ring, rng)
-        moving = w.scale(b)
-        datum = decompose_with(u, moving, z, w)
-        # (a) X_{u,vc}(a) = X_{u,v}(ca)
-        rec.instances += 1
-        lhs = X_tul(decompose_with(u, moving.scale(c), z, w.scale(c)), mult=a, system=system)
-        rhs = X_tul(datum, mult=c * a, system=system)
-        if not equal(lhs, rhs):
-            rec.fail(law="X-scale", u=_lit(u), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
-        # (b) X_{uc,v}(ca) = X_{u,vc^2}(a), instantiated at v = w*b*c
-        rec.instances += 1
-        uc = u.scale(c)
-        lhs = X_tul(decompose_with(uc, moving.scale(c), z, w), mult=c * a, system=system)
-        rhs = X_tul(
-            decompose_with(u, moving.scale(c * c * c), z, w.scale(c * c * c)),
-            mult=a,
-            system=system,
-        )
-        if not equal(lhs, rhs):
-            rec.fail(law="X-balance", u=_lit(u), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
-        # (c) X_{u,v}(a) X_{u,v'}(a) = X_{u,v+v'}(a)
-        rec.instances += 1
         w2 = _rand_orthogonal(ring, n, rng, u)
-        moving2 = w2.scale(b)
-        datum2 = decompose_with(u, moving2, z, w2)
-        both = decompose_with(u, moving + moving2, z, w + w2)
-        lhs = X_tul(datum, mult=a, system=system) * X_tul(datum2, mult=a, system=system)
-        rhs = X_tul(both, mult=a, system=system)
-        if not equal(lhs, rhs):
-            rec.fail(law="X-additivity", u=_lit(u), w=_lit(w), w2=_lit(w2), b=_lit(b), a=_lit(a))
-        # (d) g X_{u,wb}(a) g^-1 = X_{gu, g* wb}(a)
-        rec.instances += 1
-        g = _rand_word(system, ring, rng, 4)
-        G = phi(g)
-        Gs = phi(W.contragredient(g))
-        lhs = g * X_tul(datum, mult=a, system=system) * g.inverse()
-        rhs = X_tul(
-            decompose_with(G * u, (Gs * moving), Gs * z, Gs * w), mult=a, system=system
-        )
-        if not equal(lhs, rhs):
-            rec.fail(law="X-conjugation", u=_lit(u), w=_lit(w), b=_lit(b), a=_lit(a), g=_lit(g))
+        out.append((u, w, z, y, c, w2, _rand_word(system, ring, rng, 4)))
+    return out
 
 
-def _ylaw_checks(rec, ring, n, rng, samples, equal, system):
-    for _ in range(samples):
-        v, w, z, y = _sample_xlaw_data(ring, n, rng)
-        b = z.dot(v)
-        a = y.dot(v)
-        c = _rand_elem(ring, rng)
-        moving = w.scale(b)
-        datum = decompose_with(v, moving, z, w)
-        # (a) Y_{uc,v}(a) = Y_{u,v}(ca)
-        rec.instances += 1
-        lhs = Y_tul(decompose_with(v, moving.scale(c), z, w.scale(c)), mult=a, system=system)
-        rhs = Y_tul(datum, mult=c * a, system=system)
-        if not equal(lhs, rhs):
-            rec.fail(law="Y-scale", v=_lit(v), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
-        # (b) Y_{u,vc}(ca) = Y_{uc^2,v}(a), instantiated at u = w*b*c
-        rec.instances += 1
-        vc = v.scale(c)
-        lhs = Y_tul(decompose_with(vc, moving.scale(c), z, w), mult=c * a, system=system)
-        rhs = Y_tul(
-            decompose_with(v, moving.scale(c * c * c), z, w.scale(c * c * c)),
-            mult=a,
-            system=system,
-        )
-        if not equal(lhs, rhs):
-            rec.fail(law="Y-balance", v=_lit(v), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
-        # (c) Y_{u,v}(a) Y_{u',v}(a) = Y_{u+u',v}(a)
-        rec.instances += 1
-        w2 = _rand_orthogonal(ring, n, rng, v)
-        moving2 = w2.scale(b)
-        lhs = Y_tul(datum, mult=a, system=system) * Y_tul(
-            decompose_with(v, moving2, z, w2), mult=a, system=system
-        )
-        rhs = Y_tul(decompose_with(v, moving + moving2, z, w + w2), mult=a, system=system)
-        if not equal(lhs, rhs):
-            rec.fail(law="Y-additivity", v=_lit(v), w=_lit(w), w2=_lit(w2), b=_lit(b), a=_lit(a))
-        # (d) g Y_{wb,v}(a) g^-1 = Y_{g wb, g* v}(a)
-        rec.instances += 1
-        g = _rand_word(system, ring, rng, 4)
-        G = phi(g)
-        Gs = phi(W.contragredient(g))
-        lhs = g * Y_tul(datum, mult=a, system=system) * g.inverse()
-        rhs = Y_tul(
-            decompose_with(Gs * v, (G * moving), G * z, G * w), mult=a, system=system
-        )
-        if not equal(lhs, rhs):
-            rec.fail(law="Y-conjugation", v=_lit(v), w=_lit(w), b=_lit(b), a=_lit(a), g=_lit(g))
+def _xlaws_at(equal, system, sample):
+    """The four X laws at one sample.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    u, w, z, y, c, w2, g = sample
+    b = z.dot(u)
+    a = y.dot(u)
+    moving = w.scale(b)
+    datum = decompose_with(u, moving, z, w)
+    # (a) X_{u,vc}(a) = X_{u,v}(ca)
+    rec.instances += 1
+    lhs = X_tul(decompose_with(u, moving.scale(c), z, w.scale(c)), mult=a, system=system)
+    rhs = X_tul(datum, mult=c * a, system=system)
+    if not equal(lhs, rhs):
+        rec.fail(law="X-scale", u=_lit(u), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
+    # (b) X_{uc,v}(ca) = X_{u,vc^2}(a), instantiated at v = w*b*c
+    rec.instances += 1
+    uc = u.scale(c)
+    lhs = X_tul(decompose_with(uc, moving.scale(c), z, w), mult=c * a, system=system)
+    rhs = X_tul(
+        decompose_with(u, moving.scale(c * c * c), z, w.scale(c * c * c)),
+        mult=a,
+        system=system,
+    )
+    if not equal(lhs, rhs):
+        rec.fail(law="X-balance", u=_lit(u), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
+    # (c) X_{u,v}(a) X_{u,v'}(a) = X_{u,v+v'}(a)
+    rec.instances += 1
+    moving2 = w2.scale(b)
+    datum2 = decompose_with(u, moving2, z, w2)
+    both = decompose_with(u, moving + moving2, z, w + w2)
+    lhs = X_tul(datum, mult=a, system=system) * X_tul(datum2, mult=a, system=system)
+    rhs = X_tul(both, mult=a, system=system)
+    if not equal(lhs, rhs):
+        rec.fail(law="X-additivity", u=_lit(u), w=_lit(w), w2=_lit(w2), b=_lit(b), a=_lit(a))
+    # (d) g X_{u,wb}(a) g^-1 = X_{gu, g* wb}(a)
+    rec.instances += 1
+    G = phi(g)
+    Gs = phi(W.contragredient(g))
+    lhs = g * X_tul(datum, mult=a, system=system) * g.inverse()
+    rhs = X_tul(
+        decompose_with(G * u, (Gs * moving), Gs * z, Gs * w), mult=a, system=system
+    )
+    if not equal(lhs, rhs):
+        rec.fail(law="X-conjugation", u=_lit(u), w=_lit(w), b=_lit(b), a=_lit(a), g=_lit(g))
+    return rec.instances, rec.failures
+
+
+def _ylaws_at(equal, system, sample):
+    """The four Y laws at one sample.  Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    v, w, z, y, c, w2, g = sample
+    b = z.dot(v)
+    a = y.dot(v)
+    moving = w.scale(b)
+    datum = decompose_with(v, moving, z, w)
+    # (a) Y_{uc,v}(a) = Y_{u,v}(ca)
+    rec.instances += 1
+    lhs = Y_tul(decompose_with(v, moving.scale(c), z, w.scale(c)), mult=a, system=system)
+    rhs = Y_tul(datum, mult=c * a, system=system)
+    if not equal(lhs, rhs):
+        rec.fail(law="Y-scale", v=_lit(v), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
+    # (b) Y_{u,vc}(ca) = Y_{uc^2,v}(a), instantiated at u = w*b*c
+    rec.instances += 1
+    vc = v.scale(c)
+    lhs = Y_tul(decompose_with(vc, moving.scale(c), z, w), mult=c * a, system=system)
+    rhs = Y_tul(
+        decompose_with(v, moving.scale(c * c * c), z, w.scale(c * c * c)),
+        mult=a,
+        system=system,
+    )
+    if not equal(lhs, rhs):
+        rec.fail(law="Y-balance", v=_lit(v), w=_lit(w), b=_lit(b), a=_lit(a), c=_lit(c))
+    # (c) Y_{u,v}(a) Y_{u',v}(a) = Y_{u+u',v}(a)
+    rec.instances += 1
+    moving2 = w2.scale(b)
+    lhs = Y_tul(datum, mult=a, system=system) * Y_tul(
+        decompose_with(v, moving2, z, w2), mult=a, system=system
+    )
+    rhs = Y_tul(decompose_with(v, moving + moving2, z, w + w2), mult=a, system=system)
+    if not equal(lhs, rhs):
+        rec.fail(law="Y-additivity", v=_lit(v), w=_lit(w), w2=_lit(w2), b=_lit(b), a=_lit(a))
+    # (d) g Y_{wb,v}(a) g^-1 = Y_{g wb, g* v}(a)
+    rec.instances += 1
+    G = phi(g)
+    Gs = phi(W.contragredient(g))
+    lhs = g * Y_tul(datum, mult=a, system=system) * g.inverse()
+    rhs = Y_tul(
+        decompose_with(Gs * v, (G * moving), G * z, G * w), mult=a, system=system
+    )
+    if not equal(lhs, rhs):
+        rec.fail(law="Y-conjugation", v=_lit(v), w=_lit(w), b=_lit(b), a=_lit(a), g=_lit(g))
+    return rec.instances, rec.failures
 
 
 def suite_tulenbaev(config):
@@ -755,18 +814,20 @@ def suite_tulenbaev(config):
     )
     equal, tier_label = tester.equator()
     rng = random.Random(config.seed)
-    with _Check(checks, f"xlaws-f2-{tier_label}", tier_label) as rec:
-        _xlaw_checks(rec, f2, n, rng, _want(config, 150, 150), equal, system)
-    with _Check(checks, f"ylaws-f2-{tier_label}", tier_label) as rec:
-        _ylaw_checks(rec, f2, n, rng, _want(config, 150, 150), equal, system)
+    for tag, laws in (("xlaws", _xlaws_at), ("ylaws", _ylaws_at)):
+        with _Check(checks, f"{tag}-f2-{tier_label}", tier_label) as rec:
+            _ready(tester)
+            draws = _draw_law_samples(f2, n, rng, _want(config, 150, 150), system)
+            _spread_into(rec, functools.partial(laws, equal, system), draws)
     matrix_eq = lambda a, b: phi(a) == phi(b)
     for ringspec in config.rings or ("z/4", "z/6"):
         ring = make_ring(ringspec)
         rng2 = random.Random(config.seed + 1)
-        with _Check(checks, f"xlaws-{ringspec}-matrix", "matrix") as rec:
-            _xlaw_checks(rec, ring, n, rng2, _want(config, 75, max(75, config.samples // 4)), matrix_eq, system)
-        with _Check(checks, f"ylaws-{ringspec}-matrix", "matrix") as rec:
-            _ylaw_checks(rec, ring, n, rng2, _want(config, 75, max(75, config.samples // 4)), matrix_eq, system)
+        want = _want(config, 75, max(75, config.samples // 4))
+        for tag, laws in (("xlaws", _xlaws_at), ("ylaws", _ylaws_at)):
+            with _Check(checks, f"{tag}-{ringspec}-matrix", "matrix") as rec:
+                draws = _draw_law_samples(ring, n, rng2, want, system)
+                _spread_into(rec, functools.partial(laws, matrix_eq, system), draws)
     return checks
 
 
@@ -784,16 +845,15 @@ def suite_xeqy(config):
     )
     equal, tier_label = tester.equator()
     with _Check(checks, "xeqy-f2-exhaustive", tier_label) as rec:
-        if tester.exact:
-            tester.table()  # built here once, not once per share
+        _ready(tester)
         vecs = list(_all_vectors(f2, n))
         task = functools.partial(_xeqy_at, vecs, equal)
         _spread_into(rec, task, itertools.product(vecs, repeat=2))
     z6 = make_ring("z/6")
     rng = random.Random(config.seed)
     with _Check(checks, "xeqy-z/6-random", "matrix") as rec:
-        want = _want(config, 200, max(200, config.samples // 2))
-        while rec.instances < want:
+        samples = []  # the arguments of xeqy_words
+        while len(samples) < _want(config, 200, max(200, config.samples // 2)):
             perm = list(range(n))
             rng.shuffle(perm)
             x3, x4, y3, y4 = (_rand_elem(z6, rng) for _ in range(4))
@@ -811,13 +871,20 @@ def suite_xeqy(config):
             zv = basis_vector(z6, n, perm[1]).scale(zb[0])
             x = basis_vector(z6, n, perm[2]).scale(x3) + basis_vector(z6, n, perm[3]).scale(x4)
             y = basis_vector(z6, n, perm[2]).scale(y3) + basis_vector(z6, n, perm[3]).scale(y4)
-            r = _rand_elem(z6, rng)
-            rec.instances += 1
-            rw = xeqy_words(x, y, u, v, b, r, zu=zu, zv=zv)
-            mats = [phi(rw.lhs), phi(rw.rhs), phi(rw.g_direct), phi(rw.path_x), phi(rw.path_y)]
-            if any(m != mats[0] for m in mats):
-                rec.fail(x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v), b=_lit(b), r=_lit(r))
+            samples.append((x, y, u, v, b, _rand_elem(z6, rng), zu, zv))
+        _spread_into(rec, _xeqy_random_at, samples)
     return checks
+
+
+def _xeqy_random_at(sample):
+    """The five X = Y words at one sample, compared by phi.  Returns
+    (instances, failures)."""
+    x, y, u, v, b, r, zu, zv = sample
+    rw = xeqy_words(x, y, u, v, b, r, zu=zu, zv=zv)
+    mats = [phi(rw.lhs), phi(rw.rhs), phi(rw.g_direct), phi(rw.path_x), phi(rw.path_y)]
+    if any(m != mats[0] for m in mats):
+        return 1, [dict(x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v), b=_lit(b), r=_lit(r))]
+    return 1, []
 
 
 def _xeqy_at(vecs, equal, xy):
@@ -915,20 +982,28 @@ def suite_star(config):
         _spread_into(rec, f_additivity, sorted(by_u))
     with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         _spread_into(rec, s_additivity, sorted(by_u))
+
+    def conjugation(pair):
+        rec = CheckRecord(name="", tier="")
+        s1, s2 = pair
+        w1, m1, m2 = iota(s1), iota_phi(s1), iota_phi(s2)
+        tuv = transvection(s1.u.vec, s1.v)
+        new_u = tuv * s2.u.vec
+        new_v = transvection(s1.v, -s1.u.vec) * s2.v
+        witness = w1 * s2.u.witness
+        rhs_word = X_gen(new_u, new_v, witness=witness)
+        rec.instances += 1
+        if m1 * m2 * phi(w1.inverse()) != phi(rhs_word):
+            rec.fail(u=_lit(s1.u.vec), v=_lit(s1.v), u2=_lit(s2.u.vec), v2=_lit(s2.v))
+        return rec.instances, rec.failures
+
     with _Check(checks, "conjugation-iota-f2[eps]-sampled", "matrix") as rec:
         fs = star.f_symbols
-        for _ in range(_want(config, 300, 300)):
-            s1 = fs[rng.randrange(len(fs))]
-            s2 = fs[rng.randrange(len(fs))]
-            w1, m1, m2 = iota(s1), iota_phi(s1), iota_phi(s2)
-            tuv = transvection(s1.u.vec, s1.v)
-            new_u = tuv * s2.u.vec
-            new_v = transvection(s1.v, -s1.u.vec) * s2.v
-            witness = w1 * s2.u.witness
-            rhs_word = X_gen(new_u, new_v, witness=witness)
-            rec.instances += 1
-            if m1 * m2 * phi(w1.inverse()) != phi(rhs_word):
-                rec.fail(u=_lit(s1.u.vec), v=_lit(s1.v), u2=_lit(s2.u.vec), v2=_lit(s2.v))
+        pairs = [
+            (fs[rng.randrange(len(fs))], fs[rng.randrange(len(fs))])
+            for _ in range(_want(config, 300, 300))
+        ]
+        _spread_into(rec, conjugation, pairs)
     # exact tier over f2: the F/S coincidence and the column-split relator
     f2 = make_ring("f2")
     tester = WordTester(
@@ -936,21 +1011,9 @@ def suite_star(config):
     )
     equal, tier_label = tester.equator()
     with _Check(checks, f"FS-coincidence-f2-{tier_label}", tier_label) as rec:
-        for trial in range(_want(config, 100, 100)):
-            mw = _rand_word(system, f2, rng, 5)
-            M = phi(mw)
-            Ms = phi(W.contragredient(mw))
-            u = M * basis_vector(f2, n, 0)
-            v = Ms * basis_vector(f2, n, 1)
-            ucert = Ms * basis_vector(f2, n, 0)
-            vcert = M * basis_vector(f2, n, 1)
-            for a_p in f2.payloads():
-                a = Elem(f2, a_p)
-                rec.instances += 1
-                lhs = X_gen(u, v.scale(a), cert=ucert)
-                rhs = Y_gen(u.scale(a), v, cert=vcert)
-                if not equal(lhs, rhs):
-                    rec.fail(M=_lit(mw), a=_lit(a))
+        _ready(tester)
+        mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 100, 100))]
+        _spread_into(rec, functools.partial(_fs_coincidence_at, equal, system), mws)
     with _Check(checks, f"xy-bridge-two-routes-f2-{tier_label}", tier_label) as rec:
         e1 = basis_vector(f2, n, 0)
         e2 = basis_vector(f2, n, 1)
@@ -973,30 +1036,9 @@ def suite_star(config):
             if not equal(*pair):
                 rec.fail(route=tag)
     with _Check(checks, f"column-split-relator-f2-{tier_label}", tier_label) as rec:
-        from .vdk import basis_orbit_vector
-
-        e2ov = basis_orbit_vector(f2, n, 1, system=system)
-        for trial in range(_want(config, 60, 60)):
-            mw = _rand_word(system, f2, rng, 5)
-            M = phi(mw)
-            Ms = phi(W.contragredient(mw))
-            for r_p in f2.payloads():
-                for a_p in f2.payloads():
-                    r = Elem(f2, r_p)
-                    a = Elem(f2, a_p)
-                    u1 = M * basis_vector(f2, n, 0)
-                    u2 = M * basis_vector(f2, n, 1)
-                    v3 = Ms * basis_vector(f2, n, 2)
-                    lhs_u = u1.scale(r) + u2
-                    # witness: M then t_01(r) carry e_2 to M(e_1 r + e_2)
-                    wit = mw * W.x_ij(system, f2, 0, 1, r) * e2ov.witness
-                    rec.instances += 1
-                    lhs = X_gen(lhs_u, v3.scale(a), witness=wit)
-                    rhs = X_gen(u1, v3.scale(a * r), witness=mw) * X_gen(
-                        u2, v3.scale(a), witness=mw * e2ov.witness
-                    )
-                    if not equal(lhs, rhs):
-                        rec.fail(M=_lit(mw), r=_lit(r), a=_lit(a))
+        _ready(tester)
+        mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 60, 60))]
+        _spread_into(rec, functools.partial(_column_split_at, equal, system), mws)
     with _Check(checks, "kappa-iota-f2[eps]-sampled", "matrix") as rec:
         fs = star.f_symbols
         for _ in range(_want(config, 200, 200)):
@@ -1005,6 +1047,58 @@ def suite_star(config):
             if iota_phi(sym) != transvection(sym.u.vec, sym.v):
                 rec.fail(u=_lit(sym.u.vec), v=_lit(sym.v))
     return checks
+
+
+def _fs_coincidence_at(equal, system, mw):
+    """X_gen(u, v a) against Y_gen(u a, v) for u = M e_1, v = M* e_2, with M
+    the matrix of the word mw, at every a in F2, compared by `equal`.
+    Returns (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    f2, n = mw.ring, system.rank + 1
+    M = phi(mw)
+    Ms = phi(W.contragredient(mw))
+    u = M * basis_vector(f2, n, 0)
+    v = Ms * basis_vector(f2, n, 1)
+    ucert = Ms * basis_vector(f2, n, 0)
+    vcert = M * basis_vector(f2, n, 1)
+    for a_p in f2.payloads():
+        a = Elem(f2, a_p)
+        rec.instances += 1
+        lhs = X_gen(u, v.scale(a), cert=ucert)
+        rhs = Y_gen(u.scale(a), v, cert=vcert)
+        if not equal(lhs, rhs):
+            rec.fail(M=_lit(mw), a=_lit(a))
+    return rec.instances, rec.failures
+
+
+def _column_split_at(equal, system, mw):
+    """The column-split relator X_{u1 r + u2, v3 a} = X_{u1, v3 a r} X_{u2, v3 a}
+    for the columns u1, u2 of the matrix M of the word mw and the column v3
+    of M*, at every r and a in F2, compared by `equal`.  Returns
+    (instances, failures)."""
+    rec = CheckRecord(name="", tier="")
+    f2, n = mw.ring, system.rank + 1
+    e2ov = basis_orbit_vector(f2, n, 1, system=system)
+    M = phi(mw)
+    Ms = phi(W.contragredient(mw))
+    u1 = M * basis_vector(f2, n, 0)
+    u2 = M * basis_vector(f2, n, 1)
+    v3 = Ms * basis_vector(f2, n, 2)
+    for r_p in f2.payloads():
+        for a_p in f2.payloads():
+            r = Elem(f2, r_p)
+            a = Elem(f2, a_p)
+            lhs_u = u1.scale(r) + u2
+            # witness: M then t_01(r) carry e_2 to M(e_1 r + e_2)
+            wit = mw * W.x_ij(system, f2, 0, 1, r) * e2ov.witness
+            rec.instances += 1
+            lhs = X_gen(lhs_u, v3.scale(a), witness=wit)
+            rhs = X_gen(u1, v3.scale(a * r), witness=mw) * X_gen(
+                u2, v3.scale(a), witness=mw * e2ov.witness
+            )
+            if not equal(lhs, rhs):
+                rec.fail(M=_lit(mw), r=_lit(r), a=_lit(a))
+    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -1212,43 +1306,31 @@ def suite_tmap(config):
     n = config.n
     rng = random.Random(config.seed)
     # finite product ring: exhaustive small sample
-    B = make_ring("prod(f2,f3)")
-    a = B.el((0, 1))
-    ideal = FGIdeal(B, [a])
-    loc, lam = localization(B, a)
-    system_loc = linear_system(n)
     with _Check(checks, "tmap-prod(f2,f3)-exhaustive-small", "matrix") as rec:
-        orbit = orbit_with_witnesses(loc, n)
-        ideal_loc = sorted({lam.p_fn(p) for p in ideal.payload_set()})
-
-        def diagram(key):
-            rec = CheckRecord(name="", tier="")
-            ov = orbit[key]
-            Ms = phi(W.contragredient(ov.witness))
-            base_v = Ms * basis_vector(loc, n, 1)
-            for c_p in ideal_loc:
-                if c_p == loc.zero_p:
-                    continue
-                vloc = base_v.scale(Elem(loc, c_p))
-                vB = RVector(B, tuple(map(loc.section.__getitem__, vloc.data)))
-                rec.instances += 1
-                res = t_map(B, a, ideal, FSymbol(u=ov, v=vB), n=n)
-                if not _tmap_diagram_ok(res, lam, loc, ov.vec, vloc):
-                    rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m)
-            return rec.instances, rec.failures
-
-        _spread_into(rec, diagram, sorted(orbit))
+        B = make_ring("prod(f2,f3)")
+        _tmap_exhaustive(rec, B, B.el((0, 1)), n)
     # the augmentation extension of the integers
     Bz = make_ring("semi(z,2)")
     az = Bz.el(2)
     idz = FGIdeal(Bz, kind="semi-kernel")
     locz, lamz = localization(Bz, az)
+    system_loc = linear_system(n)
+
+    def diagram(sample):
+        uw, vB, vloc, mirrored = sample
+        ov = OrbitVector.from_word(uw, n)
+        if mirrored:
+            res = t_map(Bz, az, idz, SSymbol(u=vB, v=ov), n=n)
+        else:
+            res = t_map(Bz, az, idz, FSymbol(u=ov, v=vB), n=n)
+        if _tmap_diagram_ok(res, lamz, locz, ov.vec, vloc, mirrored=mirrored):
+            return 1, []
+        return 1, [dict(u=_lit(ov.vec), v=_lit(vB), m=res.m, kind=res.kind)]
+
     with _Check(checks, "tmap-semi(z,2)-sampled", "matrix") as rec:
-        want = _want(config, 50, 200)
-        made = 0
-        while made < want:
+        samples = []  # (word of u, v over B, v over the localization, S rather than F)
+        while len(samples) < _want(config, 50, 200):
             uw = _rand_loc_word(system_loc, Bz, locz, lamz, rng)
-            ov = OrbitVector.from_word(uw, n)
             Ms = phi(W.contragredient(uw))
             j = rng.randrange(1, n)
             cB = _rand_ideal_elem(Bz, rng)
@@ -1260,17 +1342,41 @@ def suite_tmap(config):
                 vB = _numerators(Bz, vloc)
                 if vB is None:
                     continue
-            made += 1
-            rec.instances += 1
-            if rng.randrange(2):
-                res = t_map(Bz, az, idz, FSymbol(u=ov, v=vB), n=n)
-                ok = _tmap_diagram_ok(res, lamz, locz, ov.vec, vloc)
-            else:
-                res = t_map(Bz, az, idz, SSymbol(u=vB, v=ov), n=n)
-                ok = _tmap_diagram_ok(res, lamz, locz, ov.vec, vloc, mirrored=True)
-            if not ok:
-                rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m, kind=res.kind)
+            samples.append((uw, vB, vloc, not rng.randrange(2)))
+        _spread_into(rec, diagram, samples)
     return checks
+
+
+def _tmap_exhaustive(rec, B, a, n):
+    """The t-map diagram for F(u, v) over every u in the elementary orbit
+    of the localization of the finite ring B at a and every v = M* e_2 c,
+    with M the matrix of u's witness and c a nonzero element of the
+    localized ideal (a): t_map lifts F(u, v) to a word over B whose image
+    under the localization is the transvection of (u, v).  v is taken to
+    B through the section of the localization, whose codes need not be
+    B's."""
+    ideal = FGIdeal(B, [a])
+    loc, lam = localization(B, a)
+    orbit = orbit_with_witnesses(loc, n)
+    ideal_loc = sorted({lam.p_fn(p) for p in ideal.payload_set()})
+
+    def diagram(key):
+        rec = CheckRecord(name="", tier="")
+        ov = orbit[key]
+        Ms = phi(W.contragredient(ov.witness))
+        base_v = Ms * basis_vector(loc, n, 1)
+        for c_p in ideal_loc:
+            if c_p == loc.zero_p:
+                continue
+            vloc = base_v.scale(Elem(loc, c_p))
+            vB = RVector(B, tuple(map(loc.section.__getitem__, vloc.data)))
+            rec.instances += 1
+            res = t_map(B, a, ideal, FSymbol(u=ov, v=vB), n=n)
+            if not _tmap_diagram_ok(res, lam, loc, ov.vec, vloc):
+                rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m)
+        return rec.instances, rec.failures
+
+    _spread_into(rec, diagram, sorted(orbit))
 
 
 def _numerators(B, vloc):

@@ -1,16 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import cli
+from steinberg import cli, rings
 from steinberg.rings import (
     FINITE_MAX_SIZE,
     DivisibilityError,
     Elem,
     FGIdeal,
     Ring,
+    RingSizeError,
     SpecError,
     UnsupportedRingError,
     lin_solve,
@@ -102,6 +104,33 @@ def test_localization_finite_idempotent():
     a_img = lam(z6.el(2))
     assert any((a_img * x).payload == loc.one_p for x in loc.elements())
     assert morphism_failures(lam) == []
+
+
+def test_localization_over_z_mod_n_is_the_idempotent_power(monkeypatch):
+    # the closed form (Chinese remainder theorem) against the search through
+    # the powers of a for its idempotent one; the 2,080 rings are interned
+    # in a copy of the cache that ends with the test
+    monkeypatch.setattr(rings, "_RING_CACHE", dict(rings._RING_CACHE))
+    for N in range(1, 65):
+        ring = make_ring(f"z/{N}")
+        for a in range(N):
+            e = a
+            while e * e % N != e:
+                e = e * a % N
+            loc, _ = localization(ring, ring.el(a))
+            assert loc.section[loc.one_p] == e, (N, a)
+            assert loc.section == list(dict.fromkeys(x * e % N for x in range(N))), (N, a)
+
+
+def test_localization_of_a_large_z_mod_n_is_refused_at_once(capsys):
+    # the idempotent power of 2 mod 1000000007 is 1, so the localization is
+    # the whole ring, past the cap; the power search took minutes to say so
+    t0 = time.perf_counter()
+    with pytest.raises(RingSizeError):
+        make_ring("loc(z/1000000007,2)")
+    assert cli.main(["--suite", "chevalley-relations", "--ring", "loc(z/1000000007,2)"]) == 2
+    assert "at most 256 elements" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 10
 
 
 def test_localization_kernel_is_annihilator():

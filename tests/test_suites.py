@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import os
+import random
 
 import numpy
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from steinberg import cli, fp
 from steinberg import suites as S
 from steinberg.matrices import Inconclusive
-from steinberg.rings import make_ring
+from steinberg.rings import localization, make_ring
 from steinberg.roots import build_system
 from steinberg.suites import (
     SUITES,
@@ -505,3 +507,107 @@ def test_spread_xeqy_enumerates_its_table_once(monkeypatch):
     rep = run_suite(SuiteConfig(suite="xeqy"))
     assert rep.verdict == "pass" and calls == ["A3"]
     assert _no_children_left()
+
+
+@pytest.mark.parametrize("suite", ["tulenbaev-identities", "star-presentation", "vdk-identities"])
+def test_spread_exact_checks_enumerate_their_table_once(monkeypatch, suite):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(fp, "_MEMO", {})
+    here, calls = os.getpid(), []
+    build = fp.regular_table
+
+    def counted(sp, max_cosets):
+        assert os.getpid() == here, "a share enumerated the table again"
+        calls.append((sp.system.name, sp.ring.spec))
+        return build(sp, max_cosets)
+
+    monkeypatch.setattr(fp, "regular_table", counted)
+    rep = run_suite(SuiteConfig(suite=suite))
+    assert rep.verdict == "pass" and calls == [("A3", "f2")]
+    assert _no_children_left()
+
+
+def _every_comparison_fails(monkeypatch):
+    """Exact word tests and matrix comparisons all say "different"."""
+    monkeypatch.setattr(fp.WordTester, "exact_equal", lambda self, w1, w2: False)
+    monkeypatch.setattr(S.RMatrix, "__eq__", lambda self, other: False)
+    monkeypatch.setattr(S.RMatrix, "__ne__", lambda self, other: True)
+
+
+# The leading digits of the SHA-1 of each report below as the checks gave
+# it when every sampled check still drew its samples inside its own loop.
+_ALL_FAILING_REPORTS = {
+    "vdk-identities": "34ce70d1db2e",
+    "tulenbaev-identities": "7a3ecc0cedd3",
+    "xeqy": "aee49d62b6e1",
+    "star-presentation": "7bd46dd7d44a",
+    "tmap-diagram": "7cc7fb0bfb3d",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_ALL_FAILING_REPORTS))
+def test_spread_sampled_checks_keep_the_serial_report(monkeypatch, suite):
+    # every check fails, so each report pins the instance counts, the seeded
+    # draws and the order of the first 32 witnesses; one CPU is the serial loop
+    _every_comparison_fails(monkeypatch)
+    cfg = SuiteConfig(suite=suite, seed=3)
+    _cpus(monkeypatch, 1)
+    serial = run_suite(cfg)
+    assert sum(len(c.failures) == 32 for c in serial.checks) >= 2
+    assert hashlib.sha1(serial.to_json().encode()).hexdigest()[:12] == _ALL_FAILING_REPORTS[suite]
+    for cpus in (2, 3):
+        _cpus(monkeypatch, cpus)
+        assert run_suite(cfg).to_json() == serial.to_json()
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_spread_law_checks_keep_the_serial_witness_order(monkeypatch, cpus):
+    f2 = make_ring("f2")
+    system = build_system("A3")
+    serial = S.CheckRecord(name="serial", tier="exact")
+    for sample in S._draw_law_samples(f2, 4, random.Random(7), 20, system):
+        instances, failures = S._ylaws_at(lambda w1, w2: False, system, sample)
+        serial.instances += instances
+        for witness in failures:
+            serial.fail(**witness)
+    _cpus(monkeypatch, cpus)
+    rec = S.CheckRecord(name="spread", tier="exact")
+    draws = S._draw_law_samples(f2, 4, random.Random(7), 20, system)
+    S._spread_into(rec, functools.partial(S._ylaws_at, lambda w1, w2: False, system), draws)
+    assert rec.instances == serial.instances == 80
+    assert len(rec.failures) == 32 and rec.failures == serial.failures
+    assert _no_children_left()
+
+
+def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
+    # one wrong sign makes every z/N check fail; the rings that are not z/N,
+    # or too large for int64, stay inconclusive at every CPU count
+    monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
+    cfg = SuiteConfig(suite="chevalley-relations", systems=("A3",),
+                      rings=("z/3", "prod(f2,f3)", "z/4", "z/3037000500", "z/5"))
+    reports = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        reports.append(run_suite(cfg))
+    assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
+    checks = {c.name: c for c in reports[2].checks}
+    for spec, reason in (("prod(f2,f3)", "is not z/N"), ("z/3037000500", "need N^2 < 2^63")):
+        c = checks[f"chevalley-A3-{spec}"]
+        assert c.inconclusive == 1 and c.instances == 0 and reason in c.info["reason"]
+    for spec in ("z/3", "z/4", "z/5"):
+        c = checks[f"chevalley-A3-{spec}"]
+        assert c.failures and not c.inconclusive and c.wall_time > 0
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("spec, a", [("z/6", 2), ("prod(f3,f2)", (1, 0))])
+def test_tmap_diagram_reads_v_through_the_section(spec, a):
+    # the localization's codes are not the base's here (its section is
+    # [0, 4, 2] or [0, 2, 4]), so v must be carried to B through the section
+    ring = make_ring(spec)
+    loc, _ = localization(ring, ring.el(a))
+    assert loc.section != list(range(loc.size()))
+    rec = CheckRecord(name="tmap", tier="matrix")
+    S._tmap_exhaustive(rec, ring, ring.el(a), 4)
+    assert rec.instances == 160 and rec.failures == []
