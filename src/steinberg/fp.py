@@ -905,11 +905,11 @@ def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
 # generator domains with witnesses
 
 
-def orbit_with_witnesses(ring, n, node_cap=10**6, system=None):
+def orbit_with_witnesses(ring, n, node_cap=10**6):
     """Every vector in the elementary orbit of e_1, with a witness word."""
     from .vdk import OrbitVector, linear_system
 
-    system = system or linear_system(n)
+    system = linear_system(n)
     parent = orbit_bfs(ring, n, node_cap)
     return {
         vec: OrbitVector(
@@ -938,10 +938,10 @@ class StarPresentations:
     s_symbols: list
 
 
-def star_presentations(n, ring, ideal, node_cap=10**6):
+def star_presentations(n, ring, ideal):
     from .vdk import FSymbol, SSymbol
 
-    orbit = orbit_with_witnesses(ring, n, node_cap=node_cap)
+    orbit = orbit_with_witnesses(ring, n)
     ideal_payloads = sorted(ideal.payload_set())
     ivecs = [
         RVector(ring, tup)

@@ -10,7 +10,7 @@ ring class.
 
 from __future__ import annotations
 
-from .rings import Elem, UnsupportedRingError, lin_solve
+from .rings import Elem
 
 
 class MatrixError(Exception):
@@ -207,47 +207,18 @@ def gram_hyperbolic(ring, rank):
     return RMatrix(ring, n, tuple(one if j == n - 1 - i else zero for i in range(n) for j in range(n)))
 
 
-def is_unimodular(u):
-    """A certificate w with w^t u = 1, or None; may raise UnsupportedRingError."""
-    w = lin_solve(u.entries, u.ring.one())
-    return None if w is None else vector(u.ring, w)
-
-
-def elementary_orbit_witness(u, node_cap=10**6):
-    """Letters (i, j, r) with t_(i1 j1)(r1)*...*e_1 == u, or None.
-
-    Finite rings run orbit_bfs until it reaches u; the integers use
-    Euclidean reduction.  Exceeding the node cap raises Inconclusive rather
-    than answering.
-    """
-    ring = u.ring
-    n = len(u)
-    if n < 3:
-        raise MatrixError("orbit witness needs n >= 3")
-    if ring.is_finite:
-        target = u.data
-        parent = orbit_bfs(ring, n, node_cap, target)
-        return orbit_letters(ring, parent, target) if target in parent else None
-    if type(ring).__name__ == "ZRing":
-        return _orbit_euclid(u)
-    raise UnsupportedRingError(f"orbit search over {ring.spec} is not supported")
-
-
-def orbit_bfs(ring, n, node_cap=10**6, target=None):
+def orbit_bfs(ring, n, node_cap):
     """Breadth-first search of the elementary orbit of e_1 in R^n.
 
     Returns the parent map, in order of discovery: each payload tuple maps
     to (its parent, (i, j, r)), reached from the parent by adding r times
     slot j to slot i, and e_1 maps to None.  The moves are tried in
-    (i, j, r) order and the first parent found is kept.  The search stops
-    as soon as it reaches `target`; exceeding the node cap raises
-    Inconclusive.
+    (i, j, r) order and the first parent found is kept.  Exceeding the node
+    cap raises Inconclusive.
     """
     zero = ring.zero_p
     start = tuple(ring.one_p if i == 0 else zero for i in range(n))
     parent = {start: None}
-    if target == start:
-        return parent
     nonzero = [p for p in ring.payloads() if p != zero]
     moves = [(i, j, r) for i in range(n) for j in range(n) if i != j for r in nonzero]
     padd, pmul = ring.p_add, ring.p_mul
@@ -263,8 +234,6 @@ def orbit_bfs(ring, n, node_cap=10**6, target=None):
             if newv in parent:
                 continue
             parent[newv] = (vec, move)
-            if newv == target:
-                return parent
             if len(parent) > node_cap:
                 raise Inconclusive("orbit search cap exceeded")
             queue.append(newv)
@@ -279,35 +248,6 @@ def orbit_letters(ring, parent, state):
         state, (i, j, r) = parent[state]
         letters.append((i, j, Elem(ring, r)))
     return letters
-
-
-def _orbit_euclid(u):
-    ring = u.ring
-    vals = list(u.data)
-    n = len(vals)
-    ops = []  # ops applied to u, in application order, driving it to e_1
-
-    def apply(i, j, r):
-        vals[i] += r * vals[j]
-        ops.append((i, j, r))
-
-    for j in range(1, n):
-        # Euclid between slot 0 and slot j, always shrinking the larger one
-        while vals[j] != 0:
-            if vals[0] == 0:
-                apply(0, j, 1)
-            if abs(vals[j]) >= abs(vals[0]):
-                apply(j, 0, -(vals[j] // vals[0]))
-            else:
-                apply(0, j, -(vals[0] // vals[j]))
-    if vals[0] == -1:
-        apply(1, 0, 1)
-        apply(0, 1, -2)
-        apply(1, 0, 1)
-    if vals[0] != 1 or any(v != 0 for v in vals[1:]):
-        return None
-    # ops take u to e_1, so u = T_1^-1 ... T_k^-1 e_1: invert in place
-    return [(i, j, ring.el(-r)) for i, j, r in ops]
 
 
 def right_multiplier(g):

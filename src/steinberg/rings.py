@@ -555,7 +555,7 @@ def _quo_poly(polyring, relator):
     return _intern(ring)
 
 
-def _image_ring(spec, base, image):
+def _image_ring(spec, base, image, reps=None):
     """The image of a finite base ring under image, an idempotent map of its
     codes that respects + and *.
 
@@ -564,9 +564,11 @@ def _image_ring(spec, base, image):
     code that code c stands for, and project maps a base code to its image's
     code.  With x -> x*e for the idempotent power e of a this is e*R, the
     finite model of R_a; with x -> the first member of x + I it is R/I.
+    reps, when given, are base codes in base order whose images are all of
+    the image and reached first by them, so that no other code is visited.
     """
     section = {}
-    for x in base.payloads():  # stops at the first image past the cap
+    for x in base.payloads() if reps is None else reps:  # stops at the first image past the cap
         section[image(x)] = None
         _check_size(spec, len(section))
     section = list(section)
@@ -580,7 +582,8 @@ def _image_ring(spec, base, image):
         lambda lit: image(base.from_literal(lit)),
     )
     ring.section = section
-    ring.project = [ring._code[image(x)] for x in base.payloads()].__getitem__
+    code = ring._code
+    ring.project = lambda x: code[image(x)]
     return ring
 
 
@@ -724,9 +727,6 @@ class SemidirectRing(Ring):
 
     def p_from_int(self, n):
         return (self.base.p_from_int(n), ())
-
-    def include_base(self, p):
-        return (p, ())
 
     def gen(self):
         """The augmentation variable V as an element."""
@@ -1016,7 +1016,9 @@ def localization(ring, a):
         loc = _RING_CACHE.get(spec)
         if loc is None:
             e = _idempotent_power(spec, ring, a.payload)
-            loc = _intern(_image_ring(spec, ring, functools.partial(ring.p_mul, e)))
+            # over z/N, x*e depends on x mod m only, m = |e*z/N|
+            reps = range(ring.n // math.gcd(e, ring.n)) if isinstance(ring, ZModRing) else None
+            loc = _intern(_image_ring(spec, ring, functools.partial(ring.p_mul, e), reps))
     elif a.is_zero():
         zero = _intern(ZModRing(1))
         return zero, RingMorphism(ring, zero, lambda p: 0, name="lam_0")
@@ -1060,14 +1062,6 @@ def semidirect_ring(ring, a):
     return _intern(SemidirectRing(ring, a))
 
 
-def semidirect_projection(semi):
-    return RingMorphism(semi, semi.base, lambda p: p[0], name="pr_base")
-
-
-def semidirect_inclusion(semi):
-    return RingMorphism(semi.base, semi, semi.include_base, name="in_base")
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -1100,11 +1094,7 @@ class FGIdeal:
         x = self.ring.el(x)
         if self.kind == "semi-kernel":
             return [] if x.payload[0] == self.ring.base.zero_p else None
-        if (
-            isinstance(self.ring, PolyRing)
-            and len(self.gens) == 1
-            and self.gens[0].payload == (self.ring.base.zero_p, self.ring.base.one_p)
-        ):
+        if _is_var_ideal(self.ring, self):
             # principal ideal (V) of a polynomial ring: divide by the variable
             if not x.payload:
                 return [self.ring.zero()]
@@ -1286,7 +1276,11 @@ def quotient_ring(ring, ideal):
     return out
 
 
-def splitting_section(ring, ideal, candidate_cap=10**6):
+# the most candidate tables that splitting_section searches
+SECTION_CANDIDATE_CAP = 10**6
+
+
+def splitting_section(ring, ideal):
     """A unital ring section of R -> R/I, or None if no section exists.
 
     The finite case searches candidate maps in enumerator order, so the
@@ -1311,7 +1305,7 @@ def splitting_section(ring, ideal, candidate_cap=10**6):
         else:
             fibers.append([ring.p_add(quo.section[q], i) for i in iset])
             total *= len(iset)
-            if total > candidate_cap:
+            if total > SECTION_CANDIDATE_CAP:
                 raise UnsupportedRingError("section search space too large")
     for table in itertools.product(*fibers):
         if all(

@@ -154,11 +154,11 @@ def X_gen(u, v, cert=None, witness=None, system=None):
     return _product(system, u.ring, [x_small(u, t, system=system) for t in terms])
 
 
-def Y_gen(u, v, cert=None, witness=None, system=None):
+def Y_gen(u, v, cert=None, system=None):
     """The mirrored generator for unimodular v: phi-image t(u, v).  Its
     terms are the canonical decomposition of u, whose hypotheses are
     checked here once each."""
-    cert = _resolve_cert(v, cert, witness)
+    cert = _resolve_cert(v, cert, None)
     if not u.dot(v).is_zero():
         raise VdkError("Y_gen needs u^t v = 0")
     if len(u) < 4:
@@ -223,13 +223,12 @@ def _decompose(u, moving, cert, b, quotient):
     return TulenbaevDatum(fixed=u, terms=decomposition_terms(quotient, u, cert), b=b)
 
 
-def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
+def decompose_in_D(u, v, k, a, cert=None, quotient=None):
     """Write v as a sum of u-orthogonal terms with two zero slots each.
 
     Takes a^k in the ideal generated by the entries of u (certificate
     cert^t u = a^k, found by lin_solve when not supplied) and v divisible
-    by a^k; the quotient may be passed in, pulled out of a uniquely
-    divisible ideal, or computed by exact division.
+    by a^k; the quotient may be passed in or computed by exact division.
     """
     ring = u.ring
     n = len(u)
@@ -247,7 +246,7 @@ def decompose_in_D(u, v, k, a, cert=None, quotient=None, ideal=None):
     elif cert.dot(u) != apow:
         raise VdkError("bad divisibility certificate")
     if quotient is None:
-        quotient = _divide_vector(v, apow, ideal)
+        quotient = _divide_vector(v, apow, None)
     return _decompose(u, v, cert, apow, quotient)
 
 
@@ -285,16 +284,16 @@ def Y_tul(datum, mult=None, system=None):
     return _product(system, v.ring, [x_small(t.scale(a), v, system=system) for t in datum.terms])
 
 
-def X_tul_of(u, v, a, k=1, cert=None, quotient=None, ideal=None, system=None):
-    if ideal is None and quotient is None and cert is None and a.is_one():
-        k = 0
-    return X_tul(decompose_in_D(u, v, k, a, cert, quotient, ideal), system=system)
+def X_tul_of(u, v, a, cert=None, quotient=None):
+    """X_{u,v}(a) through decompose_in_D at k = 1 (k = 0 for a bare a = 1)."""
+    k = 0 if cert is None and quotient is None and a.is_one() else 1
+    return X_tul(decompose_in_D(u, v, k, a, cert, quotient))
 
 
-def Y_tul_of(u, v, a, k=1, cert=None, quotient=None, ideal=None, system=None):
-    if ideal is None and quotient is None and cert is None and a.is_one():
-        k = 0
-    return Y_tul(decompose_in_D(v, u, k, a, cert, quotient, ideal), system=system)
+def Y_tul_of(u, v, a, cert=None, quotient=None):
+    """Y_{u,v}(a), the mirror of X_tul_of."""
+    k = 0 if cert is None and quotient is None and a.is_one() else 1
+    return Y_tul(decompose_in_D(v, u, k, a, cert, quotient))
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +396,12 @@ class SSymbol:
     v: OrbitVector
 
 
-def iota(sym, system=None):
+def iota(sym):
     """Send F(u,v) to X(u,v) and S(u,v) to Y(u,v), as explicit words."""
     if isinstance(sym, FSymbol):
-        return X_gen(sym.u.vec, sym.v, cert=sym.u.cert(), system=system)
+        return X_gen(sym.u.vec, sym.v, cert=sym.u.cert())
     if isinstance(sym, SSymbol):
-        return Y_gen(sym.u, sym.v.vec, cert=sym.v.cert(), system=system)
+        return Y_gen(sym.u, sym.v.vec, cert=sym.v.cert())
     raise VdkError(f"not a generator symbol: {sym!r}")
 
 
@@ -445,7 +444,11 @@ class TMapResult:
     kind: str
 
 
-def t_map(B, a, ideal, sym, n=4, cap=8, system_b=None):
+# the largest exponent m that t_map tries
+LIFT_CAP = 8
+
+
+def t_map(B, a, ideal, sym, n=4):
     """Lift a generator over B_a to a word over B along the localization.
 
     For F(u, v): find m and lifts with lam(~u) = u a^m, lam(~w) = w a^m,
@@ -456,7 +459,6 @@ def t_map(B, a, ideal, sym, n=4, cap=8, system_b=None):
     """
     a = B.el(a)
     loc, lam = localization(B, a)
-    system_b = system_b or linear_system(n)
     if isinstance(sym, FSymbol):
         nice, moving, kind = sym.u, sym.v, "F"
     elif isinstance(sym, SSymbol):
@@ -473,29 +475,26 @@ def t_map(B, a, ideal, sym, n=4, cap=8, system_b=None):
     moving_loc = RVector(loc, tuple(map(lam.p_fn, moving.data)))
     if not u.dot(moving_loc).is_zero():
         raise VdkError("generator pairing fails over the localization")
-    lift = _find_lifts(B, a, lam, u, w, moving, cap)
+    lift = _find_lifts(B, a, lam, u, w, moving)
     if lift is None:
-        raise VdkError(f"no admissible lift with m <= {cap} (inconclusive)")
+        raise VdkError(f"no admissible lift with m <= {LIFT_CAP} (inconclusive)")
     m, lu, lw = lift
     a2m = a ** (2 * m)
     target = _divide_vector(moving, a ** (3 * m), ideal)
     quotient = _divide_vector(target, a2m, ideal)
     datum = decompose_in_D(lu, target, 2 * m, a, cert=lw, quotient=quotient)
-    if kind == "F":
-        word = X_tul(datum, system=system_b)
-    else:
-        word = Y_tul(datum, system=system_b)
+    word = (X_tul if kind == "F" else Y_tul)(datum, system=linear_system(n))
     return TMapResult(word=word, m=m, lift_u=lu, lift_w=lw, kind=kind)
 
 
-def _find_lifts(B, a, lam, u, w, moving, cap):
+def _find_lifts(B, a, lam, u, w, moving):
     n = len(u)
     loc = u.ring
     finite = B.is_finite
     kernel = None
     if finite:
         kernel = [p for p in B.payloads() if lam.p_fn(p) == loc.zero_p]
-    for m in range(cap + 1):
+    for m in range(LIFT_CAP + 1):
         am = a**m
         base_u = _preimage_vector(B, lam, u, am)
         base_w = _preimage_vector(B, lam, w, am)

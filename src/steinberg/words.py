@@ -263,11 +263,6 @@ class SemidirectElement:
         return self.phi_pair() == other.phi_pair()
 
 
-def semidirect_identity(split, system):
-    from_ring = empty(system, split.ring)
-    return SemidirectElement(split, system, from_ring, empty(system, split.quotient))
-
-
 def semidirect_commutator(x, y):
     """The closed form for a commutator in a split extension:
 

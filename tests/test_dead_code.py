@@ -1,0 +1,65 @@
+"""No module-level function or class of the package goes unnamed.
+
+A definition counts as used when `src/`, `scripts/` or `perfbench/` names
+it anywhere outside its own body: a call, an import, an attribute, or a
+string that `perfbench/tracing.py` resolves with getattr.  Names the
+package exports and the few reference helpers below are exempt.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+import steinberg
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "steinberg"
+SEARCHED = ("src", "scripts", "perfbench")
+
+# Kept for the tests, each as the slow and obvious form of what the package
+# computes another way.
+TEST_REFERENCES = {
+    "transpose_anti",  # phi(transpose_anti(w)) is phi(w)^t
+    "ring_axiom_failures",  # the ring axioms checked on samples
+    "morphism_failures",  # the morphism laws checked on samples
+    "gram_hyperbolic",  # the form the type-D realization preserves
+}
+
+
+def _names(node):
+    """Every identifier `node` names, with multiplicity."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rpartition(".")[2]] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            # "Class.method" in perfbench/tracing.py's table
+            out.update(p for p in sub.value.split(".") if p.isidentifier())
+    return out
+
+
+def _unnamed():
+    """{name: "module.py:line"} of each definition nothing else names."""
+    named = Counter()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            named += _names(ast.parse(path.read_text()))
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in steinberg.__all__ and named[node.name] == _names(node)[node.name]:
+                out[node.name] = f"{path.name}:{node.lineno}"
+    return out
+
+
+def test_every_module_level_definition_is_named_outside_itself():
+    unnamed = _unnamed()
+    assert {k: at for k, at in unnamed.items() if k not in TEST_REFERENCES} == {}
+    # a reference helper the program starts to use leaves the list
+    assert TEST_REFERENCES <= set(unnamed)

@@ -6,10 +6,8 @@ from steinberg.matrices import (
     RMatrix,
     RVector,
     basis_vector,
-    elementary_orbit_witness,
     gram_hyperbolic,
     identity_matrix,
-    is_unimodular,
     matrix_group_order,
     right_multiplier,
     transvection,
@@ -18,7 +16,7 @@ from steinberg.matrices import (
 )
 from steinberg.rings import Elem, make_ring
 from steinberg.roots import Root, RootSystemError, build_system
-from steinberg.words import StWord, contragredient, empty, from_ij_letters, phi, x_ij
+from steinberg.words import StWord, contragredient, empty, phi, x_ij
 
 
 def test_unipotent_a_family():
@@ -91,44 +89,6 @@ def test_inverse_by_factor_reversal():
         m = phi(w)
         assert (m * phi(w.inverse())).is_identity()
         assert (phi(contragredient(w)).transpose() * m).is_identity()
-
-
-def test_is_unimodular():
-    z6 = make_ring("z/6")
-    assert is_unimodular(basis_vector(z6, 4, 0)) is not None
-    w = is_unimodular(vector(z6, [2, 3, 0, 0]))
-    assert w is not None and w.dot(vector(z6, [2, 3, 0, 0])).is_one()
-    assert is_unimodular(vector(z6, [2, 4, 0, 0])) is None
-
-
-def test_orbit_witness_finite():
-    z6 = make_ring("z/6")
-    a3 = build_system("A3")
-    e1 = basis_vector(z6, 4, 0)
-    assert elementary_orbit_witness(e1) == []
-    u = basis_vector(z6, 4, 1)
-    letters = elementary_orbit_witness(u)
-    assert phi(from_ij_letters(a3, z6, letters)) * e1 == u
-    assert elementary_orbit_witness(vector(z6, [2, 4, 0, 0])) is None
-
-
-def test_orbit_witness_integers():
-    zz = make_ring("z")
-    a3 = build_system("A3")
-    rng = random.Random(7)
-    import math
-
-    for _ in range(150):
-        u = vector(zz, [rng.randrange(-9, 10) for _ in range(4)])
-        g = 0
-        for x in u.entries:
-            g = math.gcd(g, abs(x.payload))
-        letters = elementary_orbit_witness(u)
-        if g == 1:
-            assert letters is not None
-            assert phi(from_ij_letters(a3, zz, letters)) * basis_vector(zz, 4, 0) == u
-        else:
-            assert letters is None
 
 
 def test_matrix_group_orders():

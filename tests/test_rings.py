@@ -1,4 +1,6 @@
+import functools
 import random
+import signal
 import time
 
 import pytest
@@ -108,8 +110,9 @@ def test_localization_finite_idempotent():
 
 def test_localization_over_z_mod_n_is_the_idempotent_power(monkeypatch):
     # the closed form (Chinese remainder theorem) against the search through
-    # the powers of a for its idempotent one; the 2,080 rings are interned
-    # in a copy of the cache that ends with the test
+    # the powers of a for its idempotent one, and the ring built from the
+    # residues mod |e*z/N| against the generic image of all N codes; the
+    # 2,080 rings are interned in a copy of the cache that ends with the test
     monkeypatch.setattr(rings, "_RING_CACHE", dict(rings._RING_CACHE))
     for N in range(1, 65):
         ring = make_ring(f"z/{N}")
@@ -120,6 +123,29 @@ def test_localization_over_z_mod_n_is_the_idempotent_power(monkeypatch):
             loc, _ = localization(ring, ring.el(a))
             assert loc.section[loc.one_p] == e, (N, a)
             assert loc.section == list(dict.fromkeys(x * e % N for x in range(N))), (N, a)
+            generic = rings._image_ring(loc.spec, ring, functools.partial(ring.p_mul, e))
+            assert (loc.add_table, loc.mul_table) == (generic.add_table, generic.mul_table)
+            assert [loc.project(x) for x in range(N)] == [generic.project(x) for x in range(N)]
+
+
+def test_localization_of_a_huge_z_mod_n_with_a_small_image():
+    # N = 2^40 * 3: e*z/N has 3 elements, but the base has N codes, and a
+    # walk over them all did not end
+    def stop(signum, frame):
+        raise TimeoutError("loc(z/3298534883328,2) still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        t0 = time.perf_counter()
+        loc = make_ring("loc(z/3298534883328,2)")
+        elapsed = time.perf_counter() - t0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert loc.size() == 3 and elapsed < 1
+    assert loc.section == [0, 2**40, 2**41]
+    assert [loc.project(x) for x in (0, 1, 2, 3, 2**40, 2**41 + 1)] == [0, 1, 2, 0, 1, 0]
 
 
 def test_localization_of_a_large_z_mod_n_is_refused_at_once(capsys):
@@ -279,16 +305,6 @@ def test_unique_divide_semidirect_kernel():
     assert s.el(2) * q == m
     assert ideal.contains(m) is not None
     assert ideal.contains(s.one()) is None
-
-
-def test_semidirect_projection_inclusion():
-    from steinberg.rings import semidirect_inclusion, semidirect_projection
-
-    s = semidirect_ring(make_ring("z"), 2)
-    pr = semidirect_projection(s)
-    inc = semidirect_inclusion(s)
-    assert pr(inc(make_ring("z").el(7))).payload == 7
-    assert morphism_failures(pr, samples=100) == []
 
 
 def test_splitting_sections():

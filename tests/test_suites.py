@@ -561,20 +561,36 @@ def test_spread_sampled_checks_keep_the_serial_report(monkeypatch, suite):
     assert _no_children_left()
 
 
+def test_every_tulenbaev_law_fails_under_its_own_name(monkeypatch):
+    # one body checks the X and the Y laws; the golden report has no
+    # failures, so this pins the names and witnesses of each kind
+    _every_comparison_fails(monkeypatch)
+    rep = run_suite(SuiteConfig(suite="tulenbaev-identities", seed=3))
+    failures = [f for c in rep.checks for f in c.failures]
+    assert len(failures) == 192
+    laws = ("scale", "balance", "additivity", "conjugation")
+    assert {f["law"] for f in failures} == {f"{k}-{law}" for k in "XY" for law in laws}
+    for c in rep.checks:
+        kind = c.name[0].upper()
+        for f in c.failures:
+            assert f["law"].startswith(kind + "-")
+            assert ("u" in f, "v" in f) == ((True, False) if kind == "X" else (False, True))
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_spread_law_checks_keep_the_serial_witness_order(monkeypatch, cpus):
     f2 = make_ring("f2")
     system = build_system("A3")
     serial = S.CheckRecord(name="serial", tier="exact")
     for sample in S._draw_law_samples(f2, 4, random.Random(7), 20, system):
-        instances, failures = S._ylaws_at(lambda w1, w2: False, system, sample)
+        instances, failures = S._laws_at("Y", lambda w1, w2: False, system, sample)
         serial.instances += instances
         for witness in failures:
             serial.fail(**witness)
     _cpus(monkeypatch, cpus)
     rec = S.CheckRecord(name="spread", tier="exact")
     draws = S._draw_law_samples(f2, 4, random.Random(7), 20, system)
-    S._spread_into(rec, functools.partial(S._ylaws_at, lambda w1, w2: False, system), draws)
+    S._spread_into(rec, functools.partial(S._laws_at, "Y", lambda w1, w2: False, system), draws)
     assert rec.instances == serial.instances == 80
     assert len(rec.failures) == 32 and rec.failures == serial.failures
     assert _no_children_left()

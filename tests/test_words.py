@@ -175,7 +175,7 @@ def test_semidirect_multiplication_and_inverse():
         k1 = rand_word(rng, 3, ring=f2e)
         q1 = rand_word(rng, 3, ring=sd.quotient)
         x = SemidirectElement(sd, A3, k1, q1)
-        ident = W.semidirect_identity(sd, A3)
+        ident = SemidirectElement(sd, A3, W.empty(A3, f2e), W.empty(A3, sd.quotient))
         assert (x * x.inverse()).matrix_equal(ident)
         assert (x.inverse() * x).matrix_equal(ident)
 
