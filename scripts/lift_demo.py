@@ -44,7 +44,7 @@ def main():
 
     print("u  =", ov.vec)
     print("v  =", vB)
-    res = t_map(B, a, ideal, FSymbol(u=ov, v=vB), n=n)
+    res = t_map(B, a, ideal, FSymbol(u=ov, v=vB))
     print("m  =", res.m)
     print("~u =", res.lift_u)
     print("~w =", res.lift_w)

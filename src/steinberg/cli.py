@@ -6,11 +6,12 @@ override the document.  The JSON report written with --out is canonical
 bytes.  Exit status is 0 exactly when every requested suite passes, and 2
 when neither --suite nor --config is given, when the --config document
 cannot be read, names an unknown suite or has a field that is unknown or
-of the wrong type, and on every config that suites.config_error rejects:
-a ring spec or a root system name that does not parse, a ring, a system,
-an --ideal or an --n that the suite would not read, or an --ideal of
-relative-generation, or its default (X), that does not resolve over the
-suite's ring.
+of the wrong type, when --suite comes with a --config document that does
+not hold exactly one suite, and on every config that suites.config_error
+rejects: a ring spec or a root system name that does not parse, a ring, a
+system, an --ideal or an --n that the suite would not read, or an --ideal
+of relative-generation, or its default (X), that does not resolve over
+the suite's ring.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def _configs_from_args(args):
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read --config {args.config}: {exc}") from None
         docs = doc["suites"] if isinstance(doc, dict) and "suites" in doc else [doc]
+        if args.suite and len(docs) != 1:
+            raise ValueError(f"--suite needs a --config of one suite, got {len(docs)}")
     elif args.suite:
         docs = [{"suite": args.suite}]
     else:
@@ -61,8 +64,8 @@ def _configs_from_args(args):
     configs = []
     for doc in docs:
         cfg = SuiteConfig.from_dict(doc)
-        if args.suite and len(docs) == 1:
-            cfg.suite = args.suite or cfg.suite
+        if args.suite:
+            cfg.suite = args.suite
         if args.ring is not None:
             cfg.rings = tuple(args.ring)
         if args.system is not None:

@@ -1253,7 +1253,8 @@ _QUOTIENT_CACHE = {}
 def quotient_ring(ring, ideal):
     """(R/I, pi).  A finite ring maps each coset to its first member in
     enumeration order; a polynomial ring modulo its variable projects onto
-    the coefficient ring."""
+    the coefficient ring.  Over z/N the ideal is d*z/N, d = gcd(N, gens),
+    and the first member of x + I is x mod d, so nothing is enumerated."""
     key = ideal.key()
     if key in _QUOTIENT_CACHE:
         return _QUOTIENT_CACHE[key]
@@ -1261,14 +1262,19 @@ def quotient_ring(ring, ideal):
         pi = RingMorphism(ring, ring.base, lambda p: p[0] if p else ring.base.zero_p, name="pi")
         out = (ring.base, pi)
     elif ring.is_finite:
-        first = {}
-        iset = ideal.payload_set()
-        for p in ring.payloads():
-            if p not in first:  # the first member of its coset
-                for i in iset:
-                    first[ring.p_add(p, i)] = p
         gens = _lit_str([ring.to_literal(g.payload) for g in ideal.gens])
-        q = _image_ring(f"quo_ideal({ring.spec},{gens})", ring, first.__getitem__)
+        spec = f"quo_ideal({ring.spec},{gens})"
+        if isinstance(ring, ZModRing):
+            d = math.gcd(ring.n, *(g.payload for g in ideal.gens))
+            q = _image_ring(spec, ring, lambda x: x % d, range(d))
+        else:
+            first = {}
+            iset = ideal.payload_set()
+            for p in ring.payloads():
+                if p not in first:  # the first member of its coset
+                    for i in iset:
+                        first[ring.p_add(p, i)] = p
+            q = _image_ring(spec, ring, first.__getitem__)
         out = (q, RingMorphism(ring, q, q.project, name="pi"))
     else:
         raise UnsupportedRingError(f"quotient of {ring.spec} is not supported")

@@ -249,15 +249,9 @@ def structure_constant(datum, alpha, beta):
 
 
 def _unipotent_int(datum, root, xi=1):
-    n = datum.matrix_size()
-    m = numpy.eye(n, dtype=numpy.int64)
-    if datum.family == "A":
-        i, j = datum.a_indices(root)
-        m[i, j] = xi
-    else:
-        i, j = datum.d_pair(root)
-        m[datum.d_position(i), datum.d_position(j)] = xi
-        m[datum.d_position(-j), datum.d_position(-i)] = -xi
+    m = numpy.eye(datum.matrix_size(), dtype=numpy.int64)
+    for i, j, sign in datum.unipotent_entries(datum.index[root]):
+        m[i, j] = sign * xi
     return m
 
 

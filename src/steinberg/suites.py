@@ -710,7 +710,7 @@ def _draw_law_samples(ring, n, rng, samples, system):
     return out
 
 
-def _laws_at(kind, equal, system, sample):
+def _laws_at(kind, equal, sample):
     """The four X laws (kind "X") or Y laws (kind "Y") at one sample.
     Returns (instances, failures).
 
@@ -726,7 +726,7 @@ def _laws_at(kind, equal, system, sample):
     tul_of = X_tul if kind == "X" else Y_tul
 
     def tul(fixed, vec, cert, quotient, mult):
-        return tul_of(decompose_with(fixed, vec, cert, quotient), mult=mult, system=system)
+        return tul_of(decompose_with(fixed, vec, cert, quotient), mult=mult)
 
     def check(law, lhs, rhs, **data):
         rec.instances += 1
@@ -767,7 +767,7 @@ def suite_tulenbaev(config):
         with _Check(checks, f"{kind.lower()}laws-f2-{tier_label}", tier_label) as rec:
             _ready(tester)
             draws = _draw_law_samples(f2, n, rng, _want(config, 150, 150), system)
-            _spread_into(rec, functools.partial(_laws_at, kind, equal, system), draws)
+            _spread_into(rec, functools.partial(_laws_at, kind, equal), draws)
     matrix_eq = lambda a, b: phi(a) == phi(b)
     for ringspec in config.rings or ("z/4", "z/6"):
         ring = make_ring(ringspec)
@@ -776,7 +776,7 @@ def suite_tulenbaev(config):
         for kind in "XY":
             with _Check(checks, f"{kind.lower()}laws-{ringspec}-matrix", "matrix") as rec:
                 draws = _draw_law_samples(ring, n, rng2, want, system)
-                _spread_into(rec, functools.partial(_laws_at, kind, matrix_eq, system), draws)
+                _spread_into(rec, functools.partial(_laws_at, kind, matrix_eq), draws)
     return checks
 
 
@@ -940,7 +940,7 @@ def suite_star(config):
         new_u = tuv * s2.u.vec
         new_v = transvection(s1.v, -s1.u.vec) * s2.v
         witness = w1 * s2.u.witness
-        rhs_word = X_gen(new_u, new_v, witness=witness)
+        rhs_word = X_gen(new_u, new_v, cert=OrbitVector(new_u, witness).cert())
         rec.instances += 1
         if m1 * m2 * phi(w1.inverse()) != phi(rhs_word):
             rec.fail(u=_lit(s1.u.vec), v=_lit(s1.v), u2=_lit(s2.u.vec), v2=_lit(s2.v))
@@ -962,7 +962,7 @@ def suite_star(config):
     with _Check(checks, f"FS-coincidence-f2-{tier_label}", tier_label) as rec:
         _ready(tester)
         mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 100, 100))]
-        _spread_into(rec, functools.partial(_fs_coincidence_at, equal, system), mws)
+        _spread_into(rec, functools.partial(_fs_coincidence_at, equal), mws)
     with _Check(checks, f"xy-bridge-two-routes-f2-{tier_label}", tier_label) as rec:
         e1 = basis_vector(f2, n, 0)
         e2 = basis_vector(f2, n, 1)
@@ -987,7 +987,7 @@ def suite_star(config):
     with _Check(checks, f"column-split-relator-f2-{tier_label}", tier_label) as rec:
         _ready(tester)
         mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 60, 60))]
-        _spread_into(rec, functools.partial(_column_split_at, equal, system), mws)
+        _spread_into(rec, functools.partial(_column_split_at, equal), mws)
     with _Check(checks, "kappa-iota-f2[eps]-sampled", "matrix") as rec:
         fs = star.f_symbols
         for _ in range(_want(config, 200, 200)):
@@ -998,12 +998,12 @@ def suite_star(config):
     return checks
 
 
-def _fs_coincidence_at(equal, system, mw):
+def _fs_coincidence_at(equal, mw):
     """X_gen(u, v a) against Y_gen(u a, v) for u = M e_1, v = M* e_2, with M
     the matrix of the word mw, at every a in F2, compared by `equal`.
     Returns (instances, failures)."""
     rec = CheckRecord(name="", tier="")
-    f2, n = mw.ring, system.rank + 1
+    f2, n = mw.ring, mw.system.rank + 1
     M = phi(mw)
     Ms = phi(W.contragredient(mw))
     u = M * basis_vector(f2, n, 0)
@@ -1020,14 +1020,15 @@ def _fs_coincidence_at(equal, system, mw):
     return rec.instances, rec.failures
 
 
-def _column_split_at(equal, system, mw):
+def _column_split_at(equal, mw):
     """The column-split relator X_{u1 r + u2, v3 a} = X_{u1, v3 a r} X_{u2, v3 a}
     for the columns u1, u2 of the matrix M of the word mw and the column v3
     of M*, at every r and a in F2, compared by `equal`.  Returns
     (instances, failures)."""
     rec = CheckRecord(name="", tier="")
-    f2, n = mw.ring, system.rank + 1
-    e2ov = basis_orbit_vector(f2, n, 1, system=system)
+    system, f2 = mw.system, mw.ring
+    n = system.rank + 1
+    e2ov = basis_orbit_vector(f2, n, 1)
     M = phi(mw)
     Ms = phi(W.contragredient(mw))
     u1 = M * basis_vector(f2, n, 0)
@@ -1041,9 +1042,9 @@ def _column_split_at(equal, system, mw):
             # witness: M then t_01(r) carry e_2 to M(e_1 r + e_2)
             wit = mw * W.x_ij(system, f2, 0, 1, r) * e2ov.witness
             rec.instances += 1
-            lhs = X_gen(lhs_u, v3.scale(a), witness=wit)
-            rhs = X_gen(u1, v3.scale(a * r), witness=mw) * X_gen(
-                u2, v3.scale(a), witness=mw * e2ov.witness
+            lhs = X_gen(lhs_u, v3.scale(a), cert=OrbitVector(lhs_u, wit).cert())
+            rhs = X_gen(u1, v3.scale(a * r), cert=OrbitVector(u1, mw).cert()) * X_gen(
+                u2, v3.scale(a), cert=OrbitVector(u2, mw * e2ov.witness).cert()
             )
             if not equal(lhs, rhs):
                 rec.fail(M=_lit(mw), r=_lit(r), a=_lit(a))
@@ -1057,7 +1058,6 @@ def _column_split_at(equal, system, mw):
 def suite_psi(config):
     checks = []
     n = config.n
-    system = linear_system(n)
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     ideal = FGIdeal(f2e, [f2e.gen()])
     sd = split_data(f2e, ideal)
@@ -1068,7 +1068,7 @@ def suite_psi(config):
     def psi(i, j, xi):
         key = (i, j, xi.payload)
         if key not in cache:
-            cache[key] = psi_map(sd, n, i, j, xi, system=system)
+            cache[key] = psi_map(sd, n, i, j, xi)
         return cache[key]
 
     with _Check(checks, "psi-additivity-f2[eps]-exhaustive", "matrix") as rec:
@@ -1110,7 +1110,7 @@ def suite_psi(config):
                     formula = W.semidirect_commutator(a, b)
                     direct = W.commutator(a, b)
                     target = psi(i, k, xi * eta)
-                    expansion = _expansion_tuple(sd, system, n, i, j, k, xi, eta)
+                    expansion = _expansion_tuple(sd, n, i, j, k, xi, eta)
                     ok = (
                         formula.matrix_equal(direct)
                         and direct.matrix_equal(target)
@@ -1127,7 +1127,7 @@ def suite_psi(config):
     return checks
 
 
-def _expansion_tuple(sd, system, n, i, j, k, xi, eta):
+def _expansion_tuple(sd, n, i, j, k, xi, eta):
     """The four-factor kernel word of the semidirect commutator expansion."""
     ring = sd.ring
     xi_bar = sd.sigma(sd.pi(xi))
@@ -1138,13 +1138,13 @@ def _expansion_tuple(sd, system, n, i, j, k, xi, eta):
     ej = basis_vector(ring, n, j)
     ek = basis_vector(ring, n, k)
     u2 = ej + ei.scale(xi_bar)
-    f1 = X_gen(ei, ej.scale(xi_d), cert=ei, system=system)
-    f2_ = X_gen(u2, ek.scale(eta_d), cert=ej, system=system)
-    f3 = X_gen(ei, ek.scale(eta_bar * xi_d) - ej.scale(xi_d), cert=ei, system=system)
-    f4 = X_gen(ej, -(ek.scale(eta_d)), cert=ej, system=system)
+    f1 = X_gen(ei, ej.scale(xi_d), cert=ei)
+    f2_ = X_gen(u2, ek.scale(eta_d), cert=ej)
+    f3 = X_gen(ei, ek.scale(eta_bar * xi_d) - ej.scale(xi_d), cert=ei)
+    f4 = X_gen(ej, -(ek.scale(eta_d)), cert=ej)
     kernel = f1 * f2_ * f3 * f4
-    quotient = W.x_ij(system, sd.quotient, i, k, sd.pi(xi * eta))
-    return W.SemidirectElement(sd, system, kernel, quotient)
+    quotient = W.x_ij(kernel.system, sd.quotient, i, k, sd.pi(xi * eta))
+    return W.SemidirectElement(sd, kernel.system, kernel, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,9 +1269,9 @@ def suite_tmap(config):
         uw, vB, vloc, mirrored = sample
         ov = OrbitVector.from_word(uw, n)
         if mirrored:
-            res = t_map(Bz, az, idz, SSymbol(u=vB, v=ov), n=n)
+            res = t_map(Bz, az, idz, SSymbol(u=vB, v=ov))
         else:
-            res = t_map(Bz, az, idz, FSymbol(u=ov, v=vB), n=n)
+            res = t_map(Bz, az, idz, FSymbol(u=ov, v=vB))
         if _tmap_diagram_ok(res, lamz, locz, ov.vec, vloc, mirrored=mirrored):
             return 1, []
         return 1, [dict(u=_lit(ov.vec), v=_lit(vB), m=res.m, kind=res.kind)]
@@ -1320,7 +1320,7 @@ def _tmap_exhaustive(rec, B, a, n):
             vloc = base_v.scale(Elem(loc, c_p))
             vB = RVector(B, tuple(map(loc.section.__getitem__, vloc.data)))
             rec.instances += 1
-            res = t_map(B, a, ideal, FSymbol(u=ov, v=vB), n=n)
+            res = t_map(B, a, ideal, FSymbol(u=ov, v=vB))
             if not _tmap_diagram_ok(res, lam, loc, ov.vec, vloc):
                 rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m)
         return rec.instances, rec.failures

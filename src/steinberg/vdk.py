@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import words as W
 from .matrices import RVector, basis_vector, vector
-from .rings import Elem, lin_solve, localization, unique_divide
+from .rings import Elem, localization, unique_divide
 from .roots import build_system
 from .words import StWord, contragredient, phi, simplify
 
@@ -44,7 +44,7 @@ def linear_system(n):
 # the basic element x(u, v)
 
 
-def x_small(u, v, index=None, mode=None, system=None):
+def x_small(u, v, index=None, mode=None):
     """A word with phi-image exactly 1 + u v^t.
 
     Needs u^t v = 0 and a zero coordinate in v (primary form) or in u
@@ -57,7 +57,6 @@ def x_small(u, v, index=None, mode=None, system=None):
         raise VdkError("x_small arguments must match")
     if not u.dot(v).is_zero():
         raise VdkError("x_small needs u^t v = 0")
-    system = system or linear_system(n)
     zero = u.ring.zero_p
     if mode is None:
         if index is not None:
@@ -73,10 +72,10 @@ def x_small(u, v, index=None, mode=None, system=None):
     a, b = (u, v) if mode == "v" else (v, u)
     if b.data[index] != zero:
         raise VdkError(f"{mode}[{index}] is not zero")
-    return simplify(_x_small_primary(system, a, b, index, transpose=mode == "u"))
+    return simplify(_x_small_primary(a, b, index, transpose=mode == "u"))
 
 
-def _x_small_primary(system, u, v, i, transpose=False):
+def _x_small_primary(u, v, i, transpose=False):
     # t(u,v) = t(e_i u_i, v) * t(u - e_i u_i, v), the second factor being
     # the commutator [col, row] of the "column" and "row" products at slot
     # i.  With `transpose`, the letters x_ab(c) become x_ba(c) in reverse
@@ -93,13 +92,16 @@ def _x_small_primary(system, u, v, i, transpose=False):
     letters += [(a, b, pneg(c)) for a, b, c in reversed(row)]
     if transpose:
         letters = [(b, a, c) for a, b, c in reversed(letters)]
+    system = linear_system(len(ud))
     at = system.ij_index()
     return StWord(system, ring, [(at[a, b], Elem(ring, c)) for a, b, c in letters if c != zero])
 
 
-def _product(system, ring, words):
-    """The simplified product of `words`, in order."""
-    return simplify(StWord(system, ring, [x for w in words for x in w.letters]))
+def _product(vec, words):
+    """The simplified product of `words`, in order, over the ring of the
+    vector `vec` and the linear system of its length."""
+    letters = [x for w in words for x in w.letters]
+    return simplify(StWord(linear_system(len(vec)), vec.ring, letters))
 
 
 # ---------------------------------------------------------------------------
@@ -142,47 +144,29 @@ def canonical_decomposition(u, v, w):
     return decomposition_terms(u, v, w)
 
 
-def X_gen(u, v, cert=None, witness=None, system=None):
+def X_gen(u, v, cert):
     """Van der Kallen's generator for unimodular u: a word with phi-image
-    t(u, v).  The certificate w (w^t u = 1) may be given, or derived from
-    an orbit witness, or found by linear solving."""
-    cert = _resolve_cert(u, cert, witness)
+    t(u, v), given the certificate cert^t u = 1."""
+    got = cert.dot(u)
+    if not got.is_one():
+        raise VdkError(f"certificate pairs to {got!r}, not 1")
     if not u.dot(v).is_zero():
         raise VdkError("X_gen needs u^t v = 0")
-    system = system or linear_system(len(u))
-    terms = decomposition_terms(v, u, cert)
-    return _product(system, u.ring, [x_small(u, t, system=system) for t in terms])
+    return _product(u, [x_small(u, t) for t in decomposition_terms(v, u, cert)])
 
 
-def Y_gen(u, v, cert=None, system=None):
-    """The mirrored generator for unimodular v: phi-image t(u, v).  Its
-    terms are the canonical decomposition of u, whose hypotheses are
-    checked here once each."""
-    cert = _resolve_cert(v, cert, None)
+def Y_gen(u, v, cert):
+    """The mirrored generator for unimodular v (cert^t v = 1): phi-image
+    t(u, v).  Its terms are the canonical decomposition of u, whose
+    hypotheses are checked here once each."""
+    got = cert.dot(v)
+    if not got.is_one():
+        raise VdkError(f"certificate pairs to {got!r}, not 1")
     if not u.dot(v).is_zero():
         raise VdkError("Y_gen needs u^t v = 0")
     if len(u) < 4:
         raise VdkError("canonical decomposition needs n >= 4")
-    system = system or linear_system(len(u))
-    terms = decomposition_terms(u, v, cert)
-    return _product(system, u.ring, [x_small(t, v, system=system) for t in terms])
-
-
-def _resolve_cert(u, cert, witness):
-    if cert is not None:
-        got = cert.dot(u)
-        if not got.is_one():
-            raise VdkError(f"certificate pairs to {got!r}, not 1")
-        return cert
-    if witness is not None:
-        w = phi(contragredient(witness)) * basis_vector(u.ring, len(u), 0)
-        if not w.dot(u).is_one():
-            raise VdkError("orbit witness does not certify u")
-        return w
-    sol = lin_solve(u.entries, u.ring.one())
-    if sol is None:
-        raise VdkError("u is not unimodular")
-    return vector(u.ring, sol)
+    return _product(u, [x_small(t, v) for t in decomposition_terms(u, v, cert)])
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +188,12 @@ def decompose_with(u, moving, cert, quotient):
     """The canonical decomposition of moving = quotient * (cert^t u).
 
     Needs n >= 4, moving = quotient * b and u^t quotient = 0, which make
-    u^t moving = 0 too."""
+    u^t moving = 0 too.  These checks are all the datum needs: every term
+    is orthogonal to u and has two zero slots by construction, and with
+    u^t quotient = 0 the terms sum to (cert^t u) quotient = moving."""
     if len(u) < 4:
         raise VdkError("decomposition needs n >= 4")
-    return _decompose(u, moving, cert, cert.dot(u), quotient)
-
-
-def _decompose(u, moving, cert, b, quotient):
-    """decompose_with for a caller that has checked n and knows b = cert^t u.
-
-    The two checks here are all the datum needs: every term is orthogonal
-    to u and has two zero slots by construction, and with u^t quotient = 0
-    the terms sum to (cert^t u) quotient = moving."""
+    b = cert.dot(u)
     if quotient.scale(b) != moving:
         raise VdkError("quotient does not reproduce the moving vector")
     if not u.dot(quotient).is_zero():
@@ -223,48 +201,14 @@ def _decompose(u, moving, cert, b, quotient):
     return TulenbaevDatum(fixed=u, terms=decomposition_terms(quotient, u, cert), b=b)
 
 
-def decompose_in_D(u, v, k, a, cert=None, quotient=None):
-    """Write v as a sum of u-orthogonal terms with two zero slots each.
-
-    Takes a^k in the ideal generated by the entries of u (certificate
-    cert^t u = a^k, found by lin_solve when not supplied) and v divisible
-    by a^k; the quotient may be passed in or computed by exact division.
-    """
-    ring = u.ring
-    n = len(u)
-    if n < 4:
-        raise VdkError("decompose_in_D needs n >= 4")
-    a = ring.el(a)
-    if not u.dot(v).is_zero():
-        raise VdkError("decompose_in_D needs u^t v = 0")
-    apow = a**k
-    if cert is None:
-        sol = lin_solve(u.entries, apow)
-        if sol is None:
-            raise VdkError(f"a^{k} is not in the ideal of u")
-        cert = vector(ring, sol)
-    elif cert.dot(u) != apow:
-        raise VdkError("bad divisibility certificate")
-    if quotient is None:
-        quotient = _divide_vector(v, apow, None)
-    return _decompose(u, v, cert, apow, quotient)
-
-
 def _divide_vector(v, apow, ideal):
-    ring = v.ring
+    """v / apow entrywise, inside an ideal that apow divides uniquely."""
     if apow.is_one():
         return v
-    if ideal is not None:
-        return vector(ring, [unique_divide(ideal, apow, x) for x in v.entries])
-    if ring.exact_div:
-        out = tuple(ring.p_try_div(x, apow.payload) for x in v.data)
-        if None in out:
-            raise VdkError("entry not divisible")
-        return RVector(ring, out)
-    raise VdkError("no division route available")
+    return vector(v.ring, [unique_divide(ideal, apow, x) for x in v.entries])
 
 
-def X_tul(datum, mult=None, system=None):
+def X_tul(datum, mult=None):
     """X_{u,v}(a) = prod x(u, v_k a); phi-image t(u, v a).
 
     The multiplier defaults to the certified element the decomposition ran
@@ -272,28 +216,14 @@ def X_tul(datum, mult=None, system=None):
     like the conjugation law use an independent multiplier in I(u)."""
     a = datum.b if mult is None else mult
     u = datum.fixed
-    system = system or linear_system(len(u))
-    return _product(system, u.ring, [x_small(u, t.scale(a), system=system) for t in datum.terms])
+    return _product(u, [x_small(u, t.scale(a)) for t in datum.terms])
 
 
-def Y_tul(datum, mult=None, system=None):
+def Y_tul(datum, mult=None):
     """Y_{u,v}(a) = prod x(u_k a, v); phi-image t(u a, v)."""
     a = datum.b if mult is None else mult
     v = datum.fixed
-    system = system or linear_system(len(v))
-    return _product(system, v.ring, [x_small(t.scale(a), v, system=system) for t in datum.terms])
-
-
-def X_tul_of(u, v, a, cert=None, quotient=None):
-    """X_{u,v}(a) through decompose_in_D at k = 1 (k = 0 for a bare a = 1)."""
-    k = 0 if cert is None and quotient is None and a.is_one() else 1
-    return X_tul(decompose_in_D(u, v, k, a, cert, quotient))
-
-
-def Y_tul_of(u, v, a, cert=None, quotient=None):
-    """Y_{u,v}(a), the mirror of X_tul_of."""
-    k = 0 if cert is None and quotient is None and a.is_one() else 1
-    return Y_tul(decompose_in_D(v, u, k, a, cert, quotient))
+    return _product(v, [x_small(t.scale(a), v) for t in datum.terms])
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +239,12 @@ class XeqYWords:
     path_y: StWord    # the Y-route evaluation
 
 
-def xeqy_words(x, y, u, v, b, r, zu=None, zv=None):
+def xeqy_words(x, y, u, v, b, r, zu, zv):
     """All five words of the two-route commutator computation.
 
     Hypotheses (checked exactly): u^t v = 0, x^t y = b, x^t v = 0,
-    u^t y = 0, x^t u = 0, y^t v = 0, and b in I(u) and I(v).  The
-    certificates zu^t u = b and zv^t v = b are solved for unless given.
+    u^t y = 0, x^t u = 0, y^t v = 0, and the certificates zu^t u = b and
+    zv^t v = b of b in I(u) and I(v).
     """
     ring = u.ring
     b = ring.el(b)
@@ -329,35 +259,28 @@ def xeqy_words(x, y, u, v, b, r, zu=None, zv=None):
     for val, tag in checks:
         if not val.is_zero():
             raise VdkError(f"hypothesis {tag} = 0 fails")
-    if x.dot(y) != b:
-        raise VdkError("hypothesis x^t y = b fails")
-    zu, zv = (_ideal_cert(w, z, b) for w, z in ((u, zu), (v, zv)))
-    if zu is None or zv is None:
-        raise VdkError("b must lie in I(u) and I(v)")
+    for val, tag in ((x.dot(y), "x^t y"), (zu.dot(u), "zu^t u"), (zv.dot(v), "zv^t v")):
+        if val != b:
+            raise VdkError(f"hypothesis {tag} = b fails")
+
+    def X(q):  # X_{u, q b}(b)
+        return X_tul(decompose_with(u, q.scale(b), zu, q))
+
+    def Y(q):  # Y_{q b, v}(b)
+        return Y_tul(decompose_with(v, q.scale(b), zv, q))
+
     b3r = b * b * b * r
-    lhs = X_tul_of(u, v.scale(b3r * b), b, cert=zu, quotient=v.scale(b3r))
-    rhs = Y_tul_of(u.scale(b3r * b), v, b, cert=zv, quotient=u.scale(b3r))
-    y1 = Y_tul_of(x.scale(-(b * r)), v, b, cert=zv, quotient=x.scale(-r))
-    x1 = X_tul_of(u, y.scale(b), b, cert=zu, quotient=y)
-    g_direct = W.commutator(y1, x1)
+    lhs = X(v.scale(b3r))
+    rhs = Y(u.scale(b3r))
+    y1 = Y(x.scale(-r))
+    g_direct = W.commutator(y1, X(y))
     # X route: conjugation rewrites the commutator as
     #   X_{u, yb + v b^4 r}(b) * X_{u, -yb}(b)
-    px = X_tul_of(u, y.scale(b) + v.scale(b3r * b), b, cert=zu,
-                  quotient=y + v.scale(b3r))
-    px = px * X_tul_of(u, y.scale(-b), b, cert=zu, quotient=-y)
+    px = X(y + v.scale(b3r)) * X(-y)
     # Y route: Y_{-xbr, v}(b) * Y_{xbr + u b^4 r, v}(b)
-    py = y1 * Y_tul_of(x.scale(b * r) + u.scale(b3r * b), v, b, cert=zv,
-                       quotient=x.scale(r) + u.scale(b3r))
+    py = y1 * Y(x.scale(r) + u.scale(b3r))
     return XeqYWords(lhs=lhs, rhs=rhs, g_direct=simplify(g_direct),
                      path_x=simplify(px), path_y=simplify(py))
-
-
-def _ideal_cert(u, cert, b):
-    """A z with z^t u = b: `cert` if it is one, solved for if it is None."""
-    if cert is None:
-        sol = lin_solve(u.entries, b)
-        return None if sol is None else vector(u.ring, sol)
-    return cert if cert.dot(u) == b else None
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +328,9 @@ def iota(sym):
     raise VdkError(f"not a generator symbol: {sym!r}")
 
 
-def basis_orbit_vector(ring, n, k, system=None):
+def basis_orbit_vector(ring, n, k):
     """e_k as an orbit vector (a three-letter word moves e_1 there)."""
-    system = system or linear_system(n)
+    system = linear_system(n)
     if k == 0:
         return OrbitVector(basis_vector(ring, n, 0), W.empty(system, ring))
     word = W.from_ij_letters(system, ring, ((k, 0, 1), (0, k, -1), (k, 0, 1)))
@@ -418,15 +341,15 @@ def basis_orbit_vector(ring, n, k, system=None):
 # psi: St(n, R) -> St*(n, R, I) x| St(n, R/I)
 
 
-def psi_map(split, n, i, j, xi, system=None):
+def psi_map(split, n, i, j, xi):
     """psi(x_ij(xi)) = (X(e_i, e_j xi'), x_ij(pi(xi))) with xi' the ideal
     defect of xi; the pair lives in the split extension."""
-    system = system or linear_system(n)
+    system = linear_system(n)
     ring = split.ring
     xi = ring.el(xi)
     defect = split.defect(xi)
     ei = basis_vector(ring, n, i)
-    kernel = X_gen(ei, basis_vector(ring, n, j).scale(defect), cert=ei, system=system)
+    kernel = X_gen(ei, basis_vector(ring, n, j).scale(defect), cert=ei)
     quotient = W.x_ij(system, split.quotient, i, j, split.pi(xi))
     return W.SemidirectElement(split, system, kernel, quotient)
 
@@ -448,7 +371,7 @@ class TMapResult:
 LIFT_CAP = 8
 
 
-def t_map(B, a, ideal, sym, n=4):
+def t_map(B, a, ideal, sym):
     """Lift a generator over B_a to a word over B along the localization.
 
     For F(u, v): find m and lifts with lam(~u) = u a^m, lam(~w) = w a^m,
@@ -479,11 +402,10 @@ def t_map(B, a, ideal, sym, n=4):
     if lift is None:
         raise VdkError(f"no admissible lift with m <= {LIFT_CAP} (inconclusive)")
     m, lu, lw = lift
-    a2m = a ** (2 * m)
+    # lw^t lu = a^(2m), as _find_lifts checked
     target = _divide_vector(moving, a ** (3 * m), ideal)
-    quotient = _divide_vector(target, a2m, ideal)
-    datum = decompose_in_D(lu, target, 2 * m, a, cert=lw, quotient=quotient)
-    word = (X_tul if kind == "F" else Y_tul)(datum, system=linear_system(n))
+    quotient = _divide_vector(target, a ** (2 * m), ideal)
+    word = (X_tul if kind == "F" else Y_tul)(decompose_with(lu, target, lw, quotient))
     return TMapResult(word=word, m=m, lift_u=lu, lift_w=lw, kind=kind)
 
 

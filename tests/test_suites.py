@@ -20,6 +20,7 @@ from steinberg.suites import (
     emit_report,
     run_suite,
 )
+from steinberg.vdk import linear_system
 
 
 def test_unknown_suite_rejected():
@@ -267,13 +268,18 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         (None, "cannot read --config"),  # no such file
         # a misspelt field used to be ignored, and the default rings ran
         ('{"suite": "k2-exact", "ring": ["z/4"]}', "unknown config field 'ring'"),
+        # --suite cannot pick one of several suites, so it must not be dropped
+        (('{"suites": [{"suite": "amalgam"}, {"suite": "amalgam", "systems": ["A3"]}]}',
+          "--suite", "xeqy"), "--suite needs a --config of one suite, got 2"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
+    # text is the document, or the document and the flags that come with it
+    text, *flags = text if isinstance(text, tuple) else (text,)
     path = tmp_path / "cfg.json"
     if text is not None:
         path.write_text(text)
-    assert cli.main(["--config", str(path)]) == 2
+    assert cli.main(["--config", str(path), *flags]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and named in err
@@ -580,17 +586,17 @@ def test_every_tulenbaev_law_fails_under_its_own_name(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_spread_law_checks_keep_the_serial_witness_order(monkeypatch, cpus):
     f2 = make_ring("f2")
-    system = build_system("A3")
+    system = linear_system(4)
     serial = S.CheckRecord(name="serial", tier="exact")
     for sample in S._draw_law_samples(f2, 4, random.Random(7), 20, system):
-        instances, failures = S._laws_at("Y", lambda w1, w2: False, system, sample)
+        instances, failures = S._laws_at("Y", lambda w1, w2: False, sample)
         serial.instances += instances
         for witness in failures:
             serial.fail(**witness)
     _cpus(monkeypatch, cpus)
     rec = S.CheckRecord(name="spread", tier="exact")
     draws = S._draw_law_samples(f2, 4, random.Random(7), 20, system)
-    S._spread_into(rec, functools.partial(S._laws_at, "Y", lambda w1, w2: False, system), draws)
+    S._spread_into(rec, functools.partial(S._laws_at, "Y", lambda w1, w2: False), draws)
     assert rec.instances == serial.instances == 80
     assert len(rec.failures) == 32 and rec.failures == serial.failures
     assert _no_children_left()

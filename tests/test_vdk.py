@@ -18,12 +18,10 @@ from steinberg.vdk import (
     VdkError,
     X_gen,
     X_tul,
-    X_tul_of,
     Y_gen,
     Y_tul,
     basis_orbit_vector,
     canonical_decomposition,
-    decompose_in_D,
     decompose_with,
     iota,
     linear_system,
@@ -122,11 +120,13 @@ def test_ygen_zero_is_empty():
     assert Y_gen(vector(Z6, [0] * 4), v, cert=v).is_empty()
 
 
-def test_decompose_in_D_examples():
+def test_decompose_with_examples():
+    # cert^t u = 1, so the moving vector is its own quotient
     u = vector(Z6, [2, 3, 0, 1])
+    cert = basis_vector(Z6, 4, 3)
     v = vector(Z6, [0, 0, 0, 0])
-    datum = decompose_in_D(u, v, 0, Z6.one())
-    assert datum.terms == []
+    datum = decompose_with(u, v, cert, v)
+    assert datum.terms == [] and datum.b.is_one()
     rng = random.Random(1)
     done = 0
     while done < 100:
@@ -134,16 +134,18 @@ def test_decompose_in_D_examples():
         if not u.dot(v).is_zero():
             continue
         done += 1
-        datum = decompose_in_D(u, v, 0, Z6.one())
+        datum = decompose_with(u, v, cert, v)
         acc = vector(Z6, [0, 0, 0, 0])
         for t in datum.terms:
             assert t.dot(u).is_zero()
             assert len(t.zero_positions()) >= 2
             acc = acc + t
         assert acc == v
+    # bad has no unit certificate: e_1 pairs to 2, and v is not v * 2
     bad = vector(Z6, [2, 4, 0, 0])
+    v = vector(Z6, [0, 0, 2, 2])
     with pytest.raises(VdkError):
-        decompose_in_D(bad, vector(Z6, [0, 0, 2, 2]), 0, Z6.one())
+        decompose_with(bad, v, basis_vector(Z6, 4, 0), v)
 
 
 def test_x_tul_multiplier_zero_is_trivial():
@@ -162,13 +164,15 @@ def test_x_tul_one_matches_xgen_matrix():
     done = 0
     while done < 60:
         u = rand_vec(Z6, 4, rng)
-        if lin_solve(list(u.entries), Z6.one()) is None:
+        sol = lin_solve(list(u.entries), Z6.one())
+        if sol is None:
             continue
         v = rand_vec(Z6, 4, rng)
         if not u.dot(v).is_zero():
             continue
         done += 1
-        assert phi(X_tul_of(u, v, Z6.one())) == phi(X_gen(u, v))
+        cert = vector(Z6, sol)
+        assert phi(X_tul(decompose_with(u, v, cert, v))) == phi(X_gen(u, v, cert))
 
 
 def test_x_tul_one_matches_xgen_exact_f2():
@@ -179,10 +183,11 @@ def test_x_tul_one_matches_xgen_exact_f2():
         RVector(F2, tuple((k >> i) & 1 for i in range(4))) for k in range(1, 16)
     ]
     for u in vecs:
+        cert = vector(F2, lin_solve(u.entries, F2.one()))
         for v in vecs + [vector(F2, [0] * 4)]:
             if not u.dot(v).is_zero():
                 continue
-            assert tester.exact_equal(X_tul_of(u, v, F2.one()), X_gen(u, v))
+            assert tester.exact_equal(X_tul(decompose_with(u, v, cert, v)), X_gen(u, v, cert))
 
 
 def test_xeqy_trivial_r():
@@ -190,7 +195,7 @@ def test_xeqy_trivial_r():
     y = basis_vector(Z6, 4, 2)
     u = basis_vector(Z6, 4, 0)
     v = basis_vector(Z6, 4, 1)
-    rec = xeqy_words(x, y, u, v, Z6.one(), Z6.zero())
+    rec = xeqy_words(x, y, u, v, Z6.one(), Z6.zero(), u, v)
     assert phi(rec.lhs).is_identity()
     assert phi(rec.rhs).is_identity()
 
@@ -201,7 +206,7 @@ def test_xeqy_hypothesis_violation():
     u = basis_vector(Z6, 4, 0)
     v = basis_vector(Z6, 4, 0)  # u^t v != 0
     with pytest.raises(VdkError):
-        xeqy_words(x, y, u, v, Z6.one(), Z6.one())
+        xeqy_words(x, y, u, v, Z6.one(), Z6.one(), u, v)
 
 
 def test_iota_f_basic():
@@ -265,7 +270,7 @@ def test_tmap_invertible_a_lands_at_m0():
     ov = OrbitVector.from_word(uw, 4)
     vloc = (phi(contragredient(uw)) * basis_vector(loc, 4, 1)).scale(lam(f3.el(1)))
     vB = RVector(f3, vloc.data)
-    res = t_map(f3, a, ideal, FSymbol(u=ov, v=vB), n=4)
+    res = t_map(f3, a, ideal, FSymbol(u=ov, v=vB))
     assert res.m == 0
     loc_mat = RMatrix(loc, 4, tuple(lam.p_fn(p) for p in phi(res.word).data))
     assert loc_mat == transvection(ov.vec, vloc)
@@ -279,7 +284,7 @@ def test_tmap_rejects_vectors_outside_ideal():
     ov = basis_orbit_vector(loc, 4, 0)
     bad_v = vector(B, [B.el((1, 0))] + [B.zero()] * 3)
     with pytest.raises(VdkError):
-        t_map(B, a, ideal, FSymbol(u=ov, v=bad_v), n=4)
+        t_map(B, a, ideal, FSymbol(u=ov, v=bad_v))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +436,9 @@ def test_xeqy_words_match_the_reference_builders(spec):
         u, v = e[p[0]].scale(alpha), e[p[1]].scale(beta)
         x = vector(ring, [x3 * s + x4 * t for s, t in zip(e[p[2]].entries, e[p[3]].entries)])
         y = vector(ring, [y3 * s + y4 * t for s, t in zip(e[p[2]].entries, e[p[3]].entries)])
-        got = xeqy_words(x, y, u, v, b, r)
         zu = vector(ring, lin_solve(u.entries, b))
         zv = vector(ring, lin_solve(v.entries, b))
-        assert xeqy_words(x, y, u, v, b, r, zu=zu, zv=zv) == got
+        got = xeqy_words(x, y, u, v, b, r, zu, zv)
         b3r = b * b * b * r
 
         def add(s, t):
@@ -465,8 +469,6 @@ HYPOTHESES = {
     }),
     "X_gen": (lambda: X_gen(_e(0), _e(1), cert=_e(0)), {
         "cert^t u": lambda: X_gen(_e(0), _e(1), cert=_e(1)),
-        "witness": lambda: X_gen(_e(1), _e(0), witness=W.StWord(A3, Z6, [])),
-        "unimodular u": lambda: X_gen(_e(0, 2), _e(1)),
         "u^t v": lambda: X_gen(_e(0), _e(0) + _e(1), cert=_e(0)),
     }),
     "Y_gen": (lambda: Y_gen(_e(0), _e(1), cert=_e(1)), {
@@ -485,25 +487,15 @@ HYPOTHESES = {
         "u^t quotient": lambda: decompose_with(_e(0), _e(1, 2), _e(0, 2), _e(1) + _e(0, 3)),
         "u^t moving": lambda: decompose_with(_e(0), _e(0, 2), _e(0, 2), _e(1)),
     }),
-    "decompose_in_D": (lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0, 2), quotient=_e(1)), {
-        "n": lambda: decompose_in_D(_e(0, n=3), _e(1, 2, n=3), 1, 2, cert=_e(0, 2, n=3), quotient=_e(1, n=3)),
-        "u^t v": lambda: decompose_in_D(_e(0), _e(0, 2), 1, 2, cert=_e(0, 2), quotient=_e(0)),
-        "cert^t u": lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0), quotient=_e(1)),
-        "a^k in I(u)": lambda: decompose_in_D(_e(0, 2), _e(1, 0), 1, 3),
-        "quotient": lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0, 2), quotient=_e(1, 2)),
-        "u^t quotient": lambda: decompose_in_D(_e(0), _e(1, 2), 1, 2, cert=_e(0, 2), quotient=_e(1) + _e(0, 3)),
-    }),
-    "xeqy_words": (lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, zu=_e(0), zv=_e(1)), {
-        "u^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(0), 1, 1),
-        "x^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(2, 3), 1, 1),
-        "u^t y": lambda: xeqy_words(_e(2), _e(2) + _e(0), _e(0), _e(1), 1, 1),
-        "x^t u": lambda: xeqy_words(_e(2) + _e(0), _e(2), _e(0), _e(1), 1, 1),
-        "y^t v": lambda: xeqy_words(_e(2), _e(2) + _e(1), _e(0), _e(1), 1, 1),
-        "x^t y": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 2, 1),
-        "b in I(u)": lambda: xeqy_words(_e(2), _e(2), _e(0, 2), _e(1), 1, 1),
-        "b in I(v)": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1, 2), 1, 1),
-        "zu^t u": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, zu=_e(1), zv=_e(1)),
-        "zv^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, zu=_e(0), zv=_e(0)),
+    "xeqy_words": (lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, _e(0), _e(1)), {
+        "u^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(0), 1, 1, _e(0), _e(1)),
+        "x^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(2, 3), 1, 1, _e(0), _e(1)),
+        "u^t y": lambda: xeqy_words(_e(2), _e(2) + _e(0), _e(0), _e(1), 1, 1, _e(0), _e(1)),
+        "x^t u": lambda: xeqy_words(_e(2) + _e(0), _e(2), _e(0), _e(1), 1, 1, _e(0), _e(1)),
+        "y^t v": lambda: xeqy_words(_e(2), _e(2) + _e(1), _e(0), _e(1), 1, 1, _e(0), _e(1)),
+        "x^t y": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 2, 1, _e(0), _e(1)),
+        "zu^t u": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, _e(1), _e(1)),
+        "zv^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, _e(0), _e(0)),
     }),
 }
 
