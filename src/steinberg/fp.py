@@ -952,7 +952,7 @@ def star_presentations(n, ring, ideal):
     for key in sorted(orbit):
         ov = orbit[key]
         for v in ivecs:
-            if ov.vec.dot(v).is_zero():
+            if ring.p_dot(ov.vec.data, v.data) == ring.zero_p:
                 fs.append(FSymbol(u=ov, v=v))
                 ss.append(SSymbol(u=v, v=ov))
     return StarPresentations(

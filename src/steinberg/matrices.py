@@ -38,25 +38,39 @@ class RVector:
     @property
     def entries(self):
         """The entries as Elems, for the callers that need elements."""
-        ring = self.ring
-        return [Elem(ring, p) for p in self.data]
+        return list(map(self.ring.elem, self.data))
+
+    def _match(self, other):
+        if self.ring is not other.ring or len(self.data) != len(other.data):
+            raise MatrixError("vector ring/length mismatch")
 
     def __add__(self, other):
-        return RVector(self.ring, tuple(map(self.ring.p_add, self.data, other.data)))
+        self._match(other)
+        ring = self.ring
+        if ring.tables is None:
+            return RVector(ring, tuple(map(ring.p_add, self.data, other.data)))
+        add = ring.tables[0]
+        return RVector(ring, tuple([add[a][b] for a, b in zip(self.data, other.data)]))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return RVector(self.ring, tuple(map(self.ring.p_neg, self.data)))
+        ring = self.ring
+        neg = ring.p_neg if ring.tables is None else ring.tables[2].__getitem__
+        return RVector(ring, tuple(map(neg, self.data)))
 
     def scale(self, c):
-        c = self.ring.el(c).payload
-        pmul = self.ring.p_mul
-        return RVector(self.ring, tuple(pmul(a, c) for a in self.data))
+        ring = self.ring
+        c = c.payload if type(c) is Elem and c.ring is ring else ring.el(c).payload
+        if ring.tables is None:
+            pmul = ring.p_mul
+            return RVector(ring, tuple(pmul(a, c) for a in self.data))
+        return RVector(ring, tuple(map(ring.tables[1][c].__getitem__, self.data)))
 
     def dot(self, other):
-        return Elem(self.ring, self.ring.p_dot(self.data, other.data))
+        self._match(other)
+        return self.ring.elem(self.ring.p_dot(self.data, other.data))
 
     def zero_positions(self):
         zero = self.ring.zero_p
@@ -106,35 +120,33 @@ class RMatrix:
         if self.ring is not other.ring or self.n != other.n:
             raise MatrixError("matrix shape/ring mismatch")
         ring, n = self.ring, self.n
-        padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
-        a, b = self.data, other.data
+        zero, tables = ring.zero_p, ring.tables
+        padd, pmul = ring.p_add, ring.p_mul
+        brows = [tuple(enumerate(other.data[k:k + n])) for k in range(0, n * n, n)]
         out = []
         for r in range(0, n * n, n):
             row = [zero] * n
-            for k in range(n):
-                x = a[r + k]
-                if x != zero:
-                    for j, y in enumerate(b[k * n:(k + 1) * n]):
+            for x, brow in zip(self.data[r:r + n], brows):
+                if x == zero:
+                    continue
+                if tables is None:
+                    for j, y in brow:
                         if y != zero:
                             row[j] = padd(row[j], pmul(x, y))
+                else:
+                    add, mx = tables[0], tables[1][x]
+                    for j, y in brow:
+                        if y != zero:
+                            row[j] = add[row[j]][mx[y]]
             out.extend(row)
         return RMatrix(ring, n, tuple(out))
 
     def apply(self, vec):
         n = self.n
-        if len(vec) != n:
-            raise MatrixError("matrix/vector size mismatch")
-        ring = self.ring
-        padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
-        vp = vec.data
-        out = []
-        for r in range(0, n * n, n):
-            acc = zero
-            for a, v in zip(self.data[r:r + n], vp):
-                if a != zero and v != zero:
-                    acc = padd(acc, pmul(a, v))
-            out.append(acc)
-        return RVector(ring, tuple(out))
+        if len(vec) != n or vec.ring is not self.ring:
+            raise MatrixError("matrix/vector size/ring mismatch")
+        ring, a, vp = self.ring, self.data, vec.data
+        return RVector(ring, tuple(ring.p_dot(a[r:r + n], vp) for r in range(0, n * n, n)))
 
     def transpose(self):
         n = self.n
@@ -167,8 +179,14 @@ class RMatrix:
 
 
 def identity_matrix(ring, n):
-    one, zero = ring.one_p, ring.zero_p
-    return RMatrix(ring, n, tuple(one if k % (n + 1) == 0 else zero for k in range(n * n)))
+    """The n x n identity, made once per ring and size."""
+    ident = ring.identities.get(n)
+    if ident is None:
+        one, zero = ring.one_p, ring.zero_p
+        ident = ring.identities[n] = RMatrix(
+            ring, n, tuple(one if k % (n + 1) == 0 else zero for k in range(n * n))
+        )
+    return ident
 
 
 def unipotent(datum, root, xi):
@@ -188,15 +206,20 @@ def transvection(u, v):
         raise MatrixError("transvection needs equal-length vectors")
     if u.ring is not v.ring:
         raise MatrixError("transvection vectors must share a ring")
-    ring = u.ring
-    padd, pmul, zero = ring.p_add, ring.p_mul, ring.zero_p
-    n = len(u)
+    ring, n = u.ring, len(u)
+    zero, tables = ring.zero_p, ring.tables
+    padd, pmul = ring.p_add, ring.p_mul
     data = list(identity_matrix(ring, n).data)
     for i, a in enumerate(u.data):
         if a == zero:
             continue
-        for k, b in enumerate(v.data, i * n):
-            data[k] = padd(data[k], pmul(a, b))
+        if tables is None:
+            for k, b in enumerate(v.data, i * n):
+                data[k] = padd(data[k], pmul(a, b))
+        else:  # row i of 1 + u v^t: e_i + a v, with one table lookup each
+            add, ma = tables[0], tables[1][a]
+            for k, b in enumerate(v.data, i * n):
+                data[k] = add[data[k]][ma[b]]
     return RMatrix(ring, n, tuple(data))
 
 

@@ -345,7 +345,7 @@ def _rand_orthogonal(ring, n, rng, to):
     """Rejection-sample a vector orthogonal to `to`."""
     while True:
         v = _rand_vector(ring, n, rng)
-        if to.dot(v).is_zero():
+        if ring.p_dot(to.data, v.data) == ring.zero_p:
             return v
 
 
@@ -590,8 +590,9 @@ def _x_small_contract_at(vecs, u):
     """phi(x_small(u, v)) against the transvection, for every v orthogonal
     to u where u or v has a zero entry.  Returns (instances, failures)."""
     rec = CheckRecord(name="", tier="")
+    ring = u.ring
     for v in vecs:
-        if not u.dot(v).is_zero():
+        if ring.p_dot(u.data, v.data) != ring.zero_p:
             continue
         if not (v.zero_positions() or u.zero_positions()):
             continue
@@ -624,8 +625,9 @@ def _x_small_index_at(vecs, equal, u):
     choice, for every v orthogonal to u with two choices or more, compared
     by `equal`.  Returns (instances, failures)."""
     rec = CheckRecord(name="", tier="")
+    ring = u.ring
     for v in vecs:
-        if not u.dot(v).is_zero():
+        if ring.p_dot(u.data, v.data) != ring.zero_p:
             continue
         choices = [("v", i) for i in v.zero_positions()] + [
             ("u", i) for i in u.zero_positions()
@@ -646,11 +648,12 @@ def _xgen_certificate_at(vecs, equal, u):
     of u against the first, for every v orthogonal to u, compared by
     `equal`.  Returns (instances, failures)."""
     rec = CheckRecord(name="", tier="")
-    certs = [w for w in vecs if w.dot(u).is_one()]
+    ring = u.ring
+    certs = [w for w in vecs if ring.p_dot(w.data, u.data) == ring.one_p]
     if len(certs) < 2:
         return 0, []
     for v in vecs:
-        if not u.dot(v).is_zero():
+        if ring.p_dot(u.data, v.data) != ring.zero_p:
             continue
         base = X_gen(u, v, cert=certs[0])
         for w in certs[1:3]:
@@ -672,9 +675,10 @@ def _canonical_split_at(vecs, v):
     terms are read as payload tuples."""
     rec = CheckRecord(name="", tier="")
     ring = v.ring
-    zero, vd = ring.zero_p, v.data
-    ws = [w for w in vecs if w.dot(v).is_one()]
-    us = [u for u in vecs if u.dot(v).is_zero()]
+    zero, vd, dot = ring.zero_p, v.data, ring.p_dot
+    add = ring.tables[0] if ring.tables else None
+    ws = [w for w in vecs if dot(w.data, vd) == ring.one_p]
+    us = [u for u in vecs if dot(u.data, vd) == zero]
     for u in us:
         for w in ws:
             rec.instances += 1
@@ -682,9 +686,12 @@ def _canonical_split_at(vecs, v):
             ok = True
             for t in canonical_decomposition(u, v, w):
                 td = t.data
-                if ring.p_dot(td, vd) != zero or td.count(zero) < 2:
+                if dot(td, vd) != zero or td.count(zero) < 2:
                     ok = False
-                acc = tuple(map(ring.p_add, acc, td))
+                if add is None:
+                    acc = tuple(map(ring.p_add, acc, td))
+                else:
+                    acc = tuple([add[x][y] for x, y in zip(acc, td)])
             if not ok or acc != u.data:
                 rec.fail(u=_lit(u), v=_lit(v), w=_lit(w))
     return rec.instances, rec.failures
@@ -843,16 +850,17 @@ def _xeqy_at(vecs, equal, xy):
     rec = CheckRecord(name="", tier="")
     x, y = xy
     ring = x.ring
+    dot, zero = ring.p_dot, ring.zero_p
     b = x.dot(y)
     for u in vecs:
-        if not (x.dot(u).is_zero() and u.dot(y).is_zero()):
+        if dot(x.data, u.data) != zero or dot(u.data, y.data) != zero:
             continue
         zu = lin_solve(u.entries, b)
         if zu is None:
             continue
         zu = vector(ring, zu)
         for v in vecs:
-            if not (u.dot(v).is_zero() and x.dot(v).is_zero() and y.dot(v).is_zero()):
+            if any(dot(t.data, v.data) != zero for t in (u, x, y)):
                 continue
             zv = lin_solve(v.entries, b)
             if zv is None:

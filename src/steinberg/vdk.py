@@ -16,12 +16,13 @@ divisibility data) explicitly; nothing is re-derived implicitly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from . import words as W
 from .matrices import RVector, basis_vector, vector
-from .rings import Elem, localization, unique_divide
+from .rings import localization, unique_divide
 from .roots import build_system
 from .words import StWord, contragredient, phi, simplify
 
@@ -52,12 +53,12 @@ def x_small(u, v, index=None, mode=None):
     then the least one in u; both can be forced for well-definedness
     experiments via `index`/`mode`.
     """
-    n = len(u)
-    if u.ring is not v.ring or n != len(v):
+    n, ring = len(u), u.ring
+    if ring is not v.ring or n != len(v):
         raise VdkError("x_small arguments must match")
-    if not u.dot(v).is_zero():
+    zero = ring.zero_p
+    if ring.p_dot(u.data, v.data) != zero:
         raise VdkError("x_small needs u^t v = 0")
-    zero = u.ring.zero_p
     if mode is None:
         if index is not None:
             raise VdkError("an explicit index needs an explicit mode")
@@ -82,19 +83,23 @@ def _x_small_primary(u, v, i, transpose=False):
     # order, which transposes phi: transpose_anti's work, without its root
     # lookup per letter.  Zero letters are left out, as simplify drops them.
     ring = u.ring
-    pmul, pneg, zero = ring.p_mul, ring.p_neg, ring.zero_p
+    zero, tables = ring.zero_p, ring.tables
+    if tables is None:
+        times, pneg = functools.partial(ring.p_mul, u.data[i]), ring.p_neg
+    else:
+        times, pneg = tables[1][u.data[i]].__getitem__, tables[2].__getitem__
     ud, vd = u.data, v.data
     others = [j for j in range(len(ud)) if j != i]
     col = [(j, i, ud[j]) for j in others]
     row = [(i, j, vd[j]) for j in others]
-    letters = [(i, j, pmul(ud[i], vd[j])) for j in others] + col + row
+    letters = [(i, j, times(vd[j])) for j in others] + col + row
     letters += [(a, b, pneg(c)) for a, b, c in reversed(col)]
     letters += [(a, b, pneg(c)) for a, b, c in reversed(row)]
     if transpose:
         letters = [(b, a, c) for a, b, c in reversed(letters)]
     system = linear_system(len(ud))
-    at = system.ij_index()
-    return StWord(system, ring, [(at[a, b], Elem(ring, c)) for a, b, c in letters if c != zero])
+    at, elem = system.ij_index(), ring.elem
+    return StWord(system, ring, [(at[a, b], elem(c)) for a, b, c in letters if c != zero])
 
 
 def _product(vec, words):
@@ -112,18 +117,22 @@ def decomposition_terms(a, b, c):
     """[(e_p b_q - e_q b_p) * (a_p c_q - a_q c_p)]_{p<q}; sums to
     (c^t b) a - (a^t b) c."""
     ring = a.ring
-    padd, pmul, pneg, zero = ring.p_add, ring.p_mul, ring.p_neg, ring.zero_p
+    zero, tables = ring.zero_p, ring.tables
+    padd, pmul, pneg = ring.p_add, ring.p_mul, ring.p_neg
+    add, mul, neg = tables or (None, None, None)
     ad, bd, cd = a.data, b.data, c.data
     n = len(ad)
     out = []
-    for p in range(n):
-        for q in range(p + 1, n):
+    for p, q in itertools.combinations(range(n), 2):
+        if tables is None:
             coef = padd(pmul(ad[p], cd[q]), pneg(pmul(ad[q], cd[p])))
             if coef == zero:
                 continue
             at_p, at_q = pmul(bd[q], coef), pneg(pmul(bd[p], coef))
-            if at_p == zero and at_q == zero:
-                continue
+        else:  # a zero coef gives two zero entries, which are skipped below
+            times = mul[add[mul[ad[p]][cd[q]]][neg[mul[ad[q]][cd[p]]]]]
+            at_p, at_q = times[bd[q]], neg[times[bd[p]]]
+        if at_p != zero or at_q != zero:
             data = [zero] * n
             data[p], data[q] = at_p, at_q
             out.append(RVector(ring, tuple(data)))
@@ -135,11 +144,12 @@ def canonical_decomposition(u, v, w):
 
     Needs n >= 4, w^t v = 1 and u^t v = 0; then the terms sum to u.
     """
+    ring = v.ring
     if len(u) < 4:
         raise VdkError("canonical decomposition needs n >= 4")
-    if not w.dot(v).is_one():
+    if ring.p_dot(w.data, v.data) != ring.one_p:
         raise VdkError("canonical decomposition needs w^t v = 1")
-    if not u.dot(v).is_zero():
+    if ring.p_dot(u.data, v.data) != ring.zero_p:
         raise VdkError("canonical decomposition needs u^t v = 0")
     return decomposition_terms(u, v, w)
 
@@ -147,22 +157,24 @@ def canonical_decomposition(u, v, w):
 def X_gen(u, v, cert):
     """Van der Kallen's generator for unimodular u: a word with phi-image
     t(u, v), given the certificate cert^t u = 1."""
-    got = cert.dot(u)
-    if not got.is_one():
-        raise VdkError(f"certificate pairs to {got!r}, not 1")
-    if not u.dot(v).is_zero():
+    _check_cert(cert, u)
+    if u.ring.p_dot(u.data, v.data) != u.ring.zero_p:
         raise VdkError("X_gen needs u^t v = 0")
     return _product(u, [x_small(u, t) for t in decomposition_terms(v, u, cert)])
+
+
+def _check_cert(cert, x):
+    got = x.ring.p_dot(cert.data, x.data)
+    if got != x.ring.one_p:
+        raise VdkError(f"certificate pairs to {x.ring.elem(got)!r}, not 1")
 
 
 def Y_gen(u, v, cert):
     """The mirrored generator for unimodular v (cert^t v = 1): phi-image
     t(u, v).  Its terms are the canonical decomposition of u, whose
     hypotheses are checked here once each."""
-    got = cert.dot(v)
-    if not got.is_one():
-        raise VdkError(f"certificate pairs to {got!r}, not 1")
-    if not u.dot(v).is_zero():
+    _check_cert(cert, v)
+    if v.ring.p_dot(u.data, v.data) != v.ring.zero_p:
         raise VdkError("Y_gen needs u^t v = 0")
     if len(u) < 4:
         raise VdkError("canonical decomposition needs n >= 4")
@@ -193,10 +205,11 @@ def decompose_with(u, moving, cert, quotient):
     u^t quotient = 0 the terms sum to (cert^t u) quotient = moving."""
     if len(u) < 4:
         raise VdkError("decomposition needs n >= 4")
+    ring = u.ring
     b = cert.dot(u)
     if quotient.scale(b) != moving:
         raise VdkError("quotient does not reproduce the moving vector")
-    if not u.dot(quotient).is_zero():
+    if ring.p_dot(u.data, quotient.data) != ring.zero_p:
         raise VdkError("quotient is not orthogonal to u")
     return TulenbaevDatum(fixed=u, terms=decomposition_terms(quotient, u, cert), b=b)
 

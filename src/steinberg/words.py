@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import RMatrix, identity_matrix
-from .rings import Elem, SplitData
+from .rings import SplitData
 
 
 class WordError(Exception):
@@ -120,19 +120,21 @@ def simplify(w):
     result is the same group element in every quotient where the letters
     make sense.
     """
-    padd, zero = w.ring.p_add, w.ring.zero_p
+    ring = w.ring
+    padd, zero, tables = ring.p_add, ring.zero_p, ring.tables
     stack = []
     for idx, c in w.letters:
         p = c.payload
         if p == zero:
             continue
         if stack and stack[-1][0] == idx:
-            merged = padd(stack.pop()[1].payload, p)
+            q = stack.pop()[1].payload
+            merged = padd(q, p) if tables is None else tables[0][q][p]
             if merged != zero:
-                stack.append((idx, Elem(w.ring, merged)))
+                stack.append((idx, ring.elem(merged)))
         else:
             stack.append((idx, c))
-    return StWord(w.system, w.ring, stack)
+    return StWord(w.system, ring, stack)
 
 
 def phi(w):
@@ -146,20 +148,34 @@ def phi(w):
     """
     system, ring = w.system, w.ring
     n = system.matrix_size()
-    padd, pmul, pneg, zero = ring.p_add, ring.p_mul, ring.p_neg, ring.zero_p
+    zero, tables = ring.zero_p, ring.tables
     entries = system.unipotent_entries
     starts = range(0, n * n, n)
     m = list(identity_matrix(ring, n).data)
+    if tables is None:
+        padd, pmul, pneg = ring.p_add, ring.p_mul, ring.p_neg
+        for idx, c in w.letters:
+            p = c.payload
+            if p == zero:
+                continue
+            for i, j, sign in entries(idx):
+                coef = p if sign > 0 else pneg(p)
+                for r in starts:
+                    v = m[r + i]
+                    if v != zero:
+                        m[r + j] = padd(m[r + j], pmul(v, coef))
+        return RMatrix(ring, n, tuple(m))
+    add, mul, neg = tables
     for idx, c in w.letters:
         p = c.payload
         if p == zero:
             continue
         for i, j, sign in entries(idx):
-            coef = p if sign > 0 else pneg(p)
+            times = mul[p if sign > 0 else neg[p]]  # the row v -> v * coef
             for r in starts:
                 v = m[r + i]
                 if v != zero:
-                    m[r + j] = padd(m[r + j], pmul(v, coef))
+                    m[r + j] = add[m[r + j]][times[v]]
     return RMatrix(ring, n, tuple(m))
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from steinberg.matrices import (
+    MatrixError,
     RMatrix,
     RVector,
     basis_vector,
@@ -228,3 +229,25 @@ def test_payload_vectors_match_class_arithmetic(spec):
             assert transvection(u, v).data == tuple(p for row in t for p in row)
         assert vector(ring, [1, 0] * n).data == (one, zero) * n
         assert basis_vector(ring, n, n - 1, 1).data == (zero,) * (n - 1) + (one,)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "dot"])
+@pytest.mark.parametrize("other", ["shorter", "other ring"])
+def test_vector_ops_refuse_a_length_or_ring_mismatch(op, other):
+    # zip would truncate: z/6 (1,2,3).(1,2) gave 5, and z/4 (1,2,3,3) plus
+    # the F2[eps] vector of the same codes gave the z/4 vector (2,0,2,2)
+    z4, z6, f2e = make_ring("z/4"), make_ring("z/6"), make_ring("quo(poly(f2,X),[0,0,1])")
+    u, v = {
+        "shorter": (RVector(z6, (1, 2, 3)), RVector(z6, (1, 2))),
+        "other ring": (RVector(z4, (1, 2, 3, 3)), RVector(f2e, (1, 2, 3, 3))),
+    }[other]
+    with pytest.raises(MatrixError):
+        {"add": u.__add__, "sub": u.__sub__, "dot": u.dot}[op](v)
+    with pytest.raises(MatrixError):
+        {"add": v.__add__, "sub": v.__sub__, "dot": v.dot}[op](u)
+
+
+def test_matrix_apply_refuses_a_vector_of_another_ring():
+    z4, f2e = make_ring("z/4"), make_ring("quo(poly(f2,X),[0,0,1])")
+    with pytest.raises(MatrixError):
+        identity_matrix(z4, 4) * RVector(f2e, (1, 2, 3, 3))

@@ -187,6 +187,50 @@ def test_quotient_of_a_huge_z_mod_n_enumerates_nothing():
     assert [pi.p_fn(x) for x in (0, 1, 2, 3, 2**41 + 1)] == [0, 1, 0, 1, 1]
 
 
+def _section_or_refusal(ring, g):
+    try:
+        sigma = splitting_section(ring, FGIdeal(ring, [g]))
+    except UnsupportedRingError as exc:
+        return str(exc)
+    return sigma and [sigma.p_fn(q) for q in sigma.source.payloads()]
+
+
+def test_splitting_section_of_z_mod_n_walks_the_residues(monkeypatch):
+    # the z/N route (fibers q + d*k, never listing the ideal) against the
+    # generic one over prod(z/N,z/1), a FiniteRing with the same codes and
+    # tables, for every z/N with N <= 64 and every generator g; under a cap
+    # of 10^4 candidates both routes must also refuse the same searches
+    # (with the stock 10^6 the generic searches take minutes)
+    monkeypatch.setattr(rings, "SECTION_CANDIDATE_CAP", 10**4)
+    monkeypatch.setattr(rings, "_QUOTIENT_CACHE", dict(rings._QUOTIENT_CACHE))
+    monkeypatch.setattr(rings, "_RING_CACHE", dict(rings._RING_CACHE))
+    for N in range(1, 65):
+        ring, twin = make_ring(f"z/{N}"), make_ring(f"prod(z/{N},z/1)")
+        assert twin.tables[:2] == ring.tables[:2]
+        for g in range(N):
+            assert _section_or_refusal(ring, g) == _section_or_refusal(twin, g), (N, g)
+
+
+def test_splitting_section_of_a_huge_z_mod_n_lists_no_ideal():
+    # N = 2^40 * 3 and I = (2): R/I is z/2, and 1 + 1 = 0 there but not in
+    # R, so no section exists; listing the N/2 members of I never ended
+    def stop(signum, frame):
+        raise TimeoutError("splitting z/3298534883328 by (2) still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        ring = make_ring("z/3298534883328")
+        assert splitting_section(ring, FGIdeal(ring, [2])) is None
+        with pytest.raises(UnsupportedRingError, match="not a splitting ideal"):
+            split_data(ring, FGIdeal(ring, [2]))
+        with pytest.raises(UnsupportedRingError, match="too large"):
+            splitting_section(ring, FGIdeal(ring, [3]))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_localization_of_a_large_z_mod_n_is_refused_at_once(capsys):
     # the idempotent power of 2 mod 1000000007 is 1, so the localization is
     # the whole ring, past the cap; the power search took minutes to say so

@@ -1,0 +1,199 @@
+"""The two bodies of the ring kernels against Elem arithmetic.
+
+A ring with tables (every finite ring of at most FINITE_MAX_SIZE elements)
+runs the table body of phi, simplify, decomposition_terms, the RMatrix and
+RVector operations and transvection; a ring without (z/257, past the cap,
+and semi(z,2)) runs the method body.  The reference here is written in Elem
+arithmetic alone: plain matrix products of the root unipotents, the
+decomposition formula term by term, and sums of products.
+"""
+
+import random
+
+import pytest
+
+from steinberg import rings
+from steinberg.matrices import RMatrix, RVector, identity_matrix, transvection
+from steinberg.rings import FINITE_MAX_SIZE, Elem, make_ring, random_payload
+from steinberg.roots import build_system
+from steinberg.vdk import decomposition_terms, linear_system, x_small
+from steinberg.words import StWord, phi, simplify
+
+TABLED = ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)"]
+UNTABLED = ["z/257", "semi(z,2)"]
+
+
+def _draw(ring, rng):
+    """A random element, zero one time in four."""
+    if rng.random() < 0.25:
+        return ring.zero()
+    return Elem(ring, random_payload(ring, rng))
+
+
+def _vec(ring, rng, n):
+    return [_draw(ring, rng) for _ in range(n)]
+
+
+def _ref_product(a, b):
+    """a * b for square matrices given as lists of rows of Elems."""
+    return [[sum((x * y for x, y in zip(row, col)), row[0].ring.zero()) for col in zip(*b)] for row in a]
+
+
+def _ref_unipotent(system, ring, idx, c):
+    n = system.matrix_size()
+    m = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    for i, j, sign in system.unipotent_entries(idx):
+        m[i][j] = c if sign > 0 else -c
+    return m
+
+
+def _ref_phi(w):
+    n = w.system.matrix_size()
+    m = [[w.ring.one() if i == j else w.ring.zero() for j in range(n)] for i in range(n)]
+    for idx, c in w.letters:
+        m = _ref_product(m, _ref_unipotent(w.system, w.ring, idx, c))
+    return m
+
+
+def _ref_simplify(letters):
+    out = []
+    for idx, c in letters:
+        if out and out[-1][0] == idx:
+            c = out.pop()[1] + c
+        if not c.is_zero():
+            out.append((idx, c))
+    return out
+
+
+def _ref_terms(a, b, c):
+    n, zero = len(a), a[0].ring.zero()
+    out = []
+    for p in range(n):
+        for q in range(p + 1, n):
+            coef = a[p] * c[q] - a[q] * c[p]
+            at_p, at_q = b[q] * coef, -(b[p] * coef)
+            if not coef.is_zero() and not (at_p.is_zero() and at_q.is_zero()):
+                out.append([at_p if k == p else at_q if k == q else zero for k in range(n)])
+    return out
+
+
+def _pays(rows):
+    return tuple(x.payload for row in rows for x in row)
+
+
+def _run_kernels(ring, seed, rounds=12):
+    """Every kernel once per round over A3 and D4, checked against the
+    reference; returns how many comparisons were made."""
+    rng = random.Random(seed)
+    made = 0
+    for system in (linear_system(4), build_system("D4")):
+        n, nroots = system.matrix_size(), len(system.roots)
+        for _ in range(rounds):
+            # runs of one root, so that simplify merges, cancels and drops
+            letters = []
+            for _ in range(10):
+                idx = rng.randrange(nroots)
+                letters += [(idx, _draw(ring, rng)) for _ in range(rng.randrange(1, 4))]
+            c = _draw(ring, rng)
+            letters += [(letters[-1][0], -letters[-1][1]), (letters[-1][0], c)]
+            w = StWord(system, ring, letters)
+            assert simplify(w).key() == tuple((i, x.payload) for i, x in _ref_simplify(letters))
+            assert phi(w).data == _pays(_ref_phi(w))
+            a, b = (_ref_phi(StWord(system, ring, letters[k::3])) for k in (0, 1))
+            ma, mb = RMatrix(ring, n, _pays(a)), RMatrix(ring, n, _pays(b))
+            assert (ma * mb).data == _pays(_ref_product(a, b))
+            u, v, x = (_vec(ring, rng, n) for _ in range(3))
+            ru, rv = RVector(ring, _pays([u])), RVector(ring, _pays([v]))
+            assert (ma * ru).data == ma.apply(ru).data == _pays(_ref_product(a, [[y] for y in u]))
+            one = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+            want = [[one[i][j] + u[i] * v[j] for j in range(n)] for i in range(n)]
+            assert transvection(ru, rv).data == _pays(want)
+            assert (ru + rv).data == _pays([[p + q for p, q in zip(u, v)]])
+            assert (ru - rv).data == _pays([[p - q for p, q in zip(u, v)]])
+            assert (-ru).data == _pays([[-p for p in u]])
+            assert ru.scale(c).data == _pays([[p * c for p in u]])
+            assert ru.dot(rv) == sum((p * q for p, q in zip(u, v)), ring.zero())
+            assert ru.entries == u
+            terms = decomposition_terms(ru, rv, RVector(ring, _pays([x])))
+            assert [t.data for t in terms] == [_pays([t]) for t in _ref_terms(u, v, x)]
+            made += 15
+    return made
+
+
+@pytest.mark.parametrize("spec", TABLED + UNTABLED)
+def test_kernels_match_elem_arithmetic(spec):
+    ring = make_ring(spec)
+    assert (ring.tables is not None) == (spec in TABLED)
+    assert _run_kernels(ring, spec) > 0
+
+
+@pytest.fixture
+def zmod_calls(monkeypatch):
+    """Counts the calls of ZModRing.p_add, p_mul and p_neg."""
+    calls = [0]
+    for name in ("p_add", "p_mul", "p_neg"):
+        method = getattr(rings.ZModRing, name)
+
+        def spy(*args, _method=method):
+            calls[0] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(rings.ZModRing, name, spy)
+    return calls
+
+
+def _kernel_calls(ring):
+    """One call of each kernel over `ring`, by name, its data made ahead."""
+    rng = random.Random(3)
+    pool = [ring.elem(p) for p in ring.payloads() if p != ring.zero_p]
+    u, v, x = (RVector(ring, tuple(rng.choice(pool).payload for _ in range(4))) for _ in range(3))
+    w = StWord(linear_system(4), ring, [(rng.randrange(4), rng.choice(pool)) for _ in range(40)])
+    winv = w.inverse()  # Elem negation calls p_neg
+    m, c = phi(winv), rng.choice(pool)
+    a, b = (rng.choice(pool).payload for _ in range(2))
+    return {
+        "phi": lambda: phi(w),
+        "simplify": lambda: simplify(w * winv),
+        "x_small": lambda: x_small(RVector(ring, (a, b, 0, 0)), RVector(ring, (0, 0, a, b))),
+        "decomposition_terms": lambda: decomposition_terms(u, v, x),
+        "RMatrix.__mul__": lambda: m * m,
+        "transvection": lambda: transvection(u, v),
+        "RVector.__add__": lambda: u + v,
+        "RVector.__sub__": lambda: u - v,
+        "RVector.__neg__": lambda: -u,
+        "RVector.scale": lambda: u.scale(c),
+    }
+
+
+def test_table_body_makes_no_method_call(zmod_calls):
+    # a kernel that fell back to its method body over z/6 would call p_*
+    ring = make_ring("z/6")
+    calls = _kernel_calls(ring)
+    rng = random.Random(5)
+    u, v = (RVector(ring, tuple(rng.randrange(6) for _ in range(4))) for _ in range(2))
+    calls.update(apply=lambda: phi(StWord(linear_system(4), ring)) * u, dot=lambda: u.dot(v), entries=lambda: u.entries)
+    for name, call in calls.items():
+        zmod_calls[0] = 0
+        call()
+        assert zmod_calls[0] == 0, name
+
+
+def test_method_body_calls_the_ring(zmod_calls):
+    for name, call in _kernel_calls(make_ring("z/257")).items():
+        zmod_calls[0] = 0
+        call()
+        assert zmod_calls[0] > 0, name
+
+
+def test_elems_and_identities_are_shared_on_rings_with_tables():
+    assert make_ring(f"z/{FINITE_MAX_SIZE}").tables is not None
+    assert make_ring(f"z/{FINITE_MAX_SIZE + 1}").tables is None
+    for spec in TABLED:
+        ring = make_ring(spec)
+        assert all(ring.elem(p) is ring.elem(p) == Elem(ring, p) for p in ring.payloads())
+        assert identity_matrix(ring, 4) is identity_matrix(ring, 4)
+        assert identity_matrix(ring, 3).data != identity_matrix(ring, 4).data
+    for spec in UNTABLED:
+        ring = make_ring(spec)
+        assert ring.elem(ring.one_p) == ring.one() and ring.elem(ring.one_p) is not ring.elem(ring.one_p)
+        assert identity_matrix(ring, 4) is identity_matrix(ring, 4)
