@@ -8,10 +8,10 @@ when neither --suite nor --config is given, when the --config document
 cannot be read, names an unknown suite or has a field that is unknown or
 of the wrong type, when --suite comes with a --config document that does
 not hold exactly one suite, and on every config that suites.config_error
-rejects: a ring spec or a root system name that does not parse, a ring, a
-system, an --ideal or an --n that the suite would not read, or an --ideal
-of relative-generation, or its default (X), that does not resolve over
-the suite's ring.
+rejects: a ring spec or a root system name that does not parse or is
+given twice, a ring, a system, an --ideal or an --n that the suite would
+not read, or an --ideal of relative-generation, or its default (X), that
+does not resolve over the suite's ring.
 """
 
 from __future__ import annotations

@@ -648,17 +648,17 @@ def regular_table(sp, max_cosets=10**6):
 
 
 class WordTester:
-    """Tiered equality of words over one (system, finite ring) pair.
+    """Exact equality of words over one (system, finite ring) pair: equal
+    cosets in the regular table of St.
 
     The exact table is built at the first exact comparison, so its time, or
     its Inconclusive past max_cosets, falls on the check that asked for it;
     a failed build is raised again at each later exact comparison."""
 
-    def __init__(self, datum, ring, max_cosets=10**6, exact=True):
+    def __init__(self, datum, ring, max_cosets=10**6):
         self.datum = datum
         self.ring = ring
         self.max_cosets = max_cosets
-        self.exact = exact
         self._built = None  # (presentation, table), or the Inconclusive
 
     def table(self):
@@ -681,15 +681,6 @@ class WordTester:
         sp, table = self.table()
         return table.coset_of(sp.word_letters(w)) == 0
 
-    def matrix_equal(self, w1, w2):
-        return W.phi(w1) == W.phi(w2)
-
-    def equator(self):
-        """The strongest available equality callable with its tier label."""
-        if self.exact:
-            return self.exact_equal, "exact"
-        return self.matrix_equal, "matrix"
-
 
 # ---------------------------------------------------------------------------
 # K2 extraction
@@ -709,9 +700,6 @@ class KernelReport:
     bfs_image_order: int | None  # |E| by the image_route, None when inconclusive
     image_route: str  # "bfs", "sl-formula", "omega-formula" or "inconclusive"
     uplus_order: int  # |U+_E|
-
-    def factorization_ok(self):
-        return self.st_order == self.kernel_order * self.image_order
 
 
 def column_unipotents(sp):
@@ -876,9 +864,6 @@ class RelativeIndexReport:
     ring: str
     index: int
     quotient_order: int
-
-    def ok(self):
-        return self.index == self.quotient_order
 
 
 def relative_subgroup_index(datum, ring, split, max_cosets=10**6):

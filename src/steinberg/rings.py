@@ -89,20 +89,20 @@ class Elem:
 
     def __add__(self, other):
         other = self.ring.el(other)
-        return Elem(self.ring, self.ring.p_add(self.payload, other.payload))
+        return self.ring.elem(self.ring.p_add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Elem(self.ring, self.ring.p_neg(self.payload))
+        return self.ring.elem(self.ring.p_neg(self.payload))
 
     def __sub__(self, other):
         other = self.ring.el(other)
-        return Elem(self.ring, self.ring.p_add(self.payload, self.ring.p_neg(other.payload)))
+        return self.ring.elem(self.ring.p_add(self.payload, self.ring.p_neg(other.payload)))
 
     def __mul__(self, other):
         other = self.ring.el(other)
-        return Elem(self.ring, self.ring.p_mul(self.payload, other.payload))
+        return self.ring.elem(self.ring.p_mul(self.payload, other.payload))
 
     __rmul__ = __mul__
 
@@ -155,15 +155,15 @@ class Ring:
     def __init__(self, spec):
         self.spec = spec
         self.identities = {}  # n -> the n x n identity, kept by matrices.identity_matrix
+        # elem(p), the Elem of payload p: a new one here, and one shared Elem
+        # per code once the ring adopts tables; a partial, not a method, as
+        # Elem arithmetic calls it once per operation
+        self.elem = functools.partial(Elem, self)
 
     def _adopt_tables(self, add, mul, neg):
         self.tables = (add, mul, neg)
         # elem(code) is then a list lookup of one shared Elem per code
         self.elem = [Elem(self, p) for p in range(len(neg))].__getitem__
-
-    def elem(self, p):
-        """The Elem of payload p: shared on a ring with tables, new elsewhere."""
-        return Elem(self, p)
 
     # -- payload arithmetic, provided by subclasses
     def p_add(self, a, b):

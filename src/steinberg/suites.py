@@ -47,6 +47,7 @@ from .rings import (
     SemidirectRing,
     UnsupportedRingError,
     ZModRing,
+    _is_int,
     lin_solve,
     localization,
     make_ring,
@@ -114,10 +115,9 @@ class SuiteConfig:
         cfg = SuiteConfig(suite=d["suite"])
         for k in ("n", "samples", "seed", "max_cosets"):
             if k in d:
-                try:
-                    setattr(cfg, k, int(d[k]))
-                except (TypeError, ValueError):
-                    raise ValueError(f"config field {k!r} must be an integer, got {d[k]!r}") from None
+                if not _is_int(d[k]):
+                    raise ValueError(f"config field {k!r} must be an integer, got {d[k]!r}")
+                setattr(cfg, k, d[k])
         for k in ("rings", "systems"):
             if k in d:
                 if not (isinstance(d[k], list) and all(isinstance(x, str) for x in d[k])):
@@ -233,8 +233,11 @@ def _spread(task, items):
 
     The items are dealt round-robin to k = min(CPUs, items) shares.  This
     process runs share 0 itself; each other share runs in a forked child,
-    which pickles its list of results back over a pipe.  The results are
-    merged back in item order, so a caller sees the serial list.  An
+    which pickles its list of results back over a pipe.  The first item
+    runs here before anything forks, so that what a task builds at its
+    first call, such as the table of an exact word test, is built once, in
+    the check that asked for it, and shared with the children.  The results
+    are merged back in item order, so a caller sees the serial list.  An
     exception raised in a child is raised here with the same type and
     message.  Children are always reaped, and with one CPU nothing forks.
     task may be a closure: the children share this process's memory as of
@@ -247,6 +250,7 @@ def _spread(task, items):
     k = min(cpus, len(items))
     if k <= 1:
         return [task(x) for x in items]
+    first = task(items[0])
     children = []  # (pid, read end of its pipe)
     try:
         for i in range(1, k):
@@ -270,7 +274,7 @@ def _spread(task, items):
                     os._exit(0)
             os.close(w)
             children.append((pid, r))
-        shares = [[task(x) for x in items[0::k]]]
+        shares = [[first] + [task(x) for x in items[k::k]]]
         for pid, r in children:
             with os.fdopen(r, "rb", closefd=False) as fh:
                 blob = fh.read()
@@ -295,20 +299,49 @@ def _spread(task, items):
     return out
 
 
+def _run(task, item):
+    """task(rec, item) on a new record: the instances and failures it adds."""
+    rec = CheckRecord(name="", tier="")
+    task(rec, item)
+    return rec.instances, rec.failures
+
+
 def _spread_into(rec, task, items):
-    """Run task(item) -> (instances, failures) over the items with _spread,
-    and add the results to rec in item order, as the serial loop would."""
-    for instances, failures in _spread(task, items):
+    """Run task(rec, item), which adds an item's instances and failures to
+    the record it is given, over the items with _spread, and add them to
+    rec in item order, as the serial loop would."""
+    for instances, failures in _spread(functools.partial(_run, task), items):
         rec.instances += instances
         for witness in failures:
             rec.fail(**witness)
 
 
-def _ready(tester):
-    """Build an exact tester's table in this process, inside the check that
-    asks for it, so that the shares of a spread find it built."""
-    if tester.exact:
-        tester.table()
+def _same(lhs, rhs, equal=None):
+    """Whether two computed values agree: equal(lhs, rhs) for two words
+    compared at a tier (_word_test), lhs == rhs for anything else, and one
+    verdict per matrix for numpy batches of matrices indexed [..., i, j].
+    Every check but amalgam's, which asks whether a root heads an A3 chain,
+    decides its failures here, so a test that replaces this function can
+    make each of them fail."""
+    if equal is not None:
+        return equal(lhs, rhs)
+    if isinstance(lhs, numpy.ndarray):
+        return (lhs == rhs).all(axis=(-2, -1))
+    return lhs == rhs
+
+
+def _phi_equal(w1, w2):
+    return phi(w1) == phi(w2)
+
+
+def _word_test(config, system, ring):
+    """The word equality of the config's tier over (system, ring), and the
+    tier's label: equal cosets in the table of St(system, ring), which the
+    first exact comparison builds (in this process: see _spread), or equal
+    images under phi."""
+    if config.tier == "matrix":
+        return _phi_equal, "matrix"
+    return WordTester(system, ring, max_cosets=config.max_cosets).exact_equal, "exact"
 
 
 def _want(config, floor, cap=None):
@@ -415,7 +448,7 @@ def suite_chevalley(config):
 
         def timed(N):
             t0 = time.perf_counter()
-            return (*_chevalley_check(*tables, N), time.perf_counter() - t0)
+            return (*_run(functools.partial(_chevalley_check, *tables), N), time.perf_counter() - t0)
 
         runs = _spread(timed, [N for _, N in todo])
         for (rec, _), (instances, failures, seconds) in zip(todo, runs):
@@ -440,9 +473,8 @@ def _left_unipotent(m, at, d, N):
         m[tgt] = (m[tgt] + add) % N
 
 
-def _chevalley_check(pats, sums, size, N):
-    """Additivity and the commutator formula over Z/N, exhaustively.
-    Returns (instances, failures).
+def _chevalley_check(pats, sums, size, rec, N):
+    """Additivity and the commutator formula over Z/N, exhaustively, into rec.
 
     Every factor is a root unipotent X = 1 + D, so X M adds multiples of
     rows of M to other rows (_left_unipotent).  D is read off the table's
@@ -455,7 +487,6 @@ def _chevalley_check(pats, sums, size, N):
     N^2 < 2^63, which the caller ensures.  Failures are reported in the
     order of the loops over (alpha, beta, r, s).
     """
-    rec = CheckRecord(name="", tier="")
     nroots = len(pats)
     # mats[ri, r] is x_root(r); mats[ri, 0] is the identity
     mats = numpy.broadcast_to(numpy.eye(size, dtype=numpy.int64), (nroots, N, size, size)).copy()
@@ -485,7 +516,7 @@ def _chevalley_check(pats, sums, size, N):
         m = mats[ri]
         lhs = numpy.broadcast_to(m[None, 1:], (N - 1, N - 1, size, size)).copy()
         _left_unipotent(lhs, rows(ri), d[ri, 1:].T[:, :, None, None], N)
-        bad = ~(lhs == m[total]).all(axis=(2, 3))
+        bad = ~_same(lhs, m[total])
         rec.instances += bad.size
         for r, s in numpy.argwhere(bad):
             rec.fail(kind="additivity", root=ri, r=int(r) + 1, s=int(s) + 1)
@@ -517,11 +548,10 @@ def _chevalley_check(pats, sums, size, N):
                     tags[lo:lo + chunk, None],
                     (signs[lo:lo + chunk, None] * r * nonzero[None, :]) % N,
                 ]
-                bad[lo:lo + chunk, r - 1] = ~(comm == want).all(axis=(2, 3))
+                bad[lo:lo + chunk, r - 1] = ~_same(comm, want)
         rec.instances += bad.size
         for b, r, s in numpy.argwhere(bad):
             rec.fail(kind="commutator", alpha=ai, beta=betas[b], r=int(r) + 1, s=int(s) + 1)
-    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +583,7 @@ def suite_vdk(config):
             if v.zero_positions() or u.zero_positions():
                 pairs.append((u, v))
         # the exhaustive check's harness, over the one v of each pair
-        _spread_into(rec, lambda uv: _x_small_contract_at([uv[1]], uv[0]), pairs)
+        _spread_into(rec, lambda rec, uv: _x_small_contract_at([uv[1]], rec, uv[0]), pairs)
     # the canonical decomposition identity, exhaustive over f2 and f3
     for ringspec in ("f2", "f3"):
         ring = make_ring(ringspec)
@@ -571,25 +601,18 @@ def suite_vdk(config):
         _spread_into(rec, _xgen_ygen_contract_at, samples)
     # exact-tier well-definedness over f2 (index and certificate choices)
     f2 = make_ring("f2")
-    tester = WordTester(
-        linear_system(n), f2, max_cosets=config.max_cosets,
-        exact=config.tier != "matrix",
-    )
-    equal, tier_label = tester.equator()
+    equal, tier = _word_test(config, linear_system(n), f2)
     vecs = list(_all_vectors(f2, n))
-    with _Check(checks, "x_small-index-independence-f2", tier_label) as rec:
-        _ready(tester)
+    with _Check(checks, "x_small-index-independence-f2", tier) as rec:
         _spread_into(rec, functools.partial(_x_small_index_at, vecs, equal), vecs)
-    with _Check(checks, "xgen-certificate-independence-f2", tier_label) as rec:
-        _ready(tester)
+    with _Check(checks, "xgen-certificate-independence-f2", tier) as rec:
         _spread_into(rec, functools.partial(_xgen_certificate_at, vecs, equal), vecs)
     return checks
 
 
-def _x_small_contract_at(vecs, u):
+def _x_small_contract_at(vecs, rec, u):
     """phi(x_small(u, v)) against the transvection, for every v orthogonal
-    to u where u or v has a zero entry.  Returns (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    to u where u or v has a zero entry."""
     ring = u.ring
     for v in vecs:
         if ring.p_dot(u.data, v.data) != ring.zero_p:
@@ -597,34 +620,30 @@ def _x_small_contract_at(vecs, u):
         if not (v.zero_positions() or u.zero_positions()):
             continue
         rec.instances += 1
-        if phi(x_small(u, v)) != transvection(u, v):
+        if not _same(phi(x_small(u, v)), transvection(u, v)):
             rec.fail(u=_lit(u), v=_lit(v))
-    return rec.instances, rec.failures
 
 
-def _xgen_ygen_contract_at(sample):
+def _xgen_ygen_contract_at(rec, sample):
     """phi of X_gen(u, v) and Y_gen(v, u) against their transvections, and
     the additivity shadow X_gen(u, v) X_gen(u, vv) against the transvection
-    of v + vv.  Returns (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    of v + vv."""
     u, v, vv = sample
     cert = vector(u.ring, lin_solve(u.entries, u.ring.one()))
     rec.instances += 1
-    if phi(X_gen(u, v, cert=cert)) != transvection(u, v):
+    if not _same(phi(X_gen(u, v, cert=cert)), transvection(u, v)):
         rec.fail(kind="X", u=_lit(u), v=_lit(v))
-    if phi(Y_gen(v, u, cert=cert)) != transvection(v, u):
+    if not _same(phi(Y_gen(v, u, cert=cert)), transvection(v, u)):
         rec.fail(kind="Y", u=_lit(v), v=_lit(u))
     lhs = phi(X_gen(u, v, cert=cert) * X_gen(u, vv, cert=cert))
-    if lhs != transvection(u, v + vv):
+    if not _same(lhs, transvection(u, v + vv)):
         rec.fail(kind="additivity-shadow", u=_lit(u), v=_lit(v), w=_lit(vv))
-    return rec.instances, rec.failures
 
 
-def _x_small_index_at(vecs, equal, u):
+def _x_small_index_at(vecs, equal, rec, u):
     """x_small(u, v) over each choice of its zero slot against the first
     choice, for every v orthogonal to u with two choices or more, compared
-    by `equal`.  Returns (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    by `equal`."""
     ring = u.ring
     for v in vecs:
         if ring.p_dot(u.data, v.data) != ring.zero_p:
@@ -638,45 +657,41 @@ def _x_small_index_at(vecs, equal, u):
         for mode, idx in choices[1:]:
             rec.instances += 1
             other = x_small(u, v, index=idx, mode=mode)
-            if not equal(base, other):
+            if not _same(base, other, equal):
                 rec.fail(u=_lit(u), v=_lit(v), mode=mode, index=idx)
-    return rec.instances, rec.failures
 
 
-def _xgen_certificate_at(vecs, equal, u):
+def _xgen_certificate_at(vecs, equal, rec, u):
     """X_gen(u, v) and Y_gen(v, u) under the second and third certificate
     of u against the first, for every v orthogonal to u, compared by
-    `equal`.  Returns (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    `equal`."""
     ring = u.ring
     certs = [w for w in vecs if ring.p_dot(w.data, u.data) == ring.one_p]
     if len(certs) < 2:
-        return 0, []
+        return
     for v in vecs:
         if ring.p_dot(u.data, v.data) != ring.zero_p:
             continue
         base = X_gen(u, v, cert=certs[0])
         for w in certs[1:3]:
             rec.instances += 1
-            if not equal(base, X_gen(u, v, cert=w)):
+            if not _same(base, X_gen(u, v, cert=w), equal):
                 rec.fail(kind="X", u=_lit(u), v=_lit(v), cert=_lit(w))
         baseY = Y_gen(v, u, cert=certs[0])
         for w in certs[1:3]:
             rec.instances += 1
-            if not equal(baseY, Y_gen(v, u, cert=w)):
+            if not _same(baseY, Y_gen(v, u, cert=w), equal):
                 rec.fail(kind="Y", u=_lit(v), v=_lit(u), cert=_lit(w))
-    return rec.instances, rec.failures
 
 
-def _canonical_split_at(vecs, v):
+def _canonical_split_at(vecs, rec, v):
     """The canonical decomposition of every u orthogonal to v, over every
     certificate w with w.v = 1: its terms are orthogonal to v, have two
-    zero entries each and sum to u.  Returns (instances, failures).  The
-    terms are read as payload tuples."""
-    rec = CheckRecord(name="", tier="")
+    zero entries each and sum to u.  The terms are read as payload tuples
+    and summed in the ring's add table (the check runs over f2 and f3)."""
     ring = v.ring
     zero, vd, dot = ring.zero_p, v.data, ring.p_dot
-    add = ring.tables[0] if ring.tables else None
+    add = ring.tables[0]
     ws = [w for w in vecs if dot(w.data, vd) == ring.one_p]
     us = [u for u in vecs if dot(u.data, vd) == zero]
     for u in us:
@@ -688,13 +703,9 @@ def _canonical_split_at(vecs, v):
                 td = t.data
                 if dot(td, vd) != zero or td.count(zero) < 2:
                     ok = False
-                if add is None:
-                    acc = tuple(map(ring.p_add, acc, td))
-                else:
-                    acc = tuple([add[x][y] for x, y in zip(acc, td)])
-            if not ok or acc != u.data:
+                acc = tuple([add[x][y] for x, y in zip(acc, td)])
+            if not _same((acc, ok), (u.data, True)):
                 rec.fail(u=_lit(u), v=_lit(v), w=_lit(w))
-    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -717,15 +728,13 @@ def _draw_law_samples(ring, n, rng, samples, system):
     return out
 
 
-def _laws_at(kind, equal, sample):
+def _laws_at(kind, equal, rec, sample):
     """The four X laws (kind "X") or Y laws (kind "Y") at one sample.
-    Returns (instances, failures).
 
     The laws are written below for X, with u the fixed vector.  A Y law
     runs the same data through Y_tul, swaps phi(g) and phi(g*) in the
     conjugation law and names the fixed vector v in its witnesses.
     """
-    rec = CheckRecord(name="", tier="")
     u, w, z, y, c, w2, g = sample
     b = z.dot(u)
     a = y.dot(u)
@@ -737,7 +746,7 @@ def _laws_at(kind, equal, sample):
 
     def check(law, lhs, rhs, **data):
         rec.instances += 1
-        if not equal(lhs, rhs):
+        if not _same(lhs, rhs, equal):
             data = {"u" if kind == "X" else "v": u, "w": w, "b": b, "a": a, **data}
             rec.fail(law=f"{kind}-{law}", **{k: _lit(x) for k, x in data.items()})
 
@@ -757,7 +766,6 @@ def _laws_at(kind, equal, sample):
     if kind == "Y":
         G, Gs = Gs, G
     check("conjugation", g * base * g.inverse(), tul(G * u, Gs * moving, Gs * z, Gs * w, a), g=g)
-    return rec.instances, rec.failures
 
 
 def suite_tulenbaev(config):
@@ -765,17 +773,12 @@ def suite_tulenbaev(config):
     n = config.n
     system = linear_system(n)
     f2 = make_ring("f2")
-    tester = WordTester(
-        system, f2, max_cosets=config.max_cosets, exact=config.tier != "matrix"
-    )
-    equal, tier_label = tester.equator()
+    equal, tier = _word_test(config, system, f2)
     rng = random.Random(config.seed)
     for kind in "XY":
-        with _Check(checks, f"{kind.lower()}laws-f2-{tier_label}", tier_label) as rec:
-            _ready(tester)
+        with _Check(checks, f"{kind.lower()}laws-f2-{tier}", tier) as rec:
             draws = _draw_law_samples(f2, n, rng, _want(config, 150, 150), system)
             _spread_into(rec, functools.partial(_laws_at, kind, equal), draws)
-    matrix_eq = lambda a, b: phi(a) == phi(b)
     for ringspec in config.rings or ("z/4", "z/6"):
         ring = make_ring(ringspec)
         rng2 = random.Random(config.seed + 1)
@@ -783,7 +786,7 @@ def suite_tulenbaev(config):
         for kind in "XY":
             with _Check(checks, f"{kind.lower()}laws-{ringspec}-matrix", "matrix") as rec:
                 draws = _draw_law_samples(ring, n, rng2, want, system)
-                _spread_into(rec, functools.partial(_laws_at, kind, matrix_eq), draws)
+                _spread_into(rec, functools.partial(_laws_at, kind, _phi_equal), draws)
     return checks
 
 
@@ -794,14 +797,9 @@ def suite_tulenbaev(config):
 def suite_xeqy(config):
     checks = []
     n = config.n
-    system = linear_system(n)
     f2 = make_ring("f2")
-    tester = WordTester(
-        system, f2, max_cosets=config.max_cosets, exact=config.tier != "matrix"
-    )
-    equal, tier_label = tester.equator()
-    with _Check(checks, "xeqy-f2-exhaustive", tier_label) as rec:
-        _ready(tester)
+    equal, tier = _word_test(config, linear_system(n), f2)
+    with _Check(checks, "xeqy-f2-exhaustive", tier) as rec:
         vecs = list(_all_vectors(f2, n))
         task = functools.partial(_xeqy_at, vecs, equal)
         _spread_into(rec, task, itertools.product(vecs, repeat=2))
@@ -832,22 +830,20 @@ def suite_xeqy(config):
     return checks
 
 
-def _xeqy_random_at(sample):
-    """The five X = Y words at one sample, compared by phi.  Returns
-    (instances, failures)."""
+def _xeqy_random_at(rec, sample):
+    """The five X = Y words at one sample, compared by phi."""
     x, y, u, v, b, r, zu, zv = sample
     rw = xeqy_words(x, y, u, v, b, r, zu=zu, zv=zv)
-    mats = [phi(rw.lhs), phi(rw.rhs), phi(rw.g_direct), phi(rw.path_x), phi(rw.path_y)]
-    if any(m != mats[0] for m in mats):
-        return 1, [dict(x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v), b=_lit(b), r=_lit(r))]
-    return 1, []
+    lhs, *others = (phi(w) for w in (rw.lhs, rw.rhs, rw.g_direct, rw.path_x, rw.path_y))
+    rec.instances += 1
+    if not all(_same(m, lhs) for m in others):
+        rec.fail(x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v), b=_lit(b), r=_lit(r))
 
 
-def _xeqy_at(vecs, equal, xy):
+def _xeqy_at(vecs, equal, rec, xy):
     """The five X = Y words at (x, y), over every u orthogonal to x and y
     and v orthogonal to x, y and u whose certificates exist, compared
-    by `equal`.  Returns (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    by `equal`."""
     x, y = xy
     ring = x.ring
     dot, zero = ring.p_dot, ring.zero_p
@@ -873,9 +869,8 @@ def _xeqy_at(vecs, equal, xy):
                 ("path_x", rw.path_x),
                 ("path_y", rw.path_y),
             ):
-                if not equal(rw.lhs, wd):
+                if not _same(rw.lhs, wd, equal):
                     rec.fail(side=tag, x=_lit(x), y=_lit(y), u=_lit(u), v=_lit(v))
-    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -900,8 +895,7 @@ def suite_star(config):
     for sym in star.f_symbols:
         by_u.setdefault(sym.u.vec.data, []).append(sym)
 
-    def f_additivity(key):
-        rec = CheckRecord(name="", tier="")
+    def f_additivity(rec, key):
         group = by_u[key]
         ov = group[0].u
         by_v = {sym.v.data: sym for sym in group}
@@ -910,13 +904,11 @@ def suite_star(config):
                 rec.instances += 1
                 target = by_v[(s1.v + s2.v).data]
                 lhs = iota_phi(s1) * iota_phi(s2)
-                if lhs != iota_phi(target):
+                if not _same(lhs, iota_phi(target)):
                     rec.fail(u=_lit(ov.vec), v=_lit(s1.v), w=_lit(s2.v))
-        return rec.instances, rec.failures
 
-    def s_additivity(key):
+    def s_additivity(rec, key):
         # mirrored additivity for the S family, via the transpose symmetry
-        rec = CheckRecord(name="", tier="")
         group = by_u[key]
         ov = group[0].u
         cert = ov.cert()
@@ -928,9 +920,8 @@ def suite_star(config):
             for s2 in group:
                 rec.instances += 1
                 lhs = seen[s1.v.data] * seen[s2.v.data]
-                if lhs != seen[(s1.v + s2.v).data]:
+                if not _same(lhs, seen[(s1.v + s2.v).data]):
                     rec.fail(v=_lit(ov.vec), u=_lit(s1.v), u2=_lit(s2.v))
-        return rec.instances, rec.failures
 
     with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         mats = _spread(lambda sym: phi(iota(sym)).data, star.f_symbols)
@@ -940,8 +931,7 @@ def suite_star(config):
     with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         _spread_into(rec, s_additivity, sorted(by_u))
 
-    def conjugation(pair):
-        rec = CheckRecord(name="", tier="")
+    def conjugation(rec, pair):
         s1, s2 = pair
         w1, m1, m2 = iota(s1), iota_phi(s1), iota_phi(s2)
         tuv = transvection(s1.u.vec, s1.v)
@@ -950,9 +940,8 @@ def suite_star(config):
         witness = w1 * s2.u.witness
         rhs_word = X_gen(new_u, new_v, cert=OrbitVector(new_u, witness).cert())
         rec.instances += 1
-        if m1 * m2 * phi(w1.inverse()) != phi(rhs_word):
+        if not _same(m1 * m2 * phi(w1.inverse()), phi(rhs_word)):
             rec.fail(u=_lit(s1.u.vec), v=_lit(s1.v), u2=_lit(s2.u.vec), v2=_lit(s2.v))
-        return rec.instances, rec.failures
 
     with _Check(checks, "conjugation-iota-f2[eps]-sampled", "matrix") as rec:
         fs = star.f_symbols
@@ -963,15 +952,11 @@ def suite_star(config):
         _spread_into(rec, conjugation, pairs)
     # exact tier over f2: the F/S coincidence and the column-split relator
     f2 = make_ring("f2")
-    tester = WordTester(
-        system, f2, max_cosets=config.max_cosets, exact=config.tier != "matrix"
-    )
-    equal, tier_label = tester.equator()
-    with _Check(checks, f"FS-coincidence-f2-{tier_label}", tier_label) as rec:
-        _ready(tester)
+    equal, tier = _word_test(config, system, f2)
+    with _Check(checks, f"FS-coincidence-f2-{tier}", tier) as rec:
         mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 100, 100))]
         _spread_into(rec, functools.partial(_fs_coincidence_at, equal), mws)
-    with _Check(checks, f"xy-bridge-two-routes-f2-{tier_label}", tier_label) as rec:
+    with _Check(checks, f"xy-bridge-two-routes-f2-{tier}", tier) as rec:
         e1 = basis_vector(f2, n, 0)
         e2 = basis_vector(f2, n, 1)
         e3 = basis_vector(f2, n, 2)
@@ -990,10 +975,9 @@ def suite_star(config):
             ("routeY=Y", (route_y, rhs)),
         ):
             rec.instances += 1
-            if not equal(*pair):
+            if not _same(*pair, equal):
                 rec.fail(route=tag)
-    with _Check(checks, f"column-split-relator-f2-{tier_label}", tier_label) as rec:
-        _ready(tester)
+    with _Check(checks, f"column-split-relator-f2-{tier}", tier) as rec:
         mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 60, 60))]
         _spread_into(rec, functools.partial(_column_split_at, equal), mws)
     with _Check(checks, "kappa-iota-f2[eps]-sampled", "matrix") as rec:
@@ -1001,16 +985,14 @@ def suite_star(config):
         for _ in range(_want(config, 200, 200)):
             sym = fs[rng.randrange(len(fs))]
             rec.instances += 1
-            if iota_phi(sym) != transvection(sym.u.vec, sym.v):
+            if not _same(iota_phi(sym), transvection(sym.u.vec, sym.v)):
                 rec.fail(u=_lit(sym.u.vec), v=_lit(sym.v))
     return checks
 
 
-def _fs_coincidence_at(equal, mw):
+def _fs_coincidence_at(equal, rec, mw):
     """X_gen(u, v a) against Y_gen(u a, v) for u = M e_1, v = M* e_2, with M
-    the matrix of the word mw, at every a in F2, compared by `equal`.
-    Returns (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    the matrix of the word mw, at every a in F2, compared by `equal`."""
     f2, n = mw.ring, mw.system.rank + 1
     M = phi(mw)
     Ms = phi(W.contragredient(mw))
@@ -1023,17 +1005,14 @@ def _fs_coincidence_at(equal, mw):
         rec.instances += 1
         lhs = X_gen(u, v.scale(a), cert=ucert)
         rhs = Y_gen(u.scale(a), v, cert=vcert)
-        if not equal(lhs, rhs):
+        if not _same(lhs, rhs, equal):
             rec.fail(M=_lit(mw), a=_lit(a))
-    return rec.instances, rec.failures
 
 
-def _column_split_at(equal, mw):
+def _column_split_at(equal, rec, mw):
     """The column-split relator X_{u1 r + u2, v3 a} = X_{u1, v3 a r} X_{u2, v3 a}
     for the columns u1, u2 of the matrix M of the word mw and the column v3
-    of M*, at every r and a in F2, compared by `equal`.  Returns
-    (instances, failures)."""
-    rec = CheckRecord(name="", tier="")
+    of M*, at every r and a in F2, compared by `equal`."""
     system, f2 = mw.system, mw.ring
     n = system.rank + 1
     e2ov = basis_orbit_vector(f2, n, 1)
@@ -1054,9 +1033,8 @@ def _column_split_at(equal, mw):
             rhs = X_gen(u1, v3.scale(a * r), cert=OrbitVector(u1, mw).cert()) * X_gen(
                 u2, v3.scale(a), cert=OrbitVector(u2, mw * e2ov.witness).cert()
             )
-            if not equal(lhs, rhs):
+            if not _same(lhs, rhs, equal):
                 rec.fail(M=_lit(mw), r=_lit(r), a=_lit(a))
-    return rec.instances, rec.failures
 
 
 # ---------------------------------------------------------------------------
@@ -1079,18 +1057,18 @@ def suite_psi(config):
             cache[key] = psi_map(sd, n, i, j, xi)
         return cache[key]
 
+    def same(x, y):
+        return _same(x.phi_pair(), y.phi_pair())
+
     with _Check(checks, "psi-additivity-f2[eps]-exhaustive", "matrix") as rec:
         for i, j in idx_pairs:
             for xi in pool:
                 for eta in pool:
                     rec.instances += 1
-                    if not (psi(i, j, xi) * psi(i, j, eta)).matrix_equal(
-                        psi(i, j, xi + eta)
-                    ):
+                    if not same(psi(i, j, xi) * psi(i, j, eta), psi(i, j, xi + eta)):
                         rec.fail(i=i, j=j, xi=_lit(xi), eta=_lit(eta))
 
-    def disjoint_commute(ij):
-        rec = CheckRecord(name="", tier="")
+    def disjoint_commute(rec, ij):
         i, j = ij
         for h, k in idx_pairs:
             if h == j or k == i or (i, j) == (h, k):
@@ -1100,12 +1078,10 @@ def suite_psi(config):
                     rec.instances += 1
                     left = psi(i, j, xi) * psi(h, k, eta)
                     right = psi(h, k, eta) * psi(i, j, xi)
-                    if not left.matrix_equal(right):
+                    if not same(left, right):
                         rec.fail(i=i, j=j, h=h, k=k, xi=_lit(xi), eta=_lit(eta))
-        return rec.instances, rec.failures
 
-    def commutator_chain(ij):
-        rec = CheckRecord(name="", tier="")
+    def commutator_chain(rec, ij):
         i, j = ij
         for k in range(n):
             if k in (i, j):
@@ -1119,14 +1095,8 @@ def suite_psi(config):
                     direct = W.commutator(a, b)
                     target = psi(i, k, xi * eta)
                     expansion = _expansion_tuple(sd, n, i, j, k, xi, eta)
-                    ok = (
-                        formula.matrix_equal(direct)
-                        and direct.matrix_equal(target)
-                        and expansion.matrix_equal(target)
-                    )
-                    if not ok:
+                    if not (same(formula, direct) and same(direct, target) and same(expansion, target)):
                         rec.fail(i=i, j=j, k=k, xi=_lit(xi), eta=_lit(eta))
-        return rec.instances, rec.failures
 
     with _Check(checks, "psi-disjoint-commute-f2[eps]-exhaustive", "matrix") as rec:
         _spread_into(rec, disjoint_commute, idx_pairs)
@@ -1173,14 +1143,14 @@ def suite_k2(config):
         with _Check(checks, f"k2-{sysname}-{ringspec}", "exact") as rec:
             rep = k2_compute(datum, ring, max_cosets=config.max_cosets)
             rec.instances = rep.st_order
-            if not rep.factorization_ok():
+            if not _same(rep.st_order, rep.kernel_order * rep.image_order):
                 rec.fail(kind="factorization", st=rep.st_order,
                          kernel=rep.kernel_order, image=rep.image_order)
             inconclusive = rep.image_route == "inconclusive"
-            if not inconclusive and rep.bfs_image_order != rep.image_order:
+            if not inconclusive and not _same(rep.bfs_image_order, rep.image_order):
                 rec.fail(kind="bfs-cross-check", table=rep.image_order,
                          bfs=rep.bfs_image_order)
-            if not rep.central:
+            if not _same(rep.central, True):
                 for w in rep.witnesses[:5]:
                     rec.fail(kind="centrality", **w)
             rec.info = {
@@ -1238,7 +1208,7 @@ def suite_relative(config):
             sd = sd or split_data(ring, ideal)
             rep = relative_subgroup_index(datum, ring, sd, max_cosets=config.max_cosets)
             rec.instances = rep.index
-            if not rep.ok():
+            if not _same(rep.index, rep.quotient_order):
                 rec.fail(index=rep.index, quotient_order=rep.quotient_order)
     return checks
 
@@ -1273,16 +1243,16 @@ def suite_tmap(config):
     locz, lamz = localization(Bz, az)
     system_loc = linear_system(n)
 
-    def diagram(sample):
+    def diagram(rec, sample):
         uw, vB, vloc, mirrored = sample
         ov = OrbitVector.from_word(uw, n)
         if mirrored:
             res = t_map(Bz, az, idz, SSymbol(u=vB, v=ov))
         else:
             res = t_map(Bz, az, idz, FSymbol(u=ov, v=vB))
-        if _tmap_diagram_ok(res, lamz, locz, ov.vec, vloc, mirrored=mirrored):
-            return 1, []
-        return 1, [dict(u=_lit(ov.vec), v=_lit(vB), m=res.m, kind=res.kind)]
+        rec.instances += 1
+        if not _tmap_diagram_ok(res, lamz, locz, ov.vec, vloc, mirrored=mirrored):
+            rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m, kind=res.kind)
 
     with _Check(checks, "tmap-semi(z,2)-sampled", "matrix") as rec:
         samples = []  # (word of u, v over B, v over the localization, S rather than F)
@@ -1317,8 +1287,7 @@ def _tmap_exhaustive(rec, B, a, n):
     orbit = orbit_with_witnesses(loc, n)
     ideal_loc = sorted({lam.p_fn(p) for p in ideal.payload_set()})
 
-    def diagram(key):
-        rec = CheckRecord(name="", tier="")
+    def diagram(rec, key):
         ov = orbit[key]
         Ms = phi(W.contragredient(ov.witness))
         base_v = Ms * basis_vector(loc, n, 1)
@@ -1331,7 +1300,6 @@ def _tmap_exhaustive(rec, B, a, n):
             res = t_map(B, a, ideal, FSymbol(u=ov, v=vB))
             if not _tmap_diagram_ok(res, lam, loc, ov.vec, vloc):
                 rec.fail(u=_lit(ov.vec), v=_lit(vB), m=res.m)
-        return rec.instances, rec.failures
 
     _spread_into(rec, diagram, sorted(orbit))
 
@@ -1351,7 +1319,7 @@ def _tmap_diagram_ok(res, lam, loc, u, vloc, mirrored=False):
     MB = phi(res.word)
     localized = RMatrix(loc, MB.n, tuple(map(lam.p_fn, MB.data)))
     target = transvection(vloc, u) if mirrored else transvection(u, vloc)
-    return localized == target
+    return _same(localized, target)
 
 
 def _rand_loc_word(system, B, loc, lam, rng):
@@ -1388,46 +1356,34 @@ def _rand_ideal_elem(B, rng):
 # registry and the runner
 
 
+# Each suite's run function; how many rings and root systems it reads
+# (None: any number); whether it reads --ideal; and the least --n it runs
+# at (None: no --n).  It builds the others, and a report must not name them.
 SUITES = {
-    "chevalley-relations": suite_chevalley,
-    "vdk-identities": suite_vdk,
-    "tulenbaev-identities": suite_tulenbaev,
-    "xeqy": suite_xeqy,
-    "star-presentation": suite_star,
-    "psi-s-relations": suite_psi,
-    "k2-exact": suite_k2,
-    "relative-generation": suite_relative,
-    "amalgam": suite_amalgam,
-    "tmap-diagram": suite_tmap,
-}
-
-
-# How many rings and root systems each suite reads (None: any number),
-# whether it reads --ideal, and the least --n it runs at (None: no --n); it
-# builds the others, and a report must not name them.  Unlisted: all read.
-_READS = {
-    "chevalley-relations": (None, None, False, None),
-    "vdk-identities": (0, 0, False, 4),
-    "tulenbaev-identities": (None, 0, False, 4),
-    "xeqy": (0, 0, False, 4),
-    "star-presentation": (0, 0, False, 4),
-    "psi-s-relations": (0, 0, False, 3),
-    "k2-exact": (None, None, False, None),
-    "relative-generation": (1, None, True, None),
-    "amalgam": (0, 1, False, None),
-    "tmap-diagram": (0, 0, False, 4),
+    "chevalley-relations": (suite_chevalley, None, None, False, None),
+    "vdk-identities": (suite_vdk, 0, 0, False, 4),
+    "tulenbaev-identities": (suite_tulenbaev, None, 0, False, 4),
+    "xeqy": (suite_xeqy, 0, 0, False, 4),
+    "star-presentation": (suite_star, 0, 0, False, 4),
+    "psi-s-relations": (suite_psi, 0, 0, False, 3),
+    "k2-exact": (suite_k2, None, None, False, None),
+    "relative-generation": (suite_relative, 1, None, True, None),
+    "amalgam": (suite_amalgam, 0, 1, False, None),
+    "tmap-diagram": (suite_tmap, 0, 0, False, 4),
 }
 
 
 def config_error(config):
     """Why a suite would not run the config as given, or None.
 
-    Every ring spec and root system name must parse.  The report records
-    every ring and system of its config, and its ideal and n, so a suite
-    takes no more of them than it reads, and no n below the least its
-    constructions need; no suite takes a negative sample count; and the
-    ideal of relative-generation must resolve over its ring: the default
-    (X) needs a ring with a generator X.
+    Every ring spec and root system name must parse, and none may repeat,
+    since each names the checks that run on it.  The report records every
+    ring and system of its config, and its ideal and n, so a suite takes no
+    more of them than it reads, and no n below the least its constructions
+    need; no suite takes a negative sample count; and the ideal of
+    relative-generation must resolve over its ring: the default (X) needs a
+    ring with a generator X.  tulenbaev-identities at the matrix tier runs
+    its own f2 checks, so it takes no --ring f2 there.
     """
     if config.suite not in SUITES:
         return f"unknown suite {config.suite!r}; have {sorted(SUITES)}"
@@ -1441,13 +1397,13 @@ def config_error(config):
             build_system(name)
         except RootSystemError as exc:
             return f"bad root system {name!r}: {exc}"
-    most_rings, most_systems, reads_ideal, least_n = _READS.get(
-        config.suite, (None, None, True, 0)
-    )
+    _, most_rings, most_systems, reads_ideal, least_n = SUITES[config.suite]
     for option, given, most in (
         ("--ring", config.rings, most_rings),
         ("--system", config.systems, most_systems),
     ):
+        if len(set(given)) < len(given):
+            return f"suite {config.suite} takes each {option} once, got {list(given)}"
         if most is not None and len(given) > most:
             takes = "no" if most == 0 else f"at most {most}"
             return f"suite {config.suite} takes {takes} {option}, got {len(given)}"
@@ -1459,6 +1415,9 @@ def config_error(config):
         return f"suite {config.suite} needs --n >= {least_n}, got {config.n}"
     if config.samples < 0:
         return f"suite {config.suite} needs --samples >= 0, got {config.samples}"
+    if config.suite == "tulenbaev-identities" and config.tier == "matrix" and "f2" in config.rings:
+        return (f"suite {config.suite} takes no --ring f2 at --tier matrix, where its own "
+                "f2 checks are named xlaws-f2-matrix and ylaws-f2-matrix")
     if reads_ideal:
         try:
             _ring_and_ideal(config)
@@ -1474,7 +1433,7 @@ def run_suite(config):
     warnings = []
     if config.samples == 0:
         warnings.append("sample count is zero; sampled checks are vacuous")
-    checks = SUITES[config.suite](config)
+    checks = SUITES[config.suite][0](config)
     return VerificationReport(
         suite=config.suite,
         config=config.to_dict(),

@@ -275,9 +275,6 @@ class SemidirectElement:
     def phi_pair(self):
         return (phi(self.as_word()).data, phi(self.quotient).data)
 
-    def matrix_equal(self, other):
-        return self.phi_pair() == other.phi_pair()
-
 
 def semidirect_commutator(x, y):
     """The closed form for a commutator in a split extension:

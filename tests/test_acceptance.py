@@ -105,7 +105,7 @@ def test_criterion_05_k2_exact():
     t3 = time.perf_counter() - t0
     ok = True
     for rep, image in ((rep2, 168), (rep3, 20160)):
-        ok = ok and rep.factorization_ok()
+        ok = ok and rep.st_order == rep.kernel_order * rep.image_order
         ok = ok and rep.image_order == image == rep.bfs_image_order
         ok = ok and rep.central and not rep.witnesses
     # frozen regression values from the first run of this enumeration:

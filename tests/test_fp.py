@@ -224,7 +224,7 @@ def test_st3_f2_order_and_k2():
     assert rep.image_order == 168 == rep.bfs_image_order
     assert rep.kernel_order == 1
     assert rep.central
-    assert rep.factorization_ok()
+    assert rep.st_order == rep.kernel_order * rep.image_order
 
 
 def test_k2_nontrivial_kernel_z4():
@@ -270,7 +270,8 @@ def test_k2_on_the_uplus_table_matches_the_regular_table(system, spec):
     kernel = {c for c, m in enumerate(mats) if m == mats[0]}
     rep = k2_compute(datum, ring)
     assert (rep.st_order, rep.kernel_order, rep.image_order) == (tbl.n, len(kernel), len(set(mats)))
-    assert rep.factorization_ok() and rep.central and rep.image_route == "bfs"
+    assert rep.st_order == rep.kernel_order * rep.image_order
+    assert rep.central and rep.image_route == "bfs"
     # each k_c is an element of K2, and they are pairwise distinct
     assert {tbl.coset_of(k) for k in rep.kernel_words} == kernel
     # k_c lies in its U+ coset c
@@ -297,7 +298,7 @@ def test_kernel_count_that_does_not_divide_the_index_fails_factorization(monkeyp
     monkeypatch.setattr(fp, "uplus_data", lambda sp, max_cosets: fake)
     rep = k2_compute(A2, F2)
     assert up.utbl.n == 21 and rep.kernel_order == 2
-    assert not rep.factorization_ok()
+    assert rep.st_order != rep.kernel_order * rep.image_order
 
 
 @pytest.mark.parametrize("system, spec", [("A2", "f2"), ("A2", "f3"), ("A3", "f2"), ("A2", "z/4")])
@@ -467,10 +468,13 @@ def test_word_tester_tiers():
     a = commutator(x_ij(A3, F2, 0, 1, 1), x_ij(A3, F2, 1, 2, 1))
     b = x_ij(A3, F2, 0, 2, 1)
     c = x_ij(A3, F2, 1, 2, 1)
-    equal, tier = WordTester(A3, F2).equator()
-    assert equal(a, b) and not equal(a, c) and tier == "exact"
-    equal_m, tier = WordTester(A3, F2, exact=False).equator()
-    assert equal_m(a, b) and not equal_m(a, c) and tier == "matrix"
+    tester = WordTester(A3, F2)
+    assert tester.exact_equal(a, b) and not tester.exact_equal(a, c)
+    assert tester.exact_trivial(a * b.inverse()) and not tester.exact_trivial(a * c.inverse())
+    # a suite's word checks compare at its config's tier
+    for policy, tier in (("auto", "exact"), ("exact", "exact"), ("matrix", "matrix")):
+        equal, label = suites._word_test(suites.SuiteConfig(suite="xeqy", tier=policy), A3, F2)
+        assert equal(a, b) and not equal(a, c) and label == tier
 
 
 def test_relative_generation_a2():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import pathlib
 import random
 
 import numpy
@@ -68,7 +69,7 @@ def test_injected_failure_gives_nonzero_exit(tmp_path, monkeypatch):
         rec.fail(relator="injected", reason="fault injection")
         return [rec]
 
-    monkeypatch.setitem(SUITES, "injected", broken_suite)
+    monkeypatch.setitem(SUITES, "injected", (broken_suite, 0, 0, False, None))
     out = tmp_path / "report.json"
     code = cli.main(["--suite", "injected", "--out", str(out), "--format", "json"])
     assert code == 1
@@ -184,6 +185,12 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
         (["--suite", "relative-generation", "--ring", "z/4", "--system", "A2", "--ideal", "[true]"], "--ideal"),
         (["--suite", "relative-generation", "--ring", "z", "--system", "A2", "--ideal", "[2.7]"], "--ideal"),
         (["--suite", "relative-generation", "--system", "A2", "--ideal", "[[0, true]]"], "--ideal"),
+        # each ring and system names checks, so a repeated one would name two
+        # checks alike; so would --ring f2 beside tulenbaev's own f2 checks
+        (["--suite", "k2-exact", "--system", "A2", "--system", "A2"], "--system"),
+        (["--suite", "k2-exact", "--system", "A2", "--ring", "f2", "--ring", "f2"], "--ring"),
+        (["--suite", "chevalley-relations", "--ring", "z/4", "--ring", "z/4"], "--ring"),
+        (["--suite", "tulenbaev-identities", "--tier", "matrix", "--ring", "f2"], "--ring f2"),
     ],
 )
 def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
@@ -271,6 +278,11 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         # --suite cannot pick one of several suites, so it must not be dropped
         (('{"suites": [{"suite": "amalgam"}, {"suite": "amalgam", "systems": ["A3"]}]}',
           "--suite", "xeqy"), "--suite needs a --config of one suite, got 2"),
+        # an integer field takes a JSON integer: these used to be coerced
+        ('{"suite": "k2-exact", "n": 4.9}', "'n' must be an integer, got 4.9"),
+        ('{"suite": "k2-exact", "samples": true}', "'samples' must be an integer, got True"),
+        ('{"suite": "k2-exact", "seed": "12"}', "'seed' must be an integer, got '12'"),
+        ('{"suite": "k2-exact", "max_cosets": 1e3}', "'max_cosets' must be an integer, got 1000.0"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -316,6 +328,13 @@ def test_run_suite_rejects_a_ring_or_system_that_does_not_parse(cfg, named):
     with pytest.raises(ValueError, match=named):
         run_suite(cfg)
     assert S.config_error(cfg).startswith(named)
+
+
+@pytest.mark.parametrize("field, value", [("n", 4.9), ("samples", True), ("seed", "12"), ("max_cosets", 1e3)])
+def test_from_dict_takes_only_integers_in_integer_fields(field, value):
+    with pytest.raises(ValueError, match=f"'{field}' must be an integer"):
+        SuiteConfig.from_dict({"suite": "k2-exact", field: value})
+    assert getattr(SuiteConfig.from_dict({"suite": "k2-exact", field: 5}), field) == 5
 
 
 def test_from_dict_rejects_an_unknown_field():
@@ -459,12 +478,13 @@ def test_spread_check_keeps_the_serial_witness_order(monkeypatch, cpus):
     task = functools.partial(S._canonical_split_at, vecs)
     serial = S.CheckRecord(name="serial", tier="exact-arith")
     for v in vecs:
-        instances, failures = task(v)
+        instances, failures = S._run(task, v)
         serial.instances += instances
         for witness in failures:
             serial.fail(**witness)
     _cpus(monkeypatch, cpus)
-    assert S._spread(task, vecs) == [task(v) for v in vecs]
+    run = functools.partial(S._run, task)
+    assert S._spread(run, vecs) == [run(v) for v in vecs]
     rec = S.CheckRecord(name="spread", tier="exact-arith")
     S._spread_into(rec, task, vecs)
     assert rec.instances == serial.instances == 960
@@ -483,7 +503,7 @@ def test_spread_raises_a_childs_exception_here(monkeypatch, cpus):
 
     checks = []
     with S._Check(checks, "spread", "exact") as rec:
-        S._spread_into(rec, lambda x: (task(x), []), range(4))
+        S._spread_into(rec, lambda rec, x: task(x), range(4))
     (check,) = checks
     assert check.inconclusive == 1 and check.info == {"reason": "cap reached at item 1"}
     assert _no_children_left()
@@ -589,7 +609,7 @@ def test_spread_law_checks_keep_the_serial_witness_order(monkeypatch, cpus):
     system = linear_system(4)
     serial = S.CheckRecord(name="serial", tier="exact")
     for sample in S._draw_law_samples(f2, 4, random.Random(7), 20, system):
-        instances, failures = S._laws_at("Y", lambda w1, w2: False, sample)
+        instances, failures = S._run(functools.partial(S._laws_at, "Y", lambda w1, w2: False), sample)
         serial.instances += instances
         for witness in failures:
             serial.fail(**witness)
@@ -633,3 +653,50 @@ def test_tmap_diagram_reads_v_through_the_section(spec, a):
     rec = CheckRecord(name="tmap", tier="matrix")
     S._tmap_exhaustive(rec, ring, ring.el(a), 4)
     assert rec.instances == 160 and rec.failures == []
+
+
+# The one check that decides without comparing two computed values: a root
+# heads an A3 chain or it does not.  test_criterion_09_amalgam shows it fail
+# on A2, where no root does.
+_EXEMPT_FROM_THE_SEAM = {"amalgam-coverage-D4"}
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _every_default_report(monkeypatch, verdict):
+    """The ten reports at their default configs, with every comparison the
+    checks make decided by `verdict` (a numpy batch gets one per matrix)."""
+
+    def same(lhs, rhs, equal=None):
+        if isinstance(lhs, numpy.ndarray):
+            return numpy.full(lhs.shape[:-2], verdict)
+        return verdict
+
+    monkeypatch.setattr(S, "_same", same)
+    return {name: run_suite(SuiteConfig(suite=name)) for name in sorted(SUITES)}
+
+
+def test_every_check_can_fail_through_the_seam(monkeypatch):
+    reports = _every_default_report(monkeypatch, False)
+    passing = {c.name for rep in reports.values() for c in rep.checks if not c.failures}
+    assert passing == _EXEMPT_FROM_THE_SEAM
+    assert all(not c.inconclusive for rep in reports.values() for c in rep.checks)
+
+
+def test_no_check_fails_when_the_seam_says_equal(monkeypatch):
+    # and every check counts the instances of the real run, which the
+    # golden reports hold
+    for name, rep in _every_default_report(monkeypatch, True).items():
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())["checks"]
+        got = [(c.name, c.instances, c.failures, c.inconclusive) for c in rep.checks]
+        assert got == [(c["name"], c["instances"], [], 0) for c in golden]
+
+
+def test_check_names_are_unique():
+    for path in sorted(GOLDEN.glob("*.json")):
+        names = [c["name"] for c in json.loads(path.read_text())["checks"]]
+        assert len(names) == len(set(names)), path.name
+    rep = run_suite(SuiteConfig(suite="tulenbaev-identities", tier="matrix", rings=("z/4",), samples=4))
+    names = [c.name for c in rep.checks]
+    assert names == ["xlaws-f2-matrix", "ylaws-f2-matrix", "xlaws-z/4-matrix", "ylaws-z/4-matrix"]
+    rep = run_suite(SuiteConfig(suite="k2-exact", systems=("A2",), rings=("f2", "z/2")))
+    assert [c.name for c in rep.checks] == ["k2-A2-f2", "k2-A2-z/2"]

@@ -193,7 +193,13 @@ def test_elems_and_identities_are_shared_on_rings_with_tables():
         assert all(ring.elem(p) is ring.elem(p) == Elem(ring, p) for p in ring.payloads())
         assert identity_matrix(ring, 4) is identity_matrix(ring, 4)
         assert identity_matrix(ring, 3).data != identity_matrix(ring, 4).data
+        # Elem arithmetic returns the shared Elem of its result
+        a, b = ring.one(), Elem(ring, ring.size() - 1)
+        for got in (a + b, -b, a - b, a * b, b * b):
+            assert got is ring.elem(got.payload)
     for spec in UNTABLED:
         ring = make_ring(spec)
         assert ring.elem(ring.one_p) == ring.one() and ring.elem(ring.one_p) is not ring.elem(ring.one_p)
+        one = ring.one()
+        assert one + one == ring.el(2) and one + one is not one + one
         assert identity_matrix(ring, 4) is identity_matrix(ring, 4)
