@@ -6,7 +6,8 @@ Builds, as explicit Steinberg words over A_(n-1):
     with matrix image exactly 1 + u v^t,
   * X_gen / Y_gen: the two "one nice argument" generator families,
   * X_tul / Y_tul: their localization-friendly extensions where
-    unimodularity of the nice argument is relaxed to a in I(u),
+    unimodularity of the nice argument is relaxed to a in I(u), and
+    tul_word, which decomposes the moving vector and builds either,
   * the iota images of F/S symbols, the psi twist into the split extension,
     and the lifting map t_map that undoes a principal localization.
 
@@ -16,6 +17,7 @@ divisibility data) explicitly; nothing is re-derived implicitly.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
@@ -42,6 +44,32 @@ def linear_system(n):
 
 
 # ---------------------------------------------------------------------------
+# the word memo
+
+# The words built in the open word_memo() scope, by payload key; None
+# outside one.
+_WORDS = None
+
+
+@contextlib.contextmanager
+def word_memo():
+    """A scope in which x_small and tul_word build each word once.
+
+    A word is keyed by its ring object and the payload tuples of its
+    arguments; the ring is in the key because rings can share payloads
+    (z/4 and F2[eps] both code their elements as 0..3).  Only built words
+    are stored, so a call whose hypotheses fail raises every time, and
+    words are immutable, so callers share them.  Outside a scope nothing
+    is stored."""
+    global _WORDS
+    outer, _WORDS = _WORDS, {}
+    try:
+        yield
+    finally:
+        _WORDS = outer
+
+
+# ---------------------------------------------------------------------------
 # the basic element x(u, v)
 
 
@@ -56,6 +84,17 @@ def x_small(u, v, index=None, mode=None):
     n, ring = len(u), u.ring
     if ring is not v.ring or n != len(v):
         raise VdkError("x_small arguments must match")
+    if _WORDS is None:
+        return _build_x_small(u, v, index, mode)
+    key = (ring, u.data, v.data, index, mode)
+    word = _WORDS.get(key)
+    if word is None:
+        word = _WORDS[key] = _build_x_small(u, v, index, mode)
+    return word
+
+
+def _build_x_small(u, v, index, mode):
+    ring = u.ring
     zero = ring.zero_p
     if ring.p_dot(u.data, v.data) != zero:
         raise VdkError("x_small needs u^t v = 0")
@@ -239,6 +278,29 @@ def Y_tul(datum, mult=None):
     return _product(v, [x_small(t.scale(a), v) for t in datum.terms])
 
 
+_TUL = {"X": X_tul, "Y": Y_tul}
+
+
+def tul_word(kind, fixed, moving, cert, quotient, mult=None):
+    """X_tul (kind "X") or Y_tul (kind "Y") of decompose_with(fixed,
+    moving, cert, quotient), at the multiplier mult, which defaults to
+    cert^t fixed as in X_tul."""
+    if kind not in _TUL:
+        raise VdkError(f"unknown Tulenbaev word kind {kind!r}")
+    ring = fixed.ring
+    if not (moving.ring is ring and cert.ring is ring and quotient.ring is ring):
+        raise VdkError("tul_word vectors must live over one ring")
+    if _WORDS is None:
+        return _TUL[kind](decompose_with(fixed, moving, cert, quotient), mult=mult)
+    a = cert.dot(fixed) if mult is None else ring.el(mult)
+    key = (ring, kind, fixed.data, moving.data, cert.data, quotient.data, a.payload)
+    word = _WORDS.get(key)
+    if word is None:
+        datum = decompose_with(fixed, moving, cert, quotient)
+        word = _WORDS[key] = _TUL[kind](datum, mult=mult)
+    return word
+
+
 # ---------------------------------------------------------------------------
 # the X = Y comparison data
 
@@ -277,10 +339,10 @@ def xeqy_words(x, y, u, v, b, r, zu, zv):
             raise VdkError(f"hypothesis {tag} = b fails")
 
     def X(q):  # X_{u, q b}(b)
-        return X_tul(decompose_with(u, q.scale(b), zu, q))
+        return tul_word("X", u, q.scale(b), zu, q)
 
     def Y(q):  # Y_{q b, v}(b)
-        return Y_tul(decompose_with(v, q.scale(b), zv, q))
+        return tul_word("Y", v, q.scale(b), zv, q)
 
     b3r = b * b * b * r
     lhs = X(v.scale(b3r))
@@ -418,7 +480,7 @@ def t_map(B, a, ideal, sym):
     # lw^t lu = a^(2m), as _find_lifts checked
     target = _divide_vector(moving, a ** (3 * m), ideal)
     quotient = _divide_vector(target, a ** (2 * m), ideal)
-    word = (X_tul if kind == "F" else Y_tul)(decompose_with(lu, target, lw, quotient))
+    word = tul_word("X" if kind == "F" else "Y", lu, target, lw, quotient)
     return TMapResult(word=word, m=m, lift_u=lu, lift_w=lw, kind=kind)
 
 

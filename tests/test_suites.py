@@ -7,6 +7,9 @@ import random
 
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_rings import _draw_finite_ring
 
 from steinberg import cli, fp
 from steinberg import suites as S
@@ -61,6 +64,14 @@ def test_verdicts():
         checks=[CheckRecord(name="a", tier="matrix", instances=0, inconclusive=1)],
     )
     assert unk.verdict == "inconclusive"
+    both = VerificationReport(
+        suite="x",
+        config={},
+        checks=[CheckRecord(name="a", tier="matrix", instances=1, failures=[{"w": 1}], inconclusive=1)],
+    )
+    # a cap reads as inconclusive in the text report, never as a failure
+    for report, status in ((ok, "ok"), (bad, "FAIL"), (unk, "inconclusive"), (both, "FAIL")):
+        assert report.to_text().splitlines()[1].startswith(f"  [{status}] a (tier=matrix, ")
 
 
 def test_injected_failure_gives_nonzero_exit(tmp_path, monkeypatch):
@@ -142,6 +153,22 @@ def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
     for check in json.loads(rep.to_json())["checks"]:
         assert check["inconclusive"] == 1 and not check["failures"]
         assert reason in check["info"]["reason"]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_suites_that_read_a_ring_give_a_verdict_over_finite_rings(data):
+    # small caps keep the exact tier inconclusive past a few thousand cosets
+    ring = _draw_finite_ring(data, 3)
+    ideal = json.dumps([ring.to_literal(data.draw(st.integers(0, ring.size() - 1)))])
+    for cfg in (
+        SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=(ring.spec,)),
+        SuiteConfig(suite="tulenbaev-identities", rings=(ring.spec,), max_cosets=2000),
+        SuiteConfig(suite="k2-exact", systems=("A2",), rings=(ring.spec,), max_cosets=2000),
+        SuiteConfig(suite="relative-generation", systems=("A2",), rings=(ring.spec,), ideal=ideal,
+                    max_cosets=2000),
+    ):
+        assert run_suite(cfg).verdict in ("pass", "fail", "inconclusive"), cfg
 
 
 @pytest.mark.parametrize(
@@ -248,14 +275,15 @@ def test_least_n_is_accepted():
 )
 def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
     # St(A3,F2) needs far more than 100 cosets; the table used to be built
-    # outside every check, and its Inconclusive ended the run in a traceback
+    # outside every check, and its Inconclusive ended the run in a traceback.
+    # A check decides nothing there, so it counts no instance.
     assert cli.main(["--suite", suite, "--max-cosets", "100", "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "inconclusive"
     exact = [c for c in report["checks"] if c["tier"] == "exact"]
     assert exact
     for c in exact:
-        assert c["inconclusive"] == 1 and not c["failures"]
+        assert c["inconclusive"] == 1 and c["instances"] == 0 and not c["failures"]
         assert "cosets" in c["info"]["reason"]
     assert all(not c["inconclusive"] for c in report["checks"] if c["tier"] != "exact")
 

@@ -1,7 +1,10 @@
+import contextlib
 import random
 
 import pytest
 
+from steinberg import suites as S
+from steinberg import vdk
 from steinberg import words as W
 from steinberg.matrices import (
     RMatrix,
@@ -10,7 +13,15 @@ from steinberg.matrices import (
     transvection,
     vector,
 )
-from steinberg.rings import Elem, FGIdeal, lin_solve, localization, make_ring, split_data
+from steinberg.rings import (
+    Elem,
+    FGIdeal,
+    lin_solve,
+    localization,
+    make_ring,
+    random_payload,
+    split_data,
+)
 from steinberg.vdk import (
     FSymbol,
     OrbitVector,
@@ -27,6 +38,8 @@ from steinberg.vdk import (
     linear_system,
     psi_map,
     t_map,
+    tul_word,
+    word_memo,
     x_small,
     xeqy_words,
 )
@@ -487,6 +500,12 @@ HYPOTHESES = {
         "u^t quotient": lambda: decompose_with(_e(0), _e(1, 2), _e(0, 2), _e(1) + _e(0, 3)),
         "u^t moving": lambda: decompose_with(_e(0), _e(0, 2), _e(0, 2), _e(1)),
     }),
+    "tul_word": (lambda: tul_word("X", _e(0), _e(1, 2), _e(0, 2), _e(1)), {
+        "kind": lambda: tul_word("F", _e(0), _e(1, 2), _e(0, 2), _e(1)),
+        "ring": lambda: tul_word("X", _e(0), _e(1, 2), _e(0, 2), basis_vector(F2, 4, 1)),
+        "n": lambda: tul_word("Y", _e(0, n=3), _e(1, 2, n=3), _e(0, 2, n=3), _e(1, n=3)),
+        "quotient": lambda: tul_word("Y", _e(0), _e(1, 2), _e(0, 2), _e(1, 2)),
+    }),
     "xeqy_words": (lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1), 1, 1, _e(0), _e(1)), {
         "u^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(0), 1, 1, _e(0), _e(1)),
         "x^t v": lambda: xeqy_words(_e(2), _e(2), _e(0), _e(1) + _e(2, 3), 1, 1, _e(0), _e(1)),
@@ -508,3 +527,99 @@ def test_each_hypothesis_is_checked(entry, broken):
     valid()
     with pytest.raises(VdkError):
         cases[broken]()
+    # in a word memo scope a failed call stores nothing, so it fails again
+    with word_memo():
+        valid()
+        for _ in range(2):
+            with pytest.raises(VdkError):
+                cases[broken]()
+
+
+# ---------------------------------------------------------------------------
+# the word memo of a suite run
+
+
+def _memo_args(ring, rng):
+    """Valid arguments of x_small and of tul_word over ring: u^t v = 0 with
+    zero slots, and a quotient q orthogonal to the fixed vector."""
+
+    def draw():
+        return Elem(ring, random_payload(ring, rng))
+
+    a, b, c, d, t, s = (draw() for _ in range(6))
+    zero = ring.zero()
+    small = (vector(ring, [a, b, c, zero]), vector(ring, [-(b * t), a * t, zero, d]))
+    u = vector(ring, [a, b, c, d])
+    q = vector(ring, [-(b * t), a * t, -(d * s), c * s])
+    z = vector(ring, [draw() for _ in range(4)])
+    return small, (u, q.scale(z.dot(u)), z, q), draw()
+
+
+def _memo_words(cases):
+    # both kinds and two multipliers on the same vectors, so that a key
+    # without the kind or the multiplier would return a wrong word
+    out = []
+    for (u, v), tul, mult in cases:
+        out += [x_small(u, v), x_small(u, v, index=3, mode="u")]
+        out += [tul_word(kind, *tul, mult=m) for kind in "XY" for m in (None, mult)]
+    return out
+
+
+@pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)", "z/257", "semi(z,2)"])
+def test_memo_returns_the_fresh_words(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    cases = [_memo_args(ring, rng) for _ in range(20)]
+    fresh = _memo_words(cases)
+    assert vdk._WORDS is None
+    with word_memo():
+        first = _memo_words(cases)
+        size = len(vdk._WORDS)
+        again = _memo_words(cases)
+        assert len(vdk._WORDS) == size
+    assert vdk._WORDS is None
+    assert all(w2 is w1 for w1, w2 in zip(first, again))
+    assert first == fresh  # the same system, ring and letters
+    assert any(w.letters for w in fresh)
+
+
+def test_memo_keeps_rings_with_the_same_payloads_apart():
+    # z/4 and F2[eps] both code their elements as 0..3
+    rings = [make_ring("z/4"), make_ring("quo(poly(f2,X),[0,0,1])")]
+    small = [((1, 3, 0, 0), (0, 0, 2, 1)), ((3, 0, 1, 0), (0, 2, 0, 0))]
+    # z^t u = 0 and u^t q = 0 over both rings, and the moving vector is zero
+    tul = [("X", (1, 1, 0, 0), (0, 0, 0, 0), (2, 2, 0, 0), (2, 2, 1, 3), 3),
+           ("Y", (1, 1, 0, 0), (0, 0, 0, 0), (2, 2, 0, 0), (2, 2, 0, 3), 3)]
+
+    def build(ring):
+        out = [x_small(RVector(ring, u), RVector(ring, v)) for u, v in small]
+        for kind, *vecs, mult in tul:
+            out.append(tul_word(kind, *(RVector(ring, x) for x in vecs), mult=ring.elem(mult)))
+        return out
+
+    fresh = [build(ring) for ring in rings]
+    with word_memo():
+        shared = [build(ring) for ring in rings]
+    assert shared == fresh
+    assert all(w.letters for words in fresh for w in words)
+
+
+def test_run_suite_closes_the_memo(monkeypatch):
+    seen = []
+
+    def suite(config, raises):
+        seen.append(len(vdk._WORDS))  # a new memo for each run
+        x_small(_e(0), _e(1))
+        seen.append(len(vdk._WORDS))
+        if raises:
+            raise RuntimeError("a suite that raises")
+        return []
+
+    for raises in (False, True):
+        monkeypatch.setitem(S.SUITES, "xeqy", (lambda c, r=raises: suite(c, r), 0, 0, False, 4))
+        with contextlib.nullcontext() if not raises else pytest.raises(RuntimeError):
+            S.run_suite(S.SuiteConfig(suite="xeqy"))
+        assert vdk._WORDS is None
+    assert seen == [0, 1, 0, 1]
+    x_small(_e(0), _e(1))  # outside a run a builder stores nothing
+    assert vdk._WORDS is None
