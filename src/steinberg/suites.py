@@ -393,11 +393,12 @@ def _rand_word(system, ring, rng, length):
 # chevalley-relations
 
 
-# Each batched temporary of the chevalley suite holds at most about this
-# many bytes of int64 matrices (0.3 MB): one chunk of betas times every s,
-# the batch that the row operations update in place, which keeps the
-# suite's peak memory where the unbatched loop had it.
-_CHEVALLEY_BATCH_BYTES = 300_000
+# Each batched temporary of a numpy check holds at most about this many
+# bytes (0.3 MB): in chevalley, the int64 matrices of one chunk of betas
+# times every s, which the row operations update in place; in F- and
+# S-additivity, the index arrays of one chunk of table products.  This keeps
+# a suite's peak memory where its unbatched loop had it.
+_BATCH_BYTES = 300_000
 
 
 def _chevalley_tables(datum):
@@ -481,7 +482,7 @@ def _chevalley_check(pats, sums, size, rec, N):
     table is multiplied as written.  The products run in numpy batches:
     per root over all (r, s) for additivity, and per (alpha, r) over all
     (beta, s) for the commutators, in chunks of beta of at most
-    _CHEVALLEY_BATCH_BYTES.  Each factor reduces the rows it touches mod N,
+    _BATCH_BYTES.  Each factor reduces the rows it touches mod N,
     so no int64 value exceeds N^2, and the check is exact for every N with
     N^2 < 2^63, which the caller ensures.  Failures are reported in the
     order of the loops over (alpha, beta, r, s).
@@ -521,7 +522,7 @@ def _chevalley_check(pats, sums, size, rec, N):
             rec.fail(kind="additivity", root=ri, r=int(r) + 1, s=int(s) + 1)
     # commutators: [x_alpha(r), x_beta(s)] against x_{alpha+beta}(N r s), or
     # the identity x_0(0) when alpha+beta is not a root
-    chunk = max(1, _CHEVALLEY_BATCH_BYTES // (max(N - 1, 1) * size * size * 8))
+    chunk = max(1, _BATCH_BYTES // (max(N - 1, 1) * size * size * 8))
     for ai in range(nroots):
         betas = [bi for bi in range(nroots) if sums[ai][bi][0] != "skip"]
         pairs = [sums[ai][bi] for bi in betas]
@@ -685,24 +686,36 @@ def _xgen_certificate_at(vecs, equal, rec, u):
 
 def _canonical_split_at(vecs, rec, v):
     """The canonical decomposition of every u orthogonal to v, over every
-    certificate w with w.v = 1: its terms are orthogonal to v, have two
-    zero entries each and sum to u.  The terms are read as payload tuples
-    and summed in the ring's add table (the check runs over f2 and f3)."""
+    certificate w with w.v = 1: its terms have length n, are orthogonal to
+    v, have two zero entries each and sum to u.  The terms are read as
+    payload tuples and summed in the ring's add table (the check runs over
+    f2 and f3).  Terms recur across (u, w): each distinct term is tested,
+    and each distinct (partial sum, term) added, once per v."""
     ring = v.ring
     zero, vd, dot = ring.zero_p, v.data, ring.p_dot
+    n = len(vd)
     add = ring.tables[0]
     ws = [w for w in vecs if dot(w.data, vd) == ring.one_p]
     us = [u for u in vecs if dot(u.data, vd) == zero]
+    sums = {}  # term -> {partial sum: partial sum + term}, or False if it fails a test
     for u in us:
         for w in ws:
             rec.instances += 1
-            acc = (zero,) * len(vd)
+            acc = (zero,) * n
             ok = True
             for t in canonical_decomposition(u, v, w):
                 td = t.data
-                if dot(td, vd) != zero or td.count(zero) < 2:
+                row = sums.get(td)
+                if row is None:
+                    good = len(td) == n and dot(td, vd) == zero and td.count(zero) >= 2
+                    row = sums[td] = {} if good else False
+                if row is False:
                     ok = False
-                acc = tuple([add[x][y] for x, y in zip(acc, td)])
+                    continue
+                total = row.get(acc)
+                if total is None:
+                    total = row[acc] = tuple([add[x][y] for x, y in zip(acc, td)])
+                acc = total
             if not _same((acc, ok), (u.data, True)):
                 rec.fail(u=_lit(u), v=_lit(v), w=_lit(w))
 
@@ -890,42 +903,26 @@ def suite_star(config):
     by_u = {}
     for sym in star.f_symbols:
         by_u.setdefault(sym.u.vec.data, []).append(sym)
+    grouped = [sym for key in sorted(by_u) for sym in by_u[key]]  # each u's symbols together
 
-    def f_additivity(rec, key):
-        group = by_u[key]
-        ov = group[0].u
-        by_v = {sym.v.data: sym for sym in group}
-        for s1 in group:
-            for s2 in group:
-                rec.instances += 1
-                target = by_v[(s1.v + s2.v).data]
-                lhs = iota_phi(s1) * iota_phi(s2)
-                if not _same(lhs, iota_phi(target)):
-                    rec.fail(u=_lit(ov.vec), v=_lit(s1.v), w=_lit(s2.v))
-
-    def s_additivity(rec, key):
-        # mirrored additivity for the S family, via the transpose symmetry
-        group = by_u[key]
-        ov = group[0].u
-        cert = ov.cert()
-        seen = {}
-        for sym in group:
-            wrd = Y_gen(sym.v, ov.vec, cert=cert)
-            seen[sym.v.data] = phi(wrd)
-        for s1 in group:
-            for s2 in group:
-                rec.instances += 1
-                lhs = seen[s1.v.data] * seen[s2.v.data]
-                if not _same(lhs, seen[(s1.v + s2.v).data]):
-                    rec.fail(v=_lit(ov.vec), u=_lit(s1.v), u2=_lit(s2.v))
+    def codes(datas):
+        return numpy.array(datas, dtype=numpy.uint8).reshape(-1, n, n)
 
     with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         mats = _spread(lambda sym: phi(iota(sym)).data, star.f_symbols)
         for sym, data in zip(star.f_symbols, mats):
             iota_mats[(sym.u.vec.data, sym.v.data)] = RMatrix(f2e, n, data)
-        _spread_into(rec, f_additivity, sorted(by_u))
+        _additivity_check(
+            rec, grouped, codes([iota_phi(sym).data for sym in grouped]),
+            lambda s1, s2: dict(u=_lit(s1.u.vec), v=_lit(s1.v), w=_lit(s2.v)),
+        )
     with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
-        _spread_into(rec, s_additivity, sorted(by_u))
+        # mirrored additivity for the S family, via the transpose symmetry
+        mats = _spread(lambda sym: phi(Y_gen(sym.v, sym.u.vec, cert=sym.u.cert())).data, grouped)
+        _additivity_check(
+            rec, grouped, codes(mats),
+            lambda s1, s2: dict(v=_lit(s1.u.vec), u=_lit(s1.v), u2=_lit(s2.v)),
+        )
 
     def conjugation(rec, pair):
         s1, s2 = pair
@@ -985,6 +982,63 @@ def suite_star(config):
             if not _same(iota_phi(sym), transvection(sym.u.vec, sym.v)):
                 rec.fail(u=_lit(sym.u.vec), v=_lit(sym.v))
     return checks
+
+
+def _table_matmul(add, mul, lhs, rhs):
+    """The products lhs @ rhs of two batches of code matrices indexed
+    [..., i, j], over the ring whose add and mul tables are the numpy
+    arrays add and mul.  Every term mul[lhs[i, k], rhs[k, j]] is gathered
+    at once, and the terms over k are folded with add from the first one
+    on, so no code is taken for zero."""
+    terms = mul[lhs[..., :, :, None], rhs[..., None, :, :]]  # [..., i, k, j]
+    out = terms[..., :, 0, :]
+    for k in range(1, terms.shape[-2]):
+        out = add[out, terms[..., :, k, :]]
+    return out
+
+
+def _additivity_check(rec, syms, mats, witness):
+    """phi(s1) phi(s2) against phi of the symbol (u, v1 + v2), into rec, for
+    every ordered pair of symbols s1 = (u, v1) and s2 = (u, v2) with the
+    same u.  syms lists the symbols with each u's together, mats[i] is the
+    code matrix of syms[i] (uint8, [n, n]), and the ring has tables.
+
+    The pairs run in chunks of about _BATCH_BYTES (8 n^3 bytes of
+    temporaries per product), multiplied on the tables (_table_matmul) and
+    decided through _same, one verdict per product.  The symbol (u, v1 + v2)
+    is found by its (group, v) key; if it is missing, the check raises.
+    Failures are reported with witness(s1, s2) in the order of the loop over
+    (u, s1, s2) in syms order."""
+    ring = syms[0].v.ring
+    add, mul = (numpy.array(t, dtype=numpy.uint8) for t in ring.tables[:2])
+    n = mats.shape[-1]
+    us = [sym.u.vec.data for sym in syms]
+    group = numpy.cumsum([0] + [a != b for a, b in zip(us, us[1:])])  # of each symbol
+    sizes = numpy.bincount(group)
+    first = numpy.cumsum(sizes) - sizes  # the first symbol of each group
+    ends = numpy.cumsum(sizes * sizes)  # the pairs of groups 0..g
+    vs = numpy.array([sym.v.data for sym in syms], dtype=numpy.uint8)
+    dims = (len(sizes),) + (len(add),) * n
+    keys = numpy.ravel_multi_index((group, *vs.T), dims)
+    order = numpy.argsort(keys)
+    chunk = max(1, _BATCH_BYTES // (8 * n**3))
+    for lo in range(0, ends[-1], chunk):
+        pair = numpy.arange(lo, min(lo + chunk, ends[-1]))
+        g = numpy.searchsorted(ends, pair, side="right")
+        k = pair - (ends[g] - sizes[g] ** 2)
+        s1, s2 = first[g] + k // sizes[g], first[g] + k % sizes[g]
+        want = numpy.ravel_multi_index((g, *add[vs[s1], vs[s2]].T), dims)
+        at = order[numpy.minimum(numpy.searchsorted(keys, want, sorter=order), len(keys) - 1)]
+        missing = numpy.flatnonzero(keys[at] != want)
+        if missing.size:
+            b = missing[0]
+            raise ValueError(
+                f"no symbol for the sum of {syms[s1[b]].v!r} and {syms[s2[b]].v!r} at u = {syms[s1[b]].u.vec!r}"
+            )
+        bad = ~_same(_table_matmul(add, mul, mats[s1], mats[s2]), mats[at])
+        rec.instances += len(bad)
+        for b in numpy.argwhere(bad)[:, 0]:
+            rec.fail(**witness(syms[s1[b]], syms[s2[b]]))
 
 
 def _fs_coincidence_at(equal, rec, mw):

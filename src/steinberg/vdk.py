@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import words as W
 from .matrices import RVector, basis_vector, vector
@@ -368,9 +368,15 @@ class OrbitVector:
 
     vec: RVector
     witness: StWord
+    # cert() once computed; left out of equality and repr
+    _cert: RVector = field(default=None, init=False, repr=False, compare=False)
 
     def cert(self):
-        return phi(contragredient(self.witness)) * basis_vector(self.vec.ring, len(self.vec), 0)
+        """The certificate M* e_1 of vec = M e_1, M = phi(witness): its
+        transpose pairs with vec to 1.  Computed once per object."""
+        if self._cert is None:
+            self._cert = phi(contragredient(self.witness)) * basis_vector(self.vec.ring, len(self.vec), 0)
+        return self._cert
 
     @staticmethod
     def from_word(word, n):

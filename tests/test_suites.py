@@ -13,8 +13,9 @@ from test_rings import _draw_finite_ring
 
 from steinberg import cli, fp
 from steinberg import suites as S
+from steinberg import words as W
 from steinberg.matrices import Inconclusive
-from steinberg.rings import localization, make_ring
+from steinberg.rings import FGIdeal, localization, make_ring
 from steinberg.roots import build_system
 from steinberg.suites import (
     SUITES,
@@ -582,10 +583,19 @@ def test_spread_exact_checks_enumerate_their_table_once(monkeypatch, suite):
 
 
 def _every_comparison_fails(monkeypatch):
-    """Exact word tests and matrix comparisons all say "different"."""
+    """Exact word tests and matrix comparisons, one matrix at a time or in
+    numpy batches, all say "different"."""
     monkeypatch.setattr(fp.WordTester, "exact_equal", lambda self, w1, w2: False)
     monkeypatch.setattr(S.RMatrix, "__eq__", lambda self, other: False)
     monkeypatch.setattr(S.RMatrix, "__ne__", lambda self, other: True)
+    same = S._same
+
+    def batches_differ(lhs, rhs, equal=None):
+        if isinstance(lhs, numpy.ndarray):
+            return numpy.zeros(lhs.shape[:-2], dtype=bool)
+        return same(lhs, rhs, equal)
+
+    monkeypatch.setattr(S, "_same", batches_differ)
 
 
 # The leading digits of the SHA-1 of each report below as the checks gave
@@ -648,6 +658,105 @@ def test_spread_law_checks_keep_the_serial_witness_order(monkeypatch, cpus):
     assert rec.instances == serial.instances == 80
     assert len(rec.failures) == 32 and rec.failures == serial.failures
     assert _no_children_left()
+
+
+_TABLE_RINGS = ("f2", "f3", "quo(poly(f2,X),[0,0,1])", "quo(poly(f2,X),[1,1,1])", "z/6", "prod(f2,f3)")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("spec", _TABLE_RINGS)
+def test_table_products_match_rmatrix_products(spec, n):
+    # F2[eps] and F4 are the two four-element quotients of poly(f2,X)
+    ring = make_ring(spec)
+    rng = random.Random(n)
+    q = ring.size()
+    pairs = [
+        [S.RMatrix(ring, n, tuple(rng.randrange(q) for _ in range(n * n))) for _ in "ab"]
+        for _ in range(24)
+    ]
+    add, mul = (numpy.array(t, dtype=numpy.uint8) for t in ring.tables[:2])
+    lhs, rhs = (
+        numpy.array([p[i].data for p in pairs], dtype=numpy.uint8).reshape(2, 12, n, n) for i in (0, 1)
+    )
+    got = S._table_matmul(add, mul, lhs, rhs).reshape(24, n * n)
+    assert [tuple(row.tolist()) for row in got] == [(a * b).data for a, b in pairs]
+
+
+def test_additivity_checks_give_the_same_report_in_chunks(monkeypatch):
+    # 37 or 3 products per chunk cut the 64 pairs of a u's 8 symbols apart
+    golden = (GOLDEN / "star-presentation.json").read_text()
+    _every_comparison_fails(monkeypatch)
+    failing = run_suite(SuiteConfig(suite="star-presentation", samples=0)).to_json()
+    for products in (37, 3):
+        monkeypatch.setattr(S, "_BATCH_BYTES", 8 * 4**3 * products)
+        assert run_suite(SuiteConfig(suite="star-presentation", samples=0)).to_json() == failing
+    monkeypatch.undo()
+    monkeypatch.setattr(S, "_BATCH_BYTES", 8 * 4**3 * 37)
+    assert run_suite(SuiteConfig(suite="star-presentation")).to_json() == golden
+
+
+def test_a_wrong_iota_image_fails_f_additivity_at_its_symbol(monkeypatch):
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    star = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
+    bad = next(s for s in star.f_symbols[100:] if any(p != f2e.zero_p for p in s.v.data))
+    key = (bad.u.vec.data, bad.v.data)
+    iota = S.iota
+    kick = W.x_ij(linear_system(4), f2e, 0, 1, f2e.one())
+
+    def wrong_at_bad(sym):
+        word = iota(sym)
+        return word * kick if (sym.u.vec.data, sym.v.data) == key else word
+
+    monkeypatch.setattr(S, "iota", wrong_at_bad)
+    rep = run_suite(SuiteConfig(suite="star-presentation", samples=0))
+    checks = {c.name: c for c in rep.checks}
+    assert not checks["S-additivity-iota-f2[eps]-exhaustive"].failures
+    failures = checks["F-additivity-iota-f2[eps]-exhaustive"].failures
+    assert 0 < len(failures) < 32
+    vec = {json.dumps(S._lit(v)): v for v in star.ideal_vectors}
+    for f in failures:
+        assert f["u"] == S._lit(bad.u.vec)
+        v, w = vec[json.dumps(f["v"])], vec[json.dumps(f["w"])]
+        assert bad.v in (v, w, v + w)
+    assert {"u": S._lit(bad.u.vec), "v": S._lit(bad.v), "w": S._lit(bad.v)} in failures
+
+
+def test_additivity_check_raises_when_a_sum_has_no_symbol():
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    star = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
+    u = star.f_symbols[0].u.vec
+    group = [s for s in star.f_symbols if s.u.vec == u]
+    assert len(group) == 8
+    for gone in range(8):  # each v is the sum of two of the others (0 = v + v)
+        syms = group[:gone] + group[gone + 1:]
+        mats = numpy.zeros((len(syms), 4, 4), dtype=numpy.uint8)
+        with pytest.raises(ValueError, match="no symbol for the sum"):
+            S._additivity_check(CheckRecord(name="", tier=""), syms, mats, dict)
+
+
+@pytest.mark.parametrize("change", ["longer", "shorter"])
+def test_canonical_split_fails_a_term_of_the_wrong_length(monkeypatch, change):
+    f3 = make_ring("f3")
+    vecs = list(S._all_vectors(f3, 4))
+    decompose = S.canonical_decomposition
+    with_terms = []  # one entry per instance whose decomposition has terms
+
+    def malformed(u, v, w):
+        terms = decompose(u, v, w)
+        with_terms.extend(terms[:1])
+        if change == "longer":
+            return [S.RVector(f3, t.data + (f3.one_p,)) for t in terms]
+        return [S.RVector(f3, t.data[:-1]) for t in terms]
+
+    monkeypatch.setattr(S, "canonical_decomposition", malformed)
+    rec = CheckRecord(name="", tier="")
+    fails = []
+    monkeypatch.setattr(rec, "fail", lambda **witness: fails.append(witness))
+    for v in vecs[:20]:
+        S._canonical_split_at(vecs, rec, v)
+    # u = 0 has no terms: 19 nonzero v with 27 certificates each
+    assert rec.instances == 13851
+    assert len(fails) == len(with_terms) == 13851 - 19 * 27
 
 
 def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):

@@ -289,6 +289,25 @@ def test_tmap_invertible_a_lands_at_m0():
     assert loc_mat == transvection(ov.vec, vloc)
 
 
+def test_orbit_vector_computes_its_certificate_once(monkeypatch):
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    base = basis_orbit_vector(f2e, 4, 2)
+    word = base.witness * W.x_ij(A3, f2e, 0, 3, f2e.gen())
+    built = []
+    monkeypatch.setattr(vdk, "phi", lambda w: built.append(w) or phi(w))
+    ov = OrbitVector(phi(word) * basis_vector(f2e, 4, 0), word)
+    plain = OrbitVector(ov.vec, word)
+    cert = ov.cert()
+    assert ov.cert() is cert
+    assert len(built) == 1
+    assert cert == phi(contragredient(word)) * basis_vector(f2e, 4, 0)
+    assert cert.dot(ov.vec) == f2e.one()
+    # the cache is not part of the value
+    assert ov == plain and plain == ov
+    assert repr(ov) == repr(plain) == f"OrbitVector(vec={ov.vec!r}, witness={word!r})"
+    assert plain.cert() == cert and len(built) == 2
+
+
 def test_tmap_rejects_vectors_outside_ideal():
     B = make_ring("prod(f2,f3)")
     a = B.el((0, 1))
