@@ -1,12 +1,14 @@
 """Command-line runner for the verification suites.
 
-Configuration comes from a JSON document (--config) or from flags; flags
-override the document.  The JSON report written with --out is canonical
-(sorted keys, no timings), so identical configurations produce identical
-bytes.  Exit status is 0 exactly when every requested suite passes, and 2
+Configuration comes from a JSON document (--config) or from flags; each
+config of the document is read with the flags laid over it, so --suite
+also names the suite of a config that has none.  The JSON report written
+with --out is canonical (sorted keys, no timings), so identical
+configurations produce identical bytes.  Exit status is 0 exactly when every requested suite passes, and 2
 when neither --suite nor --config is given, when the --config document
 cannot be read, names an unknown suite or has a field that is unknown or
-of the wrong type, when --suite comes with a --config document that does
+of the wrong type, when its 'suites' is not a nonempty list or comes with
+another key, when --suite comes with a --config document that does
 not hold exactly one suite, and on every config that suites.config_error
 rejects: a ring spec or a root system name that does not parse or is
 given twice, a ring, a system, an --ideal or an --n that the suite would
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .suites import SUITES, SuiteConfig, config_error, run_suite
 
@@ -30,9 +33,9 @@ def build_parser():
     )
     parser.add_argument("--config", help="JSON config file (single suite or {'suites': [...]})")
     parser.add_argument("--suite", choices=sorted(SUITES), help="suite to run")
-    parser.add_argument("--ring", action="append", default=None, metavar="SPEC",
+    parser.add_argument("--ring", action="append", dest="rings", metavar="SPEC",
                         help="ring spec (repeatable), e.g. z/6, f2, quo(poly(f2,X),[0,0,1])")
-    parser.add_argument("--system", action="append", default=None, metavar="NAME",
+    parser.add_argument("--system", action="append", dest="systems", metavar="NAME",
                         help="root system name (repeatable), e.g. A3, D4")
     parser.add_argument("--ideal", default=None, help="ideal generators as a JSON list, or 'kernel'")
     parser.add_argument("--n", type=int, default=None, help="matrix size for the linear-family suites")
@@ -47,42 +50,30 @@ def build_parser():
 
 
 def _configs_from_args(args):
-    docs = []
+    """The configs to run: the flags laid over each config document (or over
+    an empty one), each result validated by SuiteConfig.from_dict."""
+    known = {f.name for f in fields(SuiteConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in known and v is not None}
     if args.config:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read --config {args.config}: {exc}") from None
-        docs = doc["suites"] if isinstance(doc, dict) and "suites" in doc else [doc]
+        docs = [doc]
+        if isinstance(doc, dict) and "suites" in doc:
+            if len(doc) != 1:
+                raise ValueError(f"a document with 'suites' has no other key, got {sorted(doc)}")
+            docs = doc["suites"]
+            if not (isinstance(docs, list) and docs):
+                raise ValueError(f"'suites' must be a nonempty list of config documents, got {docs!r}")
         if args.suite and len(docs) != 1:
             raise ValueError(f"--suite needs a --config of one suite, got {len(docs)}")
     elif args.suite:
-        docs = [{"suite": args.suite}]
+        docs = [{}]
     else:
         raise ValueError("need --suite or --config")
-    configs = []
-    for doc in docs:
-        cfg = SuiteConfig.from_dict(doc)
-        if args.suite:
-            cfg.suite = args.suite
-        if args.ring is not None:
-            cfg.rings = tuple(args.ring)
-        if args.system is not None:
-            cfg.systems = tuple(args.system)
-        if args.ideal is not None:
-            cfg.ideal = args.ideal
-        for flag, attr in (
-            (args.n, "n"),
-            (args.seed, "seed"),
-            (args.samples, "samples"),
-            (args.tier, "tier"),
-            (args.max_cosets, "max_cosets"),
-        ):
-            if flag is not None:
-                setattr(cfg, attr, flag)
-        configs.append(cfg)
-    return configs
+    return [SuiteConfig.from_dict({**doc, **flags} if isinstance(doc, dict) else doc) for doc in docs]
 
 
 def _usage_error(error):

@@ -577,10 +577,7 @@ def uplus_data(sp, max_cosets=10**6):
     )
     ptbl = todd_coxeter(Presentation(ngens=len(positive), relators=prels), max_cosets=max_cosets)
     psteps = [steps[2 * g + e] for g in positive for e in (0, 1)]
-    elems = [ident]
-    for c, x in ptbl.tree()[1:]:
-        elems.append(psteps[x](elems[c]))
-    index = {m: i for i, m in enumerate(elems)}
+    index = {m: i for i, m in enumerate(tree_images(ptbl, psteps, ident))}
     if len(index) != ptbl.n:
         raise PresentationError(f"U+ of the presentation has {ptbl.n} elements, U+ in E {len(index)}")
 
@@ -609,12 +606,10 @@ def regular_table(sp, max_cosets=10**6):
 
     # phi(w_c) and its inverse, walked down the tree of the U+ table: the
     # transpose of phi(w_c)^{-1} = X^{-1} phi(w_parent)^{-1} is a right product
-    mats = coset_images(sp, utbl)
+    ident = identity_matrix(ring, size).data
+    mats = tree_images(utbl, steps, ident)
     tsteps = [right_multiplier(cols[x ^ 1].transpose()) for x in range(ncols)]
-    inv_t = [identity_matrix(ring, size).data]
-    for c, x in utbl.tree()[1:]:
-        inv_t.append(tsteps[x](inv_t[c]))
-    invs = [RMatrix(ring, size, m).transpose() for m in inv_t]
+    invs = [RMatrix(ring, size, m).transpose() for m in tree_images(utbl, tsteps, ident)]
 
     # cell (c, x): its Schreier element s, as an element of U+_E
     cells = []
@@ -715,18 +710,14 @@ def column_unipotents(sp):
     return cols
 
 
-def coset_images(sp, tbl):
-    """phi of every coset of the table, by coset, as row-major payload
-    tuples (RMatrix.data).
-
-    Each edge c -> c*x of the table's spanning tree is one right
-    multiplication by the unipotent of column x, a column operation or two.
-    """
-    steps = [right_multiplier(g) for g in column_unipotents(sp)]
-    mats = [identity_matrix(sp.ring, sp.system.matrix_size()).data]
+def tree_images(tbl, steps, start):
+    """The image of every coset of the table, by coset: start at coset 0, and
+    steps[x] of the parent's image at each spanning-tree edge c -> c*x.  On
+    `UPlus.steps` from the identity, phi of each coset's tree word."""
+    images = [start]
     for c, x in tbl.tree()[1:]:
-        mats.append(steps[x](mats[c]))
-    return mats
+        images.append(steps[x](images[c]))
+    return images
 
 
 # The image BFS holds one payload tuple of n^2 entries per element of E, so
@@ -772,7 +763,8 @@ def k2_compute(datum, ring, max_cosets=10**6):
     up = uplus_data(sp, max_cosets)
     utbl, nu = up.utbl, up.order
     kernel, words = [], []
-    for c, m in enumerate(coset_images(sp, utbl)):
+    ident = identity_matrix(ring, datum.matrix_size()).data
+    for c, m in enumerate(tree_images(utbl, up.steps, ident)):
         j = up.index.get(m)
         if j is not None:
             kernel.append(c)
@@ -909,22 +901,11 @@ def orbit_with_witnesses(ring, n, node_cap=10**6):
 # generator domains of the two relative presentations
 
 
-@dataclass
-class StarPresentations:
-    """Generator domains for the F/S and X presentations over (n, R, I),
-    every first argument carrying its orbit witness."""
-
-    n: int
-    ring: object
-    ideal: object
-    orbit: dict
-    ideal_vectors: list  # RVectors over I^n
-    f_symbols: list
-    s_symbols: list
-
-
 def star_presentations(n, ring, ideal):
-    from .vdk import FSymbol, SSymbol
+    """The F symbols (u, v) over (n, R, I): u in the elementary orbit of e_1,
+    carrying its witness, and v in I^n with u.v = 0.  They are the generator
+    domain of the F presentation, and mirrored, (v, u), of the S one."""
+    from .vdk import FSymbol
 
     orbit = orbit_with_witnesses(ring, n)
     ideal_payloads = sorted(ideal.payload_set())
@@ -933,20 +914,9 @@ def star_presentations(n, ring, ideal):
         for tup in itertools.product(ideal_payloads, repeat=n)
     ]
     fs = []
-    ss = []
     for key in sorted(orbit):
         ov = orbit[key]
         for v in ivecs:
             if ring.p_dot(ov.vec.data, v.data) == ring.zero_p:
                 fs.append(FSymbol(u=ov, v=v))
-                ss.append(SSymbol(u=v, v=ov))
-    return StarPresentations(
-        n=n,
-        ring=ring,
-        ideal=ideal,
-        orbit=orbit,
-        ideal_vectors=ivecs,
-        f_symbols=fs,
-        s_symbols=ss,
-    )
-
+    return fs

@@ -98,9 +98,9 @@ def vector(ring, entries):
     return RVector(ring, tuple(ring.el(x).payload for x in entries))
 
 
-def basis_vector(ring, n, k, scale=1):
-    s, zero = ring.el(scale).payload, ring.zero_p
-    return RVector(ring, tuple(s if i == k else zero for i in range(n)))
+def basis_vector(ring, n, k):
+    one, zero = ring.one_p, ring.zero_p
+    return RVector(ring, tuple(one if i == k else zero for i in range(n)))
 
 
 class RMatrix:

@@ -272,6 +272,7 @@ def _matrix_sign(datum, alpha, beta):
 
 
 def _positive_system(datum):
+    """The positive roots in height order, and the simple roots."""
     weights = [Fraction(2) ** (datum.rank - k) for k in range(len(datum.roots[0].coords))]
 
     def height(r):
@@ -280,7 +281,7 @@ def _positive_system(datum):
     for r in datum.roots:
         if height(r) == 0:
             raise RootSystemError("degenerate height functional")
-    pos = [r for r in datum.roots if height(r) > 0]
+    pos = sorted((r for r in datum.roots if height(r) > 0), key=height)
     pos_set = set(pos)
     simple = [
         g for g in pos
@@ -291,15 +292,29 @@ def _positive_system(datum):
 
 
 def _cocycle_data(datum):
+    """The simple-root coordinates of every root, and the bond matrix.
+
+    A positive root beta that is not simple pairs to 1 with some simple
+    alpha, since 2 = (beta, beta) = sum c_i (beta, alpha_i) with c_i >= 0;
+    then beta - alpha = s_alpha(beta) is a positive root of lower height.
+    So each coordinate vector is the one of the root below plus e_alpha,
+    read in height order, and a negative root has the negated vector.
+    """
     if datum._cocycle is None:
-        _, simple = _positive_system(datum)
+        pos, simple = _positive_system(datum)
         if len(simple) != datum.rank:
             raise RootSystemError("base extraction failed")
-        dim = len(simple[0].coords)
-        mat = [[simple[j].coords[i] for j in range(datum.rank)] for i in range(dim)]
-        coords = {}
-        for r in datum.roots:
-            coords[r] = _solve_integer(mat, list(r.coords))
+        coords = {s: tuple(int(i == k) for i in range(datum.rank)) for k, s in enumerate(simple)}
+        for beta in pos:
+            if beta in coords:
+                continue
+            k = next((k for k, a in enumerate(simple) if beta.dot(a) == 1), None)
+            below = None if k is None else coords.get(beta - simple[k])
+            if below is None:
+                raise RootSystemError(f"{beta} peels to no positive root below it")
+            coords[beta] = below[:k] + (below[k] + 1,) + below[k + 1 :]
+        for beta in pos:
+            coords[-beta] = tuple(-c for c in coords[beta])
         bond = [
             [1 if i <= j and simple[i].dot(simple[j]) != 0 else 0 for j in range(datum.rank)]
             for i in range(datum.rank)
@@ -320,42 +335,6 @@ def _cocycle_sign(datum, alpha, beta):
             if nj and row[j]:
                 total += mi * nj
     return -1 if total % 2 else 1
-
-
-def _solve_integer(mat, rhs):
-    """Solve mat*x = rhs exactly; x must come out integral."""
-    rows = len(mat)
-    cols = len(mat[0])
-    a = [[Fraction(mat[i][j]) for j in range(cols)] + [Fraction(rhs[i])] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == cols:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            raise RootSystemError("inconsistent system")
-    x = [Fraction(0)] * cols
-    for k, c in enumerate(piv_cols):
-        x[c] = a[k][cols]
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            raise RootSystemError("non-integral solution")
-        out.append(int(v))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -894,14 +894,14 @@ def suite_star(config):
     # phi-tier relation checks over f2[eps]
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     ideal = FGIdeal(f2e, [f2e.gen()])
-    star = star_presentations(n, f2e, ideal)
+    fs = star_presentations(n, f2e, ideal)
     iota_mats = {}  # phi(iota(sym)) by (u, v), for the three iota checks
 
     def iota_phi(sym):
         return iota_mats[(sym.u.vec.data, sym.v.data)]
 
     by_u = {}
-    for sym in star.f_symbols:
+    for sym in fs:
         by_u.setdefault(sym.u.vec.data, []).append(sym)
     grouped = [sym for key in sorted(by_u) for sym in by_u[key]]  # each u's symbols together
 
@@ -909,8 +909,8 @@ def suite_star(config):
         return numpy.array(datas, dtype=numpy.uint8).reshape(-1, n, n)
 
     with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
-        mats = _spread(lambda sym: phi(iota(sym)).data, star.f_symbols)
-        for sym, data in zip(star.f_symbols, mats):
+        mats = _spread(lambda sym: phi(iota(sym)).data, fs)
+        for sym, data in zip(fs, mats):
             iota_mats[(sym.u.vec.data, sym.v.data)] = RMatrix(f2e, n, data)
         _additivity_check(
             rec, grouped, codes([iota_phi(sym).data for sym in grouped]),
@@ -937,7 +937,6 @@ def suite_star(config):
             rec.fail(u=_lit(s1.u.vec), v=_lit(s1.v), u2=_lit(s2.u.vec), v2=_lit(s2.v))
 
     with _Check(checks, "conjugation-iota-f2[eps]-sampled", "matrix") as rec:
-        fs = star.f_symbols
         pairs = [
             (fs[rng.randrange(len(fs))], fs[rng.randrange(len(fs))])
             for _ in range(_want(config, 300, 300))
@@ -975,7 +974,6 @@ def suite_star(config):
         mws = [_rand_word(system, f2, rng, 5) for _ in range(_want(config, 60, 60))]
         _spread_into(rec, functools.partial(_column_split_at, equal), mws)
     with _Check(checks, "kappa-iota-f2[eps]-sampled", "matrix") as rec:
-        fs = star.f_symbols
         for _ in range(_want(config, 200, 200)):
             sym = fs[rng.randrange(len(fs))]
             rec.instances += 1

@@ -10,7 +10,6 @@ from steinberg.fp import (
     PresentationError,
     WordTester,
     additive_basis,
-    coset_images,
     enumerate_steinberg,
     inverse_letters,
     k2_compute,
@@ -26,11 +25,12 @@ from steinberg.fp import (
     star_presentations,
     steinberg_presentation,
     todd_coxeter,
+    tree_images,
     uplus_data,
     uplus_table,
 )
 from steinberg import fp, suites
-from steinberg.matrices import Inconclusive, basis_vector, matrix_group_order, unipotent
+from steinberg.matrices import Inconclusive, basis_vector, identity_matrix, matrix_group_order, unipotent
 from steinberg.rings import Elem, FGIdeal, UnsupportedRingError, make_ring, split_data
 from steinberg.roots import NoMatrixRealization, build_system
 from steinberg.words import StWord, phi, x_ij
@@ -38,6 +38,13 @@ from steinberg.words import StWord, phi, x_ij
 F2 = make_ring("f2")
 A2 = build_system("A2")
 A3 = build_system("A3")
+
+
+def _coset_images(sp, tbl):
+    """phi of the tree word of every coset of tbl: the walk k2_compute and
+    regular_table make, on the right multipliers of uplus_data."""
+    ident = identity_matrix(sp.ring, sp.system.matrix_size()).data
+    return tree_images(tbl, uplus_data(sp).steps, ident)
 
 
 def test_cyclic_three():
@@ -241,11 +248,11 @@ def test_k2_nontrivial_kernel_z4():
 def test_coset_images_are_phi_of_tree_words(system, spec, sample):
     # the tree word of each coset carries 0 there, and its payload tuple is
     # phi of that word, a product of unipotents taken apart from the walk in
-    # coset_images
+    # tree_images
     datum, ring = build_system(system), make_ring(spec)
     sp = steinberg_presentation(datum, ring)
     tbl = enumerate_steinberg(sp)
-    mats = coset_images(sp, tbl)
+    mats = _coset_images(sp, tbl)
     key_of = {g: key for key, g in sp.gen_index.items()}
     cosets = range(tbl.n) if sample is None else random.Random(5).sample(range(tbl.n), sample)
     for c in cosets:
@@ -266,7 +273,7 @@ def test_k2_on_the_uplus_table_matches_the_regular_table(system, spec):
     datum, ring = build_system(system), make_ring(spec)
     sp = steinberg_presentation(datum, ring)
     tbl = enumerate_steinberg(sp)
-    mats = coset_images(sp, tbl)
+    mats = _coset_images(sp, tbl)
     kernel = {c for c, m in enumerate(mats) if m == mats[0]}
     rep = k2_compute(datum, ring)
     assert (rep.st_order, rep.kernel_order, rep.image_order) == (tbl.n, len(kernel), len(set(mats)))
@@ -294,7 +301,7 @@ def test_kernel_count_that_does_not_divide_the_index_fails_factorization(monkeyp
     # coset, and 2 does not divide [St : U+] = 21
     sp = steinberg_presentation(A2, F2)
     up = uplus_data(sp)
-    fake = dataclasses.replace(up, index={**up.index, coset_images(sp, up.utbl)[5]: 0})
+    fake = dataclasses.replace(up, index={**up.index, _coset_images(sp, up.utbl)[5]: 0})
     monkeypatch.setattr(fp, "uplus_data", lambda sp, max_cosets: fake)
     rep = k2_compute(A2, F2)
     assert up.utbl.n == 21 and rep.kernel_order == 2
@@ -436,8 +443,13 @@ def test_standardize_refuses_a_disconnected_table():
 def test_regular_table_refuses_a_schreier_element_outside_u_plus(monkeypatch):
     # phi of U+ coset 5 replaced by that of coset 6: check 3 fails
     sp = steinberg_presentation(A2, F2)
-    mats = coset_images(sp, uplus_data(sp).utbl)
-    monkeypatch.setattr(fp, "coset_images", lambda sp, tbl: mats[:5] + [mats[6]] + mats[6:])
+    up, walk = uplus_data(sp), fp.tree_images
+
+    def corrupted(tbl, steps, start):
+        mats = walk(tbl, steps, start)
+        return mats[:5] + [mats[6]] + mats[6:] if steps is up.steps else mats
+
+    monkeypatch.setattr(fp, "tree_images", corrupted)
     with pytest.raises(PresentationError, match="Schreier element of \\(\\d+, \\d+\\) is not in U\\+"):
         regular_table(sp)
 
@@ -518,11 +530,12 @@ def test_orbit_witness_and_orbit_share_one_search(spec, n, size):
 
 def test_star_presentation_domains():
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
-    star = star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
-    assert len(star.orbit) == 240
-    assert len(star.f_symbols) == 1920
-    assert len(star.s_symbols) == 1920
-    for sym in star.f_symbols[:20]:
+    fs = star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
+    orbit = orbit_with_witnesses(f2e, 4)
+    assert len(orbit) == 240
+    assert len(fs) == 1920
+    assert {sym.u.vec.data for sym in fs} <= set(orbit)
+    for sym in fs:
         assert sym.u.vec.dot(sym.v).is_zero()
 
 

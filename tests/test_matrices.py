@@ -228,7 +228,7 @@ def test_payload_vectors_match_class_arithmetic(spec):
             t = [[add(one if i == j else zero, mul(a[i], b[j])) for j in range(n)] for i in range(n)]
             assert transvection(u, v).data == tuple(p for row in t for p in row)
         assert vector(ring, [1, 0] * n).data == (one, zero) * n
-        assert basis_vector(ring, n, n - 1, 1).data == (zero,) * (n - 1) + (one,)
+        assert basis_vector(ring, n, n - 1).data == (zero,) * (n - 1) + (one,)
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "dot"])

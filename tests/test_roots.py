@@ -1,8 +1,18 @@
+import hashlib
 import itertools
 
 import pytest
 
-from steinberg.roots import Root, RootSystemError, a3_chain, build_system, structure_constant
+from steinberg.roots import (
+    Root,
+    RootDatum,
+    RootSystemError,
+    _cocycle_data,
+    _positive_system,
+    a3_chain,
+    build_system,
+    structure_constant,
+)
 
 
 def test_root_counts():
@@ -61,6 +71,79 @@ def test_e6_cocycle_antisymmetry():
             if seen >= 600:
                 return
     assert seen
+
+
+def _cyclic_sign_violations(datum):
+    """(triples, violations) of N_{a,b} = N_{b,c} = N_{c,a} over the ordered
+    triples of roots with a + b + c = 0 (Carter, Simple Groups of Lie Type,
+    1972, Thm 4.1.2, with every root of squared length 2)."""
+    triples = violations = 0
+    for a, b in itertools.product(datum.roots, repeat=2):
+        c = -(a + b)
+        if c in datum:
+            triples += 1
+            violations += not (datum.sign(a, b) == datum.sign(b, c) == datum.sign(c, a))
+    return triples, violations
+
+
+@pytest.mark.parametrize(
+    "name, triples",
+    [("A2", 12), ("A3", 48), ("A4", 120), ("D4", 192), ("D5", 480), ("E6", 1440), ("E7", 4032), ("E8", 13440)],
+)
+def test_signs_are_cyclic_on_triples_summing_to_zero(name, triples):
+    assert _cyclic_sign_violations(build_system(name)) == (triples, 0)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_cyclic_sign_check_fails_on_one_flipped_sign(name):
+    # flipping N_{a,b} and N_{b,a} keeps antisymmetry, but not the cycle
+    datum = build_system(name)
+    a, b = next((a, b) for a, b in itertools.product(datum.roots, repeat=2) if a + b in datum)
+    sign = datum.sign(a, b)
+    datum._signs[(datum.index[a], datum.index[b])] = -sign
+    datum._signs[(datum.index[b], datum.index[a])] = sign
+    assert _cyclic_sign_violations(datum)[1] > 0
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_root_string_coordinates_give_back_every_root(name):
+    datum = build_system(name)
+    coords, _ = _cocycle_data(datum)
+    simple = _positive_system(datum)[1]
+    for r in datum.roots:
+        total = [0] * len(r.coords)
+        for c, s in zip(coords[r], simple):
+            total = [t + c * x for t, x in zip(total, s.coords)]
+        assert Root(total) == r
+
+
+# sha256 of the sign string: "+" or "-" for N_{a,b}, over the ordered pairs
+# (a, b) of roots in root order with a + b a root
+E_SIGN_TABLES = {
+    "E6": "8da13f080b4adc565f3ae5c859ae0cb33d34850bdee5fa9183f9702011a2e526",
+    "E7": "2dc19a296361ed02ba3986ef05721d7d417156c9dc765e0f4f532ce12637ddaa",
+    "E8": "1ce2ded0cddad0a531eb2accc045415fa0402a13186c8f8c717d555e0c012af6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(E_SIGN_TABLES))
+def test_e_sign_tables_are_pinned(name):
+    datum = build_system(name)
+    signs = "".join(
+        "+" if datum.sign(a, b) > 0 else "-"
+        for a, b in itertools.product(datum.roots, repeat=2)
+        if a + b in datum
+    )
+    assert hashlib.sha256(signs.encode()).hexdigest() == E_SIGN_TABLES[name]
+
+
+def test_a_root_that_peels_to_no_simple_root_is_refused():
+    # a and b are orthogonal, so a + b has squared length 4 and pairs to 2
+    # with both: it is no sum of a root and a simple root
+    a, b = Root((1, -1, 0, 0)), Root((0, 0, 1, -1))
+    datum = RootDatum("E", 2, [a, b, a + b, -a, -b, -(a + b)])
+    with pytest.raises(RootSystemError, match="peels to no positive root"):
+        datum.sign(a, b)
 
 
 def test_a3_chain_trivial_cases():

@@ -312,6 +312,11 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         ('{"suite": "k2-exact", "samples": true}', "'samples' must be an integer, got True"),
         ('{"suite": "k2-exact", "seed": "12"}', "'seed' must be an integer, got '12'"),
         ('{"suite": "k2-exact", "max_cosets": 1e3}', "'max_cosets' must be an integer, got 1000.0"),
+        # a 'suites' that is not a nonempty list used to raise TypeError (5)
+        # or to run nothing and exit 0 ([]); a key beside it was ignored
+        ('{"suites": 5}', "'suites' must be a nonempty list"),
+        ('{"suites": []}', "'suites' must be a nonempty list"),
+        ('{"suites": [{"suite": "amalgam"}], "seed": 3}', "has no other key, got ['seed', 'suites']"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -324,6 +329,21 @@ def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and named in err
+
+
+def test_cli_flags_are_laid_over_each_config_document(tmp_path):
+    # --suite also names the suite of a document that has none
+    path = tmp_path / "cfg.json"
+    path.write_text('{"systems": ["A3"], "seed": 7}')
+    flags = ["--config", str(path), "--suite", "amalgam", "--seed", "2"]
+    (config,) = cli._configs_from_args(cli.build_parser().parse_args(flags))
+    assert config == SuiteConfig(suite="amalgam", systems=("A3",), seed=2)
+    path.write_text('{"suites": [{"suite": "amalgam"}, {"suite": "k2-exact", "rings": ["f3"]}]}')
+    flags = ["--config", str(path), "--ring", "z/4", "--tier", "matrix"]
+    assert cli._configs_from_args(cli.build_parser().parse_args(flags)) == [
+        SuiteConfig(suite="amalgam", rings=("z/4",), tier="matrix"),
+        SuiteConfig(suite="k2-exact", rings=("z/4",), tier="matrix"),
+    ]
 
 
 def test_cli_needs_a_suite_or_a_config(capsys):
@@ -697,8 +717,8 @@ def test_additivity_checks_give_the_same_report_in_chunks(monkeypatch):
 
 def test_a_wrong_iota_image_fails_f_additivity_at_its_symbol(monkeypatch):
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
-    star = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
-    bad = next(s for s in star.f_symbols[100:] if any(p != f2e.zero_p for p in s.v.data))
+    fs = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
+    bad = next(s for s in fs[100:] if any(p != f2e.zero_p for p in s.v.data))
     key = (bad.u.vec.data, bad.v.data)
     iota = S.iota
     kick = W.x_ij(linear_system(4), f2e, 0, 1, f2e.one())
@@ -713,7 +733,7 @@ def test_a_wrong_iota_image_fails_f_additivity_at_its_symbol(monkeypatch):
     assert not checks["S-additivity-iota-f2[eps]-exhaustive"].failures
     failures = checks["F-additivity-iota-f2[eps]-exhaustive"].failures
     assert 0 < len(failures) < 32
-    vec = {json.dumps(S._lit(v)): v for v in star.ideal_vectors}
+    vec = {json.dumps(S._lit(s.v)): s.v for s in fs}
     for f in failures:
         assert f["u"] == S._lit(bad.u.vec)
         v, w = vec[json.dumps(f["v"])], vec[json.dumps(f["w"])]
@@ -723,9 +743,9 @@ def test_a_wrong_iota_image_fails_f_additivity_at_its_symbol(monkeypatch):
 
 def test_additivity_check_raises_when_a_sum_has_no_symbol():
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
-    star = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
-    u = star.f_symbols[0].u.vec
-    group = [s for s in star.f_symbols if s.u.vec == u]
+    fs = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
+    u = fs[0].u.vec
+    group = [s for s in fs if s.u.vec == u]
     assert len(group) == 8
     for gone in range(8):  # each v is the sum of two of the others (0 = v + v)
         syms = group[:gone] + group[gone + 1:]
