@@ -47,8 +47,6 @@ class RVector:
     def __add__(self, other):
         self._match(other)
         ring = self.ring
-        if ring.tables is None:
-            return RVector(ring, tuple(map(ring.p_add, self.data, other.data)))
         add = ring.tables[0]
         return RVector(ring, tuple([add[a][b] for a, b in zip(self.data, other.data)]))
 
@@ -57,15 +55,11 @@ class RVector:
 
     def __neg__(self):
         ring = self.ring
-        neg = ring.p_neg if ring.tables is None else ring.tables[2].__getitem__
-        return RVector(ring, tuple(map(neg, self.data)))
+        return RVector(ring, tuple(map(ring.tables[2].__getitem__, self.data)))
 
     def scale(self, c):
         ring = self.ring
         c = c.payload if type(c) is Elem and c.ring is ring else ring.el(c).payload
-        if ring.tables is None:
-            pmul = ring.p_mul
-            return RVector(ring, tuple(pmul(a, c) for a in self.data))
         return RVector(ring, tuple(map(ring.tables[1][c].__getitem__, self.data)))
 
     def dot(self, other):
@@ -120,8 +114,7 @@ class RMatrix:
         if self.ring is not other.ring or self.n != other.n:
             raise MatrixError("matrix shape/ring mismatch")
         ring, n = self.ring, self.n
-        zero, tables = ring.zero_p, ring.tables
-        padd, pmul = ring.p_add, ring.p_mul
+        zero, (add, mul, _) = ring.zero_p, ring.tables
         brows = [tuple(enumerate(other.data[k:k + n])) for k in range(0, n * n, n)]
         out = []
         for r in range(0, n * n, n):
@@ -129,15 +122,10 @@ class RMatrix:
             for x, brow in zip(self.data[r:r + n], brows):
                 if x == zero:
                     continue
-                if tables is None:
-                    for j, y in brow:
-                        if y != zero:
-                            row[j] = padd(row[j], pmul(x, y))
-                else:
-                    add, mx = tables[0], tables[1][x]
-                    for j, y in brow:
-                        if y != zero:
-                            row[j] = add[row[j]][mx[y]]
+                mx = mul[x]
+                for j, y in brow:
+                    if y != zero:
+                        row[j] = add[row[j]][mx[y]]
             out.extend(row)
         return RMatrix(ring, n, tuple(out))
 
@@ -207,19 +195,14 @@ def transvection(u, v):
     if u.ring is not v.ring:
         raise MatrixError("transvection vectors must share a ring")
     ring, n = u.ring, len(u)
-    zero, tables = ring.zero_p, ring.tables
-    padd, pmul = ring.p_add, ring.p_mul
+    zero, (add, mul, _) = ring.zero_p, ring.tables
     data = list(identity_matrix(ring, n).data)
     for i, a in enumerate(u.data):
         if a == zero:
             continue
-        if tables is None:
-            for k, b in enumerate(v.data, i * n):
-                data[k] = padd(data[k], pmul(a, b))
-        else:  # row i of 1 + u v^t: e_i + a v, with one table lookup each
-            add, ma = tables[0], tables[1][a]
-            for k, b in enumerate(v.data, i * n):
-                data[k] = add[data[k]][ma[b]]
+        ma = mul[a]  # row i of 1 + u v^t: e_i + a v, with one table lookup each
+        for k, b in enumerate(v.data, i * n):
+            data[k] = add[data[k]][ma[b]]
     return RMatrix(ring, n, tuple(data))
 
 

@@ -138,25 +138,49 @@ class Elem:
         return self.ring.p_repr(self.payload)
 
 
+class _Row(functools.partial):
+    """row[b] is func(a, b): one row of a _MethodTable."""
+
+    __getitem__ = functools.partial.__call__
+
+
+class _MethodTable:
+    """A read-only table over the payload method `name` of a ring: view[a]
+    is p_neg(a) for the unary method, and the row with view[a][b] =
+    p_add(a, b) or p_mul(a, b) for a binary one.  The method is looked up
+    at each read, not when the ring is made: rings are cached, and a
+    wrapper set on the class afterwards (a tracer, a test spy) is called."""
+
+    __slots__ = ("ring", "name")
+
+    def __init__(self, ring, name):
+        self.ring, self.name = ring, name
+
+    def __getitem__(self, a):
+        method = getattr(self.ring, self.name)
+        return method(a) if self.name == "p_neg" else _Row(method, a)
+
+
 class Ring:
     """Base class: payload-level arithmetic plus enumeration hooks.
 
-    A finite ring of at most FINITE_MAX_SIZE elements has `tables`, its
-    add, mul and neg tables indexed by code, and the vector, matrix and
-    word kernels read them inline; on every other ring `tables` is None
-    and the kernels call p_add, p_mul and p_neg.
+    `tables` is the (add, mul, neg) triple indexed by payload that the
+    vector, matrix and word kernels read inline: add[a][b], mul[a][b] and
+    neg[a].  A finite ring of at most FINITE_MAX_SIZE elements holds them
+    as lists; every other ring has _MethodTable views that call p_add,
+    p_mul and p_neg.
     """
 
     is_finite = False
     is_domain = False
     exact_div = False  # p_try_div gives unique exact quotients
-    tables = None
 
     def __init__(self, spec):
         self.spec = spec
         self.identities = {}  # n -> the n x n identity, kept by matrices.identity_matrix
+        self.tables = tuple(_MethodTable(self, name) for name in ("p_add", "p_mul", "p_neg"))
         # elem(p), the Elem of payload p: a new one here, and one shared Elem
-        # per code once the ring adopts tables; a partial, not a method, as
+        # per code once the ring adopts table lists; a partial, not a method, as
         # Elem arithmetic calls it once per operation
         self.elem = functools.partial(Elem, self)
 
@@ -178,14 +202,9 @@ class Ring:
     def p_dot(self, xs, ys):
         """The sum of the products of xs and ys, payload by payload."""
         acc = zero = self.zero_p
-        if self.tables is None:  # zero terms are skipped: x*0 and x+0 are exact
-            padd, pmul = self.p_add, self.p_mul
-            for a, b in zip(xs, ys):
-                if a != zero and b != zero:
-                    acc = padd(acc, pmul(a, b))
-        else:
-            add, mul, _ = self.tables
-            for a, b in zip(xs, ys):
+        add, mul, _ = self.tables
+        for a, b in zip(xs, ys):
+            if a != zero and b != zero:  # x*0 and x+0 are exact
                 acc = add[acc][mul[a][b]]
         return acc
 
@@ -269,9 +288,9 @@ class ZRing(Ring):
 
 class ZModRing(Ring):
     """z/N, the identity coding of a finite ring.  p_add, p_mul and p_neg
-    reduce mod N.  Up to N = FINITE_MAX_SIZE the ring also has tables,
-    which the kernels index inline instead of calling them, and p_dot
-    keeps one reduction for the whole sum; a larger z/N has no tables."""
+    reduce mod N.  Up to N = FINITE_MAX_SIZE the ring's tables are lists,
+    which the kernels index instead of calling the methods; a larger z/N
+    has the method views.  p_dot keeps one reduction for the whole sum."""
 
     is_finite = True
     exact_div = False
@@ -354,37 +373,36 @@ class FiniteRing(Ring):
         super().__init__(spec)
         self._code = {p: i for i, p in enumerate(pays)}
         code = self._code.__getitem__
-        self.add_table = [[code(add(x, y)) for y in pays] for x in pays]
-        self.mul_table = [[code(mul(x, y)) for y in pays] for x in pays]
+        add_table = [[code(add(x, y)) for y in pays] for x in pays]
+        mul_table = [[code(mul(x, y)) for y in pays] for x in pays]
         identity = list(range(len(pays)))
-        self.zero_p = self.add_table.index(identity)
-        self.one_p = self.mul_table.index(identity)
-        self.neg_table = [row.index(self.zero_p) for row in self.add_table]
-        self._adopt_tables(self.add_table, self.mul_table, self.neg_table)
+        self.zero_p = add_table.index(identity)
+        self.one_p = mul_table.index(identity)
+        self._adopt_tables(add_table, mul_table, [row.index(self.zero_p) for row in add_table])
         self._ints = [self.zero_p]  # n*1 for 0 <= n < the characteristic
-        while (n1 := self.add_table[self._ints[-1]][self.one_p]) != self.zero_p:
+        while (n1 := add_table[self._ints[-1]][self.one_p]) != self.zero_p:
             self._ints.append(n1)
         self.literals = [literal(p) for p in pays]
         self.reprs = [rep(p) for p in pays]
         self._parse = parse
 
     def p_add(self, a, b):
-        return self.add_table[a][b]
+        return self.tables[0][a][b]
 
     def p_neg(self, a):
-        return self.neg_table[a]
+        return self.tables[2][a]
 
     def p_mul(self, a, b):
-        return self.mul_table[a][b]
+        return self.tables[1][a][b]
 
     def p_from_int(self, n):
         return self._ints[n % len(self._ints)]
 
     def payloads(self):
-        return range(len(self.neg_table))
+        return range(len(self.tables[2]))
 
     def size(self):
-        return len(self.neg_table)
+        return len(self.tables[2])
 
     def from_literal(self, lit):
         if _is_int(lit):

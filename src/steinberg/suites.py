@@ -61,7 +61,7 @@ from .vdk import (
     X_gen,
     Y_gen,
     basis_orbit_vector,
-    canonical_decomposition,
+    decomposition_terms,
     iota,
     linear_system,
     psi_map,
@@ -111,6 +111,8 @@ class SuiteConfig:
         for k in d:
             if k not in known:
                 raise ValueError(f"unknown config field {k!r}; have {known}")
+        if not isinstance(d["suite"], str):
+            raise ValueError(f"config field 'suite' must be a string, got {d['suite']!r}")
         cfg = SuiteConfig(suite=d["suite"])
         for k in ("n", "samples", "seed", "max_cosets"):
             if k in d:
@@ -687,10 +689,12 @@ def _xgen_certificate_at(vecs, equal, rec, u):
 def _canonical_split_at(vecs, rec, v):
     """The canonical decomposition of every u orthogonal to v, over every
     certificate w with w.v = 1: its terms have length n, are orthogonal to
-    v, have two zero entries each and sum to u.  The terms are read as
-    payload tuples and summed in the ring's add table (the check runs over
-    f2 and f3).  Terms recur across (u, w): each distinct term is tested,
-    and each distinct (partial sum, term) added, once per v."""
+    v, have two zero entries each and sum to u.  u and w already meet the
+    hypotheses of canonical_decomposition (n >= 4 is the config's), so
+    the terms come from decomposition_terms directly; they are read as
+    payload tuples and summed in the ring's add table.  Terms recur across
+    (u, w): each distinct term is tested, and each distinct (partial sum,
+    term) added, once per v."""
     ring = v.ring
     zero, vd, dot = ring.zero_p, v.data, ring.p_dot
     n = len(vd)
@@ -703,7 +707,7 @@ def _canonical_split_at(vecs, rec, v):
             rec.instances += 1
             acc = (zero,) * n
             ok = True
-            for t in canonical_decomposition(u, v, w):
+            for t in decomposition_terms(u, v, w):
                 td = t.data
                 row = sums.get(td)
                 if row is None:

@@ -18,7 +18,6 @@ divisibility data) explicitly; nothing is re-derived implicitly.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -122,11 +121,8 @@ def _x_small_primary(u, v, i, transpose=False):
     # order, which transposes phi: transpose_anti's work, without its root
     # lookup per letter.  Zero letters are left out, as simplify drops them.
     ring = u.ring
-    zero, tables = ring.zero_p, ring.tables
-    if tables is None:
-        times, pneg = functools.partial(ring.p_mul, u.data[i]), ring.p_neg
-    else:
-        times, pneg = tables[1][u.data[i]].__getitem__, tables[2].__getitem__
+    zero, (_, mul, neg) = ring.zero_p, ring.tables
+    times, pneg = mul[u.data[i]].__getitem__, neg.__getitem__
     ud, vd = u.data, v.data
     others = [j for j in range(len(ud)) if j != i]
     col = [(j, i, ud[j]) for j in others]
@@ -156,21 +152,14 @@ def decomposition_terms(a, b, c):
     """[(e_p b_q - e_q b_p) * (a_p c_q - a_q c_p)]_{p<q}; sums to
     (c^t b) a - (a^t b) c."""
     ring = a.ring
-    zero, tables = ring.zero_p, ring.tables
-    padd, pmul, pneg = ring.p_add, ring.p_mul, ring.p_neg
-    add, mul, neg = tables or (None, None, None)
+    zero, (add, mul, neg) = ring.zero_p, ring.tables
     ad, bd, cd = a.data, b.data, c.data
     n = len(ad)
     out = []
     for p, q in itertools.combinations(range(n), 2):
-        if tables is None:
-            coef = padd(pmul(ad[p], cd[q]), pneg(pmul(ad[q], cd[p])))
-            if coef == zero:
-                continue
-            at_p, at_q = pmul(bd[q], coef), pneg(pmul(bd[p], coef))
-        else:  # a zero coef gives two zero entries, which are skipped below
-            times = mul[add[mul[ad[p]][cd[q]]][neg[mul[ad[q]][cd[p]]]]]
-            at_p, at_q = times[bd[q]], neg[times[bd[p]]]
+        # a zero coef gives two zero entries, which are skipped below
+        times = mul[add[mul[ad[p]][cd[q]]][neg[mul[ad[q]][cd[p]]]]]
+        at_p, at_q = times[bd[q]], neg[times[bd[p]]]
         if at_p != zero or at_q != zero:
             data = [zero] * n
             data[p], data[q] = at_p, at_q
@@ -210,14 +199,9 @@ def _check_cert(cert, x):
 
 def Y_gen(u, v, cert):
     """The mirrored generator for unimodular v (cert^t v = 1): phi-image
-    t(u, v).  Its terms are the canonical decomposition of u, whose
-    hypotheses are checked here once each."""
-    _check_cert(cert, v)
-    if v.ring.p_dot(u.data, v.data) != v.ring.zero_p:
-        raise VdkError("Y_gen needs u^t v = 0")
-    if len(u) < 4:
-        raise VdkError("canonical decomposition needs n >= 4")
-    return _product(u, [x_small(t, v) for t in decomposition_terms(u, v, cert)])
+    t(u, v).  Its terms are the canonical decomposition of u, which checks
+    the hypotheses."""
+    return _product(u, [x_small(t, v) for t in canonical_decomposition(u, v, cert)])
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def simplify(w):
     make sense.
     """
     ring = w.ring
-    padd, zero, tables = ring.p_add, ring.zero_p, ring.tables
+    zero, add = ring.zero_p, ring.tables[0]
     stack = []
     for idx, c in w.letters:
         p = c.payload
@@ -129,7 +129,7 @@ def simplify(w):
             continue
         if stack and stack[-1][0] == idx:
             q = stack.pop()[1].payload
-            merged = padd(q, p) if tables is None else tables[0][q][p]
+            merged = add[q][p]
             if merged != zero:
                 stack.append((idx, ring.elem(merged)))
         else:
@@ -148,24 +148,10 @@ def phi(w):
     """
     system, ring = w.system, w.ring
     n = system.matrix_size()
-    zero, tables = ring.zero_p, ring.tables
+    zero, (add, mul, neg) = ring.zero_p, ring.tables
     entries = system.unipotent_entries
     starts = range(0, n * n, n)
     m = list(identity_matrix(ring, n).data)
-    if tables is None:
-        padd, pmul, pneg = ring.p_add, ring.p_mul, ring.p_neg
-        for idx, c in w.letters:
-            p = c.payload
-            if p == zero:
-                continue
-            for i, j, sign in entries(idx):
-                coef = p if sign > 0 else pneg(p)
-                for r in starts:
-                    v = m[r + i]
-                    if v != zero:
-                        m[r + j] = padd(m[r + j], pmul(v, coef))
-        return RMatrix(ring, n, tuple(m))
-    add, mul, neg = tables
     for idx, c in w.letters:
         p = c.payload
         if p == zero:

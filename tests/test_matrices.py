@@ -188,7 +188,7 @@ def test_dense_matrix_matches_nested_lists(spec):
 @pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)"])
 def test_payload_vectors_match_class_arithmetic(spec):
     # every vector operation against lists of payloads and the class p_*
-    # methods alone, which also sidesteps the rings' lookup tables
+    # methods alone, which on z/N also sidesteps the rings' lookup tables
     ring = make_ring(spec)
     cls = type(ring)
     add = lambda a, b: cls.p_add(ring, a, b)  # noqa: E731

@@ -317,6 +317,9 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         ('{"suites": 5}', "'suites' must be a nonempty list"),
         ('{"suites": []}', "'suites' must be a nonempty list"),
         ('{"suites": [{"suite": "amalgam"}], "seed": 3}', "has no other key, got ['seed', 'suites']"),
+        # a suite that is not a string used to end in TypeError: unhashable type
+        ('{"suite": ["x"]}', "'suite' must be a string, got ['x']"),
+        ('{"suite": {"a": 1}}', "'suite' must be a string, got {'a': 1}"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -522,7 +525,7 @@ def test_spread_returns_the_serial_list_in_item_order(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_spread_check_keeps_the_serial_witness_order(monkeypatch, cpus):
     # every instance fails: the decomposition of u is w, which is not orthogonal to v
-    monkeypatch.setattr(S, "canonical_decomposition", lambda u, v, w: [w])
+    monkeypatch.setattr(S, "decomposition_terms", lambda u, v, w: [w])
     vecs = list(S._all_vectors(make_ring("f2"), 4))
     task = functools.partial(S._canonical_split_at, vecs)
     serial = S.CheckRecord(name="serial", tier="exact-arith")
@@ -758,7 +761,7 @@ def test_additivity_check_raises_when_a_sum_has_no_symbol():
 def test_canonical_split_fails_a_term_of_the_wrong_length(monkeypatch, change):
     f3 = make_ring("f3")
     vecs = list(S._all_vectors(f3, 4))
-    decompose = S.canonical_decomposition
+    decompose = S.decomposition_terms
     with_terms = []  # one entry per instance whose decomposition has terms
 
     def malformed(u, v, w):
@@ -768,7 +771,7 @@ def test_canonical_split_fails_a_term_of_the_wrong_length(monkeypatch, change):
             return [S.RVector(f3, t.data + (f3.one_p,)) for t in terms]
         return [S.RVector(f3, t.data[:-1]) for t in terms]
 
-    monkeypatch.setattr(S, "canonical_decomposition", malformed)
+    monkeypatch.setattr(S, "decomposition_terms", malformed)
     rec = CheckRecord(name="", tier="")
     fails = []
     monkeypatch.setattr(rec, "fail", lambda **witness: fails.append(witness))

@@ -1,11 +1,12 @@
-"""The two bodies of the ring kernels against Elem arithmetic.
+"""The ring kernels against Elem arithmetic, and the tables they read.
 
-A ring with tables (every finite ring of at most FINITE_MAX_SIZE elements)
-runs the table body of phi, simplify, decomposition_terms, the RMatrix and
-RVector operations and transvection; a ring without (z/257, past the cap,
-and semi(z,2)) runs the method body.  The reference here is written in Elem
-arithmetic alone: plain matrix products of the root unipotents, the
-decomposition formula term by term, and sums of products.
+Every ring has `tables`, the (add, mul, neg) triple that phi, simplify,
+x_small, decomposition_terms, the RMatrix and RVector operations and
+transvection index inline.  A finite ring of at most FINITE_MAX_SIZE
+elements holds them as lists; every other ring (z/257, past the cap, and
+semi(z,2)) has views that call p_add, p_mul and p_neg.  The reference here
+is written in Elem arithmetic alone: plain matrix products of the root
+unipotents, the decomposition formula term by term, and sums of products.
 """
 
 import random
@@ -120,41 +121,55 @@ def _run_kernels(ring, seed, rounds=12):
     return made
 
 
+def _holds_lists(ring):
+    """Whether the ring's tables are lists, not method views."""
+    kinds = {type(t) for t in ring.tables}
+    assert kinds in ({list}, {rings._MethodTable}), kinds
+    return kinds == {list}
+
+
 @pytest.mark.parametrize("spec", TABLED + UNTABLED)
 def test_kernels_match_elem_arithmetic(spec):
     ring = make_ring(spec)
-    assert (ring.tables is not None) == (spec in TABLED)
+    assert _holds_lists(ring) == (spec in TABLED)
     assert _run_kernels(ring, spec) > 0
 
 
-@pytest.fixture
-def zmod_calls(monkeypatch):
-    """Counts the calls of ZModRing.p_add, p_mul and p_neg."""
+def _spy(monkeypatch):
+    """Counts the calls of p_add, p_mul and p_neg of ZModRing and
+    SemidirectRing, wrapped on the class as a tracer wraps them."""
     calls = [0]
-    for name in ("p_add", "p_mul", "p_neg"):
-        method = getattr(rings.ZModRing, name)
+    for cls in (rings.ZModRing, rings.SemidirectRing):
+        for name in ("p_add", "p_mul", "p_neg"):
+            method = getattr(cls, name)
 
-        def spy(*args, _method=method):
-            calls[0] += 1
-            return _method(*args)
+            def spy(*args, _method=method):
+                calls[0] += 1
+                return _method(*args)
 
-        monkeypatch.setattr(rings.ZModRing, name, spy)
+            monkeypatch.setattr(cls, name, spy)
     return calls
 
 
 def _kernel_calls(ring):
     """One call of each kernel over `ring`, by name, its data made ahead."""
     rng = random.Random(3)
-    pool = [ring.elem(p) for p in ring.payloads() if p != ring.zero_p]
-    u, v, x = (RVector(ring, tuple(rng.choice(pool).payload for _ in range(4))) for _ in range(3))
-    w = StWord(linear_system(4), ring, [(rng.randrange(4), rng.choice(pool)) for _ in range(40)])
+
+    def draw():
+        while (p := random_payload(ring, rng)) == ring.zero_p:
+            pass
+        return p
+
+    u, v, x = (RVector(ring, tuple(draw() for _ in range(4))) for _ in range(3))
+    w = StWord(linear_system(4), ring, [(rng.randrange(4), ring.elem(draw())) for _ in range(40)])
     winv = w.inverse()  # Elem negation calls p_neg
-    m, c = phi(winv), rng.choice(pool)
-    a, b = (rng.choice(pool).payload for _ in range(2))
+    m, c = phi(winv), ring.elem(draw())
+    a, b = draw(), draw()
+    zero = ring.zero_p
     return {
         "phi": lambda: phi(w),
         "simplify": lambda: simplify(w * winv),
-        "x_small": lambda: x_small(RVector(ring, (a, b, 0, 0)), RVector(ring, (0, 0, a, b))),
+        "x_small": lambda: x_small(RVector(ring, (a, b, zero, zero)), RVector(ring, (zero, zero, a, b))),
         "decomposition_terms": lambda: decomposition_terms(u, v, x),
         "RMatrix.__mul__": lambda: m * m,
         "transvection": lambda: transvection(u, v),
@@ -162,34 +177,44 @@ def _kernel_calls(ring):
         "RVector.__sub__": lambda: u - v,
         "RVector.__neg__": lambda: -u,
         "RVector.scale": lambda: u.scale(c),
+        "Ring.p_dot": lambda: rings.Ring.p_dot(ring, u.data, v.data),  # z/N overrides it
     }
 
 
-def test_table_body_makes_no_method_call(zmod_calls):
-    # a kernel that fell back to its method body over z/6 would call p_*
+def test_table_body_makes_no_method_call(monkeypatch):
+    # a kernel that called a ring method over z/6 would be counted here
     ring = make_ring("z/6")
-    calls = _kernel_calls(ring)
+    calls = _spy(monkeypatch)
+    kernels = _kernel_calls(ring)
     rng = random.Random(5)
-    u, v = (RVector(ring, tuple(rng.randrange(6) for _ in range(4))) for _ in range(2))
-    calls.update(apply=lambda: phi(StWord(linear_system(4), ring)) * u, dot=lambda: u.dot(v), entries=lambda: u.entries)
-    for name, call in calls.items():
-        zmod_calls[0] = 0
+    u = RVector(ring, tuple(rng.randrange(6) for _ in range(4)))
+    kernels.update(
+        apply=lambda: phi(StWord(linear_system(4), ring)) * u, dot=lambda: u.dot(u), entries=lambda: u.entries
+    )
+    for name, call in kernels.items():
+        calls[0] = 0
         call()
-        assert zmod_calls[0] == 0, name
+        assert calls[0] == 0, name
 
 
-def test_method_body_calls_the_ring(zmod_calls):
-    for name, call in _kernel_calls(make_ring("z/257")).items():
-        zmod_calls[0] = 0
+@pytest.mark.parametrize("spec", UNTABLED)
+def test_views_call_the_ring_methods(monkeypatch, spec):
+    # the ring is made, and cached, before the spy is set on its class; a
+    # view that bound p_add when the ring was made would never call the spy
+    ring = make_ring(spec)
+    calls = _spy(monkeypatch)
+    for name, call in _kernel_calls(ring).items():
+        calls[0] = 0
         call()
-        assert zmod_calls[0] > 0, name
+        assert calls[0] > 0, name
 
 
 def test_elems_and_identities_are_shared_on_rings_with_tables():
-    assert make_ring(f"z/{FINITE_MAX_SIZE}").tables is not None
-    assert make_ring(f"z/{FINITE_MAX_SIZE + 1}").tables is None
+    assert _holds_lists(make_ring(f"z/{FINITE_MAX_SIZE}"))
+    assert not _holds_lists(make_ring(f"z/{FINITE_MAX_SIZE + 1}"))
     for spec in TABLED:
         ring = make_ring(spec)
+        assert _holds_lists(ring)
         assert all(ring.elem(p) is ring.elem(p) == Elem(ring, p) for p in ring.payloads())
         assert identity_matrix(ring, 4) is identity_matrix(ring, 4)
         assert identity_matrix(ring, 3).data != identity_matrix(ring, 4).data
@@ -199,6 +224,7 @@ def test_elems_and_identities_are_shared_on_rings_with_tables():
             assert got is ring.elem(got.payload)
     for spec in UNTABLED:
         ring = make_ring(spec)
+        assert not _holds_lists(ring)
         assert ring.elem(ring.one_p) == ring.one() and ring.elem(ring.one_p) is not ring.elem(ring.one_p)
         one = ring.one()
         assert one + one == ring.el(2) and one + one is not one + one
