@@ -396,44 +396,41 @@ def _rand_word(system, ring, rng, length):
 
 
 # Each batched temporary of a numpy check holds at most about this many
-# bytes (0.3 MB): in chevalley, the int64 matrices of one chunk of betas
-# times every s, which the row operations update in place; in F- and
-# S-additivity, the index arrays of one chunk of table products.  This keeps
-# a suite's peak memory where its unbatched loop had it.
+# bytes (0.3 MB), counted at the batch's dtype: in chevalley, the matrices of
+# one chunk of (beta, r) times every s, which the row operations update in
+# place; in F- and S-additivity, the index arrays of one chunk of table
+# products.  This keeps a suite's peak memory where its unbatched loop had it.
 _BATCH_BYTES = 300_000
+# chevalley refuses a z/N whose exhaustive check passes this many instances
+# (seconds of work on one CPU); below it, every system with matrices keeps
+# one (beta, r) of the batch, over every s, under _BATCH_BYTES.
+CHEVALLEY_CAP = 10**7
 
 
 def _chevalley_tables(datum):
     """Per root, its unipotent entries (i, j, sign); per ordered root pair,
     ("skip", 0) for equal or opposite roots, (index of alpha+beta, N_{alpha,beta})
     when alpha+beta is a root, and (None, 0) otherwise."""
-    nroots = len(datum.roots)
-    pats = [datum.unipotent_entries(ri) for ri in range(nroots)]
-    sums = []
-    for al in datum.roots:
-        row = []
-        for be in datum.roots:
-            if be == al or be == -al:
-                row.append(("skip", 0))
-            elif (al + be) in datum:
-                row.append((datum.index[al + be], datum.sign(al, be)))
-            else:
-                row.append((None, 0))
-        sums.append(row)
-    return pats, sums
+    def pair(al, be):
+        if be == al or be == -al:
+            return ("skip", 0)
+        return (datum.index[al + be], datum.sign(al, be)) if (al + be) in datum else (None, 0)
+
+    pats = [datum.unipotent_entries(ri) for ri in range(len(datum.roots))]
+    return pats, [[pair(al, be) for be in datum.roots] for al in datum.roots]
 
 
 def suite_chevalley(config):
     """One check per (system, ring).  Which rings a check can run on is
-    decided here; the checks that run are spread over the CPUs once per
-    system, and each check's wall_time is that of the process that ran it."""
+    decided here: z/N with N^2 < 2^63 and at most CHEVALLEY_CAP instances.
+    The checks that run, of every system, are spread over the CPUs at once,
+    and each check's wall_time is that of the process that ran it."""
     systems = config.systems or ("A3", "A4", "D4", "D5")
     rings = config.rings or tuple(f"z/{k}" for k in range(2, 10))
-    checks = []
+    checks, todo = [], []  # todo: (record, tables, N) of the checks that run
     for sysname in systems:
         datum = build_system(sysname)
         tables = None  # built in the first check, which may find no matrices
-        todo = []  # (record, N) of the checks that run
         for ringspec in rings:
             ring = make_ring(ringspec)
             with _Check(checks, f"chevalley-{sysname}-{ringspec}", "matrix") as rec:
@@ -446,29 +443,32 @@ def suite_chevalley(config):
                     raise UnsupportedRingError(
                         f"the int64 row operations need N^2 < 2^63; z/{ring.n} is larger"
                     )
-                todo.append((rec, ring.n))
+                live = sum(tag != "skip" for row in tables[1] for tag, _ in row)  # (alpha, beta) pairs
+                count = (len(tables[0]) + live) * (ring.n - 1) ** 2
+                if count > CHEVALLEY_CAP:
+                    raise UnsupportedRingError(f"z/{ring.n} gives {count} instances, past CHEVALLEY_CAP")
+                todo.append((rec, tables, ring.n))
 
-        def timed(N):
-            t0 = time.perf_counter()
-            return (*_run(functools.partial(_chevalley_check, *tables), N), time.perf_counter() - t0)
+    def timed(item):
+        t0 = time.perf_counter()
+        return (*_run(functools.partial(_chevalley_check, *item[0]), item[1]), time.perf_counter() - t0)
 
-        runs = _spread(timed, [N for _, N in todo])
-        for (rec, _), (instances, failures, seconds) in zip(todo, runs):
-            rec.instances = instances
-            rec.failures = failures
-            rec.wall_time += seconds
+    for (rec, *_), (instances, failures, seconds) in zip(todo, _spread(timed, [t[1:] for t in todo])):
+        rec.instances, rec.failures = instances, failures
+        rec.wall_time += seconds
     return checks
 
 
 def _left_unipotent(m, at, d, N):
-    """m <- X m mod N in place, for a root unipotent X = 1 + D.
+    """m <- X m mod N in place, for root unipotents X = 1 + D on m's rows.
 
-    `at` lists index tuples (target row, source row) into m, one per
-    position of D, and d[e] the entry of D at position e, broadcasting
-    against a row of m.  Each position adds d[e] times its source row to
-    its target row; the sources are read before any row changes, so a
-    target that is another position's source still gives X m.  With m and
-    d in [0, N), each updated row stays below N^2 before it is reduced.
+    `at` lists index tuples (target rows, source rows) into m, one per
+    position e of D: a row, or with index arrays one row per lane of a
+    batch.  d[e] is the entry of D at e, broadcasting against those rows.
+    Each position adds d[e] times its sources to its targets; the sources
+    are read before any row changes, so a target that is another position's
+    source still gives X m.  With m and d in [0, N) and of m's dtype, each
+    updated row stays below N^2, so that dtype holds it before it is reduced.
     """
     adds = [d[e] * m[src] for e, (_, src) in enumerate(at)]
     for (tgt, _), add in zip(at, adds):
@@ -481,79 +481,79 @@ def _chevalley_check(pats, sums, size, rec, N):
     Every factor is a root unipotent X = 1 + D, so X M adds multiples of
     rows of M to other rows (_left_unipotent).  D is read off the table's
     matrix x_root(k) itself, at the positions of the root's entries, so any
-    table is multiplied as written.  The products run in numpy batches:
-    per root over all (r, s) for additivity, and per (alpha, r) over all
-    (beta, s) for the commutators, in chunks of beta of at most
-    _BATCH_BYTES.  Each factor reduces the rows it touches mod N,
-    so no int64 value exceeds N^2, and the check is exact for every N with
-    N^2 < 2^63, which the caller ensures.  Failures are reported in the
-    order of the loops over (alpha, beta, r, s).
+    table is multiplied as written.  Products are held rows first, as
+    batch[row, lane, r, s, col] with one root per lane: x_root(r) applied to
+    x_root(s) for additivity, and for the commutators of one alpha,
+    x_alpha(r) x_beta(s) x_alpha(-r) applied to x_beta(-s), which updates
+    whole row slabs for alpha and one advanced-indexed row per lane for
+    beta.  The batches are cut over (lane, r), every s in each, at most
+    _BATCH_BYTES at the batch's dtype.  Entries are held in the narrowest
+    unsigned dtype that holds N^2 - 1 (uint8 for N <= 16), and each factor
+    reduces the rows it touches mod N, so the check is exact for every N
+    with N^2 < 2^63, which the caller ensures.  Failures are reported in
+    the order of the loops over (root, r, s) and (alpha, beta, r, s).
     """
-    nroots = len(pats)
-    # mats[ri, r] is x_root(r); mats[ri, 0] is the identity
-    mats = numpy.broadcast_to(numpy.eye(size, dtype=numpy.int64), (nroots, N, size, size)).copy()
-    coeffs = numpy.arange(N)
+    nroots, dtype = len(pats), numpy.min_scalar_type(N * N - 1)
+    nonzero = numpy.arange(1, N)
+    # mats[row, ri, k, col] is x_root(k); mats[:, ri, 0] is the identity
+    mats = numpy.zeros((size, nroots, N, size), dtype=dtype)
+    mats[numpy.arange(size), ..., numpy.arange(size)] = 1
     for ri, entries in enumerate(pats):
         for i, j, sign in entries:
-            mats[ri, :, i, j] = (sign * coeffs) % N
+            mats[i, ri, :, j] = (sign * numpy.arange(N)) % N
     # the positions of D per root, padded with zero updates of row 0, and
-    # d[ri, k, e] = (x_root(k) - 1)[position e] mod N
+    # d[e, ri, k] = (x_root(k) - 1)[position e] mod N, in int64 before the
+    # cast: unsigned subtraction wraps
     places = [list(dict.fromkeys((i, j) for i, j, _ in entries)) for entries in pats]
     width = max(map(len, places), default=0)
-    tgt = numpy.zeros((nroots, width), dtype=numpy.int64)
-    src = numpy.zeros((nroots, width), dtype=numpy.int64)
-    d = numpy.zeros((nroots, N, width), dtype=numpy.int64)
+    tgt, src = (numpy.zeros((nroots, width), dtype=numpy.intp) for _ in "ts")
+    d = numpy.zeros((width, nroots, N), dtype=numpy.int64)
     for ri, at in enumerate(places):
         for e, (i, j) in enumerate(at):
             tgt[ri, e], src[ri, e] = i, j
-            d[ri, :, e] = (mats[ri, :, i, j] - (i == j)) % N
+            d[e, ri] = (mats[i, ri, :, j].astype(numpy.int64) - (i == j)) % N
+    d = d.astype(dtype)
+    k = max(1, _BATCH_BYTES // max(N - 1, 1) // (size * size * dtype.itemsize))  # (lane, r) per batch
+    rstep, lstep = max(1, min(k, N - 1)), max(1, k // max(N - 1, 1))
 
-    def rows(ri):
-        return [((..., t, slice(None)), (..., s, slice(None))) for t, s in zip(tgt[ri], src[ri])]
+    def batches(roots):
+        """(lanes, roots, r slice, the rows of D per lane) cutting roots x r."""
+        for lo in range(0, len(roots), lstep):
+            part, lane = roots[lo:lo + lstep], numpy.arange(len(roots[lo:lo + lstep]))
+            rows = [((tgt[part, e], lane), (src[part, e], lane)) for e in range(width)]
+            for r in range(0, N - 1, rstep):
+                yield slice(lo, lo + lstep), part, slice(r, r + rstep), rows
 
-    nonzero = coeffs[1:]
-    # additivity: x_root(r) applied to x_root(s), batched over (r, s)
+    def decide(bad, lanes, rs, got, want):
+        bad[lanes, rs] = ~_same(numpy.moveaxis(got, 0, -2), numpy.moveaxis(want, 0, -2))
+
     total = (nonzero[:, None] + nonzero[None, :]) % N
-    for ri in range(nroots):
-        m = mats[ri]
-        lhs = numpy.broadcast_to(m[None, 1:], (N - 1, N - 1, size, size)).copy()
-        _left_unipotent(lhs, rows(ri), d[ri, 1:].T[:, :, None, None], N)
-        bad = ~_same(lhs, m[total])
-        rec.instances += bad.size
-        for r, s in numpy.argwhere(bad):
-            rec.fail(kind="additivity", root=ri, r=int(r) + 1, s=int(s) + 1)
+    bad = numpy.zeros((nroots, N - 1, N - 1), dtype=bool)  # [root, r, s]
+    for lanes, part, rs, rows in batches(numpy.arange(nroots)):
+        lhs = numpy.repeat(mats[:, part, None, 1:], len(total[rs]), axis=2)
+        _left_unipotent(lhs, rows, d[:, part, 1:][:, :, rs, None, None], N)
+        decide(bad, lanes, rs, lhs, mats[:, part[:, None, None], total[None, rs]])
+    rec.instances += bad.size
+    for ri, r, s in numpy.argwhere(bad):
+        rec.fail(kind="additivity", root=int(ri), r=int(r) + 1, s=int(s) + 1)
     # commutators: [x_alpha(r), x_beta(s)] against x_{alpha+beta}(N r s), or
     # the identity x_0(0) when alpha+beta is not a root
-    chunk = max(1, _BATCH_BYTES // (max(N - 1, 1) * size * size * 8))
     for ai in range(nroots):
-        betas = [bi for bi in range(nroots) if sums[ai][bi][0] != "skip"]
-        pairs = [sums[ai][bi] for bi in betas]
-        tags = numpy.array([0 if tag is None else tag for tag, _ in pairs], dtype=numpy.int64)
-        signs = numpy.array([sign for _, sign in pairs], dtype=numpy.int64)
-        alpha = rows(ai)
+        live = [(bi, tag or 0, sign) for bi, (tag, sign) in enumerate(sums[ai]) if tag != "skip"]
+        betas, tags, signs = numpy.array(live, dtype=numpy.intp).reshape(-1, 3).T
+        alpha = list(zip(tgt[ai], src[ai]))
         bad = numpy.zeros((len(betas), N - 1, N - 1), dtype=bool)  # [beta, r, s]
-        for lo in range(0, len(betas), chunk):
-            part = betas[lo:lo + chunk]
-            inv = mats[part, :0:-1]  # x_beta(-s), s = 1 .. N-1
-            # x_beta(s) over the batch: its rows differ per beta, so they
-            # are picked out of the batch seen as one stack of rows
-            first = (numpy.arange(len(part))[:, None] * (N - 1) + nonzero[None, :] - 1) * size
-            beta = [((first + t[:, None]).ravel(), (first + s[:, None]).ravel())
-                    for t, s in zip(tgt[part].T, src[part].T)]
-            dbeta = d[part, 1:].reshape(-1, width).T[:, :, None]
-            for r in range(1, N):
-                comm = inv.copy()
-                _left_unipotent(comm, alpha, d[ai, N - r], N)
-                _left_unipotent(comm.reshape(-1, size), beta, dbeta, N)
-                _left_unipotent(comm, alpha, d[ai, r], N)
-                want = mats[
-                    tags[lo:lo + chunk, None],
-                    (signs[lo:lo + chunk, None] * r * nonzero[None, :]) % N,
-                ]
-                bad[lo:lo + chunk, r - 1] = ~_same(comm, want)
+        for lanes, part, rs, rows in batches(betas):
+            r = nonzero[rs]
+            comm = numpy.repeat(mats[:, part, None, :0:-1], len(r), axis=2)
+            _left_unipotent(comm, alpha, d[:, ai, N - r, None, None], N)
+            _left_unipotent(comm, rows, d[:, part, None, 1:, None], N)
+            _left_unipotent(comm, alpha, d[:, ai, r, None, None], N)
+            times = signs[lanes, None, None] * r[:, None] * nonzero
+            decide(bad, lanes, rs, comm, mats[:, tags[lanes, None, None], times % N])
         rec.instances += bad.size
         for b, r, s in numpy.argwhere(bad):
-            rec.fail(kind="commutator", alpha=ai, beta=betas[b], r=int(r) + 1, s=int(s) + 1)
+            rec.fail(kind="commutator", alpha=ai, beta=int(betas[b]), r=int(r) + 1, s=int(s) + 1)
 
 
 # ---------------------------------------------------------------------------

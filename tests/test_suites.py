@@ -1,9 +1,11 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
+import signal
 
 import numpy
 import pytest
@@ -406,9 +408,9 @@ def test_tier_policy_downgrades_to_matrix():
     assert {c.name: c.tier for c in rep2.checks}["xlaws-f2-exact"] == "exact"
 
 
-def _chevalley_loop(pats, sums, size, N):
+def _chevalley_loop(pats, sums, size, N, cap=32):
     """The per-instance chevalley check: one product chain per (r, s) and per
-    (alpha, beta, r, s).  Returns (instances, failures capped at 32)."""
+    (alpha, beta, r, s).  Returns (instances, failures capped at cap)."""
     ident = numpy.eye(size, dtype=numpy.int64)
 
     def unip(ri, r):
@@ -438,7 +440,7 @@ def _chevalley_loop(pats, sums, size, N):
                     want = ident if tag is None else mats[tag][(sign * r * s) % N]
                     if not numpy.array_equal(comm, want):
                         failures.append(dict(kind="commutator", alpha=ai, beta=bi, r=r, s=s))
-    return instances, failures[:32]
+    return instances, failures[:cap]
 
 
 def _corrupt(kind):
@@ -498,6 +500,90 @@ def test_batched_chevalley_passes_and_counts_every_instance():
         next(c.instances for c in rep.checks if c.name == "chevalley-D4-z/4"),
         [],
     )
+
+
+@pytest.mark.parametrize("kind", ["sign", "chain"])
+@pytest.mark.parametrize("N", [15, 16, 17])
+def test_batched_chevalley_is_exact_at_each_dtype_boundary(monkeypatch, kind, N):
+    # z/15 and z/16 hold their entries in uint8 (16^2 - 1 = 255), z/17 in
+    # uint16; every failure is compared, not only the reported 32.  Besides
+    # the default batches, the byte cap cuts them to 1 and 3 (beta, r) pairs
+    # (so r apart) and to 40 (several betas with every r).
+    dtype = numpy.min_scalar_type(N * N - 1)
+    assert dtype == (numpy.uint8 if N <= 16 else numpy.uint16)
+    monkeypatch.setattr(S, "_chevalley_tables", _corrupt(kind))
+    datum = build_system("A3")
+    pats, sums = S._chevalley_tables(datum)
+    want = _chevalley_loop(pats, sums, datum.matrix_size(), N, cap=None)
+    assert want[1], "the corruption must show"
+    slab = (N - 1) * datum.matrix_size() ** 2 * dtype.itemsize
+    for cap in (S._BATCH_BYTES, slab, 3 * slab, 40 * slab):
+        monkeypatch.setattr(S, "_BATCH_BYTES", cap)
+        rec, failures = CheckRecord(name="", tier=""), []
+        monkeypatch.setattr(rec, "fail", lambda **witness: failures.append(witness))
+        S._chevalley_check(pats, sums, datum.matrix_size(), rec, N)
+        assert (rec.instances, failures) == want, cap
+
+
+@pytest.mark.parametrize("N", [255, 256, 257, 65535, 65536, 65537])
+def test_row_operations_are_exact_in_the_narrowest_dtype(N):
+    # a batch [row, lane, col] in the dtype of N^2 - 1, updated once by whole
+    # rows (chained, repeated and diagonal positions) and once by one row per
+    # lane, against X m mod N in Python ints; entries and d of N - 1 make
+    # the largest sum, N^2 - N
+    dtype = numpy.min_scalar_type(N * N - 1)
+    rng = numpy.random.default_rng(N)
+    size, lanes, cols = 5, 6, 3
+    m = rng.integers(0, N, (size, lanes, cols)).astype(dtype)
+    m[:, 0] = N - 1
+    lane = numpy.arange(lanes)
+    tgt, src = rng.integers(0, size, (2, 3, lanes))
+    tgt[:, 1], src[:, 1] = (0, 1, 1), (1, 2, 1)  # lane 1 chains, repeats and sits on the diagonal
+    for at, places in (
+        ([(0, 1), (1, 2), (0, 3), (4, 4)], [[(0, 1), (1, 2), (0, 3), (4, 4)]] * lanes),
+        ([((tgt[e], lane), (src[e], lane)) for e in range(3)], [list(zip(tgt[:, k], src[:, k])) for k in lane]),
+    ):
+        d = rng.integers(0, N, (len(at), lanes, 1)).astype(dtype)
+        d[:, 0] = N - 1
+        rows = [[[int(x) for x in m[i, k]] for i in range(size)] for k in lane]
+        want = [[list(row) for row in block] for block in rows]
+        for k, block in enumerate(rows):
+            for e, (i, j) in enumerate(places[k]):
+                want[k][i] = [a + int(d[e, k, 0]) * b for a, b in zip(want[k][i], block[j])]
+        S._left_unipotent(m, at, d, N)
+        assert m.dtype == dtype
+        assert [[[x % N for x in row] for row in block] for block in want] == [m[:, k].tolist() for k in lane]
+
+
+def test_a_ring_past_the_instance_cap_is_refused_before_any_work(monkeypatch, capsys):
+    # N^2 < 2^63, but the matrices of z/3037000499 alone would take 4 TiB
+    def stop(signum, frame):
+        raise TimeoutError("chevalley over z/3037000499 still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        code = cli.main(["--suite", "chevalley-relations", "--system", "A3", "--ring", "z/3037000499"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert "[inconclusive] chevalley-A3-z/3037000499" in capsys.readouterr().out
+    # the cap counts the exhaustive instances, 132 (N - 1)^2 over A3
+    monkeypatch.setattr(S, "CHEVALLEY_CAP", 132 * 3**2)
+    checks = run_suite(SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/4", "z/5"))).checks
+    assert [(c.instances, c.inconclusive) for c in checks] == [(132 * 3**2, 0), (0, 1)]
+    assert "past CHEVALLEY_CAP" in checks[1].info["reason"]
+
+
+def test_one_beta_and_r_of_a_batch_fits_at_every_ring_under_the_cap():
+    for sysname in ("A2", "A3", "A8", "D4", "D8"):
+        datum = build_system(sysname)
+        pats, sums = S._chevalley_tables(datum)
+        per = len(pats) + sum(tag != "skip" for row in sums for tag, _ in row)
+        N = math.isqrt(S.CHEVALLEY_CAP // per) + 1  # the largest N the check accepts
+        slab = (N - 1) * datum.matrix_size() ** 2 * numpy.min_scalar_type(N * N - 1).itemsize
+        assert slab <= S._BATCH_BYTES, sysname
 
 
 def _cpus(monkeypatch, k):
@@ -800,6 +886,24 @@ def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
     for spec in ("z/3", "z/4", "z/5"):
         c = checks[f"chevalley-A3-{spec}"]
         assert c.failures and not c.inconclusive and c.wall_time > 0
+    assert _no_children_left()
+
+
+def test_chevalley_spreads_the_checks_of_every_system_at_once(monkeypatch):
+    monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
+    spread, spreads = S._spread, []
+    monkeypatch.setattr(S, "_spread", lambda task, items: spreads.append(len(items)) or spread(task, items))
+    cfg = SuiteConfig(suite="chevalley-relations", systems=("A3", "D4"),
+                      rings=("z/3", "prod(f2,f3)", "z/4", "z/5"))
+    reports = []
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        reports.append(run_suite(cfg))
+    assert spreads == [6, 6, 6]
+    assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
+    for rep in reports:
+        ran = [c for c in rep.checks if not c.inconclusive]
+        assert len(ran) == 6 and all(c.failures and c.wall_time > 0 for c in ran)
     assert _no_children_left()
 
 
