@@ -7,9 +7,12 @@ With no arguments runs the stock desk instances.  The z/4 instances are the
 interesting ones: the kernel is the order-2 group generated by the class of
 the symbol {-1,-1}, and the run tests its centrality against every
 generator.  Over A3 this is the paper's claim where it has content (about
-50 s and 450 MB; the image order is checked by |SL(4, Z/4)|, past the BFS
-cap).  Type D is refused unless x^2 = 1 has the one root x = 1 in the
-ring: the kernel of the vector realization then holds only K2.
+50 s and 450 MB).  The image order is checked by a BFS under the cap and
+past it by the order of the simply connected group over the local factors
+of the ring (route sc-formula, |SL(4, Z/4)| over A3).  Type D is refused
+unless x^2 = 1 has the one root x = 1 in the ring, so over the reduced
+rings of characteristic 2: the kernel of the vector realization then holds
+only K2.
 
     python scripts/compute_k2.py A2 f2 A3 f2 A2 z/4
     python scripts/compute_k2.py A3 z/4

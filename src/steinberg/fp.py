@@ -37,6 +37,7 @@ the table is the one a whole-group enumeration would give, row for row.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ from .matrices import (
     right_multiplier,
     unipotent,
 )
-from .rings import Elem, UnsupportedRingError, ZModRing
+from .rings import Elem, UnsupportedRingError
 from .roots import _positive_system
 from .words import simplify
 
@@ -692,8 +693,8 @@ class KernelReport:
     kernel_words: list  # St letters of the element k_c of K2 in each
     central: bool
     witnesses: list
-    bfs_image_order: int | None  # |E| by the image_route, None when inconclusive
-    image_route: str  # "bfs", "sl-formula", "omega-formula" or "inconclusive"
+    bfs_image_order: int  # |E| by the image_route
+    image_route: str  # "bfs" or "sc-formula"
     uplus_order: int  # |U+_E|
 
 
@@ -741,14 +742,16 @@ def k2_compute(datum, ring, max_cosets=10**6):
 
     The image order is cross-checked apart from the table: by
     `matrix_group_order` on the unipotents of the +-simple roots when the
-    image, counted in matrix entries, fits under BFS_CAP, else by
-    |SL(n, Z/N)| in type A over Z/N or by |Omega+(2n, 2)| in type D over
-    F2, else not at all (image_route "inconclusive").  max_cosets caps the U+ index, not |St|.
+    image, counted in matrix entries, fits under BFS_CAP (image_route
+    "bfs"), else by the order of the simply connected group over the local
+    factors of R (`sc_order`, image_route "sc-formula").  max_cosets caps
+    the U+ index, not |St|.
 
     In type D, phi is the vector realization in SO(2n, R), and the kernel
     it cuts out holds, beside K2, the image of ker(Spin -> SO) = mu_2(R) =
     {x : x^2 = 1}: over F3 the count is 2 where K2(D3, F3) = K2(A3, F3) = 1.
-    So type D is refused, with UnsupportedRingError, unless mu_2(R) = {1}.
+    So type D is refused, with UnsupportedRingError, unless mu_2(R) = {1}:
+    R is then reduced of characteristic 2, and `sc_order` holds there.
     The refusal, and that of a root system without a matrix realization,
     comes before anything is enumerated.
     """
@@ -780,12 +783,8 @@ def k2_compute(datum, ring, max_cosets=10**6):
     if st_order // len(kernel) * entries <= BFS_CAP:
         gens = [up.cols[2 * g] for g in simple_root_generators(sp)]
         bfs, route = matrix_group_order(gens, cap=BFS_CAP // entries), "bfs"
-    elif datum.family == "A" and isinstance(ring, ZModRing):
-        bfs, route = special_linear_order(datum.matrix_size(), ring.n), "sl-formula"
-    elif datum.family == "D" and isinstance(ring, ZModRing) and ring.n == 2:
-        bfs, route = omega_plus_order(datum.rank), "omega-formula"
     else:
-        bfs, route = None, "inconclusive"
+        bfs, route = sc_order(datum, ring), "sc-formula"
     return KernelReport(
         system=datum.name,
         ring=ring.spec,
@@ -810,40 +809,44 @@ def noncentral_columns(utbl, k):
     return [x for x in range(utbl.ncols) if utbl.coset_of((x,) + k + (x ^ 1,) + kinv)]
 
 
-def special_linear_order(n, modulus):
-    """|SL(n, Z/N)| = prod over p^k || N of p^((k-1)(n^2-1)) |SL(n, F_p)|.
+def local_factors(ring):
+    """(q_i, |m_i|) for each local factor R_i = e_i R of a finite ring: the
+    orders of its residue field and of its maximal ideal m_i, the
+    nilpotents of R_i.  The e_i are the primitive idempotents: the e != 0
+    with e^2 = e and ef in {0, e} for every idempotent f."""
+    pays, mul, zero = list(ring.payloads()), ring.p_mul, ring.zero_p
+    idempotents = [e for e in pays if mul(e, e) == e]
+    factors = []
+    for e in idempotents:
+        if e != zero and all(mul(e, f) in (zero, e) for f in idempotents):
+            part = [x for x in pays if mul(e, x) == x]
+            nil = sum((ring.elem(x) ** len(pays)).is_zero() for x in part)
+            factors.append((len(part) // nil, nil))
+    return factors
 
-    Z/N is the product of the Z/p^k, and SL(n, Z/p^k) -> SL(n, F_p) is onto
-    with kernel the matrices 1 + pM of determinant 1, p^((k-1)(n^2-1)) of
-    them.  Z/N is semilocal, so SL(n, Z/N) = E(n, Z/N).
+
+def sc_order(datum, ring):
+    """|E(Phi, R)| = prod_i |m_i|^(l+|Phi|) q_i^N prod_k (q_i^(d_k) - 1) over
+    the local factors of R (`local_factors`).
+
+    Over a field, E(Phi, F_q) = G_sc(Phi, F_q) has order q^N prod_k (q^(d_k)
+    - 1), with N positive roots and the degrees d_k of Phi (Steinberg,
+    Lectures on Chevalley Groups, 1967).  A local ring has E = G_sc
+    (Matsumoto, Ann. Sci. ENS 2, 1969), and G_sc(Phi, R_i) -> G_sc(Phi,
+    F_q_i) is onto with kernel of order |m_i|^(l+|Phi|), the dimension of G.
+
+    In type D this counts the image of Spin, and phi lands in SO(2n, R).  The
+    two agree since `k2_compute` refuses type D unless mu_2(R) = {1}, so R
+    is reduced of characteristic 2, where Spin -> SO is injective.
     """
-    order, p, rest = 1, 2, modulus
-    while rest > 1:
-        k = 0
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if k:
-            sl = p ** (n * (n - 1) // 2)
-            for i in range(2, n + 1):
-                sl *= p**i - 1
-            order *= p ** ((k - 1) * (n * n - 1)) * sl
-        p += 1
-    return order
-
-
-def omega_plus_order(n):
-    """|Omega+(2n, 2)| = 2^(n(n-1)) (2^n - 1) prod_{0<i<n} (4^i - 1).
-
-    Over a field F_q the vector realization of D_n maps E(D_n, F_q) onto
-    Omega+(2n, q), of order q^(n(n-1)) (q^n - 1) prod_{0<i<n} (q^(2i) - 1)
-    when q is even (Artin, Geometric Algebra, 1957, ch. V; the ATLAS of
-    Finite Groups, 1985, gives O8+(2) = Omega+(8, 2) with 174,182,400).
-    """
-    order = 2 ** (n * (n - 1)) * (2**n - 1)
-    for i in range(1, n):
-        order *= 4**i - 1
-    return order
+    datum.matrix_size()  # NoMatrixRealization for the E family
+    rank, npos = datum.rank, len(datum.roots) // 2
+    # 2, ..., l+1 for A_l; 2, 4, ..., 2l-2, l for D_l
+    degrees = range(2, rank + 2) if datum.family == "A" else [*range(2, 2 * rank - 1, 2), rank]
+    return math.prod(
+        nil ** (rank + 2 * npos) * q**npos * math.prod(q**d - 1 for d in degrees)
+        for q, nil in local_factors(ring)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +865,9 @@ def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
     """Index of <z_alpha(s, r)> in St(Phi, R) against |St(Phi, R/I)|, which
     is [St : U+] |U+_E| over R/I (`uplus_data`)."""
     sp = steinberg_presentation(datum, ring)
+    # the quotient first: it raises for a system without matrices at once,
+    # where the subgroup enumeration would run to its cap
+    upq = uplus_data(steinberg_presentation(datum, split.quotient), max_cosets)
     ideal_payloads = sorted(split.ideal.payload_set())
     subgroup = []
     for ri in range(len(datum.roots)):
@@ -872,7 +878,6 @@ def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
                 zw = W.z_generator(datum, ring, ri, Elem(ring, s), Elem(ring, r))
                 subgroup.append(sp.word_letters(zw))
     tbl = todd_coxeter(sp.presentation, subgroup, max_cosets=max_cosets)
-    upq = uplus_data(steinberg_presentation(datum, split.quotient), max_cosets)
     return RelativeIndexReport(
         system=datum.name, ring=ring.spec, index=tbl.n, quotient_order=upq.utbl.n * upq.order
     )

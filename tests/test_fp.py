@@ -14,13 +14,12 @@ from steinberg.fp import (
     inverse_letters,
     k2_compute,
     noncentral_columns,
-    omega_plus_order,
     orbit_with_witnesses,
     positive_generators,
     regular_table,
     relative_subgroup_index,
+    sc_order,
     simple_root_generators,
-    special_linear_order,
     standardize,
     star_presentations,
     steinberg_presentation,
@@ -38,6 +37,8 @@ from steinberg.words import StWord, phi, x_ij
 F2 = make_ring("f2")
 A2 = build_system("A2")
 A3 = build_system("A3")
+F2E = "quo(poly(f2,X),[0,0,1])"  # F2[eps]
+F4 = "quo(poly(f2,X),[1,1,1])"
 
 
 def _coset_images(sp, tbl):
@@ -317,15 +318,26 @@ def test_simple_root_bfs_is_the_all_roots_bfs(system, spec):
     assert matrix_group_order([cols[2 * g] for g in simple]) == matrix_group_order(cols[0::2])
 
 
+@pytest.mark.parametrize(
+    "system, spec",
+    [("A2", spec) for spec in ("z/1", "f2", "f3", "z/4", F2E, F4, "prod(f2,f2)")] + [("A3", "f2"), ("D3", "f2")],
+)
+def test_sc_formula_matches_the_bfs(system, spec):
+    datum, ring = build_system(system), make_ring(spec)
+    sp = steinberg_presentation(datum, ring)
+    cols = fp.column_unipotents(sp)
+    assert sc_order(datum, ring) == matrix_group_order([cols[2 * g] for g in simple_root_generators(sp)])
+
+
 @pytest.mark.parametrize("system, spec, order", [("A2", "z/4", 43008), ("A3", "f2", 20160)])
 def test_special_linear_formula_matches_the_bfs(system, spec, order, monkeypatch):
     datum, ring = build_system(system), make_ring(spec)
     gens = [unipotent(datum, r, ring.one()) for r in datum.roots]
-    assert special_linear_order(datum.matrix_size(), ring.n) == matrix_group_order(gens) == order
+    assert sc_order(datum, ring) == matrix_group_order(gens) == order
     # the formula decides once the BFS would pass its cap
     monkeypatch.setattr(fp, "BFS_CAP", 1000)
     rep = k2_compute(datum, ring)
-    assert (rep.image_route, rep.bfs_image_order) == ("sl-formula", order)
+    assert (rep.image_route, rep.bfs_image_order) == ("sc-formula", order)
 
 
 def test_bfs_cap_counts_matrix_entries(monkeypatch):
@@ -336,25 +348,25 @@ def test_bfs_cap_counts_matrix_entries(monkeypatch):
 
     monkeypatch.setattr(fp, "matrix_group_order", no_bfs)
     rep = k2_compute(build_system("A4"), F2)
-    assert (rep.image_route, rep.bfs_image_order, rep.kernel_order) == ("sl-formula", 9_999_360, 1)
+    assert (rep.image_route, rep.bfs_image_order, rep.kernel_order) == ("sc-formula", 9_999_360, 1)
 
 
 def test_special_linear_formula_on_composite_moduli():
-    assert special_linear_order(3, 12) == 43008 * 5616  # Z/4 x Z/3
-    assert special_linear_order(4, 4) == 660_602_880 == 2**15 * 20160
-    assert special_linear_order(3, 1) == 1
+    assert sc_order(A2, make_ring("z/12")) == 43008 * 5616  # Z/4 x Z/3
+    assert sc_order(A3, make_ring("z/4")) == 660_602_880 == 2**15 * 20160
+    assert sc_order(A2, make_ring("z/1")) == 1
 
 
 def test_omega_formula_matches_the_bfs(monkeypatch):
     d3 = build_system("D3")
     gens = [unipotent(d3, r, F2.one()) for r in d3.roots]
-    assert omega_plus_order(3) == matrix_group_order(gens) == 20160
-    assert omega_plus_order(4) == 174_182_400  # O8+(2) in the ATLAS
+    assert sc_order(d3, F2) == matrix_group_order(gens) == 20160
+    assert sc_order(build_system("D4"), F2) == 174_182_400  # O8+(2) in the ATLAS
     # the formula decides once the BFS would pass its cap
     monkeypatch.setattr(fp, "BFS_CAP", 1000)
     rep = k2_compute(d3, F2)
     assert (rep.image_route, rep.bfs_image_order, rep.image_order, rep.kernel_order) == (
-        "omega-formula", 20160, 20160, 1
+        "sc-formula", 20160, 20160, 1
     )
 
 
@@ -374,16 +386,28 @@ def test_type_d_kernel_with_mu2_is_refused(monkeypatch):
     assert "mu_2" in check.info["reason"] and "st_order" not in check.info
 
 
-def test_image_past_the_bfs_cap_without_a_formula_is_inconclusive(monkeypatch):
-    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+def test_image_past_the_bfs_cap_takes_the_sc_formula(monkeypatch):
+    # F2[eps] is local: |m| = 2 and q = 2, so |E| = 2^8 |SL(3, 2)|
+    f2e = make_ring(F2E)
     monkeypatch.setattr(fp, "BFS_CAP", 100)
     rep = k2_compute(A2, f2e)
-    assert (rep.image_route, rep.bfs_image_order) == ("inconclusive", None)
-    # the suite reports it inconclusive, never pass
-    report = suites.run_suite(suites.SuiteConfig(suite="k2-exact", systems=("A2",), rings=(f2e.spec,)))
+    assert (rep.image_route, rep.bfs_image_order, rep.kernel_order) == ("sc-formula", 43_008, 1)
+    report = suites.run_suite(suites.SuiteConfig(suite="k2-exact", systems=("A2",), rings=(F2E,)))
     (check,) = report.checks
-    assert (check.inconclusive, check.failures, report.verdict) == (1, [], "inconclusive")
+    assert (check.inconclusive, check.failures, report.verdict) == (0, [], "pass")
     assert check.info["st_order"] == rep.st_order == 672 * 64
+
+
+def test_sc_formula_with_a_wrong_factor_fails_the_cross_check(monkeypatch):
+    # drop |m_i|^(l+|Phi|): each local factor counted as its residue field
+    right = fp.local_factors
+    monkeypatch.setattr(fp, "local_factors", lambda ring: [(q, 1) for q, _ in right(ring)])
+    monkeypatch.setattr(fp, "BFS_CAP", 100)
+    report = suites.run_suite(suites.SuiteConfig(suite="k2-exact", systems=("A2",), rings=(F2E,)))
+    (check,) = report.checks
+    assert report.verdict == "fail" and not check.inconclusive
+    assert [f["kind"] for f in check.failures] == ["bfs-cross-check"]
+    assert (check.failures[0]["table"], check.failures[0]["bfs"]) == (43_008, 168)
 
 
 def test_enumerate_steinberg_fills_the_uplus_memo(monkeypatch):

@@ -221,6 +221,8 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
         (["--suite", "k2-exact", "--system", "A2", "--ring", "f2", "--ring", "f2"], "--ring"),
         (["--suite", "chevalley-relations", "--ring", "z/4", "--ring", "z/4"], "--ring"),
         (["--suite", "tulenbaev-identities", "--tier", "matrix", "--ring", "f2"], "--ring f2"),
+        # this used to run and read inconclusive, "live cosets exceeded -5"
+        (["--suite", "k2-exact", "--system", "A2", "--ring", "z/8", "--max-cosets", "-5"], "--max-cosets"),
     ],
 )
 def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
@@ -574,6 +576,24 @@ def test_a_ring_past_the_instance_cap_is_refused_before_any_work(monkeypatch, ca
     checks = run_suite(SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/4", "z/5"))).checks
     assert [(c.instances, c.inconclusive) for c in checks] == [(132 * 3**2, 0), (0, 1)]
     assert "past CHEVALLEY_CAP" in checks[1].info["reason"]
+
+
+def test_relative_generation_without_matrices_is_refused_before_enumerating():
+    # the z-subgroup of St(E6, F2[eps]) used to run to the 10^6-coset cap,
+    # 21 s, and read "live cosets exceeded" for a quotient it could never count
+    def stop(signum, frame):
+        raise TimeoutError("relative-generation over E6 still running after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        rep = run_suite(SuiteConfig(suite="relative-generation", systems=("E6",)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    (check,) = rep.checks
+    assert (rep.verdict, check.inconclusive, check.failures) == ("inconclusive", 1, [])
+    assert "no matrix realization" in check.info["reason"]
 
 
 def test_one_beta_and_r_of_a_batch_fits_at_every_ring_under_the_cap():
