@@ -15,7 +15,7 @@ from .rings import (
     substitute,
     unique_divide,
 )
-from .roots import RootDatum, build_system, structure_constant
+from .roots import RootDatum, build_system
 
 __all__ = [
     "Elem",
@@ -33,5 +33,4 @@ __all__ = [
     "unique_divide",
     "RootDatum",
     "build_system",
-    "structure_constant",
 ]

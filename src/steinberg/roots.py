@@ -1,9 +1,10 @@
 """Simply-laced root systems with a fixed structure-constant convention.
 
 A and D carry their standard matrix realizations (special linear and split
-even orthogonal), and the sign table is read off honest integer matrix
-commutators there.  The E family has no matrix model here; its signs come
-from the bilinear cocycle on the root lattice fixed in _cocycle_sign.
+even orthogonal), and the sign table is read off the Lie bracket of the
+root elements E = x(1) - 1 there, entry by entry.  The E family has no
+matrix model here; its signs come from the bilinear cocycle on the root
+lattice fixed in _cocycle_sign.
 """
 
 from __future__ import annotations
@@ -131,14 +132,9 @@ class RootDatum:
         key = (self.index[alpha], self.index[beta])
         cached = self._signs.get(key)
         if cached is None:
-            cached = self._compute_sign(alpha, beta)
+            cached = (_bracket_sign if self.family in ("A", "D") else _cocycle_sign)(self, alpha, beta)
             self._signs[key] = cached
         return cached
-
-    def _compute_sign(self, alpha, beta):
-        if self.family in ("A", "D"):
-            return _matrix_sign(self, alpha, beta)
-        return _cocycle_sign(self, alpha, beta)
 
     def a_indices(self, root):
         """(i, j) with root = e_i - e_j, 0-based, for the A realization."""
@@ -239,32 +235,29 @@ def _e8_roots():
     return roots
 
 
-def structure_constant(datum, alpha, beta):
-    """N_{alpha,beta} in {+1,-1}; raises when alpha+beta is not a root."""
-    return datum.sign(alpha, beta)
-
-
 # ---------------------------------------------------------------------------
-# signs for A and D: read off the integer matrix realization
+# signs for A and D: the Lie bracket of the matrix realization
 
 
-def _unipotent_int(datum, root, xi=1):
-    m = numpy.eye(datum.matrix_size(), dtype=numpy.int64)
-    for i, j, sign in datum.unipotent_entries(datum.index[root]):
-        m[i, j] = sign * xi
-    return m
-
-
-def _matrix_sign(datum, alpha, beta):
-    a = _unipotent_int(datum, alpha, 1)
-    b = _unipotent_int(datum, beta, 1)
-    ainv = _unipotent_int(datum, alpha, -1)
-    binv = _unipotent_int(datum, beta, -1)
-    comm = a @ b @ ainv @ binv
-    for sign in (1, -1):
-        if numpy.array_equal(comm, _unipotent_int(datum, alpha + beta, sign)):
-            return sign
-    raise RootSystemError(f"commutator of {alpha},{beta} is not a root unipotent")
+def _bracket_sign(datum, alpha, beta):
+    """N with [E_alpha, E_beta] = N E_{alpha+beta} at every entry, where
+    E_root = x_root(1) - 1 is read off unipotent_entries: the structure
+    constant of the Chevalley basis (Carter, Simple Groups of Lie Type,
+    1972, ch. 4), which the commutator formula of x_alpha(r), x_beta(s)
+    carries."""
+    ea, eb = datum.unipotent_entries(datum.index[alpha]), datum.unipotent_entries(datum.index[beta])
+    bracket = {}
+    for i, j, s in ea:
+        for k, l, t in eb:
+            if j == k:  # E_alpha E_beta
+                bracket[i, l] = bracket.get((i, l), 0) + s * t
+            if l == i:  # - E_beta E_alpha
+                bracket[k, j] = bracket.get((k, j), 0) - s * t
+    bracket = {at: v for at, v in bracket.items() if v}
+    for n in (1, -1):
+        if bracket == {(i, j): n * s for i, j, s in datum.unipotent_entries(datum.index[alpha + beta])}:
+            return n
+    raise RootSystemError(f"the bracket of {alpha},{beta} is not +-E_{alpha + beta}")
 
 
 # ---------------------------------------------------------------------------

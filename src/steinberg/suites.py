@@ -195,6 +195,8 @@ class VerificationReport:
                 f"failures={len(c.failures)}, inconclusive={c.inconclusive}, "
                 f"{c.wall_time:.2f}s)"
             )
+            if status == "inconclusive" and "reason" in (c.info or {}):
+                lines.append(f"      reason: {c.info['reason']}")
             for f in c.failures[:3]:
                 lines.append(f"      witness: {json.dumps(f, sort_keys=True)}")
         return "\n".join(lines) + "\n"
@@ -422,7 +424,9 @@ def _chevalley_tables(datum):
 
 def suite_chevalley(config):
     """One check per (system, ring).  Which rings a check can run on is
-    decided here: z/N with N^2 < 2^63 and at most CHEVALLEY_CAP instances.
+    decided here: z/N with at most CHEVALLEY_CAP instances, which keeps N
+    below 579 (A2, the smallest system, counts 30 (N - 1)^2), so N^2 - 1
+    fits uint32.
     The checks that run, of every system, are spread over the CPUs at once,
     and each check's wall_time is that of the process that ran it."""
     systems = config.systems or ("A3", "A4", "D4", "D5")
@@ -439,10 +443,6 @@ def suite_chevalley(config):
                         f"the batched check multiplies integer matrices mod N; {ring.spec} is not z/N"
                     )
                 tables = tables or (*_chevalley_tables(datum), datum.matrix_size())
-                if ring.n * ring.n >= 2**63:
-                    raise UnsupportedRingError(
-                        f"the row operations need N^2 < 2^63; z/{ring.n} is larger"
-                    )
                 live = sum(tag != "skip" for row in tables[1] for tag, _ in row)  # (alpha, beta) pairs
                 count = (len(tables[0]) + live) * (ring.n - 1) ** 2
                 if count > CHEVALLEY_CAP:
@@ -490,7 +490,8 @@ def _chevalley_check(pats, sums, size, rec, N):
     _BATCH_BYTES at the batch's dtype.  Entries are held in the narrowest
     unsigned dtype that holds N^2 - 1 (uint8 for N <= 16), and each factor
     reduces the rows it touches mod N, so the check is exact for every N
-    with N^2 < 2^63, which the caller ensures.  Failures are reported in
+    that CHEVALLEY_CAP admits (N <= 578, whose N^2 - 1 fits uint32).
+    Failures are reported in
     the order of the loops over (root, r, s) and (alpha, beta, r, s).
     """
     nroots, dtype = len(pats), numpy.min_scalar_type(N * N - 1)

@@ -11,7 +11,6 @@ from steinberg.roots import (
     _positive_system,
     a3_chain,
     build_system,
-    structure_constant,
 )
 
 
@@ -45,9 +44,9 @@ def test_structure_constant_examples():
     a3 = build_system("A3")
     r12 = Root((1, -1, 0, 0))
     r23 = Root((0, 1, -1, 0))
-    assert structure_constant(a3, r12, r23) == 1
+    assert a3.sign(r12, r23) == 1
     with pytest.raises(RootSystemError):
-        structure_constant(a3, r12, Root((1, -1, 0, 0)))
+        a3.sign(r12, Root((1, -1, 0, 0)))
 
 
 @pytest.mark.parametrize("name", ["A3", "D4"])
@@ -118,15 +117,24 @@ def test_root_string_coordinates_give_back_every_root(name):
 
 
 # sha256 of the sign string: "+" or "-" for N_{a,b}, over the ordered pairs
-# (a, b) of roots in root order with a + b a root
-E_SIGN_TABLES = {
+# (a, b) of roots in root order with a + b a root; the A and D tables are
+# those the integer matrix commutators x_a(1) x_b(1) x_a(-1) x_b(-1) gave
+SIGN_TABLES = {
+    "A2": "af2c48d6aa86a48213f0fa13784a09daae2ee6422135221526e48a2f7d1917b2",
+    "A3": "5c7947fbbe8ccf3f5476b94403d9abec7f8e321602a92f1b1a1e8562aeca251a",
+    "A4": "39f4689bf21f83f03e81ea2dc7f4fe7fc3b8f0e5106648cf8885827f53a70461",
+    "A5": "b5cc83be20d733c19df7faa35d91e787f3d454ea372887b88cb9855038215fe9",
+    "D3": "ae379dde86d31df455e66790a3158ccdbff1b9734d1ab08f2132ce8e48b9e881",
+    "D4": "9d8b35849ecfc0b7312a993f54428c814c2cdac5abd98f41e61d8ac6d4cf39de",
+    "D5": "f6404885537e4b3d92a928b74d093911fbd950b2bd28a712234f3a29f0240aaf",
+    "D6": "77d18a8d9039244065b608eb61bad70220076d734c0cf205a38cea30ff7e50ec",
     "E6": "8da13f080b4adc565f3ae5c859ae0cb33d34850bdee5fa9183f9702011a2e526",
     "E7": "2dc19a296361ed02ba3986ef05721d7d417156c9dc765e0f4f532ce12637ddaa",
     "E8": "1ce2ded0cddad0a531eb2accc045415fa0402a13186c8f8c717d555e0c012af6",
 }
 
 
-@pytest.mark.parametrize("name", sorted(E_SIGN_TABLES))
+@pytest.mark.parametrize("name", sorted(SIGN_TABLES))
 def test_e_sign_tables_are_pinned(name):
     datum = build_system(name)
     signs = "".join(
@@ -134,7 +142,36 @@ def test_e_sign_tables_are_pinned(name):
         for a, b in itertools.product(datum.roots, repeat=2)
         if a + b in datum
     )
-    assert hashlib.sha256(signs.encode()).hexdigest() == E_SIGN_TABLES[name]
+    assert hashlib.sha256(signs.encode()).hexdigest() == SIGN_TABLES[name]
+
+
+@pytest.mark.parametrize(
+    "name, ri, change, refused",
+    [
+        ("D4", 5, lambda entries: (entries[0], entries[1][:2] + (-entries[1][2],)), 24),
+        ("A3", 3, lambda entries: ((entries[0][0], entries[0][0], 1),), 12),
+    ],
+    ids=["D-second-sign-flipped", "A-made-diagonal"],
+)
+def test_a_changed_root_element_makes_its_brackets_refused(name, ri, change, refused):
+    # one root element E = x(1) - 1 changed in one entry: the brackets that
+    # read it are no longer +-E of the sum, and sign names the pair
+    datum = build_system(name)
+    datum.unipotent_entries(ri)  # fills the cache that is changed below
+    entries = list(datum._unipotent_entries)
+    entries[ri] = change(entries[ri])
+    datum._unipotent_entries = tuple(entries)
+    root = datum.roots[ri]
+    seen = 0
+    for a, b in itertools.product(datum.roots, repeat=2):
+        if a + b not in datum:
+            continue
+        try:
+            datum.sign(a, b)
+        except RootSystemError as exc:
+            assert root in (a, b, a + b) and f"{a},{b}" in str(exc)
+            seen += 1
+    assert seen == refused
 
 
 def test_a_root_that_peels_to_no_simple_root_is_refused():

@@ -144,7 +144,7 @@ def test_cli_flag_overrides():
         (SuiteConfig(suite="k2-exact", systems=("E6",), rings=("f2",), max_cosets=1000),
          "no matrix realization"),
         (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/3037000500",)),
-         "need N^2 < 2^63"),
+         "past CHEVALLEY_CAP"),
         # z/1000 / (500) would be a 500-element FiniteRing
         (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/1000",), ideal="[500]"),
          "has at most 256"),
@@ -156,6 +156,13 @@ def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
     for check in json.loads(rep.to_json())["checks"]:
         assert check["inconclusive"] == 1 and not check["failures"]
         assert reason in check["info"]["reason"]
+
+
+def test_the_text_report_names_why_a_check_is_inconclusive(capsys):
+    assert cli.main(["--suite", "relative-generation", "--system", "E6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("  [inconclusive] relative-generation-E6-"))
+    assert lines[at + 1] == "      reason: no matrix realization for family E"
 
 
 @given(st.data())
@@ -558,7 +565,7 @@ def test_row_operations_are_exact_in_the_narrowest_dtype(N):
 
 
 def test_a_ring_past_the_instance_cap_is_refused_before_any_work(monkeypatch, capsys):
-    # N^2 < 2^63, but the matrices of z/3037000499 alone would take 4 TiB
+    # the matrices of z/3037000499 alone would take 4 TiB
     def stop(signum, frame):
         raise TimeoutError("chevalley over z/3037000499 still running after 1 s")
 
@@ -890,7 +897,7 @@ def test_canonical_split_fails_a_term_of_the_wrong_length(monkeypatch, change):
 
 def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
     # one wrong sign makes every z/N check fail; the rings that are not z/N,
-    # or too large for int64, stay inconclusive at every CPU count
+    # or past CHEVALLEY_CAP, stay inconclusive at every CPU count
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
     cfg = SuiteConfig(suite="chevalley-relations", systems=("A3",),
                       rings=("z/3", "prod(f2,f3)", "z/4", "z/3037000500", "z/5"))
@@ -900,7 +907,7 @@ def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
         reports.append(run_suite(cfg))
     assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
     checks = {c.name: c for c in reports[2].checks}
-    for spec, reason in (("prod(f2,f3)", "is not z/N"), ("z/3037000500", "need N^2 < 2^63")):
+    for spec, reason in (("prod(f2,f3)", "is not z/N"), ("z/3037000500", "past CHEVALLEY_CAP")):
         c = checks[f"chevalley-A3-{spec}"]
         assert c.inconclusive == 1 and c.instances == 0 and reason in c.info["reason"]
     for spec in ("z/3", "z/4", "z/5"):
