@@ -4,7 +4,10 @@ Configuration comes from a JSON document (--config) or from flags; each
 config of the document is read with the flags laid over it, so --suite
 also names the suite of a config that has none.  The JSON report written
 with --out is canonical (sorted keys, no timings), so identical
-configurations produce identical bytes.  Exit status is 0 exactly when every requested suite passes, and 2
+configurations produce identical bytes.  --tier is exact (the default:
+a word check compares cosets in the group's table) or matrix (it
+compares images under phi), and --ideal is a JSON list of element
+literals.  Exit status is 0 exactly when every requested suite passes, and 2
 when neither --suite nor --config is given, when the --config document
 cannot be read, names an unknown suite or has a field that is unknown or
 of the wrong type, when its 'suites' is not a nonempty list or comes with
@@ -23,7 +26,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .suites import SUITES, SuiteConfig, config_error, run_suite
+from .suites import SUITES, TIERS, SuiteConfig, config_error, run_suite
 
 
 def build_parser():
@@ -37,11 +40,13 @@ def build_parser():
                         help="ring spec (repeatable), e.g. z/6, f2, quo(poly(f2,X),[0,0,1])")
     parser.add_argument("--system", action="append", dest="systems", metavar="NAME",
                         help="root system name (repeatable), e.g. A3, D4")
-    parser.add_argument("--ideal", default=None, help="ideal generators as a JSON list, or 'kernel'")
+    parser.add_argument("--ideal", default=None, help="ideal generators as a JSON list of element literals")
     parser.add_argument("--n", type=int, default=None, help="matrix size for the linear-family suites")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--tier", choices=("exact", "matrix", "auto"), default=None)
+    parser.add_argument("--tier", choices=TIERS, default=None,
+                        help="how word checks compare: cosets in the group's table (exact, the default) "
+                        "or images under phi (matrix)")
     parser.add_argument("--max-cosets", type=int, default=None)
     parser.add_argument("--out", help="write the canonical JSON report here")
     parser.add_argument("--format", choices=("json", "text"), default="text",

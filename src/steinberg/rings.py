@@ -783,10 +783,6 @@ class SemidirectRing(Ring):
         """The augmentation variable V as an element."""
         return Elem(self, (self.base.zero_p, (self.loc.zero_p, self.loc.one_p)))
 
-    def kernel_ideal(self):
-        """The augmentation ideal V*R_a[V], as a named ideal."""
-        return FGIdeal(self, kind="semi-kernel")
-
     def p_try_div(self, x, y):
         r0, f0 = y
         if f0 != ():

@@ -44,7 +44,6 @@ from .rings import (
     Elem,
     FGIdeal,
     RingError,
-    SemidirectRing,
     UnsupportedRingError,
     ZModRing,
     _is_int,
@@ -89,6 +88,10 @@ class CheckRecord:
             self.failures.append(witness)
 
 
+# the word-test tiers a config can ask for (_word_test)
+TIERS = ("exact", "matrix")
+
+
 @dataclass
 class SuiteConfig:
     suite: str
@@ -98,7 +101,7 @@ class SuiteConfig:
     ideal: str = ""
     samples: int = 300
     seed: int = 0
-    tier: str = "auto"
+    tier: str = "exact"
     max_cosets: int = 10**6
 
     @staticmethod
@@ -129,23 +132,15 @@ class SuiteConfig:
                 raise ValueError(f"config field 'ideal' must be a string, got {d['ideal']!r}")
             cfg.ideal = d["ideal"]
         if "tier" in d:
-            if d["tier"] not in ("exact", "matrix", "auto"):
-                raise ValueError(f"config field 'tier' must be one of exact, matrix, auto, got {d['tier']!r}")
+            if d["tier"] not in TIERS:
+                raise ValueError(f"config field 'tier' must be one of {', '.join(TIERS)}, got {d['tier']!r}")
             cfg.tier = d["tier"]
         return cfg
 
     def to_dict(self):
-        return {
-            "suite": self.suite,
-            "rings": list(self.rings),
-            "systems": list(self.systems),
-            "n": self.n,
-            "ideal": self.ideal,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tier": self.tier,
-            "max_cosets": self.max_cosets,
-        }
+        """The config as JSON-able fields, tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
 @dataclass
@@ -749,8 +744,9 @@ def _laws_at(kind, equal, rec, sample):
     """The four X laws (kind "X") or Y laws (kind "Y") at one sample.
 
     The laws are written below for X, with u the fixed vector.  A Y law
-    runs the same data through Y_tul, swaps phi(g) and phi(g*) in the
-    conjugation law and names the fixed vector v in its witnesses.
+    runs the same data through tul_word at kind "Y", swaps phi(g) and
+    phi(g*) in the conjugation law and names the fixed vector v in its
+    witnesses.
     """
     u, w, z, y, c, w2, g = sample
     b = z.dot(u)
@@ -1211,8 +1207,8 @@ def suite_k2(config):
 def _ring_and_ideal(config):
     """The ring spec, ring and ideal that relative-generation reads: the
     first ring (default F2[eps]) and the ideal, a JSON list of
-    element literals or kernel over a semi(...) ring (default (X)).
-    ValueError says why the ideal is unusable."""
+    element literals (default (X)).  ValueError says why the ideal is
+    unusable."""
     ringspec = (config.rings or ("quo(poly(f2,X),[0,0,1])",))[0]
     ring = make_ring(ringspec)
     text = config.ideal
@@ -1222,21 +1218,15 @@ def _ring_and_ideal(config):
                 f"suite {config.suite} needs --ideal over {ring.spec}: it has no generator X for the default ideal"
             )
         return ringspec, ring, FGIdeal(ring, [ring.gen()])
-    if text == "kernel":
-        if isinstance(ring, SemidirectRing):
-            return ringspec, ring, ring.kernel_ideal()
-        reason = "kernel needs a semi(...) ring"
-    else:
-        try:
-            gens = json.loads(text)
-            if isinstance(gens, list):
-                return ringspec, ring, FGIdeal(ring, gens)
-            reason = "not a JSON list"
-        except (RingError, TypeError, ValueError) as exc:
-            reason = str(exc)
+    try:
+        gens = json.loads(text)
+        if isinstance(gens, list):
+            return ringspec, ring, FGIdeal(ring, gens)
+        reason = "not a JSON list"
+    except (RingError, TypeError, ValueError) as exc:
+        reason = str(exc)
     raise ValueError(
-        f"suite {config.suite} needs --ideal as a JSON list of elements of {ring.spec}"
-        f" or kernel over a semi(...) ring, got {text!r}: {reason}"
+        f"suite {config.suite} needs --ideal as a JSON list of elements of {ring.spec}, got {text!r}: {reason}"
     )
 
 

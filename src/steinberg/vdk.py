@@ -5,9 +5,9 @@ Builds, as explicit Steinberg words over A_(n-1):
   * x_small(u, v): the basic element for orthogonal pairs with a zero slot,
     with matrix image exactly 1 + u v^t,
   * X_gen / Y_gen: the two "one nice argument" generator families,
-  * X_tul / Y_tul: their localization-friendly extensions where
-    unimodularity of the nice argument is relaxed to a in I(u), and
-    tul_word, which decomposes the moving vector and builds either,
+  * tul_word: their localization-friendly extensions X_{u,v}(a) and
+    Y_{u,v}(a), where unimodularity of the nice argument is relaxed to
+    a in I(u),
   * the iota images of F/S symbols, the psi twist into the split extension,
     and the lifting map t_map that undoes a principal localization.
 
@@ -52,7 +52,7 @@ _WORDS = None
 
 @contextlib.contextmanager
 def word_memo():
-    """A scope in which x_small and tul_word build each word once.
+    """A scope in which x_small and tul_word build each word once (_memo).
 
     A word is keyed by its ring object and the payload tuples of its
     arguments; the ring is in the key because rings can share payloads
@@ -66,6 +66,17 @@ def word_memo():
         yield
     finally:
         _WORDS = outer
+
+
+def _memo(key, build):
+    """The word build() makes, stored under key in the open word_memo()
+    scope and built once there."""
+    if _WORDS is None:
+        return build()
+    word = _WORDS.get(key)
+    if word is None:
+        word = _WORDS[key] = build()
+    return word
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +94,7 @@ def x_small(u, v, index=None, mode=None):
     n, ring = len(u), u.ring
     if ring is not v.ring or n != len(v):
         raise VdkError("x_small arguments must match")
-    if _WORDS is None:
-        return _build_x_small(u, v, index, mode)
-    key = (ring, u.data, v.data, index, mode)
-    word = _WORDS.get(key)
-    if word is None:
-        word = _WORDS[key] = _build_x_small(u, v, index, mode)
-    return word
+    return _memo((ring, u.data, v.data, index, mode), lambda: _build_x_small(u, v, index, mode))
 
 
 def _build_x_small(u, v, index, mode):
@@ -137,11 +142,13 @@ def _x_small_primary(u, v, i, transpose=False):
     return StWord(system, ring, [(at[a, b], elem(c)) for a, b, c in letters if c != zero])
 
 
-def _product(vec, words):
-    """The simplified product of `words`, in order, over the ring of the
-    vector `vec` and the linear system of its length."""
-    letters = [x for w in words for x in w.letters]
-    return simplify(StWord(linear_system(len(vec)), vec.ring, letters))
+def _terms_word(kind, fixed, terms):
+    """The simplified product of x(fixed, t) (kind "X") or x(t, fixed)
+    (kind "Y") over the terms t, in order, over the ring of `fixed` and
+    the linear system of its length."""
+    pairs = ((fixed, t) for t in terms) if kind == "X" else ((t, fixed) for t in terms)
+    letters = [x for a, b in pairs for x in x_small(a, b).letters]
+    return simplify(StWord(linear_system(len(fixed)), fixed.ring, letters))
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +162,8 @@ def decomposition_terms(a, b, c):
     zero, (add, mul, neg) = ring.zero_p, ring.tables
     ad, bd, cd = a.data, b.data, c.data
     n = len(ad)
+    if not n == len(bd) == len(cd):
+        raise VdkError(f"decomposition vectors must have one length, got {n}, {len(bd)}, {len(cd)}")
     out = []
     for p, q in itertools.combinations(range(n), 2):
         # a zero coef gives two zero entries, which are skipped below
@@ -188,7 +197,7 @@ def X_gen(u, v, cert):
     _check_cert(cert, u)
     if u.ring.p_dot(u.data, v.data) != u.ring.zero_p:
         raise VdkError("X_gen needs u^t v = 0")
-    return _product(u, [x_small(u, t) for t in decomposition_terms(v, u, cert)])
+    return _terms_word("X", u, decomposition_terms(v, u, cert))
 
 
 def _check_cert(cert, x):
@@ -201,40 +210,29 @@ def Y_gen(u, v, cert):
     """The mirrored generator for unimodular v (cert^t v = 1): phi-image
     t(u, v).  Its terms are the canonical decomposition of u, which checks
     the hypotheses."""
-    return _product(u, [x_small(t, v) for t in canonical_decomposition(u, v, cert)])
+    return _terms_word("Y", v, canonical_decomposition(u, v, cert))
 
 
 # ---------------------------------------------------------------------------
-# Tulenbaev data
-
-
-@dataclass
-class TulenbaevDatum:
-    """A fixed vector and a certified decomposition of the moving vector
-    into orthogonal two-zero-slot terms; b is the certified ideal element
-    that the decomposition ran through (cert^t fixed = b)."""
-
-    fixed: RVector
-    terms: list
-    b: object  # Elem
+# Tulenbaev words
 
 
 def decompose_with(u, moving, cert, quotient):
-    """The canonical decomposition of moving = quotient * (cert^t u).
+    """The canonical decomposition of moving = quotient * (cert^t u), as a
+    list of terms.
 
     Needs n >= 4, moving = quotient * b and u^t quotient = 0, which make
-    u^t moving = 0 too.  These checks are all the datum needs: every term
+    u^t moving = 0 too.  These checks are all the terms need: every term
     is orthogonal to u and has two zero slots by construction, and with
     u^t quotient = 0 the terms sum to (cert^t u) quotient = moving."""
     if len(u) < 4:
         raise VdkError("decomposition needs n >= 4")
     ring = u.ring
-    b = cert.dot(u)
-    if quotient.scale(b) != moving:
+    if quotient.scale(cert.dot(u)) != moving:
         raise VdkError("quotient does not reproduce the moving vector")
     if ring.p_dot(u.data, quotient.data) != ring.zero_p:
         raise VdkError("quotient is not orthogonal to u")
-    return TulenbaevDatum(fixed=u, terms=decomposition_terms(quotient, u, cert), b=b)
+    return decomposition_terms(quotient, u, cert)
 
 
 def _divide_vector(v, apow, ideal):
@@ -244,45 +242,28 @@ def _divide_vector(v, apow, ideal):
     return vector(v.ring, [unique_divide(ideal, apow, x) for x in v.entries])
 
 
-def X_tul(datum, mult=None):
-    """X_{u,v}(a) = prod x(u, v_k a); phi-image t(u, v a).
-
-    The multiplier defaults to the certified element the decomposition ran
-    through, which is the common case (xeqy, the lifting map); identities
-    like the conjugation law use an independent multiplier in I(u)."""
-    a = datum.b if mult is None else mult
-    u = datum.fixed
-    return _product(u, [x_small(u, t.scale(a)) for t in datum.terms])
-
-
-def Y_tul(datum, mult=None):
-    """Y_{u,v}(a) = prod x(u_k a, v); phi-image t(u a, v)."""
-    a = datum.b if mult is None else mult
-    v = datum.fixed
-    return _product(v, [x_small(t.scale(a), v) for t in datum.terms])
-
-
-_TUL = {"X": X_tul, "Y": Y_tul}
-
-
 def tul_word(kind, fixed, moving, cert, quotient, mult=None):
-    """X_tul (kind "X") or Y_tul (kind "Y") of decompose_with(fixed,
-    moving, cert, quotient), at the multiplier mult, which defaults to
-    cert^t fixed as in X_tul."""
-    if kind not in _TUL:
+    """Tulenbaev's X_{u,v}(a) = prod x(u, v_k a) (kind "X", fixed u, moving
+    v; phi-image t(u, v a)) or Y_{u,v}(a) = prod x(u_k a, v) (kind "Y",
+    fixed v, moving u; phi-image t(u a, v)), over the terms of
+    decompose_with(fixed, moving, cert, quotient).
+
+    The multiplier a defaults to cert^t fixed, the certified element the
+    decomposition ran through, which is the common case (xeqy, the lifting
+    map); identities like the conjugation law use an independent multiplier
+    in I(u)."""
+    if kind not in ("X", "Y"):
         raise VdkError(f"unknown Tulenbaev word kind {kind!r}")
     ring = fixed.ring
     if not (moving.ring is ring and cert.ring is ring and quotient.ring is ring):
         raise VdkError("tul_word vectors must live over one ring")
-    if _WORDS is None:
-        return _TUL[kind](decompose_with(fixed, moving, cert, quotient), mult=mult)
     a = cert.dot(fixed) if mult is None else ring.el(mult)
-    key = (ring, kind, fixed.data, moving.data, cert.data, quotient.data, a.payload)
-    word = _WORDS.get(key)
-    if word is None:
-        datum = decompose_with(fixed, moving, cert, quotient)
-        word = _WORDS[key] = _TUL[kind](datum, mult=mult)
-    return word
+
+    def build():
+        terms = decompose_with(fixed, moving, cert, quotient)
+        return _terms_word(kind, fixed, [t.scale(a) for t in terms])
+
+    return _memo((ring, kind, fixed.data, moving.data, cert.data, quotient.data, a.payload), build)
 
 
 # ---------------------------------------------------------------------------

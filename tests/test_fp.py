@@ -508,7 +508,7 @@ def test_word_tester_tiers():
     assert tester.exact_equal(a, b) and not tester.exact_equal(a, c)
     assert tester.exact_trivial(a * b.inverse()) and not tester.exact_trivial(a * c.inverse())
     # a suite's word checks compare at its config's tier
-    for policy, tier in (("auto", "exact"), ("exact", "exact"), ("matrix", "matrix")):
+    for policy, tier in (("exact", "exact"), ("matrix", "matrix")):
         equal, label = suites._word_test(suites.SuiteConfig(suite="xeqy", tier=policy), A3, F2)
         assert equal(a, b) and not equal(a, c) and label == tier
 

@@ -381,7 +381,7 @@ def test_unique_divide_roundtrip_exhaustive():
 
 def test_unique_divide_semidirect_kernel():
     s = semidirect_ring(make_ring("z"), 2)
-    ideal = s.kernel_ideal()
+    ideal = FGIdeal(s, kind="semi-kernel")
     x = s.gen()
     m = x * s.el(6)
     q = unique_divide(ideal, s.el(2), m)

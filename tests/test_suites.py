@@ -230,6 +230,9 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
         (["--suite", "tulenbaev-identities", "--tier", "matrix", "--ring", "f2"], "--ring f2"),
         # this used to run and read inconclusive, "live cosets exceeded -5"
         (["--suite", "k2-exact", "--system", "A2", "--ring", "z/8", "--max-cosets", "-5"], "--max-cosets"),
+        # an ideal named kernel used to run and read inconclusive, "quotient
+        # of semi(z,2) is not supported": relative-generation needs a quotient
+        (["--suite", "relative-generation", "--ring", "semi(z,2)", "--system", "A2", "--ideal", "kernel"], "--ideal"),
     ],
 )
 def test_cli_rejects_options_a_suite_would_not_read(flags, named, capsys):
@@ -331,6 +334,8 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         # a suite that is not a string used to end in TypeError: unhashable type
         ('{"suite": ["x"]}', "'suite' must be a string, got ['x']"),
         ('{"suite": {"a": 1}}', "'suite' must be a string, got {'a': 1}"),
+        # auto ran exactly what exact runs, and is gone
+        ('{"suite": "xeqy", "tier": "auto"}', "'tier' must be one of"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -343,6 +348,15 @@ def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and named in err
+
+
+def test_cli_tier_auto_is_a_usage_error(capsys):
+    # auto ran exactly what exact runs; argparse now refuses it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--suite", "xeqy", "--tier", "auto"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'auto'" in err
 
 
 def test_cli_flags_are_laid_over_each_config_document(tmp_path):
@@ -737,11 +751,11 @@ def _every_comparison_fails(monkeypatch):
 # The leading digits of the SHA-1 of each report below as the checks gave
 # it when every sampled check still drew its samples inside its own loop.
 _ALL_FAILING_REPORTS = {
-    "vdk-identities": "34ce70d1db2e",
-    "tulenbaev-identities": "7a3ecc0cedd3",
-    "xeqy": "aee49d62b6e1",
-    "star-presentation": "7bd46dd7d44a",
-    "tmap-diagram": "7cc7fb0bfb3d",
+    "vdk-identities": "81288e5c0dff",
+    "tulenbaev-identities": "2f98992b5200",
+    "xeqy": "a063623394dd",
+    "star-presentation": "c0fe7d274679",
+    "tmap-diagram": "e70972a29f3f",
 }
 
 

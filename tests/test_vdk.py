@@ -28,9 +28,7 @@ from steinberg.vdk import (
     SSymbol,
     VdkError,
     X_gen,
-    X_tul,
     Y_gen,
-    Y_tul,
     basis_orbit_vector,
     canonical_decomposition,
     decompose_with,
@@ -138,8 +136,7 @@ def test_decompose_with_examples():
     u = vector(Z6, [2, 3, 0, 1])
     cert = basis_vector(Z6, 4, 3)
     v = vector(Z6, [0, 0, 0, 0])
-    datum = decompose_with(u, v, cert, v)
-    assert datum.terms == [] and datum.b.is_one()
+    assert cert.dot(u).is_one() and decompose_with(u, v, cert, v) == []
     rng = random.Random(1)
     done = 0
     while done < 100:
@@ -147,9 +144,8 @@ def test_decompose_with_examples():
         if not u.dot(v).is_zero():
             continue
         done += 1
-        datum = decompose_with(u, v, cert, v)
         acc = vector(Z6, [0, 0, 0, 0])
-        for t in datum.terms:
+        for t in decompose_with(u, v, cert, v):
             assert t.dot(u).is_zero()
             assert len(t.zero_positions()) >= 2
             acc = acc + t
@@ -168,8 +164,7 @@ def test_x_tul_multiplier_zero_is_trivial():
         w = vector(Z6, [4, 1, 0, 0])
     z = basis_vector(Z6, 4, 0)
     b = z.dot(u)
-    datum = decompose_with(u, w.scale(b), z, w)
-    assert X_tul(datum, mult=Z6.zero()).is_empty()
+    assert tul_word("X", u, w.scale(b), z, w, mult=Z6.zero()).is_empty()
 
 
 def test_x_tul_one_matches_xgen_matrix():
@@ -185,7 +180,7 @@ def test_x_tul_one_matches_xgen_matrix():
             continue
         done += 1
         cert = vector(Z6, sol)
-        assert phi(X_tul(decompose_with(u, v, cert, v))) == phi(X_gen(u, v, cert))
+        assert phi(tul_word("X", u, v, cert, v)) == phi(X_gen(u, v, cert))
 
 
 def test_x_tul_one_matches_xgen_exact_f2():
@@ -200,7 +195,39 @@ def test_x_tul_one_matches_xgen_exact_f2():
         for v in vecs + [vector(F2, [0] * 4)]:
             if not u.dot(v).is_zero():
                 continue
-            assert tester.exact_equal(X_tul(decompose_with(u, v, cert, v)), X_gen(u, v, cert))
+            assert tester.exact_equal(tul_word("X", u, v, cert, v), X_gen(u, v, cert))
+
+
+@pytest.mark.parametrize("spec", ["f2", "f3", "z/6"])
+def test_tul_word_at_a_unit_certificate_is_the_generator(spec):
+    # with cert^t u = 1 the moving vector is its own quotient, and the
+    # Tulenbaev word at the default multiplier 1 is van der Kallen's
+    # generator letter for letter, not just through phi
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+    done = 0
+    while done < 30:
+        u, v = rand_vec(ring, 4, rng), rand_vec(ring, 4, rng)
+        sol = lin_solve(u.entries, ring.one())
+        if sol is None or not u.dot(v).is_zero():
+            continue
+        done += 1
+        cert = vector(ring, sol)
+        assert tul_word("X", u, v, cert, v) == X_gen(u, v, cert)
+        assert tul_word("Y", u, v, cert, v) == Y_gen(v, u, cert)
+
+
+def test_unequal_lengths_are_refused():
+    # these used to index past the shorter vector: IndexError
+    v3 = vector(F2, [1, 0, 0])
+    u4, w4 = vector(F2, [0, 1, 0, 0]), vector(F2, [1, 0, 0, 0])
+    for build in (
+        lambda: X_gen(v3, u4, w4),
+        lambda: Y_gen(u4, v3, w4),
+        lambda: canonical_decomposition(u4, v3, w4),
+    ):
+        with pytest.raises(VdkError, match="one length"):
+            build()
 
 
 def test_xeqy_trivial_r():
@@ -434,20 +461,19 @@ def test_generators_match_the_reference_builders(spec):
         assert canonical_decomposition(v, u, cert) == _ref_terms(v, u, cert)
         assert X_gen(u, v, cert=cert) == _ref_X(u, v, cert, one)
         assert Y_gen(v, u, cert=cert) == _ref_Y(u, v, cert, one)
-        # Tulenbaev data: a moving vector w*b with b = z^t u, any multiplier
+        # Tulenbaev words: a moving vector w*b with b = z^t u, any multiplier
         z = rand_vec(ring, 4, rng)
         moving = v.scale(z.dot(u))
-        datum = decompose_with(u, moving, z, v)
         # decompose_with checks only the quotient; these follow from it
         acc = vector(ring, [0] * 4)
-        for t in datum.terms:
+        for t in decompose_with(u, moving, z, v):
             assert t.dot(u).is_zero()
             assert len(t.zero_positions()) >= 2
             acc = acc + t
         assert acc == moving
         a = Elem(ring, rng.choice(list(ring.payloads())))
-        assert X_tul(datum, mult=a) == _ref_X(u, v, z, a)
-        assert Y_tul(datum, mult=a) == _ref_Y(u, v, z, a)
+        assert tul_word("X", u, moving, z, v, mult=a) == _ref_X(u, v, z, a)
+        assert tul_word("Y", u, moving, z, v, mult=a) == _ref_Y(u, v, z, a)
 
 
 @pytest.mark.parametrize("spec", BUILDER_RINGS)
