@@ -140,9 +140,6 @@ class RMatrix:
         n = self.n
         return RMatrix(self.ring, n, tuple(p for j in range(n) for p in self.data[j::n]))
 
-    def is_identity(self):
-        return self.data == identity_matrix(self.ring, self.n).data
-
     def __eq__(self, other):
         return (
             isinstance(other, RMatrix)
@@ -204,13 +201,6 @@ def transvection(u, v):
         for k, b in enumerate(v.data, i * n):
             data[k] = add[data[k]][ma[b]]
     return RMatrix(ring, n, tuple(data))
-
-
-def gram_hyperbolic(ring, rank):
-    """The anti-diagonal Gram matrix of the split even orthogonal form."""
-    n = 2 * rank
-    one, zero = ring.one_p, ring.zero_p
-    return RMatrix(ring, n, tuple(one if j == n - 1 - i else zero for i in range(n) for j in range(n)))
 
 
 def orbit_bfs(ring, n, node_cap):

@@ -858,21 +858,19 @@ def _xeqy_at(vecs, equal, rec, xy):
     ring = x.ring
     dot, zero = ring.p_dot, ring.zero_p
     b = x.dot(y)
-    for u in vecs:
-        if dot(x.data, u.data) != zero or dot(u.data, y.data) != zero:
-            continue
-        zu = lin_solve(u.entries, b)
-        if zu is None:
-            continue
-        zu = vector(ring, zu)
-        for v in vecs:
-            if any(dot(t.data, v.data) != zero for t in (u, x, y)):
-                continue
-            zv = lin_solve(v.entries, b)
-            if zv is None:
+    # the vectors orthogonal to x and y with a certificate, in vecs order
+    certified = []
+    for w in vecs:
+        if dot(x.data, w.data) == zero and dot(w.data, y.data) == zero:
+            cert = lin_solve(w.entries, b)
+            if cert is not None:
+                certified.append((w, vector(ring, cert)))
+    for u, zu in certified:
+        for v, zv in certified:
+            if dot(u.data, v.data) != zero:
                 continue
             rec.instances += 1
-            rw = xeqy_words(x, y, u, v, b, ring.one(), zu=zu, zv=vector(ring, zv))
+            rw = xeqy_words(x, y, u, v, b, ring.one(), zu=zu, zv=zv)
             for tag, wd in (
                 ("rhs", rw.rhs),
                 ("g", rw.g_direct),

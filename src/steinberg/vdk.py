@@ -52,14 +52,16 @@ _WORDS = None
 
 @contextlib.contextmanager
 def word_memo():
-    """A scope in which x_small and tul_word build each word once (_memo).
+    """A scope in which x_small and tul_word build each word once, and
+    decomposition_terms each term table (_memo).
 
     A word is keyed by its ring object and the payload tuples of its
     arguments; the ring is in the key because rings can share payloads
     (z/4 and F2[eps] both code their elements as 0..3).  Only built words
     are stored, so a call whose hypotheses fail raises every time, and
-    words are immutable, so callers share them.  Outside a scope nothing
-    is stored."""
+    words are immutable, so callers share them.  A term table lives as
+    long as the words, so nothing carries over from one scope to the next.
+    Outside a scope nothing is stored."""
     global _WORDS
     outer, _WORDS = _WORDS, {}
     try:
@@ -69,8 +71,8 @@ def word_memo():
 
 
 def _memo(key, build):
-    """The word build() makes, stored under key in the open word_memo()
-    scope and built once there."""
+    """The word or term table build() makes, stored under key in the open
+    word_memo() scope and built once there."""
     if _WORDS is None:
         return build()
     word = _WORDS.get(key)
@@ -155,25 +157,53 @@ def _terms_word(kind, fixed, terms):
 # canonical decompositions
 
 
+def _one_ring(first, *rest):
+    """The ring the vectors share; VdkError if they do not share one."""
+    ring = first.ring
+    for v in rest:
+        if v.ring is not ring:
+            raise VdkError("the vectors must live over one ring")
+    return ring
+
+
 def decomposition_terms(a, b, c):
-    """[(e_p b_q - e_q b_p) * (a_p c_q - a_q c_p)]_{p<q}; sums to
-    (c^t b) a - (a^t b) c."""
-    ring = a.ring
+    """[(e_p b_q - e_q b_p) * (a_p c_q - a_q c_p)]_{p<q}, the nonzero
+    ones; sums to (c^t b) a - (a^t b) c.
+
+    For a fixed b the term at (p, q) depends only on its coefficient, so
+    the terms are read from a table per (ring, b) that maps each pair's
+    coefficients to shared vectors (None for a zero term), filled as they
+    are met and kept in the open word_memo() scope."""
+    ring = _one_ring(a, b, c)
     zero, (add, mul, neg) = ring.zero_p, ring.tables
     ad, bd, cd = a.data, b.data, c.data
-    n = len(ad)
-    if not n == len(bd) == len(cd):
-        raise VdkError(f"decomposition vectors must have one length, got {n}, {len(bd)}, {len(cd)}")
+    n = len(bd)
+    if not n == len(ad) == len(cd):
+        raise VdkError(f"decomposition vectors must have one length, got {len(ad)}, {n}, {len(cd)}")
+    table = _memo((ring, "terms", bd), lambda: [(p, q, {}) for p, q in itertools.combinations(range(n), 2)])
     out = []
-    for p, q in itertools.combinations(range(n), 2):
-        # a zero coef gives two zero entries, which are skipped below
-        times = mul[add[mul[ad[p]][cd[q]]][neg[mul[ad[q]][cd[p]]]]]
-        at_p, at_q = times[bd[q]], neg[times[bd[p]]]
-        if at_p != zero or at_q != zero:
-            data = [zero] * n
-            data[p], data[q] = at_p, at_q
-            out.append(RVector(ring, tuple(data)))
+    for p, q, terms in table:
+        coef = add[mul[ad[p]][cd[q]]][neg[mul[ad[q]][cd[p]]]]
+        if coef == zero:  # a zero term
+            continue
+        try:
+            term = terms[coef]
+        except KeyError:
+            term = terms[coef] = _term(ring, bd, p, q, coef)
+        if term is not None:
+            out.append(term)
     return out
+
+
+def _term(ring, bd, p, q, coef):
+    """(e_p b_q - e_q b_p) * coef, or None when it is zero."""
+    zero, (_, mul, neg) = ring.zero_p, ring.tables
+    at_p, at_q = mul[coef][bd[q]], neg[mul[coef][bd[p]]]
+    if at_p == zero and at_q == zero:
+        return None
+    data = [zero] * len(bd)
+    data[p], data[q] = at_p, at_q
+    return RVector(ring, tuple(data))
 
 
 def canonical_decomposition(u, v, w):
@@ -181,7 +211,7 @@ def canonical_decomposition(u, v, w):
 
     Needs n >= 4, w^t v = 1 and u^t v = 0; then the terms sum to u.
     """
-    ring = v.ring
+    ring = _one_ring(u, v, w)
     if len(u) < 4:
         raise VdkError("canonical decomposition needs n >= 4")
     if ring.p_dot(w.data, v.data) != ring.one_p:
@@ -194,8 +224,9 @@ def canonical_decomposition(u, v, w):
 def X_gen(u, v, cert):
     """Van der Kallen's generator for unimodular u: a word with phi-image
     t(u, v), given the certificate cert^t u = 1."""
+    ring = _one_ring(u, v, cert)
     _check_cert(cert, u)
-    if u.ring.p_dot(u.data, v.data) != u.ring.zero_p:
+    if ring.p_dot(u.data, v.data) != ring.zero_p:
         raise VdkError("X_gen needs u^t v = 0")
     return _terms_word("X", u, decomposition_terms(v, u, cert))
 
@@ -254,9 +285,7 @@ def tul_word(kind, fixed, moving, cert, quotient, mult=None):
     in I(u)."""
     if kind not in ("X", "Y"):
         raise VdkError(f"unknown Tulenbaev word kind {kind!r}")
-    ring = fixed.ring
-    if not (moving.ring is ring and cert.ring is ring and quotient.ring is ring):
-        raise VdkError("tul_word vectors must live over one ring")
+    ring = _one_ring(fixed, moving, cert, quotient)
     a = cert.dot(fixed) if mult is None else ring.el(mult)
 
     def build():
@@ -286,39 +315,45 @@ def xeqy_words(x, y, u, v, b, r, zu, zv):
     u^t y = 0, x^t u = 0, y^t v = 0, and the certificates zu^t u = b and
     zv^t v = b of b in I(u) and I(v).
     """
-    ring = u.ring
+    ring = _one_ring(x, y, u, v, zu, zv)
+    if len({len(x), len(y), len(u), len(v), len(zu), len(zv)}) != 1:
+        raise VdkError("xeqy vectors must have one length")
     b = ring.el(b)
     r = ring.el(r)
+    dot = ring.p_dot
     checks = [
-        (u.dot(v), "u^t v"),
-        (x.dot(v), "x^t v"),
-        (u.dot(y), "u^t y"),
-        (x.dot(u), "x^t u"),
-        (y.dot(v), "y^t v"),
+        (u, v, ring.zero_p, "u^t v = 0"),
+        (x, v, ring.zero_p, "x^t v = 0"),
+        (u, y, ring.zero_p, "u^t y = 0"),
+        (x, u, ring.zero_p, "x^t u = 0"),
+        (y, v, ring.zero_p, "y^t v = 0"),
+        (x, y, b.payload, "x^t y = b"),
+        (zu, u, b.payload, "zu^t u = b"),
+        (zv, v, b.payload, "zv^t v = b"),
     ]
-    for val, tag in checks:
-        if not val.is_zero():
-            raise VdkError(f"hypothesis {tag} = 0 fails")
-    for val, tag in ((x.dot(y), "x^t y"), (zu.dot(u), "zu^t u"), (zv.dot(v), "zv^t v")):
-        if val != b:
-            raise VdkError(f"hypothesis {tag} = b fails")
+    for s, t, want, tag in checks:
+        if dot(s.data, t.data) != want:
+            raise VdkError(f"hypothesis {tag} fails")
 
+    # b is each word's default multiplier (zu^t u = zv^t v = b, checked
+    # above); passing it spares tul_word pairing the certificate again
     def X(q):  # X_{u, q b}(b)
-        return tul_word("X", u, q.scale(b), zu, q)
+        return tul_word("X", u, q.scale(b), zu, q, mult=b)
 
     def Y(q):  # Y_{q b, v}(b)
-        return tul_word("Y", v, q.scale(b), zv, q)
+        return tul_word("Y", v, q.scale(b), zv, q, mult=b)
 
     b3r = b * b * b * r
-    lhs = X(v.scale(b3r))
-    rhs = Y(u.scale(b3r))
+    vb3r, ub3r = v.scale(b3r), u.scale(b3r)
+    lhs = X(vb3r)
+    rhs = Y(ub3r)
     y1 = Y(x.scale(-r))
     g_direct = W.commutator(y1, X(y))
     # X route: conjugation rewrites the commutator as
     #   X_{u, yb + v b^4 r}(b) * X_{u, -yb}(b)
-    px = X(y + v.scale(b3r)) * X(-y)
+    px = X(y + vb3r) * X(-y)
     # Y route: Y_{-xbr, v}(b) * Y_{xbr + u b^4 r, v}(b)
-    py = y1 * Y(x.scale(r) + u.scale(b3r))
+    py = y1 * Y(x.scale(r) + ub3r)
     return XeqYWords(lhs=lhs, rhs=rhs, g_direct=simplify(g_direct),
                      path_x=simplify(px), path_y=simplify(py))
 

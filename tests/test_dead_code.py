@@ -22,10 +22,6 @@ SEARCHED = ("src", "scripts", "perfbench")
 # computes another way.
 TEST_REFERENCES = {
     "transpose_anti",  # phi(transpose_anti(w)) is phi(w)^t
-    "ring_axiom_failures",  # the ring axioms checked on samples
-    "morphism_failures",  # the morphism laws checked on samples
-    "gram_hyperbolic",  # the form the type-D realization preserves
-    "RMatrix.is_identity",  # m == 1, which test_matrices checks against the identity
     "StWord.is_empty",  # a word with no letters, as the vdk tests state a trivial builder
     "Ring.elements",  # every element, where a test loops over a whole ring
     "FGIdeal.elements",  # every element, where a test loops over a whole ideal

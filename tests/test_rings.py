@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laws import morphism_failures, random_payload, ring_axiom_failures
 from steinberg import cli, rings
 from steinberg.rings import (
     FINITE_MAX_SIZE,
@@ -20,10 +21,7 @@ from steinberg.rings import (
     lin_solve,
     localization,
     make_ring,
-    morphism_failures,
     quotient_ring,
-    random_payload,
-    ring_axiom_failures,
     semidirect_ring,
     split_data,
     splitting_section,
@@ -488,6 +486,60 @@ def test_fraction_localization_canonical(n1, k1, n2, k2):
     # payload equality must coincide with cross-multiplied fraction equality
     cross_equal = n1 * 2**k2 == n2 * 2**k1
     assert (a == b) == cross_equal
+
+
+def _ref_loc_add(loc, x, y):
+    # x/a^i + y/a^j = (x a^(k-i) + y a^(k-j)) / a^k with k = max(i, j)
+    a, k = loc.a_payload, max(x[1], y[1])
+    return loc._canon(x[0] * a ** (k - x[1]) + y[0] * a ** (k - y[1]), k)
+
+
+def _ref_loc_mul(loc, x, y):
+    return loc._canon(x[0] * y[0], x[1] + y[1])
+
+
+def _ref_poly_add(loc, f, g):
+    zero, n = loc.zero_p, max(len(f), len(g))
+    out = [_ref_loc_add(loc, s, t) for s, t in zip(f + (zero,) * (n - len(f)), g + (zero,) * (n - len(g)))]
+    while out and out[-1] == zero:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_poly_mul(loc, f, g):
+    out = ()
+    for i, s in enumerate(f):
+        out = _ref_poly_add(loc, out, (loc.zero_p,) * i + tuple(_ref_loc_mul(loc, s, t) for t in g))
+    return out
+
+
+def _ref_semi_add(semi, x, y):
+    return (x[0] + y[0], _ref_poly_add(semi.loc, x[1], y[1]))
+
+
+def _ref_semi_mul(semi, x, y):
+    # (r + f)(s + g) = rs + (lam(r) g + lam(s) f + f g)
+    loc, (r, f), (s, g) = semi.loc, x, y
+    mixed = _ref_poly_add(loc, _ref_poly_mul(loc, (loc._canon(r, 0),), g), _ref_poly_mul(loc, (loc._canon(s, 0),), f))
+    return (r * s, _ref_poly_add(loc, mixed, _ref_poly_mul(loc, f, g)))
+
+
+def test_fraction_and_semidirect_arithmetic_match_the_formulas():
+    rng = random.Random(5)
+    loc, semi = make_ring("loc(z,2)"), make_ring("semi(z,2)")
+    locs = [loc.zero_p, loc.one_p, (3, 0), (-1, 2)] + [random_payload(loc, rng) for _ in range(40)]
+    semis = [semi.zero_p, semi.one_p, (4, ()), semi.gen().payload] + [random_payload(semi, rng) for _ in range(30)]
+    # pairs with and without denominators, and with and without ideal parts
+    assert {x[1] == 0 for x in locs} == {True, False}
+    assert {x[1] == () for x in semis} == {True, False}
+    for x in locs:
+        for y in locs:
+            assert loc.p_add(x, y) == _ref_loc_add(loc, x, y)
+            assert loc.p_mul(x, y) == _ref_loc_mul(loc, x, y)
+    for x in semis:
+        for y in semis:
+            assert semi.p_add(x, y) == _ref_semi_add(semi, x, y)
+            assert semi.p_mul(x, y) == _ref_semi_mul(semi, x, y)
 
 
 @given(st.sampled_from(RING_SPECS), st.data())

@@ -13,9 +13,10 @@ import random
 
 import pytest
 
+from laws import random_payload
 from steinberg import rings
 from steinberg.matrices import RMatrix, RVector, identity_matrix, transvection
-from steinberg.rings import FINITE_MAX_SIZE, Elem, make_ring, random_payload
+from steinberg.rings import FINITE_MAX_SIZE, Elem, make_ring
 from steinberg.roots import build_system
 from steinberg.vdk import decomposition_terms, linear_system, x_small
 from steinberg.words import StWord, phi, simplify

@@ -1,8 +1,10 @@
 import contextlib
+import os
 import random
 
 import pytest
 
+from laws import is_identity, random_payload
 from steinberg import suites as S
 from steinberg import vdk
 from steinberg import words as W
@@ -19,7 +21,6 @@ from steinberg.rings import (
     lin_solve,
     localization,
     make_ring,
-    random_payload,
     split_data,
 )
 from steinberg.vdk import (
@@ -32,6 +33,7 @@ from steinberg.vdk import (
     basis_orbit_vector,
     canonical_decomposition,
     decompose_with,
+    decomposition_terms,
     iota,
     linear_system,
     psi_map,
@@ -236,8 +238,8 @@ def test_xeqy_trivial_r():
     u = basis_vector(Z6, 4, 0)
     v = basis_vector(Z6, 4, 1)
     rec = xeqy_words(x, y, u, v, Z6.one(), Z6.zero(), u, v)
-    assert phi(rec.lhs).is_identity()
-    assert phi(rec.rhs).is_identity()
+    assert is_identity(phi(rec.lhs))
+    assert is_identity(phi(rec.rhs))
 
 
 def test_xeqy_hypothesis_violation():
@@ -263,10 +265,10 @@ def test_iota_images_die_mod_ideal():
     ov = basis_orbit_vector(f2e, 4, 1)
     sym = FSymbol(u=ov, v=basis_vector(f2e, 4, 2).scale(eps))
     word = iota(sym)
-    assert phi(coefficient_map(sd.pi, A3, word)).is_identity()
+    assert is_identity(phi(coefficient_map(sd.pi, A3, word)))
     ssym = SSymbol(u=basis_vector(f2e, 4, 2).scale(eps), v=ov)
     word = iota(ssym)
-    assert phi(coefficient_map(sd.pi, A3, word)).is_identity()
+    assert is_identity(phi(coefficient_map(sd.pi, A3, word)))
 
 
 def test_iota_fs_bridge_exact():
@@ -476,6 +478,48 @@ def test_generators_match_the_reference_builders(spec):
         assert tul_word("Y", u, moving, z, v, mult=a) == _ref_Y(u, v, z, a)
 
 
+# rings with tables, and semi(z,2) and loc(z,2), whose payloads are tuples
+TERM_RINGS = ["f2", "f3", "z/6", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)", "semi(z,2)", "loc(z,2)"]
+
+
+@pytest.mark.parametrize("spec", TERM_RINGS)
+def test_decomposition_terms_match_the_reference(spec):
+    ring = make_ring(spec)
+    rng = random.Random(spec)
+
+    def draw():
+        entries = [ring.zero() if rng.random() < 0.3 else Elem(ring, random_payload(ring, rng)) for _ in range(4)]
+        return vector(ring, entries)
+
+    # three vectors b, so that a scope reads its term tables again
+    bs = [draw() for _ in range(3)]
+    triples = [(draw(), rng.choice(bs), draw()) for _ in range(60)]
+    want = [_ref_terms(*t) for t in triples]
+    assert any(want)
+    assert [decomposition_terms(*t) for t in triples] == want
+    with word_memo():
+        for _ in range(2):  # filling the tables, then reading them
+            assert [decomposition_terms(*t) for t in triples] == want
+
+
+def test_vectors_over_another_ring_are_refused():
+    # z/4 and F2[eps] both code their elements as 0..3
+    z4, f2e = make_ring("z/4"), make_ring("quo(poly(f2,X),[0,0,1])")
+    u, v = basis_vector(z4, 4, 0), basis_vector(z4, 4, 1)
+    u_e, v_e = basis_vector(f2e, 4, 0), basis_vector(f2e, 4, 1)
+    calls = [
+        lambda: X_gen(u, v_e, cert=u),
+        lambda: Y_gen(u_e, v, cert=v),
+        lambda: canonical_decomposition(u_e, v, v),
+        lambda: decomposition_terms(u, v_e, u),
+    ]
+    for call in calls:
+        with pytest.raises(VdkError, match="one ring"):
+            call()
+        with word_memo(), pytest.raises(VdkError, match="one ring"):
+            call()
+
+
 @pytest.mark.parametrize("spec", BUILDER_RINGS)
 def test_xeqy_words_match_the_reference_builders(spec):
     ring = make_ring(spec)
@@ -647,6 +691,27 @@ def test_memo_keeps_rings_with_the_same_payloads_apart():
         shared = [build(ring) for ring in rings]
     assert shared == fresh
     assert all(w.letters for words in fresh for w in words)
+
+
+def test_term_tables_die_with_the_suite_run(monkeypatch):
+    # one CPU, so that every table is built in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    memo, builds = vdk._memo, []
+
+    def counted(key, build):
+        if key[1:2] == ("terms",):
+            return memo(key, lambda: builds.append(key) or build())
+        return memo(key, build)
+
+    monkeypatch.setattr(vdk, "_memo", counted)
+    counts = []
+    for _ in range(2):
+        before = len(builds)
+        assert S.run_suite(S.SuiteConfig(suite="vdk-identities")).verdict == "pass"
+        counts.append(len(builds) - before)
+    # a table kept past the first run would not be built in the second
+    assert counts[0] > 0 and counts[1] == counts[0]
+    assert vdk._WORDS is None
 
 
 def test_run_suite_closes_the_memo(monkeypatch):
