@@ -768,8 +768,6 @@ class SemidirectRing(Ring):
         return out
 
     def p_add(self, x, y):
-        if not (x[1] or y[1]):  # two base elements
-            return (self.base.p_add(x[0], y[0]), ())
         return (self.base.p_add(x[0], y[0]), self.ideal_poly.p_add(x[1], y[1]))
 
     def p_neg(self, x):

@@ -227,6 +227,7 @@ def test_unequal_lengths_are_refused():
         lambda: X_gen(v3, u4, w4),
         lambda: Y_gen(u4, v3, w4),
         lambda: canonical_decomposition(u4, v3, w4),
+        lambda: xeqy_words(u4, w4, u4, v3, 1, 0, u4, v3),
     ):
         with pytest.raises(VdkError, match="one length"):
             build()
@@ -512,6 +513,7 @@ def test_vectors_over_another_ring_are_refused():
         lambda: Y_gen(u_e, v, cert=v),
         lambda: canonical_decomposition(u_e, v, v),
         lambda: decomposition_terms(u, v_e, u),
+        lambda: xeqy_words(u, v, u, v_e, 1, 0, u, v),
     ]
     for call in calls:
         with pytest.raises(VdkError, match="one ring"):
