@@ -656,6 +656,9 @@ class WordTester:
         self.ring = ring
         self.max_cosets = max_cosets
         self._built = None  # (presentation, table), or the Inconclusive
+        # (word, coset) of the last left word traced; holding the word keeps
+        # its id from being reused while the coset is kept
+        self._left = None
 
     def table(self):
         """The presentation and its table, built at the first call."""
@@ -670,8 +673,12 @@ class WordTester:
         return self._built
 
     def exact_equal(self, w1, w2):
+        """Whether w1 and w2 lie in one coset.  A check that compares one
+        word with several passes it as w1 each time, and it is traced once."""
         sp, table = self.table()
-        return table.coset_of(sp.word_letters(w1)) == table.coset_of(sp.word_letters(w2))
+        if self._left is None or self._left[0] is not w1:
+            self._left = (w1, table.coset_of(sp.word_letters(w1)))
+        return self._left[1] == table.coset_of(sp.word_letters(w2))
 
     def exact_trivial(self, w):
         sp, table = self.table()

@@ -18,6 +18,7 @@ import math
 import os
 import pickle
 import random
+import select
 import signal
 import time
 from dataclasses import dataclass, field, fields
@@ -226,22 +227,36 @@ class _Check:
         return False
 
 
+# A spread cuts the items after the first into at most this many contiguous
+# chunks per CPU, which the processes take from one queue as each finishes
+# its last: small enough that the processes finish close together, and
+# contiguous so that neighbouring items, which build the same memoized
+# words, mostly run in one process.  3 per CPU was measured 6 % slower.
+_CHUNKS_PER_CPU = 8
+
+
 def _spread(task, items):
     """[task(x) for x in items], computed on every CPU this process may use.
 
-    The items are dealt round-robin to k = min(CPUs, items) shares.  This
-    process runs share 0 itself; each other share runs in a forked child,
-    which pickles its list of results back over a pipe.  The first item
-    runs here before anything forks, so that what a task builds at its
-    first call, such as the table of an exact word test, is built once, in
-    the check that asked for it, and shared with the children.  The results
-    are merged back in item order, so a caller sees the serial list.  An
-    exception raised in a child is raised here with the same type and
+    The first item runs here before anything forks, so that what a task
+    builds at its first call, such as the table of an exact word test, is
+    built once, in the check that asked for it, and shared with the
+    children.  The other items are cut into contiguous chunks, at most
+    _CHUNKS_PER_CPU per process, and the numbers of the chunks are written
+    into one pipe, the queue, before k - 1 children fork (k = min(CPUs,
+    items)).  This process and each child take the next chunk from the
+    queue until it reads empty; each child pickles its {chunk: results}
+    back over a pipe of its own.  The results are merged in item order, so
+    a caller sees the serial list.  A process stops at the first item that
+    raises, and the exception raised here is that of the lowest-numbered
+    item that raised, whichever process ran it: every item before it ran,
+    since chunks leave the queue in order, so that is the exception the
+    serial loop raises.  A child's is raised with the same type and
     message.  Children are always reaped, and with one CPU nothing forks.
     task may be a closure: the children share this process's memory as of
     the fork, and only results cross the pipe.  A task must not draw on a
-    random stream, whose order would then depend on the share, nor wait on
-    another thread, which a forked child does not have.
+    random stream, whose order would then depend on the process, nor wait
+    on another thread, which a forked child does not have.
     """
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -249,9 +264,34 @@ def _spread(task, items):
     if k <= 1:
         return [task(x) for x in items]
     first = task(items[0])
+    # two bytes a chunk number, and the whole queue in one write that the
+    # pipe's buffer, at least PIPE_BUF bytes, holds before anyone reads
+    rest = len(items) - 1
+    chunks = min(rest, _CHUNKS_PER_CPU * k, select.PIPE_BUF // 2)
+    bounds = [1 + j * rest // chunks for j in range(chunks + 1)]
+    queue, w = os.pipe()
+    try:
+        os.write(w, b"".join(j.to_bytes(2, "little") for j in range(chunks)))
+    finally:
+        os.close(w)
+
+    def work():
+        """Run chunks from the queue until it reads empty or an item raises:
+        the results by chunk, and the (item, exception) that stopped it."""
+        done = {}
+        while token := os.read(queue, 2):
+            j = int.from_bytes(token, "little")
+            out = done[j] = []
+            for i in range(bounds[j], bounds[j + 1]):
+                try:
+                    out.append(task(items[i]))
+                except Exception as exc:
+                    return done, (i, exc)
+        return done, None
+
     children = []  # (pid, read end of its pipe)
     try:
-        for i in range(1, k):
+        for _ in range(k - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -259,31 +299,36 @@ def _spread(task, items):
                 os.close(r)
                 os.close(w)
                 raise
-            if pid == 0:  # the child: run share i, send it, leave
+            if pid == 0:  # the child: run chunks, send their results, leave
                 try:
                     os.close(r)
+                    done, error = work()
+                    if error is not None:
+                        error = (error[0], type(error[1]), str(error[1]))
                     try:
-                        blob = pickle.dumps(("ok", [task(x) for x in items[i::k]]))
-                    except BaseException as exc:  # sent to the parent, which raises it
-                        blob = pickle.dumps(("raise", type(exc), str(exc)))
+                        blob = pickle.dumps((done, error))
+                    except Exception as exc:  # ranked after every item's exception
+                        blob = pickle.dumps(({}, (len(items), type(exc), str(exc))))
                     with os.fdopen(w, "wb") as fh:
                         fh.write(blob)
                 finally:
                     os._exit(0)
             os.close(w)
             children.append((pid, r))
-        shares = [[first] + [task(x) for x in items[k::k]]]
+        done, error = work()
         for pid, r in children:
             with os.fdopen(r, "rb", closefd=False) as fh:
                 blob = fh.read()
             if not blob:
-                raise RuntimeError(f"the process of share {len(shares)} of {k} ended without its results")
-            tag, *body = pickle.loads(blob)
-            if tag == "raise":
-                exc_type, message = body
-                raise exc_type(message)
-            shares.append(body[0])
+                raise RuntimeError(f"a process of the spread over {len(items)} items ended without its results")
+            theirs, raised = pickle.loads(blob)
+            done.update(theirs)
+            if raised is not None and (error is None or raised[0] < error[0]):
+                error = (raised[0], raised[1](raised[2]))
+        if error is not None:
+            raise error[1]
     finally:
+        os.close(queue)
         for pid, r in children:
             os.close(r)
             try:
@@ -291,10 +336,7 @@ def _spread(task, items):
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-    out = [None] * len(items)
-    for i, share in enumerate(shares):
-        out[i::k] = share
-    return out
+    return [first, *itertools.chain.from_iterable(done[j] for j in range(chunks))]
 
 
 def _run(task, item):

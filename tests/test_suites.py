@@ -6,6 +6,7 @@ import os
 import pathlib
 import random
 import signal
+import time
 
 import numpy
 import pytest
@@ -640,12 +641,63 @@ def _no_children_left():
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_spread_returns_the_serial_list_in_item_order(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
+    fork, forked = os.fork, set()
+
+    def counted_fork():
+        pid = fork()
+        forked.add(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     got = S._spread(lambda x: (x * x, os.getpid()), range(10))
     assert [sq for sq, _ in got] == [x * x for x in range(10)]
-    # share i holds the items i, i + k, ...; share 0 runs here
+    # item 0 runs here; the others run here or in a child, which is reaped
     pids = [pid for _, pid in got]
-    assert len(set(pids)) == cpus and pids[0::cpus] == [os.getpid()] * len(pids[0::cpus])
+    assert pids[0] == os.getpid() and set(pids) <= {os.getpid()} | forked
+    assert len(forked) == cpus - 1
     assert S._spread(lambda x: x, []) == []
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_spread_runs_every_item_exactly_once(monkeypatch, tmp_path, cpus):
+    _cpus(monkeypatch, cpus)
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        def task(x):
+            os.write(log, b"%d\n" % x)  # one append per item, from any process
+            return sum(range(x % 97 * 100))
+
+        assert S._spread(task, range(1000)) == [sum(range(x % 97 * 100)) for x in range(1000)]
+    finally:
+        os.close(log)
+    assert sorted(map(int, (tmp_path / "ran").read_text().split())) == list(range(1000))
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_spread_raises_the_lowest_items_exception(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+
+    def task(x):
+        if x == 3:
+            time.sleep(0.01)  # so that item 7 tends to raise first, elsewhere
+            raise ValueError("item 3 failed")
+        if x == 7:
+            raise KeyError("item 7 failed")
+        return x
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="item 3 failed"):
+            S._spread(task, range(40))
+        assert _no_children_left()
+
+
+def test_spread_queue_holds_every_chunk_of_many_items(monkeypatch):
+    # the queue of chunk numbers is written whole before the fork; a write
+    # that filled the pipe would block with nobody to read it
+    _cpus(monkeypatch, 3)
+    assert S._spread(lambda x: x, range(100_000)) == list(range(100_000))
     assert _no_children_left()
 
 
@@ -676,7 +728,7 @@ def test_spread_raises_a_childs_exception_here(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
 
     def task(x):
-        if x == 1:  # in share 1, a child
+        if x == 1:  # here or in a child, whichever takes its chunk
             raise Inconclusive(f"cap reached at item {x}")
         return x
 
@@ -686,7 +738,7 @@ def test_spread_raises_a_childs_exception_here(monkeypatch, cpus):
     (check,) = checks
     assert check.inconclusive == 1 and check.info == {"reason": "cap reached at item 1"}
     assert _no_children_left()
-    # an exception in this process's share still reaps the children
+    # an exception in the first item, which runs before the fork, leaves no child
     def here(x):
         if x == 0:
             raise ValueError("item 0 failed")
@@ -712,6 +764,23 @@ def test_spread_xeqy_enumerates_its_table_once(monkeypatch):
     rep = run_suite(SuiteConfig(suite="xeqy"))
     assert rep.verdict == "pass" and calls == ["A3"]
     assert _no_children_left()
+
+
+def test_xeqy_traces_each_left_word_once(monkeypatch):
+    # each instance compares its lhs with four words: 1 + 4 traces, not 2 x 4
+    _cpus(monkeypatch, 1)
+    traced = []
+    letters = fp.SteinbergPresentation.word_letters
+
+    def counted(sp, w):
+        traced.append(w)
+        return letters(sp, w)
+
+    monkeypatch.setattr(fp.SteinbergPresentation, "word_letters", counted)
+    rep = run_suite(SuiteConfig(suite="xeqy"))
+    assert rep.to_json() == (GOLDEN / "xeqy.json").read_text()
+    (check,) = [c for c in rep.checks if c.name == "xeqy-f2-exhaustive"]
+    assert check.instances == 3288 and len(traced) <= 5 * check.instances
 
 
 @pytest.mark.parametrize("suite", ["tulenbaev-identities", "star-presentation", "vdk-identities"])
