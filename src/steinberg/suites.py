@@ -468,7 +468,7 @@ def suite_chevalley(config):
     and each check's wall_time is that of the process that ran it."""
     systems = config.systems or ("A3", "A4", "D4", "D5")
     rings = config.rings or tuple(f"z/{k}" for k in range(2, 10))
-    checks, todo = [], []  # todo: (record, tables, N) of the checks that run
+    checks, todo = [], []  # todo: (instances, record, tables, N) of the checks that run
     for sysname in systems:
         datum = build_system(sysname)
         tables = None  # built in the first check, which may find no matrices
@@ -484,13 +484,17 @@ def suite_chevalley(config):
                 count = (len(tables[0]) + live) * (ring.n - 1) ** 2
                 if count > CHEVALLEY_CAP:
                     raise UnsupportedRingError(f"z/{ring.n} gives {count} instances, past CHEVALLEY_CAP")
-                todo.append((rec, tables, ring.n))
+                todo.append((count, rec, tables, ring.n))
 
     def timed(item):
         t0 = time.perf_counter()
         return (*_run(functools.partial(_chevalley_check, *item[0]), item[1]), time.perf_counter() - t0)
 
-    for (rec, *_), (instances, failures, seconds) in zip(todo, _spread(timed, [t[1:] for t in todo])):
+    # the costliest checks first, so that the spread's last chunks are short
+    # and its processes finish together; the cheapest runs before the fork
+    todo.sort(key=lambda t: -t[0])
+    todo = todo[-1:] + todo[:-1]
+    for (_, rec, *_), (instances, failures, seconds) in zip(todo, _spread(timed, [t[2:] for t in todo])):
         rec.instances, rec.failures = instances, failures
         rec.wall_time += seconds
     return checks

@@ -1002,14 +1002,21 @@ def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
 def test_chevalley_spreads_the_checks_of_every_system_at_once(monkeypatch):
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
     spread, spreads = S._spread, []
-    monkeypatch.setattr(S, "_spread", lambda task, items: spreads.append(len(items)) or spread(task, items))
+
+    def logged(task, items):
+        spreads.append([(tables[2], n) for tables, n in items])  # (matrix size, N)
+        return spread(task, items)
+
+    monkeypatch.setattr(S, "_spread", logged)
     cfg = SuiteConfig(suite="chevalley-relations", systems=("A3", "D4"),
                       rings=("z/3", "prod(f2,f3)", "z/4", "z/5"))
     reports = []
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
         reports.append(run_suite(cfg))
-    assert spreads == [6, 6, 6]
+    # the cheapest check, then the others costliest first: 528 instances of
+    # A3-z/3, then 8832, 4968 and 2208 of D4, and 2112 and 1188 of A3
+    assert spreads == [[(4, 3), (8, 5), (8, 4), (8, 3), (4, 5), (4, 4)]] * 3
     assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
     for rep in reports:
         ran = [c for c in rep.checks if not c.inconclusive]
