@@ -248,10 +248,10 @@ def _spread(task, items):
     queue until it reads empty; each child pickles its {chunk: results}
     back over a pipe of its own.  The results are merged in item order, so
     a caller sees the serial list.  A process stops at the first item that
-    raises, and the exception raised here is that of the lowest-numbered
-    item that raised, whichever process ran it: every item before it ran,
-    since chunks leave the queue in order, so that is the exception the
-    serial loop raises.  A child's is raised with the same type and
+    raises and empties the queue, and the exception raised here is that of
+    the lowest-numbered item that raised, whichever process ran it: every
+    item before it ran, since chunks leave the queue in order, so that is
+    the exception the serial loop raises.  A child's is raised with the same type and
     message.  Children are always reaped, and with one CPU nothing forks.
     task may be a closure: the children share this process's memory as of
     the fork, and only results cross the pipe.  A task must not draw on a
@@ -286,6 +286,8 @@ def _spread(task, items):
                 try:
                     out.append(task(items[i]))
                 except Exception as exc:
+                    while os.read(queue, select.PIPE_BUF):  # no later chunk holds a lower item
+                        pass
                     return done, (i, exc)
         return done, None
 

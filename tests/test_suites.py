@@ -693,6 +693,27 @@ def test_spread_raises_the_lowest_items_exception(monkeypatch, cpus):
         assert _no_children_left()
 
 
+def test_spread_hands_out_no_chunk_after_an_error(monkeypatch, tmp_path):
+    # item 1 raises at once in whichever process takes the first chunk, and
+    # the queue is emptied: the other process ends with its current chunk
+    _cpus(monkeypatch, 2)
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        def task(x):
+            os.write(log, b"%d\n" % x)
+            if x == 1:
+                raise ValueError("item 1 failed")
+            time.sleep(0.005)
+            return x
+
+        with pytest.raises(ValueError, match="item 1 failed"):
+            S._spread(task, range(400))
+    finally:
+        os.close(log)
+    assert len((tmp_path / "ran").read_text().split()) < 200
+    assert _no_children_left()
+
+
 def test_spread_queue_holds_every_chunk_of_many_items(monkeypatch):
     # the queue of chunk numbers is written whole before the fork; a write
     # that filled the pipe would block with nobody to read it
