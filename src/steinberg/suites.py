@@ -228,10 +228,10 @@ class _Check:
 
 
 # A spread cuts the items after the first into at most this many contiguous
-# chunks per CPU, which the processes take from one queue as each finishes
-# its last: small enough that the processes finish close together, and
-# contiguous so that neighbouring items, which build the same memoized
-# words, mostly run in one process.  3 per CPU was measured 6 % slower.
+# chunks per child, which the children take from one queue as each finishes
+# its last: small enough that they finish close together, and contiguous so
+# that neighbouring items, which build the same memoized words, mostly run in
+# one process.  3 per CPU was measured 6 % slower.
 _CHUNKS_PER_CPU = 8
 
 
@@ -242,25 +242,27 @@ def _spread(task, items):
     builds at its first call, such as the table of an exact word test, is
     built once, in the check that asked for it, and shared with the
     children.  The other items are cut into contiguous chunks, at most
-    _CHUNKS_PER_CPU per process, and the numbers of the chunks are written
-    into one pipe, the queue, before k - 1 children fork (k = min(CPUs,
-    items)).  This process and each child take the next chunk from the
-    queue until it reads empty; each child pickles its {chunk: results}
-    back over a pipe of its own.  The results are merged in item order, so
-    a caller sees the serial list.  A process stops at the first item that
-    raises and empties the queue, and the exception raised here is that of
-    the lowest-numbered item that raised, whichever process ran it: every
+    _CHUNKS_PER_CPU per child, and the numbers of the chunks are written
+    into one pipe, the queue, before k children fork (k = min(CPUs, items
+    after the first)).  Each child takes the next chunk from the queue until
+    it reads empty and pickles its {chunk: results} back over a pipe of its
+    own, while this process waits: what runs here, and so what a tracer in
+    this process counts, is the same at every CPU count and every timing.
+    The results are merged in item order, so a caller sees the serial list.
+    A child stops at the first item that raises and empties the queue, and
+    the exception raised here is that of the lowest-numbered item that
+    raised, whichever child ran it, with the same type and message: every
     item before it ran, since chunks leave the queue in order, so that is
-    the exception the serial loop raises.  A child's is raised with the same type and
-    message.  Children are always reaped, and with one CPU nothing forks.
-    task may be a closure: the children share this process's memory as of
-    the fork, and only results cross the pipe.  A task must not draw on a
-    random stream, whose order would then depend on the process, nor wait
-    on another thread, which a forked child does not have.
+    the exception the serial loop raises.  Children are always reaped, and
+    with one CPU, or one item after the first, nothing forks.  task may be a
+    closure: the children share this process's memory as of the fork, and
+    only results cross the pipes.  A task must not draw on a random stream,
+    whose order would then depend on the process, nor wait on another
+    thread, which a forked child does not have.
     """
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    k = min(cpus, len(items))
+    k = min(cpus, len(items) - 1)
     if k <= 1:
         return [task(x) for x in items]
     first = task(items[0])
@@ -277,7 +279,7 @@ def _spread(task, items):
 
     def work():
         """Run chunks from the queue until it reads empty or an item raises:
-        the results by chunk, and the (item, exception) that stopped it."""
+        the results by chunk, and the (item, type, message) that stopped it."""
         done = {}
         while token := os.read(queue, 2):
             j = int.from_bytes(token, "little")
@@ -285,15 +287,15 @@ def _spread(task, items):
             for i in range(bounds[j], bounds[j + 1]):
                 try:
                     out.append(task(items[i]))
-                except Exception as exc:
+                except BaseException as exc:
                     while os.read(queue, select.PIPE_BUF):  # no later chunk holds a lower item
                         pass
-                    return done, (i, exc)
+                    return done, (i, type(exc), str(exc))
         return done, None
 
     children = []  # (pid, read end of its pipe)
     try:
-        for _ in range(k - 1):
+        for _ in range(k):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -304,12 +306,9 @@ def _spread(task, items):
             if pid == 0:  # the child: run chunks, send their results, leave
                 try:
                     os.close(r)
-                    done, error = work()
-                    if error is not None:
-                        error = (error[0], type(error[1]), str(error[1]))
                     try:
-                        blob = pickle.dumps((done, error))
-                    except Exception as exc:  # ranked after every item's exception
+                        blob = pickle.dumps(work())
+                    except BaseException as exc:  # ranked after every item's exception
                         blob = pickle.dumps(({}, (len(items), type(exc), str(exc))))
                     with os.fdopen(w, "wb") as fh:
                         fh.write(blob)
@@ -317,7 +316,7 @@ def _spread(task, items):
                     os._exit(0)
             os.close(w)
             children.append((pid, r))
-        done, error = work()
+        done, error = {}, None
         for pid, r in children:
             with os.fdopen(r, "rb", closefd=False) as fh:
                 blob = fh.read()
@@ -326,9 +325,9 @@ def _spread(task, items):
             theirs, raised = pickle.loads(blob)
             done.update(theirs)
             if raised is not None and (error is None or raised[0] < error[0]):
-                error = (raised[0], raised[1](raised[2]))
+                error = raised
         if error is not None:
-            raise error[1]
+            raise error[1](error[2])
     finally:
         os.close(queue)
         for pid, r in children:
@@ -470,7 +469,7 @@ def suite_chevalley(config):
     and each check's wall_time is that of the process that ran it."""
     systems = config.systems or ("A3", "A4", "D4", "D5")
     rings = config.rings or tuple(f"z/{k}" for k in range(2, 10))
-    checks, todo = [], []  # todo: (instances, record, tables, N) of the checks that run
+    checks, todo = [], []  # todo: (record, tables, N) of the checks that run
     for sysname in systems:
         datum = build_system(sysname)
         tables = None  # built in the first check, which may find no matrices
@@ -486,17 +485,13 @@ def suite_chevalley(config):
                 count = (len(tables[0]) + live) * (ring.n - 1) ** 2
                 if count > CHEVALLEY_CAP:
                     raise UnsupportedRingError(f"z/{ring.n} gives {count} instances, past CHEVALLEY_CAP")
-                todo.append((count, rec, tables, ring.n))
+                todo.append((rec, tables, ring.n))
 
     def timed(item):
         t0 = time.perf_counter()
         return (*_run(functools.partial(_chevalley_check, *item[0]), item[1]), time.perf_counter() - t0)
 
-    # the costliest checks first, so that the spread's last chunks are short
-    # and its processes finish together; the cheapest runs before the fork
-    todo.sort(key=lambda t: -t[0])
-    todo = todo[-1:] + todo[:-1]
-    for (_, rec, *_), (instances, failures, seconds) in zip(todo, _spread(timed, [t[2:] for t in todo])):
+    for (rec, *_), (instances, failures, seconds) in zip(todo, _spread(timed, [t[1:] for t in todo])):
         rec.instances, rec.failures = instances, failures
         rec.wall_time += seconds
     return checks

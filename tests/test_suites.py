@@ -651,10 +651,12 @@ def test_spread_returns_the_serial_list_in_item_order(monkeypatch, cpus):
     monkeypatch.setattr(os, "fork", counted_fork)
     got = S._spread(lambda x: (x * x, os.getpid()), range(10))
     assert [sq for sq, _ in got] == [x * x for x in range(10)]
-    # item 0 runs here; the others run here or in a child, which is reaped
+    # item 0 runs here and the others in children, which are reaped, so what
+    # runs here is the same at every CPU count; one CPU forks nothing
     pids = [pid for _, pid in got]
     assert pids[0] == os.getpid() and set(pids) <= {os.getpid()} | forked
-    assert len(forked) == cpus - 1
+    assert len(forked) == (cpus if cpus > 1 else 0)
+    assert os.getpid() not in pids[1:] or cpus == 1
     assert S._spread(lambda x: x, []) == []
     assert _no_children_left()
 
@@ -694,23 +696,60 @@ def test_spread_raises_the_lowest_items_exception(monkeypatch, cpus):
 
 
 def test_spread_hands_out_no_chunk_after_an_error(monkeypatch, tmp_path):
-    # item 1 raises at once in whichever process takes the first chunk, and
-    # the queue is emptied: the other process ends with its current chunk
+    # item 2 raises in the child that takes the first chunk, which empties the
+    # queue and then pickles its results, item 1's among them: that writes
+    # the marker.  The items of every other chunk wait for the marker, so the
+    # other child finishes the one chunk it holds and finds the queue empty.
     _cpus(monkeypatch, 2)
+    marker = tmp_path / "raised"
     log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-    try:
-        def task(x):
-            os.write(log, b"%d\n" % x)
-            if x == 1:
-                raise ValueError("item 1 failed")
-            time.sleep(0.005)
-            return x
 
-        with pytest.raises(ValueError, match="item 1 failed"):
-            S._spread(task, range(400))
+    class Announce:
+        def __reduce__(self):
+            marker.touch()
+            return int, (1,)
+
+    def task(x):
+        os.write(log, b"%d\n" % x)
+        if x == 1:
+            return Announce()
+        if x == 2:
+            raise ValueError("item 2 failed")
+        if x > 2:
+            deadline = time.monotonic() + 60
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return x
+
+    try:
+        with pytest.raises(ValueError, match="item 2 failed"):
+            S._spread(task, range(401))
     finally:
         os.close(log)
-    assert len((tmp_path / "ran").read_text().split()) < 200
+    assert marker.exists()
+    # 400 items after the first in 2 * _CHUNKS_PER_CPU chunks of 25
+    size = 400 // (2 * S._CHUNKS_PER_CPU)
+    held = sorted(set(map(int, (tmp_path / "ran").read_text().split())) - {0, 1, 2})
+    assert held in ([], list(range(1 + size, 1 + 2 * size)))
+    assert _no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_spread_raises_an_exit_in_a_child_here(monkeypatch, cpus):
+    # not only an Exception: a child sends back whatever stopped its item,
+    # ranked by the item like any other
+    _cpus(monkeypatch, cpus)
+
+    def task(x):
+        if x == 3:
+            time.sleep(0.1)  # so that item 30 tends to raise first, elsewhere
+            raise SystemExit("item 3 stopped")
+        if x == 30:
+            raise ValueError("item 30 failed")
+        return x
+
+    with pytest.raises(SystemExit, match="item 3 stopped"):
+        S._spread(task, range(40))
     assert _no_children_left()
 
 
@@ -749,7 +788,7 @@ def test_spread_raises_a_childs_exception_here(monkeypatch, cpus):
     _cpus(monkeypatch, cpus)
 
     def task(x):
-        if x == 1:  # here or in a child, whichever takes its chunk
+        if x == 1:  # in a child, whichever takes its chunk
             raise Inconclusive(f"cap reached at item {x}")
         return x
 
@@ -1023,21 +1062,14 @@ def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
 def test_chevalley_spreads_the_checks_of_every_system_at_once(monkeypatch):
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
     spread, spreads = S._spread, []
-
-    def logged(task, items):
-        spreads.append([(tables[2], n) for tables, n in items])  # (matrix size, N)
-        return spread(task, items)
-
-    monkeypatch.setattr(S, "_spread", logged)
+    monkeypatch.setattr(S, "_spread", lambda task, items: spreads.append(len(items)) or spread(task, items))
     cfg = SuiteConfig(suite="chevalley-relations", systems=("A3", "D4"),
                       rings=("z/3", "prod(f2,f3)", "z/4", "z/5"))
     reports = []
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
         reports.append(run_suite(cfg))
-    # the cheapest check, then the others costliest first: 528 instances of
-    # A3-z/3, then 8832, 4968 and 2208 of D4, and 2112 and 1188 of A3
-    assert spreads == [[(4, 3), (8, 5), (8, 4), (8, 3), (4, 5), (4, 4)]] * 3
+    assert spreads == [6, 6, 6]
     assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
     for rep in reports:
         ran = [c for c in rep.checks if not c.inconclusive]
