@@ -231,7 +231,8 @@ class _Check:
 # chunks per child, which the children take from one queue as each finishes
 # its last: small enough that they finish close together, and contiguous so
 # that neighbouring items, which build the same memoized words, mostly run in
-# one process.  3 per CPU was measured 6 % slower.
+# one process.  3 per CPU was measured 6 % slower (with this process taking
+# chunks as well).
 _CHUNKS_PER_CPU = 8
 
 
