@@ -9,10 +9,8 @@ from .rings import (
     localization,
     make_ring,
     quotient_ring,
-    semidirect_ring,
     split_data,
     splitting_section,
-    substitute,
     unique_divide,
 )
 from .roots import RootDatum, build_system
@@ -26,10 +24,8 @@ __all__ = [
     "localization",
     "make_ring",
     "quotient_ring",
-    "semidirect_ring",
     "split_data",
     "splitting_section",
-    "substitute",
     "unique_divide",
     "RootDatum",
     "build_system",

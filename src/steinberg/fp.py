@@ -50,8 +50,6 @@ from .matrices import (
     RVector,
     identity_matrix,
     matrix_group_order,
-    orbit_bfs,
-    orbit_letters,
     right_multiplier,
     unipotent,
 )
@@ -70,7 +68,6 @@ class Presentation:
 
     ngens: int
     relators: tuple
-    names: tuple = ()
 
 
 def inverse_letters(wordletters):
@@ -425,14 +422,12 @@ def steinberg_presentation(datum, ring):
     m = len(basis)
     roots = datum.roots
     gen_index = {}
-    names = []
     expansion = {}
     relators = []
-    for ri, root in enumerate(roots):
-        first = 2 * ri * m  # letter of x_root(b_1)
-        for b in basis:
-            gen_index[(ri, b)] = len(names)
-            names.append(f"x[{root}]({ring.p_repr(b)})")
+    for ri in range(len(roots)):
+        first = 2 * ri * m  # letter of x_alpha(b_1), alpha = roots[ri]
+        for i, b in enumerate(basis):
+            gen_index[(ri, b)] = ri * m + i
         for r, coeffs in normal_form.items():
             letters = ()
             for i, c in enumerate(coeffs):
@@ -467,7 +462,7 @@ def steinberg_presentation(datum, ring):
     # short relators first: HLT then defines fewer cosets before the table
     # closes (31809 against 53210 on A3/f2), at the same speed
     relators.sort(key=len)
-    pres = Presentation(ngens=len(names), relators=tuple(relators), names=tuple(names))
+    pres = Presentation(ngens=len(roots) * m, relators=tuple(relators))
     return SteinbergPresentation(
         system=datum, ring=ring, presentation=pres, gen_index=gen_index, expansion=expansion
     )
@@ -513,13 +508,6 @@ def simple_root_generators(sp):
     simple = _positive_system(sp.system)[1]
     ends = set(simple) | {-a for a in simple}
     return sorted(g for (ri, _), g in sp.gen_index.items() if roots[ri] in ends)
-
-
-def uplus_table(sp, max_cosets=10**6):
-    """The coset table of the right cosets U+ g of U+ = <x_alpha(b) : alpha > 0,
-    b in the additive basis> in St(Phi, R)."""
-    subgroup = [(2 * g,) for g in positive_generators(sp)]
-    return todd_coxeter(sp.presentation, subgroup, max_cosets=max_cosets)
 
 
 @dataclass
@@ -582,7 +570,8 @@ def uplus_data(sp, max_cosets=10**6):
     if len(index) != ptbl.n:
         raise PresentationError(f"U+ of the presentation has {ptbl.n} elements, U+ in E {len(index)}")
 
-    data = UPlus(cols, steps, positive, ptbl, index, uplus_table(sp, max_cosets))
+    utbl = todd_coxeter(pres, [(2 * g,) for g in positive], max_cosets=max_cosets)
+    data = UPlus(cols, steps, positive, ptbl, index, utbl)
     _MEMO[key] = data
     return data
 
@@ -895,17 +884,39 @@ def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
 
 
 def orbit_with_witnesses(ring, n, node_cap=10**6):
-    """Every vector in the elementary orbit of e_1, with a witness word."""
+    """Every vector in the elementary orbit of e_1 in R^n, with a witness word.
+
+    The breadth-first search tries the moves (i, j, r), add r times slot j to
+    slot i, in that order and keeps the first path to each vector: the vectors
+    come in order of discovery, each with the word of the x_ij(r) on its path,
+    last move first.  Past node_cap vectors it raises Inconclusive.
+    """
     from .vdk import OrbitVector, linear_system
 
+    zero = ring.zero_p
+    start = tuple(ring.one_p if i == 0 else zero for i in range(n))
+    nonzero = [Elem(ring, r) for r in ring.payloads() if r != zero]
+    moves = [(i, j, r) for i in range(n) for j in range(n) if i != j for r in nonzero]
+    padd, pmul = ring.p_add, ring.p_mul
+    letters = {start: ()}  # each vector's moves, last first
+    queue = [start]
+    for vec in queue:  # the queue grows while it is read
+        path = letters[vec]
+        for move in moves:
+            i, j, r = move
+            if vec[j] == zero:
+                continue
+            newv = vec[:i] + (padd(vec[i], pmul(r.payload, vec[j])),) + vec[i + 1:]
+            if newv in letters:
+                continue
+            letters[newv] = (move,) + path
+            if len(letters) > node_cap:
+                raise Inconclusive("orbit search cap exceeded")
+            queue.append(newv)
     system = linear_system(n)
-    parent = orbit_bfs(ring, n, node_cap)
     return {
-        vec: OrbitVector(
-            vec=RVector(ring, vec),
-            witness=W.from_ij_letters(system, ring, orbit_letters(ring, parent, vec)),
-        )
-        for vec in parent
+        vec: OrbitVector(vec=RVector(ring, vec), witness=W.from_ij_letters(system, ring, path))
+        for vec, path in letters.items()
     }
 
 
@@ -914,9 +925,9 @@ def orbit_with_witnesses(ring, n, node_cap=10**6):
 
 
 def star_presentations(n, ring, ideal):
-    """The F symbols (u, v) over (n, R, I): u in the elementary orbit of e_1,
-    carrying its witness, and v in I^n with u.v = 0.  They are the generator
-    domain of the F presentation, and mirrored, (v, u), of the S one."""
+    """The F symbols (u, v) over (n, R, I), sorted by u: u in the orbit of e_1
+    with its witness, v in I^n with u.v = 0.  They are the generator domain
+    of the F presentation, and mirrored, (v, u), of the S one."""
     from .vdk import FSymbol
 
     orbit = orbit_with_witnesses(ring, n)

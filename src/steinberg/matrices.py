@@ -151,10 +151,6 @@ class RMatrix:
     def __hash__(self):
         return hash((id(self.ring), self.n, self.data))
 
-    def to_dense(self):
-        n, lit = self.n, self.ring.to_literal
-        return [[lit(p) for p in self.data[r:r + n]] for r in range(0, n * n, n)]
-
     def __repr__(self):
         n, rep = self.n, self.ring.p_repr
         body = "; ".join(
@@ -201,49 +197,6 @@ def transvection(u, v):
         for k, b in enumerate(v.data, i * n):
             data[k] = add[data[k]][ma[b]]
     return RMatrix(ring, n, tuple(data))
-
-
-def orbit_bfs(ring, n, node_cap):
-    """Breadth-first search of the elementary orbit of e_1 in R^n.
-
-    Returns the parent map, in order of discovery: each payload tuple maps
-    to (its parent, (i, j, r)), reached from the parent by adding r times
-    slot j to slot i, and e_1 maps to None.  The moves are tried in
-    (i, j, r) order and the first parent found is kept.  Exceeding the node
-    cap raises Inconclusive.
-    """
-    zero = ring.zero_p
-    start = tuple(ring.one_p if i == 0 else zero for i in range(n))
-    parent = {start: None}
-    nonzero = [p for p in ring.payloads() if p != zero]
-    moves = [(i, j, r) for i in range(n) for j in range(n) if i != j for r in nonzero]
-    padd, pmul = ring.p_add, ring.p_mul
-    queue = [start]
-    for vec in queue:  # the queue grows while it is read
-        for move in moves:
-            i, j, r = move
-            if vec[j] == zero:
-                continue
-            newv = list(vec)
-            newv[i] = padd(newv[i], pmul(r, vec[j]))
-            newv = tuple(newv)
-            if newv in parent:
-                continue
-            parent[newv] = (vec, move)
-            if len(parent) > node_cap:
-                raise Inconclusive("orbit search cap exceeded")
-            queue.append(newv)
-    return parent
-
-
-def orbit_letters(ring, parent, state):
-    """The moves from e_1 to `state` in an orbit_bfs parent map, last first:
-    letters (i, j, r) whose product of t_ij(r), applied to e_1, gives it."""
-    letters = []
-    while parent[state] is not None:
-        state, (i, j, r) = parent[state]
-        letters.append((i, j, Elem(ring, r)))
-    return letters
 
 
 def right_multiplier(g):

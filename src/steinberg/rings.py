@@ -1032,12 +1032,6 @@ def _idempotent_power(spec, ring, a):
     return e
 
 
-def semidirect_ring(ring, a):
-    """R extended by V*R_a[V]; comes with projection and kernel ideal."""
-    a = ring.el(a)
-    return _intern(SemidirectRing(ring, a))
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -1326,26 +1320,3 @@ def split_data(ring, ideal):
     if sigma is None:
         raise UnsupportedRingError(f"{ideal!r} is not a splitting ideal")
     return SplitData(ring, ideal, quo, pi, sigma)
-
-
-# ---------------------------------------------------------------------------
-# polynomial substitution
-
-
-def substitute(f, a, n):
-    """Image of f under the coefficient-fixing map V -> a^n * W.
-
-    The target is the same polynomial shape in the fresh variable W, which
-    we keep in the same handle: coefficient k picks up a factor a^(n*k).
-    """
-    ring = f.ring
-    if not isinstance(ring, PolyRing):
-        raise SpecError("substitute() needs a polynomial ring element")
-    a = ring.base.el(a)
-    scale = ring.base.one()
-    step = a**n
-    out = []
-    for c in f.payload:
-        out.append(ring.base.p_mul(c, scale.payload))
-        scale = scale * step
-    return Elem(ring, _strip(out, ring.base.zero_p))

@@ -252,14 +252,14 @@ def _spread(task, items):
     The results are merged in item order, so a caller sees the serial list.
     A child stops at the first item that raises and empties the queue, and
     the exception raised here is that of the lowest-numbered item that
-    raised, whichever child ran it, with the same type and message: every
-    item before it ran, since chunks leave the queue in order, so that is
-    the exception the serial loop raises.  Children are always reaped, and
-    with one CPU, or one item after the first, nothing forks.  task may be a
-    closure: the children share this process's memory as of the fork, and
-    only results cross the pipes.  A task must not draw on a random stream,
-    whose order would then depend on the process, nor wait on another
-    thread, which a forked child does not have.
+    raised, whichever child ran it, pickled (_portable): every item before
+    it ran, since chunks leave the queue in order, so that is the exception
+    the serial loop raises.  Children are always reaped, and with one CPU,
+    or one item after the first, nothing forks.  task may be a closure: the
+    children share this process's memory as of the fork, and only results
+    cross the pipes.  A task must not draw on a random stream, whose order
+    would then depend on the process, nor wait on another thread, which a
+    forked child does not have.
     """
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -280,7 +280,7 @@ def _spread(task, items):
 
     def work():
         """Run chunks from the queue until it reads empty or an item raises:
-        the results by chunk, and the (item, type, message) that stopped it."""
+        the results by chunk, and the (item, exception) that stopped it."""
         done = {}
         while token := os.read(queue, 2):
             j = int.from_bytes(token, "little")
@@ -291,7 +291,7 @@ def _spread(task, items):
                 except BaseException as exc:
                     while os.read(queue, select.PIPE_BUF):  # no later chunk holds a lower item
                         pass
-                    return done, (i, type(exc), str(exc))
+                    return done, (i, _portable(exc))
         return done, None
 
     children = []  # (pid, read end of its pipe)
@@ -310,7 +310,7 @@ def _spread(task, items):
                     try:
                         blob = pickle.dumps(work())
                     except BaseException as exc:  # ranked after every item's exception
-                        blob = pickle.dumps(({}, (len(items), type(exc), str(exc))))
+                        blob = pickle.dumps(({}, (len(items), _portable(exc))))
                     with os.fdopen(w, "wb") as fh:
                         fh.write(blob)
                 finally:
@@ -328,7 +328,7 @@ def _spread(task, items):
             if raised is not None and (error is None or raised[0] < error[0]):
                 error = raised
         if error is not None:
-            raise error[1](error[2])
+            raise error[1]
     finally:
         os.close(queue)
         for pid, r in children:
@@ -339,6 +339,15 @@ def _spread(task, items):
                 pass
             os.waitpid(pid, 0)
     return [first, *itertools.chain.from_iterable(done[j] for j in range(chunks))]
+
+
+def _portable(exc):
+    """exc if pickle rebuilds it, else a RuntimeError naming its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 def _run(task, item):
@@ -398,12 +407,8 @@ def _lit(x):
     """JSON-able rendering of elements/vectors/words for witnesses."""
     if isinstance(x, Elem):
         return x.ring.to_literal(x.payload)
-    if isinstance(x, RVector):
+    if isinstance(x, (RVector, StWord)):
         return x.to_literal()
-    if isinstance(x, StWord):
-        return x.to_literal()
-    if isinstance(x, RMatrix):
-        return x.to_dense()
     return x
 
 
@@ -937,39 +942,30 @@ def suite_star(config):
     # phi-tier relation checks over f2[eps]
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     ideal = FGIdeal(f2e, [f2e.gen()])
-    fs = star_presentations(n, f2e, ideal)
-    iota_mats = {}  # phi(iota(sym)) by (u, v), for the three iota checks
-
-    def iota_phi(sym):
-        return iota_mats[(sym.u.vec.data, sym.v.data)]
-
-    by_u = {}
-    for sym in fs:
-        by_u.setdefault(sym.u.vec.data, []).append(sym)
-    grouped = [sym for key in sorted(by_u) for sym in by_u[key]]  # each u's symbols together
+    fs = star_presentations(n, f2e, ideal)  # each u's symbols together, as _additivity_check needs
 
     def codes(datas):
         return numpy.array(datas, dtype=numpy.uint8).reshape(-1, n, n)
 
     with _Check(checks, "F-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         mats = _spread(lambda sym: phi(iota(sym)).data, fs)
-        for sym, data in zip(fs, mats):
-            iota_mats[(sym.u.vec.data, sym.v.data)] = RMatrix(f2e, n, data)
+        iota_mats = [RMatrix(f2e, n, data) for data in mats]  # phi(iota(fs[k])), for three checks
         _additivity_check(
-            rec, grouped, codes([iota_phi(sym).data for sym in grouped]),
+            rec, fs, codes(mats),
             lambda s1, s2: dict(u=_lit(s1.u.vec), v=_lit(s1.v), w=_lit(s2.v)),
         )
     with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
         # mirrored additivity for the S family, via the transpose symmetry
-        mats = _spread(lambda sym: phi(Y_gen(sym.v, sym.u.vec, cert=sym.u.cert())).data, grouped)
+        mats = _spread(lambda sym: phi(Y_gen(sym.v, sym.u.vec, cert=sym.u.cert())).data, fs)
         _additivity_check(
-            rec, grouped, codes(mats),
+            rec, fs, codes(mats),
             lambda s1, s2: dict(v=_lit(s1.u.vec), u=_lit(s1.v), u2=_lit(s2.v)),
         )
 
     def conjugation(rec, pair):
-        s1, s2 = pair
-        w1, m1, m2 = iota(s1), iota_phi(s1), iota_phi(s2)
+        k1, k2 = pair
+        s1, s2 = fs[k1], fs[k2]
+        w1, m1, m2 = iota(s1), iota_mats[k1], iota_mats[k2]
         tuv = transvection(s1.u.vec, s1.v)
         new_u = tuv * s2.u.vec
         new_v = transvection(s1.v, -s1.u.vec) * s2.v
@@ -980,10 +976,7 @@ def suite_star(config):
             rec.fail(u=_lit(s1.u.vec), v=_lit(s1.v), u2=_lit(s2.u.vec), v2=_lit(s2.v))
 
     with _Check(checks, "conjugation-iota-f2[eps]-sampled", "matrix") as rec:
-        pairs = [
-            (fs[rng.randrange(len(fs))], fs[rng.randrange(len(fs))])
-            for _ in range(_want(config, 300, 300))
-        ]
+        pairs = [(rng.randrange(len(fs)), rng.randrange(len(fs))) for _ in range(_want(config, 300, 300))]
         _spread_into(rec, conjugation, pairs)
     # exact tier over f2: the F/S coincidence and the column-split relator
     f2 = make_ring("f2")
@@ -1018,9 +1011,10 @@ def suite_star(config):
         _spread_into(rec, functools.partial(_column_split_at, equal), mws)
     with _Check(checks, "kappa-iota-f2[eps]-sampled", "matrix") as rec:
         for _ in range(_want(config, 200, 200)):
-            sym = fs[rng.randrange(len(fs))]
+            k = rng.randrange(len(fs))
+            sym = fs[k]
             rec.instances += 1
-            if not _same(iota_phi(sym), transvection(sym.u.vec, sym.v)):
+            if not _same(iota_mats[k], transvection(sym.u.vec, sym.v)):
                 rec.fail(u=_lit(sym.u.vec), v=_lit(sym.v))
     return checks
 

@@ -4,15 +4,14 @@ one of its classes other than a dunder method, goes unnamed.
 A definition counts as used when `src/`, `scripts/` or `perfbench/` names
 it anywhere outside its own body: a call, an import, an attribute, or a
 string that `perfbench/tracing.py` resolves with getattr.  A method counts
-as used when its name is, on any class.  Names the package exports and the
-few reference helpers below are exempt.
+as used when its name is, on any class.  The package's own `__init__.py`
+does not count, since exporting a name is no use of it, and only the few
+reference helpers below are exempt.
 """
 
 import ast
 import pathlib
 from collections import Counter
-
-import steinberg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "steinberg"
@@ -62,11 +61,12 @@ def _unnamed():
     named = Counter()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            named += _names(ast.parse(path.read_text()))
+            if path != PACKAGE / "__init__.py":
+                named += _names(ast.parse(path.read_text()))
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for key, node in _definitions(ast.parse(path.read_text())):
-            if node.name not in steinberg.__all__ and named[node.name] == _names(node)[node.name]:
+            if named[node.name] == _names(node)[node.name]:
                 out[key] = f"{path.name}:{node.lineno}"
     return out
 

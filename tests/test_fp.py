@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from array import array
 
@@ -26,7 +28,6 @@ from steinberg.fp import (
     todd_coxeter,
     tree_images,
     uplus_data,
-    uplus_table,
 )
 from steinberg import fp, suites
 from steinberg.matrices import Inconclusive, basis_vector, identity_matrix, matrix_group_order, unipotent
@@ -552,6 +553,25 @@ def test_orbit_witness_and_orbit_share_one_search(spec, n, size):
         orbit_with_witnesses(ring, n, node_cap=size - 1)
 
 
+@pytest.mark.parametrize(
+    "spec, n, digest",
+    [
+        ("f2", 4, "b071e1967db124954e5e05aa8d56a4d666de72825fe1ce0968b07c82ba1db0c5"),
+        ("f3", 3, "437ffec5a493bc95e2058c580fd2414a37e077201596be6ec7efe7cf848d4408"),
+        ("z/4", 3, "9067c8a88334fcb3e13d3df03d7bcec80d6508e05efcdab19489a1f96bbcdcd3"),
+        (F2E, 4, "5ebd0fac2cc7ee43f2dad1cf6d11ac4137885e50765e73d13e67abf1497a3c50"),
+        # the localization the exhaustive t-map check searches
+        ("loc(prod(f2,f3),[0,1])", 4, "a95b4662de74b4f44d9bbdf89bb4d4444f248236034fbda9a68f0f3bacc24bb5"),
+    ],
+)
+def test_orbit_search_keeps_its_order_and_witnesses(spec, n, digest):
+    # the reports pass with any valid witness, so this pins the search
+    # itself: the vectors in order of discovery, each with the first path found
+    orbit = orbit_with_witnesses(make_ring(spec), n)
+    data = [(key, ov.witness.to_literal()) for key, ov in orbit.items()]
+    assert hashlib.sha256(json.dumps(data).encode()).hexdigest() == digest
+
+
 def test_star_presentation_domains():
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     fs = star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
@@ -579,7 +599,7 @@ def test_regular_table_matches_whole_group_enumeration(system, spec, index):
     # table, row for row; |St| = [St : U+] * |R|^|Phi+|
     datum, ring = build_system(system), make_ring(spec)
     sp = steinberg_presentation(datum, ring)
-    assert uplus_table(sp).n == index
+    assert uplus_data(sp).utbl.n == index
     npos = len(datum.roots) // 2
     assert len(positive_generators(sp)) == npos * len(additive_basis(ring)[0])
     tbl = regular_table(sp)

@@ -22,10 +22,8 @@ from steinberg.rings import (
     localization,
     make_ring,
     quotient_ring,
-    semidirect_ring,
     split_data,
     splitting_section,
-    substitute,
     unique_divide,
 )
 from steinberg.vdk import _preimage_payload
@@ -294,14 +292,12 @@ def test_localization_integers():
 
 
 def test_semidirect_ring_unit_and_products():
-    zz = make_ring("z")
-    s = semidirect_ring(zz, zz.el(2))
+    s = make_ring("semi(z,2)")
     x = s.gen()
     r = s.el([5, [0, 3]])
     assert s.one() * r == r
     assert (x * x).payload[1][2] == s.loc.one_p
-    z6 = make_ring("z/6")
-    s6 = semidirect_ring(z6, z6.el(2))
+    s6 = make_ring("semi(z/6,2)")
     a = s6.el([3, [0, 4]])
     b = s6.el([2, [0, 2]])
     # (3, 4X)(2, 2X) = (0, (3*2+2*4)X + 8X^2) with coefficients in e*(z/6)
@@ -378,7 +374,7 @@ def test_unique_divide_roundtrip_exhaustive():
 
 
 def test_unique_divide_semidirect_kernel():
-    s = semidirect_ring(make_ring("z"), 2)
+    s = make_ring("semi(z,2)")
     ideal = FGIdeal(s, kind="semi-kernel")
     x = s.gen()
     m = x * s.el(6)
@@ -445,17 +441,6 @@ def test_polynomial_long_division(spec):
     f3i = make_ring("quo(poly(f3,X),[1,0,1])")  # X^2 = -1
     x = f3i.gen()
     assert (f3i.to_literal((x * x).payload), f3i.to_literal((x * x * x).payload)) == ([2], [0, 2])
-
-
-def test_substitute():
-    gz = make_ring("poly(z,X)")
-    out = substitute(gz.el([0, 0, 1]), gz.base.el(2), 3)
-    assert out.payload == (0, 0, 64)
-    assert substitute(gz.el([0, 1]), gz.base.el(5), 1).payload == (0, 5)
-    z4x = make_ring("poly(z/4,X)")
-    assert substitute(z4x.zero(), z4x.base.el(2), 2).is_zero()
-    with pytest.raises(SpecError):
-        substitute(make_ring("z/6").el(3), make_ring("z/6").el(2), 1)
 
 
 def test_ideal_membership_certificates():

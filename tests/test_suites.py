@@ -753,6 +753,42 @@ def test_spread_raises_an_exit_in_a_child_here(monkeypatch, cpus):
     assert _no_children_left()
 
 
+class _TwoArgs(Exception):
+    """An exception that pickle cannot rebuild: its constructor takes two
+    arguments, and its args hold one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_spread_raises_a_childs_own_exception(monkeypatch, cpus):
+    # numpy's allocation failure takes its shape and dtype, not a message:
+    # rebuilt from its type and message it became a TypeError
+    _cpus(monkeypatch, cpus)
+
+    def task(x):
+        if x == 3:
+            time.sleep(0.1)  # so that item 30 tends to raise first, elsewhere
+            numpy.empty(2**62, numpy.uint8)  # refused at once, nothing allocated
+        if x == 30:
+            raise ValueError("item 30 failed")
+        return x
+
+    with pytest.raises(MemoryError, match="Unable to allocate"):
+        S._spread(task, range(40))
+    assert _no_children_left()
+
+    def unpicklable(x):
+        if x == 2:
+            raise _TwoArgs(1, 2)
+        return x
+
+    with pytest.raises(RuntimeError, match="^_TwoArgs: 1 and 2$"):
+        S._spread(unpicklable, range(40))
+    assert _no_children_left()
+
+
 def test_spread_queue_holds_every_chunk_of_many_items(monkeypatch):
     # the queue of chunk numbers is written whole before the fork; a write
     # that filled the pipe would block with nobody to read it
