@@ -12,7 +12,7 @@ past it by the order of the simply connected group over the local factors
 of the ring (route sc-formula, |SL(4, Z/4)| over A3).  Type D is refused
 unless x^2 = 1 has the one root x = 1 in the ring, so over the reduced
 rings of characteristic 2: the kernel of the vector realization then holds
-only K2.
+only K2.  A row whose enumeration passes its cap is reported inconclusive.
 
     python scripts/compute_k2.py A2 f2 A3 f2 A2 z/4
     python scripts/compute_k2.py A3 z/4
@@ -26,6 +26,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from steinberg.fp import k2_compute
+from steinberg.matrices import Inconclusive
 from steinberg.rings import RingError, UnsupportedRingError, make_ring
 from steinberg.roots import NoMatrixRealization, RootSystemError, build_system
 
@@ -47,6 +48,9 @@ def main():
             rep = k2_compute(datum, ring)
         except (UnsupportedRingError, NoMatrixRealization) as exc:
             print(f"{sysname} over {ringspec}: unsupported: {exc}")
+            continue
+        except Inconclusive as exc:
+            print(f"{sysname} over {ringspec}: inconclusive: {exc}")
             continue
         dt = time.perf_counter() - t0
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -6,6 +6,8 @@ generator F(u, v) over the localization B_2 with u a column of a small
 elementary matrix and v inside the ideal, and prints the lift degree m,
 the lifted columns, the resulting word over B, and the commuting-square
 check (localize(phi(word)) against the target transvection).
+
+Usage: python scripts/lift_demo.py [SEED]
 """
 
 import pathlib
@@ -22,7 +24,11 @@ from steinberg.words import contragredient, phi
 
 
 def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    try:
+        (seed,) = [int(a) for a in sys.argv[1:]] or [0]
+    except ValueError:
+        print("usage: lift_demo.py [SEED], SEED an integer", file=sys.stderr)
+        return 2
     rng = random.Random(seed)
     n = 4
     system = linear_system(n)

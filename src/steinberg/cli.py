@@ -16,12 +16,14 @@ not hold exactly one suite, and on every config that suites.config_error
 rejects: a ring spec or a root system name that does not parse or is
 given twice, a ring, a system, an --ideal or an --n that the suite would
 not read, or an --ideal of relative-generation, or its default (X), that
-does not resolve over the suite's ring.
+does not resolve over the suite's ring.  A --out that cannot be opened for
+writing also exits 2, before any suite runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields
@@ -63,7 +65,7 @@ def _configs_from_args(args):
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValueError(f"cannot read --config {args.config}: {exc}") from None
         docs = [doc]
         if isinstance(doc, dict) and "suites" in doc:
@@ -96,17 +98,19 @@ def main(argv=None):
         error = config_error(cfg)
         if error:
             return _usage_error(error)
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        return _usage_error(f"cannot write --out {args.out}: {exc}")
     ok = True
-    json_blobs = []
-    for cfg in configs:
-        report = run_suite(cfg)
-        json_blobs.append(report.to_json())
-        sys.stdout.write(report.to_text() if args.format == "text" else report.to_json())
-        if report.verdict != "pass":
-            ok = False
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(json_blobs)
+    with out:
+        for cfg in configs:
+            report = run_suite(cfg)
+            if args.out:
+                out.write(report.to_json())
+            sys.stdout.write(report.to_text() if args.format == "text" else report.to_json())
+            if report.verdict != "pass":
+                ok = False
     return 0 if ok else 1
 
 

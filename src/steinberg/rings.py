@@ -17,6 +17,12 @@ Supported constructions, written in the spec grammar used by the CLI:
     loc(S,a)     localization by the powers of a
     semi(S,a)    S extended by the augmentation ideal V*S_a[V]
 
+The grammar is a subset of Python expressions: make_ring reads a spec
+with ast.parse and walks its nodes, and reads element literals with
+ast.literal_eval; nothing is evaluated.  Python's rules for literals and
+grouping therefore hold: z/0x10 is z/16, (f2) and prod(f2,f3,) are read,
+and z/06 and poly(f2,1) are refused.
+
 Every finite ring has one representation: its payloads are the ints
 0..q-1 in enumeration order, so sorting payloads puts them in enumeration
 order.  z/N is the identity coding.  Every other finite ring is compiled,
@@ -32,6 +38,7 @@ PolyRing; the quo() tables and the ideal part of semi() use it.
 
 from __future__ import annotations
 
+import ast
 import copy
 import functools
 import itertools
@@ -823,11 +830,8 @@ class SemidirectRing(Ring):
 
 
 def _lit_str(lit):
-    if isinstance(lit, list):
-        return "[" + ",".join(_lit_str(c) for c in lit) + "]"
-    if isinstance(lit, tuple):
-        return "(" + ",".join(_lit_str(c) for c in lit) + ")"
-    return str(lit)
+    # every to_literal gives an int or nested lists of ints
+    return str(lit).replace(" ", "")
 
 
 # ---------------------------------------------------------------------------
@@ -860,119 +864,62 @@ _RING_CACHE = {}
 
 
 def make_ring(spec):
-    """Build (and intern) a ring from a construction expression."""
+    """Build (and intern) a ring from a construction expression.
+
+    The spec is read as a Python expression by ast.parse and walked by
+    _build; nothing in it is evaluated.  Any failure of the parse or the
+    walk, however deep or long the spec, is a SpecError.
+    """
     key = "".join(spec.split())
     if key in _RING_CACHE:
         return _RING_CACHE[key]
-    ring, rest = _parse_ring(key, 0)
-    if rest != len(key):
-        raise SpecError(f"trailing junk in ring spec: {key[rest:]!r}")
+    try:
+        ring = _build(ast.parse(key, mode="eval").body)
+    except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError) as exc:
+        raise SpecError(f"cannot parse ring spec: {type(exc).__name__}: {exc}") from None
     _RING_CACHE[key] = ring
     return ring
 
 
-def _parse_ring(s, i):
-    for head in ("prod", "poly", "loc", "semi", "quo"):
-        if s.startswith(head + "(", i):
-            i += len(head) + 1
-            if head == "prod":
-                a, i = _parse_ring(s, i)
-                i = _expect(s, i, ",")
-                b, i = _parse_ring(s, i)
-                i = _expect(s, i, ")")
-                return _product(a, b), i
-            if head == "poly":
-                base, i = _parse_ring(s, i)
-                i = _expect(s, i, ",")
-                j = i
-                while j < len(s) and (s[j].isalnum() or s[j] == "_"):
-                    j += 1
-                var = s[i:j]
-                if not var:
-                    raise SpecError("poly() needs a variable name")
-                i = _expect(s, j, ")")
-                return _intern(PolyRing(base, var)), i
-            if head == "quo":
-                base, i = _parse_ring(s, i)
-                i = _expect(s, i, ",")
-                lit, i = _parse_literal(s, i)
-                i = _expect(s, i, ")")
-                if not isinstance(base, PolyRing):
-                    raise SpecError("quo() expects poly(...) as its first argument")
-                return _quo_poly(base, base.from_literal(lit)), i
-            # loc / semi
-            base, i = _parse_ring(s, i)
-            i = _expect(s, i, ",")
-            lit, i = _parse_literal(s, i)
-            i = _expect(s, i, ")")
-            a = base.el(lit)
-            if head == "loc":
-                ring, _ = localization(base, a)
-                return ring, i
-            return _intern(SemidirectRing(base, a)), i
-    if s.startswith("z/", i):
-        j = i + 2
-        k = j
-        while k < len(s) and s[k].isdigit():
-            k += 1
-        if k == j:
-            raise SpecError("z/ needs a modulus")
-        return _intern(ZModRing(int(s[j:k]))), k
-    if s.startswith("z", i) and (i + 1 == len(s) or not s[i + 1].isalnum()):
-        return _intern(ZRing("z")), i + 1
-    if s.startswith("f", i):
-        j = i + 1
-        k = j
-        while k < len(s) and s[k].isdigit():
-            k += 1
-        if k > j:
-            p = int(s[j:k])
+def _build(node):
+    """The ring of a spec's expression node: the name z or fP, z/N with N an
+    int literal, or a call head(ring, arg) of prod, poly, quo, loc or semi,
+    whose arg is a ring, a variable name or an element literal, the last
+    read by ast.literal_eval."""
+    if isinstance(node, ast.Name):
+        if node.id == "z":
+            return _intern(ZRing("z"))
+        if node.id[0] == "f" and node.id[1:].isdigit():
+            p = int(node.id[1:])
             if not _is_prime(p):
                 raise SpecError(f"f{p}: {p} is not prime")
-            return _intern(ZModRing(p, spec=f"f{p}")), k
-    raise SpecError(f"cannot parse ring spec at {s[i:]!r}")
+            return _intern(ZModRing(p, spec=f"f{p}"))
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and getattr(node.left, "id", "") == "z":
+        if not (isinstance(node.right, ast.Constant) and _is_int(node.right.value)):
+            raise SpecError("z/ needs an integer modulus")
+        return _intern(ZModRing(node.right.value))
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 2 and not node.keywords:
+        head, (first, second) = node.func.id, node.args
+        if head == "prod":
+            return _product(_build(first), _build(second))
+        if head == "poly":
+            if not isinstance(second, ast.Name):
+                raise SpecError("poly() needs a variable name")
+            return _intern(PolyRing(_build(first), second.id))
+        if head in ("quo", "loc", "semi"):
+            base, lit = _build(first), ast.literal_eval(second)
+            if head == "quo":
+                if not isinstance(base, PolyRing):
+                    raise SpecError("quo() expects poly(...) as its first argument")
+                return _quo_poly(base, base.from_literal(lit))
+            if head == "loc":
+                return localization(base, base.el(lit))[0]
+            return _intern(SemidirectRing(base, base.el(lit)))
+    raise SpecError(f"no ring construction at column {node.col_offset}")
 
 
 def _intern(ring):
     return _RING_CACHE.setdefault(ring.spec, ring)
-
-
-def _expect(s, i, ch):
-    if i >= len(s) or s[i] != ch:
-        raise SpecError(f"expected {ch!r} at position {i} of {s!r}")
-    return i + 1
-
-
-def _parse_literal(s, i):
-    """int | (lit,lit) | [lit,...] used for elements inside spec strings."""
-    if i < len(s) and s[i] == "(":
-        a, i = _parse_literal(s, i + 1)
-        i = _expect(s, i, ",")
-        b, i = _parse_literal(s, i)
-        i = _expect(s, i, ")")
-        return (a, b), i
-    if i < len(s) and s[i] == "[":
-        out = []
-        i += 1
-        if i < len(s) and s[i] == "]":
-            return out, i + 1
-        while True:
-            lit, i = _parse_literal(s, i)
-            out.append(lit)
-            if i < len(s) and s[i] == ",":
-                i += 1
-                continue
-            i = _expect(s, i, "]")
-            return out, i
-    j = i
-    if j < len(s) and s[j] == "-":
-        j += 1
-    k = j
-    while k < len(s) and s[k].isdigit():
-        k += 1
-    if k == j:
-        raise SpecError(f"expected an element literal at {s[i:]!r}")
-    return int(s[i:k]), k
 
 
 # ---------------------------------------------------------------------------

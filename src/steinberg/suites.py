@@ -1259,7 +1259,7 @@ def _ring_and_ideal(config):
         if isinstance(gens, list):
             return ringspec, ring, FGIdeal(ring, gens)
         reason = "not a JSON list"
-    except (RingError, TypeError, ValueError) as exc:
+    except (RingError, TypeError, ValueError, RecursionError) as exc:
         reason = str(exc)
     raise ValueError(
         f"suite {config.suite} needs --ideal as a JSON list of elements of {ring.spec}, got {text!r}: {reason}"

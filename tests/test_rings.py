@@ -50,10 +50,108 @@ def test_make_ring_interning():
     assert make_ring("prod(z/2, z/3)") is make_ring("prod(z/2,z/3)")
 
 
+# Every spec literal of src/, scripts/, perfbench/ and tests/, with the spec
+# and size of its ring or the error that refuses it.
+SPEC_TABLE = [
+    ("z", "z", "infinite"),
+    ("z/1", "z/1", 1),
+    ("z/2", "z/2", 2),
+    ("z/3", "z/3", 3),
+    ("z/4", "z/4", 4),
+    ("z/5", "z/5", 5),
+    ("z/6", "z/6", 6),
+    ("z/8", "z/8", 8),
+    ("z/9", "z/9", 9),
+    ("z/12", "z/12", 12),
+    ("z/257", "z/257", 257),
+    ("z/1000", "z/1000", 1000),
+    ("z/3037000499", "z/3037000499", 3037000499),
+    ("z/3037000500", "z/3037000500", 3037000500),
+    ("z/3298534883328", "z/3298534883328", 3298534883328),
+    ("f2", "f2", 2),
+    ("f3", "f3", 3),
+    ("prod(f2,f2)", "prod(f2,f2)", 4),
+    ("prod(f2,f3)", "prod(f2,f3)", 6),
+    ("prod(f3,f2)", "prod(f3,f2)", 6),
+    ("prod(z/2,z/3)", "prod(z/2,z/3)", 6),
+    ("prod(z/2, z/3)", "prod(z/2,z/3)", 6),
+    ("poly(f2,X)", "poly(f2,X)", "infinite"),
+    ("poly(f3,X)", "poly(f3,X)", "infinite"),
+    ("poly(z/2,X)", "poly(z/2,X)", "infinite"),
+    ("poly(z,X)", "poly(z,X)", "infinite"),
+    ("poly(loc(z,2),X)", "poly(loc(z,2),X)", "infinite"),
+    ("quo(poly(f2,X),[0,0,1])", "quo(poly(f2,X),[0,0,1])", 4),
+    ("quo(poly(f2,X),[1,1,1])", "quo(poly(f2,X),[1,1,1])", 4),
+    ("quo(poly(f3,X),[0,0,1])", "quo(poly(f3,X),[0,0,1])", 9),
+    ("quo(poly(f3,X),[1,0,1])", "quo(poly(f3,X),[1,0,1])", 9),
+    ("quo(poly(f3,X),[1,0,0,0,1])", "quo(poly(f3,X),[1,0,0,0,1])", 81),
+    ("quo(poly(z/4,X),[1,0,0,1])", "quo(poly(z/4,X),[1,0,0,1])", 64),
+    ("loc(z,2)", "loc(z,2)", "infinite"),
+    ("loc(z/4,2)", "loc(z/4,2)", 1),
+    ("loc(z/6,2)", "loc(z/6,2)", 3),
+    ("loc(prod(f2,f3),[0,1])", "loc(prod(f2,f3),[0,1])", 3),
+    ("loc(z/3298534883328,2)", "loc(z/3298534883328,2)", 3),
+    ("loc(poly(z,X),[0,1])", "loc(poly(z,X),[0,1])", "infinite"),
+    ("semi(z,2)", "semi(z,2)", "infinite"),
+    ("semi(z/6,2)", "semi(z/6,2)", "infinite"),
+    # refused: past the size cap, or prod/quo of an infinite ring
+    ("loc(z/1000000007,2)", RingSizeError, None),
+    ("loc(z/1000003,2)", RingSizeError, None),
+    ("prod(z/17,z/17)", RingSizeError, None),
+    ("quo(poly(f2,X),[1,1,0,0,0,0,0,0,0,1])", RingSizeError, None),
+    ("prod(z,f2)", SpecError, None),
+    ("quo(poly(z,X),[1,0,1])", SpecError, None),
+    # Python's rules for literals and grouping: a hex or underscored modulus,
+    # parentheses, a trailing comma, a signed literal and a coefficient tuple
+    ("z/0x10", "z/16", 16),
+    ("z/1_0", "z/10", 10),
+    ("z/(4)", "z/4", 4),
+    ("(f2)", "f2", 2),
+    ("prod(f2,f3,)", "prod(f2,f3)", 6),
+    ("loc(z/6,-(2))", "loc(z/6,4)", 3),
+    ("loc(z/6,+2)", "loc(z/6,2)", 3),
+    ("quo(poly(f2,X),(0,0,1))", "quo(poly(f2,X),[0,0,1])", 4),
+]
+
+
+@pytest.mark.parametrize("text, spec, size", SPEC_TABLE)
+def test_spec_table(text, spec, size):
+    if isinstance(spec, type):
+        with pytest.raises(spec):
+            make_ring(text)
+        return
+    ring = make_ring(text)
+    assert ring.spec == spec
+    assert (ring.size() if ring.is_finite else "infinite") == size
+    assert make_ring(spec) is ring
+
+
 def test_bad_specs():
-    for bad in ["z/", "f4", "prod(z/2)", "quo(z/4,[0,1])", "wat"]:
+    adversarial = [
+        "prod(" * 1200 + "f2" + ",f2)" * 1200,  # too many nested parentheses
+        "loc(z/6," + "-" * 900 + "2)",  # recursion in ast.literal_eval
+        "z" + "/6" * 900,
+        "z" + "/6" * 100_000,  # RecursionError during AST construction
+        "-" * 100_000 + "2",  # MemoryError from the parser
+        "z/" + "7" * 5000,  # past the int digit limit
+    ]
+    others = ["{1:2}", "{1}", "None", "1j", "'a'", "2.5", "{[1]}"]
+    edge = ["z/06", "z/٤", "poly(f2,1)", "poly(f2,lambda)", "poly(f2,True)", "z/-3", "z/4.0", "z/True", "z//4",
+            "f2()", "prod(f2)", "prod(f2,f3,f2)", "prod(f2,f3=1)", "prod(*f2)", "loc(z/6,--2)", "loc(z/6,2)x",
+            "prod(f2,f3)[0]", "__import__('os')", "lambda:1", "z/4;1", "", "Z"]
+    for bad in ["z/", "f4", "prod(z/2)", "quo(z/4,[0,1])", "wat", *adversarial, *others, *edge,
+                *(f"loc(z/6,{lit})" for lit in others), *(f"quo(poly(f2,X),{lit})" for lit in others)]:
         with pytest.raises(SpecError):
             make_ring(bad)
+
+
+@pytest.mark.parametrize("spec", ["prod(" * 1200 + "f2" + ",f2)" * 1200, "z/" + "7" * 5000],
+                         ids=["1200-deep", "5000-digit-modulus"])
+def test_adversarial_spec_is_a_usage_error(spec, capsys):
+    # these ended in a RecursionError and a ValueError traceback
+    assert cli.main(["--suite", "k2-exact", "--system", "A2", "--ring", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "bad ring spec" in err
 
 
 @pytest.mark.parametrize("spec", ["z", "z/4", "prod(f2,f3)", "poly(f3,X)"])

@@ -1,11 +1,13 @@
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import pathlib
 import random
 import signal
+import sys
 import time
 
 import numpy
@@ -337,6 +339,8 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         ('{"suite": {"a": 1}}', "'suite' must be a string, got {'a': 1}"),
         # auto ran exactly what exact runs, and is gone
         ('{"suite": "xeqy", "tier": "auto"}', "'tier' must be one of"),
+        # json.load ran out of stack and ended in a RecursionError traceback
+        pytest.param("[" * 100_000, "cannot read --config", id="100000-deep"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -380,6 +384,56 @@ def test_cli_needs_a_suite_or_a_config(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and "need --suite or --config" in err
+
+
+def test_cli_deep_ideal_is_a_usage_error(capsys):
+    config = SuiteConfig(suite="relative-generation", systems=("A2",), ideal="[" * 3000)
+    assert "recursion" in S.config_error(config)
+    assert cli.main(["--suite", "relative-generation", "--system", "A2", "--ideal", "[" * 3000]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--ideal" in err
+
+
+def test_cli_unwritable_out_is_a_usage_error_before_any_suite_runs(tmp_path, monkeypatch, capsys):
+    # the suites ran first, and the write ended in a FileNotFoundError traceback
+    def no_run(config):
+        raise AssertionError("a suite ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    out_path = tmp_path / "no-such-dir" / "r.json"
+    assert cli.main(["--suite", "amalgam", "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "cannot write --out" in err
+
+
+def _script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compute_k2_reports_a_row_past_the_cap_as_inconclusive(monkeypatch, capsys):
+    # A3 over z/6 passes the coset cap; the Inconclusive ended the script
+    compute_k2 = _script("compute_k2")
+
+    def capped(datum, ring):
+        raise Inconclusive("live cosets exceeded 1000000")
+
+    monkeypatch.setattr(compute_k2, "k2_compute", capped)
+    monkeypatch.setattr(sys, "argv", ["compute_k2.py", "A3", "z/6"])
+    assert compute_k2.main() == 0
+    out = capsys.readouterr().out
+    assert out == "A3 over z/6: inconclusive: live cosets exceeded 1000000\n"
+
+
+@pytest.mark.parametrize("argv", [["x"], ["1", "2"]])
+def test_lift_demo_refuses_a_seed_that_is_not_an_integer(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["lift_demo.py", *argv])
+    assert _script("lift_demo").main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "usage" in err
 
 
 @pytest.mark.parametrize("suite", ["relative-generation"])
