@@ -14,7 +14,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from steinberg.suites import SUITES, SuiteConfig, emit_report, run_suite
+from steinberg.suites import SUITES, SuiteConfig, run_suite
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
         sys.stdout.write(report.to_text())
         sys.stdout.write(f"  ({dt:.1f}s)\n")
         if outdir:
-            emit_report(report, "json", str(outdir / f"{name}.json"))
+            (outdir / f"{name}.json").write_text(report.to_json())
         ok = ok and report.verdict == "pass"
     print(f"total: {time.perf_counter() - grand_total:.1f}s")
     return 0 if ok else 1

@@ -749,20 +749,21 @@ def k2_compute(datum, ring, max_cosets=10**6):
     So type D is refused, with UnsupportedRingError, unless mu_2(R) = {1}:
     R is then reduced of characteristic 2, and `sc_order` holds there.
     The refusal, and that of a root system without a matrix realization,
-    comes before anything is enumerated.
+    comes before any presentation is built.
     """
+    size = datum.matrix_size()  # NoMatrixRealization for the E family
     sp = steinberg_presentation(datum, ring)
     if datum.family == "D":
         mu2 = sum(1 for x in ring.payloads() if ring.p_mul(x, x) == ring.one_p)
         if mu2 > 1:
             raise UnsupportedRingError(
-                f"the kernel of St({datum.name}, {ring.spec}) -> SO({datum.matrix_size()}) "
+                f"the kernel of St({datum.name}, {ring.spec}) -> SO({size}) "
                 f"holds mu_2(R), of order {mu2}, beside K2"
             )
     up = uplus_data(sp, max_cosets)
     utbl, nu = up.utbl, up.order
     kernel, words = [], []
-    ident = identity_matrix(ring, datum.matrix_size()).data
+    ident = identity_matrix(ring, size).data
     for c, m in enumerate(tree_images(utbl, up.steps, ident)):
         j = up.index.get(m)
         if j is not None:
@@ -775,7 +776,7 @@ def k2_compute(datum, ring, max_cosets=10**6):
     ]
     st_order = utbl.n * nu
     image_order = utbl.n // len(kernel) * nu
-    entries = datum.matrix_size() ** 2
+    entries = size**2
     if st_order // len(kernel) * entries <= BFS_CAP:
         gens = [up.cols[2 * g] for g in simple_root_generators(sp)]
         bfs, route = matrix_group_order(gens, cap=BFS_CAP // entries), "bfs"
@@ -860,9 +861,8 @@ class RelativeIndexReport:
 def relative_subgroup_index(datum, ring, split, max_cosets=10**6):
     """Index of <z_alpha(s, r)> in St(Phi, R) against |St(Phi, R/I)|, which
     is [St : U+] |U+_E| over R/I (`uplus_data`)."""
+    datum.matrix_size()  # NoMatrixRealization for the E family
     sp = steinberg_presentation(datum, ring)
-    # the quotient first: it raises for a system without matrices at once,
-    # where the subgroup enumeration would run to its cap
     upq = uplus_data(steinberg_presentation(datum, split.quotient), max_cosets)
     ideal_payloads = sorted(split.ideal.payload_set())
     subgroup = []

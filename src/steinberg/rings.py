@@ -31,9 +31,12 @@ tables built once from the construction: a product, a quo() ring, a
 finite localization (the image of x -> x*e, for e the idempotent power of
 a) and a quotient R/I by an ideal (the image of x -> the first member of
 x + I).  The two image rings keep a section, the base code of each of
-their codes.  Over a domain with exact division loc() gives fractions
-instead.  Polynomial arithmetic, with one long division, lives in
-PolyRing; the quo() tables and the ideal part of semi() use it.
+their codes.  Over an infinite domain with exact division (z, a
+localization of z, or semi() of one) loc() gives fractions instead; it
+refuses poly(S,V).  PolyRing holds the polynomial arithmetic that the
+quo() tables and the ideal part of semi() use, and quo() reduces by its
+monic relator.  Linear solving, quotients R/I and splitting sections
+need a finite ring.
 """
 
 from __future__ import annotations
@@ -300,7 +303,6 @@ class ZModRing(Ring):
     has the method views.  p_dot keeps one reduction for the whole sum."""
 
     is_finite = True
-    exact_div = False
 
     def __init__(self, n, spec=None):
         if n < 1:
@@ -309,7 +311,6 @@ class ZModRing(Ring):
         self.n = n
         self.zero_p = 0
         self.one_p = 1 % n
-        self.is_domain = n > 1 and _is_prime(n)
         if n <= FINITE_MAX_SIZE:
             codes = range(n)
             self._adopt_tables(
@@ -437,10 +438,8 @@ class PolyRing(Ring):
         super().__init__(f"poly({base.spec},{var})")
         self.base = base
         self.var = var
-        self.is_domain = base.is_domain
         self.zero_p = ()
         self.one_p = (base.one_p,)
-        self.exact_div = base.exact_div or base.is_finite
 
     def p_add(self, f, g):
         n = max(len(f), len(g))
@@ -474,15 +473,6 @@ class PolyRing(Ring):
         """The variable itself, as an element."""
         return Elem(self, (self.base.zero_p, self.base.one_p))
 
-    def p_try_div(self, f, g):
-        if not g:
-            return () if not f else None
-        ginv = _unit_inverse(self.base, g[-1])
-        if ginv is None:
-            raise UnsupportedRingError(f"{self.spec}: leading coefficient not invertible")
-        q, rem = _poly_divmod(self.base, f, g, ginv)
-        return q if rem == () else None
-
     def from_literal(self, lit):
         if isinstance(lit, (tuple, list)):
             return _strip([self.base.from_literal(c) for c in lit], self.base.zero_p)
@@ -510,32 +500,10 @@ class PolyRing(Ring):
         return "+".join(terms)
 
 
-def _poly_divmod(base, f, g, ginv):
-    """Quotient and remainder of the long division of f by g over `base`,
-    where ginv is the inverse of g's leading coefficient."""
-    bz = base.zero_p
-    padd, pmul, pneg = base.p_add, base.p_mul, base.p_neg
-    rem = list(f)
-    q = [bz] * max(len(f) - len(g) + 1, 0)
-    low = g[:-1]
-    while len(rem) >= len(g):
-        c = rem.pop()
-        if c == bz:
-            continue
-        c = pmul(c, ginv)
-        k = len(rem) - len(low)
-        q[k] = c
-        for i, gc in enumerate(low):
-            rem[k + i] = padd(rem[k + i], pneg(pmul(c, gc)))
-    return _strip(q, bz), _strip(rem, bz)
-
-
 def _unit_inverse(ring, p):
     """Inverse of a payload, or None.  Search-based for finite rings."""
     if p == ring.one_p:
         return ring.one_p
-    if isinstance(ring, ZRing):
-        return p if p in (1, -1) else None
     if ring.is_finite:
         for q in ring.payloads():
             if ring.p_mul(p, q) == ring.one_p:
@@ -596,9 +564,20 @@ def _quo_poly(polyring, relator):
         raise SpecError(f"{spec}: quo() takes a polynomial ring over a finite ring")
     deg = len(relator) - 1
     _check_size(spec, base.size() ** deg)
+    bz, padd, pmul, pneg = base.zero_p, base.p_add, base.p_mul, base.p_neg
+    low = relator[:-1]
 
     def reduce(f):
-        return _poly_divmod(base, f, relator, base.one_p)[1]
+        """f modulo the monic relator: subtract c*X^k times the relator,
+        for c the leading coefficient, until the degree is below deg."""
+        rem = list(f)
+        while len(rem) > deg:
+            c = rem.pop()
+            if c != bz:
+                k = len(rem) - deg
+                for i, gc in enumerate(low):
+                    rem[k + i] = padd(rem[k + i], pneg(pmul(c, gc)))
+        return _strip(rem, bz)
 
     ring = FiniteRing(
         spec,
@@ -1011,13 +990,6 @@ class FGIdeal:
         x = self.ring.el(x)
         if self.kind == "semi-kernel":
             return [] if x.payload[0] == self.ring.base.zero_p else None
-        if _is_var_ideal(self.ring, self):
-            # principal ideal (V) of a polynomial ring: divide by the variable
-            if not x.payload:
-                return [self.ring.zero()]
-            if x.payload[0] != self.ring.base.zero_p:
-                return None
-            return [Elem(self.ring, x.payload[1:])]
         return lin_solve(list(self.gens), x)
 
     def payload_set(self):
@@ -1054,10 +1026,10 @@ class FGIdeal:
 def lin_solve(u, b):
     """Solve sum(u_k * w_k) == b exactly; None when b is outside the ideal.
 
-    Finite rings search exhaustively in enumerator order (so the answer is
-    the lexicographically least solution); the integers use the extended
-    Euclidean algorithm.  Anything else raises UnsupportedRingError, which
-    callers must surface as "inconclusive" rather than "no".
+    Finite rings search exhaustively in enumerator order, so the answer is
+    the lexicographically least solution.  An infinite ring raises
+    UnsupportedRingError, which callers must surface as "inconclusive"
+    rather than "no".
     """
     if not u:
         return [] if b.is_zero() else None
@@ -1074,31 +1046,7 @@ def lin_solve(u, b):
             if ring.p_dot(ups, cand) == b.payload:
                 return [Elem(ring, wp) for wp in cand]
         return None
-    if isinstance(ring, ZRing):
-        g, coeffs = 0, [0] * len(u)
-        for i, x in enumerate(u):
-            g2, s, t = _xgcd(g, x.payload)
-            coeffs = [c * s for c in coeffs]
-            coeffs[i] = t
-            g = g2
-        if g == 0:
-            return [ring.zero() for _ in u] if b.payload == 0 else None
-        if b.payload % g:
-            return None
-        scale = b.payload // g
-        return [Elem(ring, c * scale) for c in coeffs]
     raise UnsupportedRingError(f"lin_solve over {ring.spec} is not supported")
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def unique_divide(ideal, a, m):
@@ -1155,30 +1103,18 @@ def unique_divide(ideal, a, m):
 # quotients and splitting sections
 
 
-def _is_var_ideal(ring, ideal):
-    return (
-        isinstance(ring, PolyRing)
-        and ideal.kind == "fg"
-        and len(ideal.gens) == 1
-        and ideal.gens[0].payload == (ring.base.zero_p, ring.base.one_p)
-    )
-
-
 _QUOTIENT_CACHE = {}
 
 
 def quotient_ring(ring, ideal):
-    """(R/I, pi).  A finite ring maps each coset to its first member in
-    enumeration order; a polynomial ring modulo its variable projects onto
-    the coefficient ring.  Over z/N the ideal is d*z/N, d = gcd(N, gens),
+    """(R/I, pi) for a finite ring, which maps each coset to its first
+    member in enumeration order; an infinite ring raises
+    UnsupportedRingError.  Over z/N the ideal is d*z/N, d = gcd(N, gens),
     and the first member of x + I is x mod d, so nothing is enumerated."""
     key = ideal.key()
     if key in _QUOTIENT_CACHE:
         return _QUOTIENT_CACHE[key]
-    if _is_var_ideal(ring, ideal):
-        pi = RingMorphism(ring, ring.base, lambda p: p[0] if p else ring.base.zero_p, name="pi")
-        out = (ring.base, pi)
-    elif ring.is_finite:
+    if ring.is_finite:
         gens = _lit_str([ring.to_literal(g.payload) for g in ideal.gens])
         spec = f"quo_ideal({ring.spec},{gens})"
         if isinstance(ring, ZModRing):
@@ -1206,12 +1142,10 @@ SECTION_CANDIDATE_CAP = 10**6
 def splitting_section(ring, ideal):
     """A unital ring section of R -> R/I, or None if no section exists.
 
-    The finite case searches candidate maps in enumerator order, so the
-    returned section is deterministic.  poly(S,V) with I=(V) short-circuits
-    to the constant embedding.
+    R must be finite; the search tries candidate maps in enumerator order,
+    so the returned section is deterministic.  An infinite ring raises
+    UnsupportedRingError.
     """
-    if _is_var_ideal(ring, ideal):
-        return RingMorphism(ring.base, ring, lambda p: _strip((p,), ring.base.zero_p), name="sigma")
     if not ring.is_finite:
         raise UnsupportedRingError(f"no registered section for {ring.spec}")
     quo, pi = quotient_ring(ring, ideal)

@@ -1512,11 +1512,3 @@ def run_suite(config):
         checks=checks,
         warnings=warnings,
     )
-
-
-def emit_report(report, fmt="json", path=None):
-    payload = report.to_json() if fmt == "json" else report.to_text()
-    if path:
-        with open(path, "w") as fh:
-            fh.write(payload)
-    return payload

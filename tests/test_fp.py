@@ -331,7 +331,7 @@ def test_sc_formula_matches_the_bfs(system, spec):
 
 
 @pytest.mark.parametrize("system, spec, order", [("A2", "z/4", 43008), ("A3", "f2", 20160)])
-def test_special_linear_formula_matches_the_bfs(system, spec, order, monkeypatch):
+def test_sc_order_in_type_a_matches_the_all_roots_bfs(system, spec, order, monkeypatch):
     datum, ring = build_system(system), make_ring(spec)
     gens = [unipotent(datum, r, ring.one()) for r in datum.roots]
     assert sc_order(datum, ring) == matrix_group_order(gens) == order
@@ -352,13 +352,13 @@ def test_bfs_cap_counts_matrix_entries(monkeypatch):
     assert (rep.image_route, rep.bfs_image_order, rep.kernel_order) == ("sc-formula", 9_999_360, 1)
 
 
-def test_special_linear_formula_on_composite_moduli():
+def test_sc_order_on_composite_moduli():
     assert sc_order(A2, make_ring("z/12")) == 43008 * 5616  # Z/4 x Z/3
     assert sc_order(A3, make_ring("z/4")) == 660_602_880 == 2**15 * 20160
     assert sc_order(A2, make_ring("z/1")) == 1
 
 
-def test_omega_formula_matches_the_bfs(monkeypatch):
+def test_sc_order_in_type_d_matches_the_all_roots_bfs(monkeypatch):
     d3 = build_system("D3")
     gens = [unipotent(d3, r, F2.one()) for r in d3.roots]
     assert sc_order(d3, F2) == matrix_group_order(gens) == 20160
@@ -425,6 +425,20 @@ def test_enumerate_steinberg_fills_the_uplus_memo(monkeypatch):
 def test_k2_compute_refuses_e_family_before_enumerating():
     with pytest.raises(NoMatrixRealization):
         k2_compute(build_system("E6"), F2, max_cosets=1000)
+
+
+def test_e_family_is_refused_before_any_presentation_is_built(monkeypatch):
+    # an E8 presentation has 114,960 relators and is thrown away on refusal
+    def no_presentation(*args):
+        raise AssertionError("a presentation was built")
+
+    monkeypatch.setattr(fp, "steinberg_presentation", no_presentation)
+    e6, f2e = build_system("E6"), make_ring(F2E)
+    sd = split_data(f2e, FGIdeal(f2e, [f2e.gen()]))
+    with pytest.raises(NoMatrixRealization, match="no matrix realization"):
+        k2_compute(e6, F2)
+    with pytest.raises(NoMatrixRealization, match="no matrix realization"):
+        relative_subgroup_index(e6, f2e, sd)
 
 
 def _sequential_standardize(nxt):

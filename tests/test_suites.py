@@ -27,7 +27,6 @@ from steinberg.suites import (
     CheckRecord,
     SuiteConfig,
     VerificationReport,
-    emit_report,
     run_suite,
 )
 from steinberg.vdk import linear_system
@@ -104,17 +103,11 @@ def test_vacuous_sampling_warns(tmp_path):
     assert rep.verdict == "pass"
 
 
-def test_emit_report_files(tmp_path):
-    cfg = SuiteConfig(suite="amalgam")
-    rep = run_suite(cfg)
-    jpath = tmp_path / "r.json"
-    tpath = tmp_path / "r.txt"
-    emit_report(rep, "json", str(jpath))
-    emit_report(rep, "text", str(tpath))
-    parsed = json.loads(jpath.read_text())
-    assert parsed["suite"] == "amalgam"
-    assert "wall" not in jpath.read_text()
-    assert "amalgam" in tpath.read_text()
+def test_emit_report_files():
+    rep = run_suite(SuiteConfig(suite="amalgam"))
+    assert json.loads(rep.to_json())["suite"] == "amalgam"
+    assert "wall" not in rep.to_json()
+    assert "amalgam" in rep.to_text()
 
 
 def test_cli_config_document(tmp_path):
@@ -151,6 +144,8 @@ def test_cli_flag_overrides():
         # z/1000 / (500) would be a 500-element FiniteRing
         (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/1000",), ideal="[500]"),
          "has at most 256"),
+        (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("poly(f2,X)",)),
+         "quotient of poly(f2,X) is not supported"),
     ],
 )
 def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
@@ -193,6 +188,13 @@ def test_cli_rejects_malformed_ring_or_system(flags, named, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and named in err
+
+
+def test_cli_refuses_the_localization_of_a_polynomial_ring(capsys):
+    assert cli.main(["--suite", "k2-exact", "--ring", "loc(poly(z,X),[0,1])"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "localization of poly(z,X) is not supported" in err
 
 
 @pytest.mark.parametrize(
