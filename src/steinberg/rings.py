@@ -182,7 +182,6 @@ class Ring:
     """
 
     is_finite = False
-    is_domain = False
     exact_div = False  # p_try_div gives unique exact quotients
 
     def __init__(self, spec):
@@ -267,7 +266,6 @@ class Ring:
 
 
 class ZRing(Ring):
-    is_domain = True
     exact_div = True
     zero_p = 0
     one_p = 1
@@ -628,7 +626,7 @@ class FractionLocalization(Ring):
     """Fractions x/a^k over a domain with exact division; payload (num, k)."""
 
     def __init__(self, base, a_payload):
-        if not (base.is_domain and base.exact_div):
+        if not base.exact_div:
             raise UnsupportedRingError(
                 f"localization of {base.spec} by fractions needs an exact-division domain"
             )
@@ -637,7 +635,6 @@ class FractionLocalization(Ring):
         super().__init__(f"loc({base.spec},{_lit_str(base.to_literal(a_payload))})")
         self.base = base
         self.a_payload = a_payload
-        self.is_domain = True
         self.exact_div = True
         self.zero_p = (base.zero_p, 0)
         self.one_p = self._canon(base.one_p, 0)
@@ -742,7 +739,6 @@ class SemidirectRing(Ring):
         self.loc = loc
         self.ideal_poly = PolyRing(loc, "X")  # the arithmetic of the ideal part
         self._lam_p = lam.p_fn
-        self.is_domain = base.is_domain
         self.zero_p = (base.zero_p, ())
         self.one_p = (base.one_p, ())
         self.exact_div = base.exact_div
@@ -924,7 +920,7 @@ def localization(ring, a):
     elif a.is_zero():
         zero = _intern(ZModRing(1))
         return zero, RingMorphism(ring, zero, lambda p: 0, name="lam_0")
-    elif ring.is_domain and ring.exact_div:
+    elif ring.exact_div:
         loc = _intern(FractionLocalization(ring, a.payload))
     else:
         raise UnsupportedRingError(f"localization of {ring.spec} is not supported")

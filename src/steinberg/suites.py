@@ -42,11 +42,11 @@ from .matrices import (
     vector,
 )
 from .rings import (
+    FINITE_MAX_SIZE,
     Elem,
     FGIdeal,
     RingError,
     UnsupportedRingError,
-    ZModRing,
     _is_int,
     lin_solve,
     localization,
@@ -442,12 +442,12 @@ def _rand_word(system, ring, rng, length):
 
 
 # Each batched temporary of a numpy check holds at most about this many
-# bytes (0.3 MB), counted at the batch's dtype: in chevalley, the matrices of
-# one chunk of (beta, r) times every s, which the row operations update in
-# place; in F- and S-additivity, the index arrays of one chunk of table
-# products.  This keeps a suite's peak memory where its unbatched loop had it.
+# bytes (0.3 MB): in chevalley, the codes of one chunk of (beta, r) times
+# every s, as uint8, whose row operations index in uint32 (4 bytes a code);
+# in F- and S-additivity, the index arrays of one chunk of table products.
+# This keeps a suite's peak memory where its unbatched loop had it.
 _BATCH_BYTES = 300_000
-# chevalley refuses a z/N whose exhaustive check passes this many instances
+# chevalley refuses a ring whose exhaustive check passes this many instances
 # (seconds of work on one CPU); below it, every system with matrices keeps
 # one (beta, r) of the batch, over every s, under _BATCH_BYTES.
 CHEVALLEY_CAP = 10**7
@@ -468,30 +468,27 @@ def _chevalley_tables(datum):
 
 def suite_chevalley(config):
     """One check per (system, ring).  Which rings a check can run on is
-    decided here: z/N with at most CHEVALLEY_CAP instances, which keeps N
-    below 579 (A2, the smallest system, counts 30 (N - 1)^2), so N^2 - 1
-    fits uint32.
+    decided here: those with code tables (FINITE_MAX_SIZE) and at most
+    CHEVALLEY_CAP instances (A2, the smallest system, counts 30 (|R| - 1)^2).
     The checks that run, of every system, are spread over the CPUs at once,
     and each check's wall_time is that of the process that ran it."""
     systems = config.systems or ("A3", "A4", "D4", "D5")
     rings = config.rings or tuple(f"z/{k}" for k in range(2, 10))
-    checks, todo = [], []  # todo: (record, tables, N) of the checks that run
+    checks, todo = [], []  # todo: (record, tables, ring) of the checks that run
     for sysname in systems:
         datum = build_system(sysname)
         tables = None  # built in the first check, which may find no matrices
         for ringspec in rings:
             ring = make_ring(ringspec)
             with _Check(checks, f"chevalley-{sysname}-{ringspec}", "matrix") as rec:
-                if not isinstance(ring, ZModRing):
-                    raise UnsupportedRingError(
-                        f"the batched check multiplies integer matrices mod N; {ring.spec} is not z/N"
-                    )
                 tables = tables or (*_chevalley_tables(datum), datum.matrix_size())
                 live = sum(tag != "skip" for row in tables[1] for tag, _ in row)  # (alpha, beta) pairs
-                count = (len(tables[0]) + live) * (ring.n - 1) ** 2
+                count = (len(tables[0]) + live) * (ring.size() - 1) ** 2  # raises over an infinite ring
                 if count > CHEVALLEY_CAP:
-                    raise UnsupportedRingError(f"z/{ring.n} gives {count} instances, past CHEVALLEY_CAP")
-                todo.append((rec, tables, ring.n))
+                    raise UnsupportedRingError(f"{ring.spec} gives {count} instances, past CHEVALLEY_CAP")
+                if ring.size() > FINITE_MAX_SIZE:
+                    raise UnsupportedRingError(f"{ring.spec} has {ring.size()} elements, past FINITE_MAX_SIZE")
+                todo.append((rec, tables, ring))
 
     def timed(item):
         t0 = time.perf_counter()
@@ -503,102 +500,109 @@ def suite_chevalley(config):
     return checks
 
 
-def _left_unipotent(m, at, d, N):
-    """m <- X m mod N in place, for root unipotents X = 1 + D on m's rows.
+def _left_unipotent(m, at, d, fused):
+    """m <- X m in place, for root unipotents X = 1 + D on m's rows of codes.
 
     `at` lists index tuples (target rows, source rows) into m, one per
     position e of D: a row, or with index arrays one row per lane of a
-    batch.  d[e] is the entry of D at e, broadcasting against those rows.
-    Each position adds d[e] times its sources to its targets; the sources
-    are read before any row changes, so a target that is another position's
-    source still gives X m.  With m and d in [0, N) and of m's dtype, each
-    updated row stays below N^2, so that dtype holds it before it is reduced.
+    batch.  d[e], broadcasting against those rows, is c q^2 in uint32 for
+    c the code of D's entry at e and q = len(fused).  A target code x with
+    source code y becomes fused[c, x, y], the code of x + c y, read at the
+    flat index c q^2 + x q + y.  The sources are read before any row
+    changes, so a target that is another position's source still gives X m.
     """
-    adds = [d[e] * m[src] for e, (_, src) in enumerate(at)]
-    for (tgt, _), add in zip(at, adds):
-        m[tgt] = (m[tgt] + add) % N
+    flat = [numpy.add(m[src], d[e], dtype=numpy.uint32) for e, (_, src) in enumerate(at)]
+    for (tgt, _), index in zip(at, flat):
+        index += numpy.multiply(m[tgt], len(fused), dtype=numpy.uint32)
+        m[tgt] = numpy.take(fused, index)
 
 
-def _chevalley_check(pats, sums, size, rec, N):
-    """Additivity and the commutator formula over Z/N, exhaustively, into rec.
+def _chevalley_check(pats, sums, size, rec, ring):
+    """Additivity and the commutator formula, exhaustively, into rec.
 
-    Every factor is a root unipotent X = 1 + D, so X M adds multiples of
-    rows of M to other rows (_left_unipotent).  D is read off the table's
-    matrix x_root(k) itself, at the positions of the root's entries, so any
-    table is multiplied as written.  Products are held rows first, as
-    batch[row, lane, r, s, col] with one root per lane: x_root(r) applied to
-    x_root(s) for additivity, and for the commutators of one alpha,
+    Entries are the ring's codes, as uint8.  Every factor is a root
+    unipotent X = 1 + D, so X M adds multiples of rows of M to other rows
+    (_left_unipotent), each position by one gather from the fused table
+    fused[d, x, y] = add[x][mul[d][y]].  D is read off the table's matrix
+    x_root(k) itself, at the positions of the root's entries, so any table
+    is multiplied as written.  Products are held rows first, as
+    batch[row, lane, r, s, col] with one root per lane: x_root(r) applied
+    to x_root(s) for additivity, and for the commutators of one alpha,
     x_alpha(r) x_beta(s) x_alpha(-r) applied to x_beta(-s), which updates
     whole row slabs for alpha and one advanced-indexed row per lane for
-    beta.  The batches are cut over (lane, r), every s in each, at most
-    _BATCH_BYTES at the batch's dtype.  Entries are held in the narrowest
-    unsigned dtype that holds N^2 - 1 (uint8 for N <= 16), and each factor
-    reduces the rows it touches mod N, so the check is exact for every N
-    that CHEVALLEY_CAP admits (N <= 578, whose N^2 - 1 fits uint32).
-    Failures are reported in
-    the order of the loops over (root, r, s) and (alpha, beta, r, s).
+    beta.  r and s run over the nonzero codes, every code but zero_p, and
+    -r is read off the neg table.  The batches are cut over (lane, r),
+    every s in each, at most _BATCH_BYTES of codes.  Failures are reported
+    in the order of the loops over (root, r, s) and (alpha, beta, r, s),
+    with r and s as ring literals.
     """
-    nroots, dtype = len(pats), numpy.min_scalar_type(N * N - 1)
-    nonzero = numpy.arange(1, N)
-    # mats[row, ri, k, col] is x_root(k); mats[:, ri, 0] is the identity
-    mats = numpy.zeros((size, nroots, N, size), dtype=dtype)
-    mats[numpy.arange(size), ..., numpy.arange(size)] = 1
+    q, zero, nroots = ring.size(), ring.zero_p, len(pats)
+    add, mul, neg = (numpy.array(t, dtype=numpy.uint8) for t in ring.tables)
+    fused = numpy.empty((q, q, q), dtype=numpy.uint8)  # C order, which numpy.take reads without a copy
+    for c in range(q):
+        fused[c] = add[:, mul[c]]  # fused[d, x, y], the code of x + d y
+    nonzero = numpy.flatnonzero(numpy.arange(q) != zero)
+    # mats[row, ri, k, col] is x_root(k) for the code k; x_root(zero_p) is the identity
+    mats = numpy.full((size, nroots, q, size), zero, dtype=numpy.uint8)
+    mats[numpy.arange(size), ..., numpy.arange(size)] = ring.one_p
     for ri, entries in enumerate(pats):
-        for i, j, sign in entries:
-            mats[i, ri, :, j] = (sign * numpy.arange(N)) % N
+        for i, j, sign in entries:  # sign is 1 or -1
+            mats[i, ri, :, j] = numpy.arange(q) if sign > 0 else neg
     # the positions of D per root, padded with zero updates of row 0, and
-    # d[e, ri, k] = (x_root(k) - 1)[position e] mod N, in int64 before the
-    # cast: unsigned subtraction wraps
+    # d[e, ri, k] = q^2 times the code of (x_root(k) - 1)[position e]
     places = [list(dict.fromkeys((i, j) for i, j, _ in entries)) for entries in pats]
     width = max(map(len, places), default=0)
     tgt, src = (numpy.zeros((nroots, width), dtype=numpy.intp) for _ in "ts")
-    d = numpy.zeros((width, nroots, N), dtype=numpy.int64)
+    d = numpy.full((width, nroots, q), zero * q * q, dtype=numpy.uint32)
     for ri, at in enumerate(places):
         for e, (i, j) in enumerate(at):
             tgt[ri, e], src[ri, e] = i, j
-            d[e, ri] = (mats[i, ri, :, j].astype(numpy.int64) - (i == j)) % N
-    d = d.astype(dtype)
-    k = max(1, _BATCH_BYTES // max(N - 1, 1) // (size * size * dtype.itemsize))  # (lane, r) per batch
-    rstep, lstep = max(1, min(k, N - 1)), max(1, k // max(N - 1, 1))
+            d[e, ri] = add[mats[i, ri, :, j], neg[ring.one_p if i == j else zero]] * numpy.uint32(q * q)
+    k = max(1, _BATCH_BYTES // max(q - 1, 1) // (size * size))  # (lane, r) per batch
+    rstep, lstep = max(1, min(k, q - 1)), max(1, k // max(q - 1, 1))
 
     def batches(roots):
         """(lanes, roots, r slice, the rows of D per lane) cutting roots x r."""
         for lo in range(0, len(roots), lstep):
             part, lane = roots[lo:lo + lstep], numpy.arange(len(roots[lo:lo + lstep]))
             rows = [((tgt[part, e], lane), (src[part, e], lane)) for e in range(width)]
-            for r in range(0, N - 1, rstep):
+            for r in range(0, q - 1, rstep):
                 yield slice(lo, lo + lstep), part, slice(r, r + rstep), rows
 
     def decide(bad, lanes, rs, got, want):
         bad[lanes, rs] = ~_same(numpy.moveaxis(got, 0, -2), numpy.moveaxis(want, 0, -2))
 
-    total = (nonzero[:, None] + nonzero[None, :]) % N
-    bad = numpy.zeros((nroots, N - 1, N - 1), dtype=bool)  # [root, r, s]
+    xs, dxs = mats[:, :, nonzero], d[:, :, nonzero]  # of the nonzero codes
+    lit = [ring.to_literal(c) for c in nonzero.tolist()]
+    total = add[nonzero[:, None], nonzero]  # [r, s], the code of r + s
+    bad = numpy.zeros((nroots, q - 1, q - 1), dtype=bool)  # [root, r, s]
     for lanes, part, rs, rows in batches(numpy.arange(nroots)):
-        lhs = numpy.repeat(mats[:, part, None, 1:], len(total[rs]), axis=2)
-        _left_unipotent(lhs, rows, d[:, part, 1:][:, :, rs, None, None], N)
+        lhs = numpy.repeat(xs[:, part, None], len(total[rs]), axis=2)
+        _left_unipotent(lhs, rows, dxs[:, part, rs, None, None], fused)
         decide(bad, lanes, rs, lhs, mats[:, part[:, None, None], total[None, rs]])
     rec.instances += bad.size
     for ri, r, s in numpy.argwhere(bad):
-        rec.fail(kind="additivity", root=int(ri), r=int(r) + 1, s=int(s) + 1)
+        rec.fail(kind="additivity", root=int(ri), r=lit[r], s=lit[s])
     # commutators: [x_alpha(r), x_beta(s)] against x_{alpha+beta}(N r s), or
     # the identity x_0(0) when alpha+beta is not a root
+    negs = mats[:, :, neg[nonzero]]  # x_root(-s)
+    prod = mul[nonzero[:, None], nonzero]  # [r, s], the code of r s
+    signed = numpy.stack((numpy.full_like(prod, zero), prod, neg[prod]))  # of N r s, by N = 0, 1 or -1 (last)
     for ai in range(nroots):
         live = [(bi, tag or 0, sign) for bi, (tag, sign) in enumerate(sums[ai]) if tag != "skip"]
         betas, tags, signs = numpy.array(live, dtype=numpy.intp).reshape(-1, 3).T
         alpha = list(zip(tgt[ai], src[ai]))
-        bad = numpy.zeros((len(betas), N - 1, N - 1), dtype=bool)  # [beta, r, s]
+        bad = numpy.zeros((len(betas), q - 1, q - 1), dtype=bool)  # [beta, r, s]
         for lanes, part, rs, rows in batches(betas):
             r = nonzero[rs]
-            comm = numpy.repeat(mats[:, part, None, :0:-1], len(r), axis=2)
-            _left_unipotent(comm, alpha, d[:, ai, N - r, None, None], N)
-            _left_unipotent(comm, rows, d[:, part, None, 1:, None], N)
-            _left_unipotent(comm, alpha, d[:, ai, r, None, None], N)
-            times = signs[lanes, None, None] * r[:, None] * nonzero
-            decide(bad, lanes, rs, comm, mats[:, tags[lanes, None, None], times % N])
+            comm = numpy.repeat(negs[:, part, None], len(r), axis=2)
+            _left_unipotent(comm, alpha, d[:, ai, neg[r], None, None], fused)
+            _left_unipotent(comm, rows, dxs[:, part, None, :, None], fused)
+            _left_unipotent(comm, alpha, d[:, ai, r, None, None], fused)
+            decide(bad, lanes, rs, comm, mats[:, tags[lanes, None, None], signed[signs[lanes], rs]])
         rec.instances += bad.size
         for b, r, s in numpy.argwhere(bad):
-            rec.fail(kind="commutator", alpha=ai, beta=int(betas[b]), r=int(r) + 1, s=int(s) + 1)
+            rec.fail(kind="commutator", alpha=ai, beta=int(betas[b]), r=lit[r], s=lit[s])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import importlib.util
@@ -20,7 +21,7 @@ from steinberg import cli, fp
 from steinberg import suites as S
 from steinberg import words as W
 from steinberg.matrices import Inconclusive
-from steinberg.rings import FGIdeal, localization, make_ring
+from steinberg.rings import FINITE_MAX_SIZE, FGIdeal, localization, make_ring
 from steinberg.roots import build_system
 from steinberg.suites import (
     SUITES,
@@ -130,8 +131,7 @@ def test_cli_flag_overrides():
 @pytest.mark.parametrize(
     "cfg, reason",
     [
-        (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("prod(f2,f3)", "z")),
-         "is not z/N"),
+        (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z",)), "is infinite"),
         (SuiteConfig(suite="k2-exact", systems=("A2",), rings=("z",)), "z is infinite"),
         (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/4",), ideal="[2]"),
          "is not a splitting ideal"),
@@ -146,6 +146,9 @@ def test_cli_flag_overrides():
          "has at most 256"),
         (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("poly(f2,X)",)),
          "quotient of poly(f2,X) is not supported"),
+        # under CHEVALLEY_CAP (30 * 299^2 instances), but without code tables
+        (SuiteConfig(suite="chevalley-relations", systems=("A2",), rings=("z/300",)),
+         "has 300 elements, past FINITE_MAX_SIZE"),
     ],
 )
 def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
@@ -166,11 +169,13 @@ def test_the_text_report_names_why_a_check_is_inconclusive(capsys):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_suites_that_read_a_ring_give_a_verdict_over_finite_rings(data):
-    # small caps keep the exact tier inconclusive past a few thousand cosets
+    # small caps keep the exact tier inconclusive past a few thousand cosets;
+    # the Chevalley relations hold over every commutative ring
     ring = _draw_finite_ring(data, 3)
     ideal = json.dumps([ring.to_literal(data.draw(st.integers(0, ring.size() - 1)))])
+    cfg = SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=(ring.spec,))
+    assert run_suite(cfg).verdict == "pass", cfg
     for cfg in (
-        SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=(ring.spec,)),
         SuiteConfig(suite="tulenbaev-identities", rings=(ring.spec,), max_cosets=2000),
         SuiteConfig(suite="k2-exact", systems=("A2",), rings=(ring.spec,), max_cosets=2000),
         SuiteConfig(suite="relative-generation", systems=("A2",), rings=(ring.spec,), ideal=ideal,
@@ -584,38 +589,37 @@ def test_batched_chevalley_passes_and_counts_every_instance():
 
 @pytest.mark.parametrize("kind", ["sign", "chain"])
 @pytest.mark.parametrize("N", [15, 16, 17])
-def test_batched_chevalley_is_exact_at_each_dtype_boundary(monkeypatch, kind, N):
-    # z/15 and z/16 hold their entries in uint8 (16^2 - 1 = 255), z/17 in
-    # uint16; every failure is compared, not only the reported 32.  Besides
-    # the default batches, the byte cap cuts them to 1 and 3 (beta, r) pairs
-    # (so r apart) and to 40 (several betas with every r).
-    dtype = numpy.min_scalar_type(N * N - 1)
-    assert dtype == (numpy.uint8 if N <= 16 else numpy.uint16)
+def test_batched_chevalley_is_exact_at_every_batch_cut(monkeypatch, kind, N):
+    # every failure is compared, not only the reported 32.  Besides the
+    # default batches, the byte cap cuts them to 1 and 3 (beta, r) pairs (so
+    # r apart) and to 40 (several betas with every r).
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt(kind))
     datum = build_system("A3")
     pats, sums = S._chevalley_tables(datum)
     want = _chevalley_loop(pats, sums, datum.matrix_size(), N, cap=None)
     assert want[1], "the corruption must show"
-    slab = (N - 1) * datum.matrix_size() ** 2 * dtype.itemsize
+    slab = (N - 1) * datum.matrix_size() ** 2  # one uint8 code an entry
     for cap in (S._BATCH_BYTES, slab, 3 * slab, 40 * slab):
         monkeypatch.setattr(S, "_BATCH_BYTES", cap)
         rec, failures = CheckRecord(name="", tier=""), []
         monkeypatch.setattr(rec, "fail", lambda **witness: failures.append(witness))
-        S._chevalley_check(pats, sums, datum.matrix_size(), rec, N)
+        S._chevalley_check(pats, sums, datum.matrix_size(), rec, make_ring(f"z/{N}"))
         assert (rec.instances, failures) == want, cap
 
 
-@pytest.mark.parametrize("N", [255, 256, 257, 65535, 65536, 65537])
-def test_row_operations_are_exact_in_the_narrowest_dtype(N):
-    # a batch [row, lane, col] in the dtype of N^2 - 1, updated once by whole
-    # rows (chained, repeated and diagonal positions) and once by one row per
-    # lane, against X m mod N in Python ints; entries and d of N - 1 make
-    # the largest sum, N^2 - N
-    dtype = numpy.min_scalar_type(N * N - 1)
-    rng = numpy.random.default_rng(N)
+@pytest.mark.parametrize("spec", ["f2", "quo(poly(f3,X),[1,0,1])", "z/256"])
+def test_row_operations_gather_from_the_fused_table(spec):
+    # a batch [row, lane, col] of uint8 codes, updated once by whole rows
+    # (chained, repeated and diagonal positions) and once by one row per
+    # lane, against X m in Python table lookups; codes and d of q - 1 make
+    # the largest flat index, q^3 - 1 (2^24 - 1 over z/256, in uint32)
+    ring = make_ring(spec)
+    q, (add, mul, _) = ring.size(), ring.tables
+    fused = numpy.array(add, dtype=numpy.uint8)[numpy.arange(q)[:, None], numpy.array(mul, dtype=numpy.uint8)[:, None]]
+    rng = numpy.random.default_rng(q)
     size, lanes, cols = 5, 6, 3
-    m = rng.integers(0, N, (size, lanes, cols)).astype(dtype)
-    m[:, 0] = N - 1
+    m = rng.integers(0, q, (size, lanes, cols)).astype(numpy.uint8)
+    m[:, 0] = q - 1
     lane = numpy.arange(lanes)
     tgt, src = rng.integers(0, size, (2, 3, lanes))
     tgt[:, 1], src[:, 1] = (0, 1, 1), (1, 2, 1)  # lane 1 chains, repeats and sits on the diagonal
@@ -623,16 +627,65 @@ def test_row_operations_are_exact_in_the_narrowest_dtype(N):
         ([(0, 1), (1, 2), (0, 3), (4, 4)], [[(0, 1), (1, 2), (0, 3), (4, 4)]] * lanes),
         ([((tgt[e], lane), (src[e], lane)) for e in range(3)], [list(zip(tgt[:, k], src[:, k])) for k in lane]),
     ):
-        d = rng.integers(0, N, (len(at), lanes, 1)).astype(dtype)
-        d[:, 0] = N - 1
+        c = rng.integers(0, q, (len(at), lanes, 1))
+        c[:, 0] = q - 1
         rows = [[[int(x) for x in m[i, k]] for i in range(size)] for k in lane]
         want = [[list(row) for row in block] for block in rows]
         for k, block in enumerate(rows):
             for e, (i, j) in enumerate(places[k]):
-                want[k][i] = [a + int(d[e, k, 0]) * b for a, b in zip(want[k][i], block[j])]
-        S._left_unipotent(m, at, d, N)
-        assert m.dtype == dtype
-        assert [[[x % N for x in row] for row in block] for block in want] == [m[:, k].tolist() for k in lane]
+                coef = mul[int(c[e, k, 0])]
+                want[k][i] = [add[a][coef[b]] for a, b in zip(want[k][i], block[j])]
+        S._left_unipotent(m, at, c.astype(numpy.uint32) * numpy.uint32(q * q), fused)
+        assert m.dtype == numpy.uint8
+        assert want == [m[:, k].tolist() for k in lane]
+
+
+@pytest.mark.parametrize("sysname", ["A3", "D4"])
+def test_chevalley_over_a_copy_of_z_mod_n_gives_its_report(monkeypatch, sysname):
+    # prod(z/N,z/1) is a FiniteRing on the codes of z/N, whose literals are
+    # [r, 0]; with one wrong sign both fail at the same instances
+    for corrupt in (False, True):
+        if corrupt:
+            monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
+        for N in range(2, 10):
+            cfg = SuiteConfig(suite="chevalley-relations", systems=(sysname,), rings=(f"z/{N}", f"prod(z/{N},z/1)"))
+            zn, twin = run_suite(cfg).checks
+            assert (twin.instances, twin.inconclusive) == (zn.instances, 0) and zn.instances > 0
+            assert twin.failures == [{**f, "r": [f["r"], 0], "s": [f["s"], 0]} for f in zn.failures]
+            assert bool(zn.failures) == (corrupt and N > 2), N  # -1 is 1 over z/2
+
+
+@pytest.mark.parametrize(
+    "spec, instances",
+    [
+        ("quo(poly(f2,X),[1,1,1])", (1188, 4968)),  # F4
+        ("quo(poly(f2,X),[0,0,1])", (1188, 4968)),  # F2[eps]
+        ("quo(poly(f3,X),[1,0,1])", (8448, 35328)),  # F9
+        ("prod(f2,f3)", (3300, 13800)),
+        ("loc(z/12,2)", (528, 2208)),
+    ],
+)
+def test_chevalley_passes_over_rings_that_are_not_z_mod_n(spec, instances):
+    rep = run_suite(SuiteConfig(suite="chevalley-relations", systems=("A3", "D4"), rings=(spec,)))
+    assert rep.verdict == "pass"
+    assert tuple(c.instances for c in rep.checks) == instances
+
+
+@pytest.mark.parametrize("spec", ["z/6", "quo(poly(f2,X),[1,1,1])"])
+def test_one_wrong_mul_entry_fails_chevalley(spec):
+    # a copy of the ring whose mul table, at codes 2 and 3 in either order,
+    # gives one more than the product
+    ring = copy.copy(make_ring(spec))
+    add, mul, neg = ring.tables
+    mul = [list(row) for row in mul]
+    mul[2][3] = mul[3][2] = add[mul[2][3]][ring.one_p]
+    ring.tables = (add, mul, neg)
+    datum = build_system("A3")
+    pats, sums = S._chevalley_tables(datum)
+    rec = CheckRecord(name="", tier="")
+    S._chevalley_check(pats, sums, datum.matrix_size(), rec, ring)
+    assert rec.instances == 132 * (ring.size() - 1) ** 2
+    assert len(rec.failures) == 32
 
 
 def test_a_ring_past_the_instance_cap_is_refused_before_any_work(monkeypatch, capsys):
@@ -679,8 +732,9 @@ def test_one_beta_and_r_of_a_batch_fits_at_every_ring_under_the_cap():
         datum = build_system(sysname)
         pats, sums = S._chevalley_tables(datum)
         per = len(pats) + sum(tag != "skip" for row in sums for tag, _ in row)
-        N = math.isqrt(S.CHEVALLEY_CAP // per) + 1  # the largest N the check accepts
-        slab = (N - 1) * datum.matrix_size() ** 2 * numpy.min_scalar_type(N * N - 1).itemsize
+        # the largest ring the check accepts, one uint8 code an entry
+        q = min(math.isqrt(S.CHEVALLEY_CAP // per) + 1, FINITE_MAX_SIZE)
+        slab = (q - 1) * datum.matrix_size() ** 2
         assert slab <= S._BATCH_BYTES, sysname
 
 
@@ -1131,18 +1185,18 @@ def test_canonical_split_fails_a_term_of_the_wrong_length(monkeypatch, change):
 
 
 def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
-    # one wrong sign makes every z/N check fail; the rings that are not z/N,
-    # or past CHEVALLEY_CAP, stay inconclusive at every CPU count
+    # one wrong sign makes every z/N check fail; an infinite ring, and one
+    # past CHEVALLEY_CAP, stay inconclusive at every CPU count
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
     cfg = SuiteConfig(suite="chevalley-relations", systems=("A3",),
-                      rings=("z/3", "prod(f2,f3)", "z/4", "z/3037000500", "z/5"))
+                      rings=("z/3", "z", "z/4", "z/3037000500", "z/5"))
     reports = []
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
         reports.append(run_suite(cfg))
     assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
     checks = {c.name: c for c in reports[2].checks}
-    for spec, reason in (("prod(f2,f3)", "is not z/N"), ("z/3037000500", "past CHEVALLEY_CAP")):
+    for spec, reason in (("z", "is infinite"), ("z/3037000500", "past CHEVALLEY_CAP")):
         c = checks[f"chevalley-A3-{spec}"]
         assert c.inconclusive == 1 and c.instances == 0 and reason in c.info["reason"]
     for spec in ("z/3", "z/4", "z/5"):
@@ -1156,7 +1210,7 @@ def test_chevalley_spreads_the_checks_of_every_system_at_once(monkeypatch):
     spread, spreads = S._spread, []
     monkeypatch.setattr(S, "_spread", lambda task, items: spreads.append(len(items)) or spread(task, items))
     cfg = SuiteConfig(suite="chevalley-relations", systems=("A3", "D4"),
-                      rings=("z/3", "prod(f2,f3)", "z/4", "z/5"))
+                      rings=("z/3", "z", "z/4", "z/5"))
     reports = []
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)

@@ -7,6 +7,8 @@ elements holds them as lists; every other ring (z/257, past the cap, and
 semi(z,2)) has views that call p_add, p_mul and p_neg.  The reference here
 is written in Elem arithmetic alone: plain matrix products of the root
 unipotents, the decomposition formula term by term, and sums of products.
+The chevalley check computes on the code tables in numpy, and is held to
+the same reference over every ring with lists.
 """
 
 import random
@@ -15,9 +17,11 @@ import pytest
 
 from laws import random_payload
 from steinberg import rings
+from steinberg import suites as S
 from steinberg.matrices import RMatrix, RVector, identity_matrix, transvection
 from steinberg.rings import FINITE_MAX_SIZE, Elem, make_ring
 from steinberg.roots import build_system
+from steinberg.suites import CheckRecord, SuiteConfig, run_suite
 from steinberg.vdk import decomposition_terms, linear_system, x_small
 from steinberg.words import StWord, phi, simplify
 
@@ -137,10 +141,10 @@ def test_kernels_match_elem_arithmetic(spec):
 
 
 def _spy(monkeypatch):
-    """Counts the calls of p_add, p_mul and p_neg of ZModRing and
-    SemidirectRing, wrapped on the class as a tracer wraps them."""
+    """Counts the calls of p_add, p_mul and p_neg of ZModRing, FiniteRing
+    and SemidirectRing, wrapped on the class as a tracer wraps them."""
     calls = [0]
-    for cls in (rings.ZModRing, rings.SemidirectRing):
+    for cls in (rings.ZModRing, rings.FiniteRing, rings.SemidirectRing):
         for name in ("p_add", "p_mul", "p_neg"):
             method = getattr(cls, name)
 
@@ -230,3 +234,70 @@ def test_elems_and_identities_are_shared_on_rings_with_tables():
         one = ring.one()
         assert one + one == ring.el(2) and one + one is not one + one
         assert identity_matrix(ring, 4) is identity_matrix(ring, 4)
+
+
+def _flip_one_sign(sums):
+    """The chevalley pair table with N_{alpha,beta} negated at the first
+    pair whose sum is a root."""
+    sums = [list(row) for row in sums]
+    ai, bi = next((a, b) for a, row in enumerate(sums) for b, (tag, _) in enumerate(row) if tag not in ("skip", None))
+    tag, sign = sums[ai][bi]
+    sums[ai][bi] = (tag, -sign)
+    return sums
+
+
+def _ref_chevalley(system, ring, sums, cap=32):
+    """(instances, failures capped at cap) of additivity and the commutator
+    formula over every pair of nonzero elements, in Elem arithmetic, with
+    the pair table sums of S._chevalley_tables."""
+    nonzero = [x for x in ring.elements() if not x.is_zero()]
+    nroots, n = len(system.roots), system.matrix_size()
+    one = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    instances, failures = 0, []
+    for ri in range(nroots):
+        for r in nonzero:
+            for s in nonzero:
+                instances += 1
+                lhs = _ref_product(_ref_unipotent(system, ring, ri, r), _ref_unipotent(system, ring, ri, s))
+                if lhs != _ref_unipotent(system, ring, ri, r + s):
+                    failures.append(dict(kind="additivity", root=ri, r=ring.to_literal(r.payload),
+                                         s=ring.to_literal(s.payload)))
+    for ai in range(nroots):
+        for bi, (tag, sign) in enumerate(sums[ai]):
+            if tag == "skip":
+                continue
+            for r in nonzero:
+                for s in nonzero:
+                    comm = one
+                    for idx, c in ((ai, r), (bi, s), (ai, -r), (bi, -s)):
+                        comm = _ref_product(comm, _ref_unipotent(system, ring, idx, c))
+                    instances += 1
+                    want = one if tag is None else _ref_unipotent(system, ring, tag, r * s if sign > 0 else -(r * s))
+                    if comm != want:
+                        failures.append(dict(kind="commutator", alpha=ai, beta=bi, r=ring.to_literal(r.payload),
+                                             s=ring.to_literal(s.payload)))
+    return instances, failures[:cap]
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("spec", TABLED)
+def test_chevalley_matches_elem_arithmetic(monkeypatch, spec, flip):
+    # over A2, with the honest pair table and with one sign wrong; the check
+    # reads the ring's tables alone, so the spy counts no method call
+    ring, system = make_ring(spec), build_system("A2")
+    pats, sums = S._chevalley_tables(system)
+    sums = _flip_one_sign(sums) if flip else sums
+    want = _ref_chevalley(system, ring, sums)
+    assert bool(want[1]) == (flip and -ring.one() != ring.one())  # -1 is 1 in characteristic 2
+    calls = _spy(monkeypatch)
+    rec = CheckRecord(name="", tier="")
+    S._chevalley_check(pats, sums, system.matrix_size(), rec, ring)
+    assert calls[0] == 0
+    assert (rec.instances, rec.failures) == want
+
+
+@pytest.mark.parametrize("spec, reason", zip(UNTABLED, ["past FINITE_MAX_SIZE", "is infinite"]))
+def test_chevalley_is_inconclusive_on_rings_without_lists(spec, reason):
+    (check,) = run_suite(SuiteConfig(suite="chevalley-relations", systems=("A2",), rings=(spec,))).checks
+    assert (check.instances, check.inconclusive, check.failures) == (0, 1, [])
+    assert reason in check.info["reason"]
