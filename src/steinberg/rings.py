@@ -23,15 +23,16 @@ ast.literal_eval; nothing is evaluated.  Python's rules for literals and
 grouping therefore hold: z/0x10 is z/16, (f2) and prod(f2,f3,) are read,
 and z/06 and poly(f2,1) are refused.
 
-Every finite ring has one representation: its payloads are the ints
-0..q-1 in enumeration order, so sorting payloads puts them in enumeration
-order.  z/N is the identity coding.  Every other finite ring is compiled,
-when it is made, into a FiniteRing, whose add, mul and neg are lookups in
-tables built once from the construction: a product, a quo() ring, a
-finite localization (the image of x -> x*e, for e the idempotent power of
-a) and a quotient R/I by an ideal (the image of x -> the first member of
-x + I).  The two image rings keep a section, the base code of each of
-their codes.  Over an infinite domain with exact division (z, a
+Every finite ring has at most FINITE_MAX_SIZE elements and one
+representation: its payloads are the ints 0..q-1 in enumeration order, so
+sorting payloads puts them in enumeration order, and its add, mul and neg
+tables are lists built when it is made.  z/N is the identity coding.
+Every other finite ring is compiled into a FiniteRing, whose arithmetic is
+lookups in tables built once from the construction: a product, a quo()
+ring, a finite localization (the image of x -> x*e, for e the idempotent
+power of a) and a quotient R/I by an ideal (the image of x -> the first
+member of x + I).  The two image rings keep a section, the base code of
+each of their codes.  Over an infinite domain with exact division (z, a
 localization of z, or semi() of one) loc() gives fractions instead; it
 refuses poly(S,V).  PolyRing holds the polynomial arithmetic that the
 quo() tables and the ideal part of semi() use, and quo() reduces by its
@@ -45,14 +46,13 @@ import ast
 import copy
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
 
-# A finite ring other than z/N with more elements than this is refused when
-# it is made.  Its tables have |R|^2 entries each; the slowest build at the
-# cap, a 256-element quotient of poly(f2,X), takes about 1.2 s (2-core Xeon).
+# A finite ring with more elements than this is refused when it is made.
+# Its tables have |R|^2 entries each; the slowest build at the cap, a
+# 256-element quotient of poly(f2,X), takes about 1.2 s (2-core Xeon).
 FINITE_MAX_SIZE = 256
 
 # Over a base other than Z, FractionLocalization tries this many powers of a
@@ -78,10 +78,8 @@ class DivisibilityError(RingError):
     """Division requested in an ideal that is not uniquely divisible."""
 
 
-class RingSizeError(SpecError, UnsupportedRingError):
-    """A finite ring other than z/N with more than FINITE_MAX_SIZE elements:
-    a bad spec when parsed, an inconclusive check when a suite builds it
-    (a quotient R/I, say)."""
+class RingSizeError(SpecError):
+    """A finite ring with more than FINITE_MAX_SIZE elements: a bad spec."""
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +174,8 @@ class Ring:
 
     `tables` is the (add, mul, neg) triple indexed by payload that the
     vector, matrix and word kernels read inline: add[a][b], mul[a][b] and
-    neg[a].  A finite ring of at most FINITE_MAX_SIZE elements holds them
-    as lists; every other ring has _MethodTable views that call p_add,
-    p_mul and p_neg.
+    neg[a].  A finite ring holds them as lists; an infinite ring has
+    _MethodTable views that call p_add, p_mul and p_neg.
     """
 
     is_finite = False
@@ -296,26 +293,26 @@ class ZRing(Ring):
 
 class ZModRing(Ring):
     """z/N, the identity coding of a finite ring.  p_add, p_mul and p_neg
-    reduce mod N.  Up to N = FINITE_MAX_SIZE the ring's tables are lists,
-    which the kernels index instead of calling the methods; a larger z/N
-    has the method views.  p_dot keeps one reduction for the whole sum."""
+    reduce mod N; the kernels index the ring's tables instead of calling
+    them.  p_dot keeps one reduction for the whole sum."""
 
     is_finite = True
 
     def __init__(self, n, spec=None):
         if n < 1:
             raise SpecError("modulus must be >= 1")
-        super().__init__(spec or f"z/{n}")
+        spec = spec or f"z/{n}"
+        _check_size(spec, n)
+        super().__init__(spec)
         self.n = n
         self.zero_p = 0
         self.one_p = 1 % n
-        if n <= FINITE_MAX_SIZE:
-            codes = range(n)
-            self._adopt_tables(
-                [[(a + b) % n for b in codes] for a in codes],
-                [[a * b % n for b in codes] for a in codes],
-                [-a % n for a in codes],
-            )
+        codes = range(n)
+        self._adopt_tables(
+            [[(a + b) % n for b in codes] for a in codes],
+            [[a * b % n for b in codes] for a in codes],
+            [-a % n for a in codes],
+        )
 
     def p_add(self, a, b):
         return (a + b) % self.n
@@ -514,7 +511,7 @@ def _unit_inverse(ring, p):
 
 def _check_size(spec, q):
     if q > FINITE_MAX_SIZE:
-        raise RingSizeError(f"{spec}: a finite ring other than z/N has at most {FINITE_MAX_SIZE} elements")
+        raise RingSizeError(f"{spec}: a finite ring has at most {FINITE_MAX_SIZE} elements")
 
 
 def _product(a, b):
@@ -590,7 +587,7 @@ def _quo_poly(polyring, relator):
     return _intern(ring)
 
 
-def _image_ring(spec, base, image, reps=None):
+def _image_ring(spec, base, image):
     """The image of a finite base ring under image, an idempotent map of its
     codes that respects + and *.
 
@@ -599,14 +596,8 @@ def _image_ring(spec, base, image, reps=None):
     code that code c stands for, and project maps a base code to its image's
     code.  With x -> x*e for the idempotent power e of a this is e*R, the
     finite model of R_a; with x -> the first member of x + I it is R/I.
-    reps, when given, are base codes in base order whose images are all of
-    the image and reached first by them, so that no other code is visited.
     """
-    section = {}
-    for x in base.payloads() if reps is None else reps:  # stops at the first image past the cap
-        section[image(x)] = None
-        _check_size(spec, len(section))
-    section = list(section)
+    section = list(dict.fromkeys(map(image, base.payloads())))
     ring = FiniteRing(
         spec,
         section,
@@ -866,6 +857,7 @@ def _build(node):
             return _intern(ZRing("z"))
         if node.id[0] == "f" and node.id[1:].isdigit():
             p = int(node.id[1:])
+            _check_size(f"f{p}", p)  # before the trial division, which takes sqrt(p) steps
             if not _is_prime(p):
                 raise SpecError(f"f{p}: {p} is not prime")
             return _intern(ZModRing(p, spec=f"f{p}"))
@@ -913,10 +905,10 @@ def localization(ring, a):
         spec = f"loc({ring.spec},{_lit_str(ring.to_literal(a.payload))})"
         loc = _RING_CACHE.get(spec)
         if loc is None:
-            e = _idempotent_power(spec, ring, a.payload)
-            # over z/N, x*e depends on x mod m only, m = |e*z/N|
-            reps = range(ring.n // math.gcd(e, ring.n)) if isinstance(ring, ZModRing) else None
-            loc = _intern(_image_ring(spec, ring, functools.partial(ring.p_mul, e), reps))
+            e = a.payload  # the idempotent power of a
+            while ring.p_mul(e, e) != e:
+                e = ring.p_mul(e, a.payload)
+            loc = _intern(_image_ring(spec, ring, functools.partial(ring.p_mul, e)))
     elif a.is_zero():
         zero = _intern(ZModRing(1))
         return zero, RingMorphism(ring, zero, lambda p: 0, name="lam_0")
@@ -925,33 +917,6 @@ def localization(ring, a):
     else:
         raise UnsupportedRingError(f"localization of {ring.spec} is not supported")
     return loc, RingMorphism(ring, loc, loc.project, name="lam_a")
-
-
-def _idempotent_power(spec, ring, a):
-    """The idempotent power e of a in the finite ring, so that e*R models
-    the localization `spec` of R at a.
-
-    Over z/N, a^k for k past every exponent of N is 0 modulo the prime
-    powers of N that a's primes divide and a unit modulo the others, so e
-    is 1 modulo the prime powers prime to a and 0 modulo the rest (the
-    Chinese remainder theorem), and e*z/N has their product m elements; m
-    is checked against FINITE_MAX_SIZE here, before e*z/N is enumerated.
-    Any other finite ring is searched one power at a time; it has at most
-    FINITE_MAX_SIZE elements.
-    """
-    if isinstance(ring, ZModRing):
-        n = ring.n
-        m, g = n, math.gcd(n, a)
-        while g > 1:  # strip from m every prime of a
-            m //= g
-            g = math.gcd(m, g)
-        _check_size(spec, m)
-        rest = n // m
-        return rest * pow(rest, -1, m) % n
-    e = a
-    while ring.p_mul(e, e) != e:
-        e = ring.p_mul(e, a)
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -1105,25 +1070,20 @@ _QUOTIENT_CACHE = {}
 def quotient_ring(ring, ideal):
     """(R/I, pi) for a finite ring, which maps each coset to its first
     member in enumeration order; an infinite ring raises
-    UnsupportedRingError.  Over z/N the ideal is d*z/N, d = gcd(N, gens),
-    and the first member of x + I is x mod d, so nothing is enumerated."""
+    UnsupportedRingError."""
     key = ideal.key()
     if key in _QUOTIENT_CACHE:
         return _QUOTIENT_CACHE[key]
     if ring.is_finite:
         gens = _lit_str([ring.to_literal(g.payload) for g in ideal.gens])
         spec = f"quo_ideal({ring.spec},{gens})"
-        if isinstance(ring, ZModRing):
-            d = math.gcd(ring.n, *(g.payload for g in ideal.gens))
-            q = _image_ring(spec, ring, lambda x: x % d, range(d))
-        else:
-            first = {}
-            iset = ideal.payload_set()
-            for p in ring.payloads():
-                if p not in first:  # the first member of its coset
-                    for i in iset:
-                        first[ring.p_add(p, i)] = p
-            q = _image_ring(spec, ring, first.__getitem__)
+        first = {}
+        iset = ideal.payload_set()
+        for p in ring.payloads():
+            if p not in first:  # the first member of its coset
+                for i in iset:
+                    first[ring.p_add(p, i)] = p
+        q = _image_ring(spec, ring, first.__getitem__)
         out = (q, RingMorphism(ring, q, q.project, name="pi"))
     else:
         raise UnsupportedRingError(f"quotient of {ring.spec} is not supported")
@@ -1145,29 +1105,24 @@ def splitting_section(ring, ideal):
     if not ring.is_finite:
         raise UnsupportedRingError(f"no registered section for {ring.spec}")
     quo, pi = quotient_ring(ring, ideal)
-    if isinstance(ring, ZModRing):  # I = d*z/N for d = |R/I|: walked, never listed
-        iset = range(0, ring.n, quo.size())
-        per_fiber = ring.n // quo.size()
-    else:
-        iset = sorted(ideal.payload_set())
-        per_fiber = len(iset)
-    qreps = quo.payloads()
+    iset = sorted(ideal.payload_set())
+    qcodes = quo.payloads()
     # sigma(q) must live in the fiber over q, section[q] + I; 0 and 1 are forced
-    free = sum(q not in (quo.zero_p, quo.one_p) for q in qreps)
-    if free and per_fiber**free > SECTION_CANDIDATE_CAP:
+    free = sum(q not in (quo.zero_p, quo.one_p) for q in qcodes)
+    if free and len(iset)**free > SECTION_CANDIDATE_CAP:
         raise UnsupportedRingError("section search space too large")
     fibers = [
         [ring.zero_p] if q == quo.zero_p
         else [ring.one_p] if q == quo.one_p
         else [ring.p_add(quo.section[q], i) for i in iset]
-        for q in qreps
+        for q in qcodes
     ]
     for table in itertools.product(*fibers):
         if all(
             table[quo.p_add(x, y)] == ring.p_add(table[x], table[y])
             and table[quo.p_mul(x, y)] == ring.p_mul(table[x], table[y])
-            for x in qreps
-            for y in qreps
+            for x in qcodes
+            for y in qcodes
         ):
             return RingMorphism(quo, ring, table.__getitem__, name="sigma")
     return None

@@ -42,7 +42,6 @@ from .matrices import (
     vector,
 )
 from .rings import (
-    FINITE_MAX_SIZE,
     Elem,
     FGIdeal,
     RingError,
@@ -468,7 +467,7 @@ def _chevalley_tables(datum):
 
 def suite_chevalley(config):
     """One check per (system, ring).  Which rings a check can run on is
-    decided here: those with code tables (FINITE_MAX_SIZE) and at most
+    decided here: the finite ones, which all have code tables, with at most
     CHEVALLEY_CAP instances (A2, the smallest system, counts 30 (|R| - 1)^2).
     The checks that run, of every system, are spread over the CPUs at once,
     and each check's wall_time is that of the process that ran it."""
@@ -486,8 +485,6 @@ def suite_chevalley(config):
                 count = (len(tables[0]) + live) * (ring.size() - 1) ** 2  # raises over an infinite ring
                 if count > CHEVALLEY_CAP:
                     raise UnsupportedRingError(f"{ring.spec} gives {count} instances, past CHEVALLEY_CAP")
-                if ring.size() > FINITE_MAX_SIZE:
-                    raise UnsupportedRingError(f"{ring.spec} has {ring.size()} elements, past FINITE_MAX_SIZE")
                 todo.append((rec, tables, ring))
 
     def timed(item):
@@ -959,8 +956,8 @@ def suite_star(config):
             lambda s1, s2: dict(u=_lit(s1.u.vec), v=_lit(s1.v), w=_lit(s2.v)),
         )
     with _Check(checks, "S-additivity-iota-f2[eps]-exhaustive", "matrix") as rec:
-        # mirrored additivity for the S family, via the transpose symmetry
-        mats = _spread(lambda sym: phi(Y_gen(sym.v, sym.u.vec, cert=sym.u.cert())).data, fs)
+        # mirrored additivity for the S family: iota of S(v, u) for each F(u, v)
+        mats = _spread(lambda sym: phi(iota(SSymbol(u=sym.v, v=sym.u))).data, fs)
         _additivity_check(
             rec, fs, codes(mats),
             lambda s1, s2: dict(v=_lit(s1.u.vec), u=_lit(s1.v), u2=_lit(s2.v)),

@@ -1,6 +1,5 @@
-import functools
+import math
 import random
-import signal
 import time
 
 import pytest
@@ -63,11 +62,7 @@ SPEC_TABLE = [
     ("z/8", "z/8", 8),
     ("z/9", "z/9", 9),
     ("z/12", "z/12", 12),
-    ("z/257", "z/257", 257),
-    ("z/1000", "z/1000", 1000),
-    ("z/3037000499", "z/3037000499", 3037000499),
-    ("z/3037000500", "z/3037000500", 3037000500),
-    ("z/3298534883328", "z/3298534883328", 3298534883328),
+    ("z/256", "z/256", 256),
     ("f2", "f2", 2),
     ("f3", "f3", 3),
     ("prod(f2,f2)", "prod(f2,f2)", 4),
@@ -90,15 +85,22 @@ SPEC_TABLE = [
     ("loc(z/4,2)", "loc(z/4,2)", 1),
     ("loc(z/6,2)", "loc(z/6,2)", 3),
     ("loc(prod(f2,f3),[0,1])", "loc(prod(f2,f3),[0,1])", 3),
-    ("loc(z/3298534883328,2)", "loc(z/3298534883328,2)", 3),
     ("semi(z,2)", "semi(z,2)", "infinite"),
     ("semi(z/6,2)", "semi(z/6,2)", "infinite"),
-    # refused: past the size cap, prod/quo of an infinite ring, or loc of a
-    # polynomial ring
+    # refused: past the size cap, which z/N obeys too, prod/quo of an
+    # infinite ring, or loc of a polynomial ring
+    ("z/257", RingSizeError, None),
+    ("z/300", RingSizeError, None),
+    ("z/1000", RingSizeError, None),
+    ("z/3037000499", RingSizeError, None),
+    ("z/3037000500", RingSizeError, None),
+    ("z/3298534883328", RingSizeError, None),
+    ("loc(z/3298534883328,2)", RingSizeError, None),
     ("loc(z/1000000007,2)", RingSizeError, None),
     ("loc(z/1000003,2)", RingSizeError, None),
     ("prod(z/17,z/17)", RingSizeError, None),
     ("quo(poly(f2,X),[1,1,0,0,0,0,0,0,0,1])", RingSizeError, None),
+    ("quo(poly(f3,X),[1,0,0,0,0,0,1])", RingSizeError, None),
     ("prod(z,f2)", SpecError, None),
     ("quo(poly(z,X),[1,0,1])", SpecError, None),
     ("loc(poly(z,X),[0,1])", UnsupportedRingError, None),
@@ -203,83 +205,65 @@ def test_localization_finite_idempotent():
     assert morphism_failures(lam) == []
 
 
+def _prime_powers(n):
+    """The prime powers p^k that exactly divide n, as (p, p^k) pairs."""
+    out, p = [], 2
+    while n > 1:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n, q = n // p, q * p
+            out.append((p, q))
+        p += 1
+    return out
+
+
+def _is_z_mod_n_image(ring, N, section):
+    """Whether the section is an injective map of ring into z/N that
+    respects + and *, so that the ring is its image."""
+    add, mul, _ = ring.tables
+    codes = range(ring.size())
+    return len(set(section)) == len(section) and all(
+        section[add[c][d]] == (section[c] + section[d]) % N and section[mul[c][d]] == section[c] * section[d] % N
+        for c in codes
+        for d in codes
+    )
+
+
 def test_localization_over_z_mod_n_is_the_idempotent_power(monkeypatch):
-    # the closed form (Chinese remainder theorem) against the search through
-    # the powers of a for its idempotent one, and the ring built from the
-    # residues mod |e*z/N| against the generic image of all N codes; the
-    # 2,080 rings are interned in a copy of the cache that ends with the test
+    # the power search of localization against e from the Chinese remainder
+    # theorem: 1 modulo the prime powers of N prime to a, 0 modulo the rest;
+    # the 2,080 rings are interned in a copy of the cache that ends with the test
     monkeypatch.setattr(rings, "_RING_CACHE", dict(rings._RING_CACHE))
     for N in range(1, 65):
         ring = make_ring(f"z/{N}")
         for a in range(N):
-            e = a
-            while e * e % N != e:
-                e = e * a % N
-            loc, _ = localization(ring, ring.el(a))
+            e = 0
+            for p, q in _prime_powers(N):
+                if a % p:  # e = 1 mod q and 0 mod N/q
+                    e += N // q * pow(N // q, -1, q)
+            e %= N
+            loc, lam = localization(ring, ring.el(a))
             assert loc.section[loc.one_p] == e, (N, a)
             assert loc.section == list(dict.fromkeys(x * e % N for x in range(N))), (N, a)
-            generic = rings._image_ring(loc.spec, ring, functools.partial(ring.p_mul, e))
-            assert loc.tables[:2] == generic.tables[:2]
-            assert [loc.project(x) for x in range(N)] == [generic.project(x) for x in range(N)]
-
-
-def test_localization_of_a_huge_z_mod_n_with_a_small_image():
-    # N = 2^40 * 3: e*z/N has 3 elements, but the base has N codes, and a
-    # walk over them all did not end
-    def stop(signum, frame):
-        raise TimeoutError("loc(z/3298534883328,2) still running after 5 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(5)
-    try:
-        t0 = time.perf_counter()
-        loc = make_ring("loc(z/3298534883328,2)")
-        elapsed = time.perf_counter() - t0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert loc.size() == 3 and elapsed < 1
-    assert loc.section == [0, 2**40, 2**41]
-    assert [loc.project(x) for x in (0, 1, 2, 3, 2**40, 2**41 + 1)] == [0, 1, 2, 0, 1, 0]
+            assert _is_z_mod_n_image(loc, N, loc.section), (N, a)
+            assert [loc.section[lam.p_fn(x)] for x in range(N)] == [x * e % N for x in range(N)], (N, a)
 
 
 def test_quotient_of_z_mod_n_is_the_residues_mod_the_gcd(monkeypatch):
-    # the closed form against the generic first-member-of-each-coset ring
-    # over all N codes, for every z/N with N <= 64 and every generator g;
-    # the 2,080 quotients are cached in a copy that ends with the test
+    # the generic first-member-of-each-coset ring against the closed form:
+    # (g) = d*z/N for d = gcd(N, g), and x + (g) first reaches x mod d, for
+    # every z/N with N <= 64 and every generator g; the 2,080 quotients are
+    # cached in a copy that ends with the test
     monkeypatch.setattr(rings, "_QUOTIENT_CACHE", dict(rings._QUOTIENT_CACHE))
     for N in range(1, 65):
         ring = make_ring(f"z/{N}")
         for g in range(N):
-            ideal = FGIdeal(ring, [g])
-            q, pi = quotient_ring(ring, ideal)
-            first = {}
-            for p in ring.payloads():
-                if p not in first:
-                    for i in ideal.payload_set():
-                        first[ring.p_add(p, i)] = p
-            generic = rings._image_ring(q.spec, ring, first.__getitem__)
-            assert q.section == generic.section, (N, g)
-            assert q.tables[:2] == generic.tables[:2], (N, g)
-            assert [pi.p_fn(x) for x in range(N)] == [generic.project(x) for x in range(N)], (N, g)
-
-
-def test_quotient_of_a_huge_z_mod_n_enumerates_nothing():
-    # N = 2^40 * 3 and I = (2): R/I is z/2, but the ideal has N/2 elements,
-    # too many to enumerate; the timer stops a walk over them
-    def stop(signum, frame):
-        raise TimeoutError("quotient of z/3298534883328 by (2) still running after 1 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
-        ring = make_ring("z/3298534883328")
-        q, pi = quotient_ring(ring, FGIdeal(ring, [2]))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    assert q.size() == 2 and q.section == [0, 1]
-    assert [pi.p_fn(x) for x in (0, 1, 2, 3, 2**41 + 1)] == [0, 1, 0, 1, 1]
+            d = math.gcd(N, g)
+            q, pi = quotient_ring(ring, FGIdeal(ring, [g]))
+            assert q.section == list(range(d)), (N, g)
+            assert [pi.p_fn(x) for x in range(N)] == [x % d for x in range(N)], (N, g)
+            assert _is_z_mod_n_image(q, d, q.section), (N, g)
 
 
 def _section_or_refusal(ring, g):
@@ -290,45 +274,50 @@ def _section_or_refusal(ring, g):
     return sigma and [sigma.p_fn(q) for q in sigma.source.payloads()]
 
 
-def test_splitting_section_of_z_mod_n_walks_the_residues(monkeypatch):
-    # the z/N route (fibers q + d*k, never listing the ideal) against the
-    # generic one over prod(z/N,z/1), a FiniteRing with the same codes and
-    # tables, for every z/N with N <= 64 and every generator g; under a cap
-    # of 10^4 candidates both routes must also refuse the same searches
-    # (with the stock 10^6 the generic searches take minutes)
+def test_splitting_section_of_z_mod_n_exists_when_the_gcd_is_1_or_n(monkeypatch):
+    # z/N -> z/d for d = gcd(N, g) has a unital section exactly when d is 1
+    # (the zero ring) or N (the identity), for every z/N with N <= 64 and
+    # every generator g; a search is refused exactly when its (N/d)^(d - 2)
+    # candidate tables pass a cap of 10^4 (with the stock 10^6 the searches
+    # take minutes)
     monkeypatch.setattr(rings, "SECTION_CANDIDATE_CAP", 10**4)
     monkeypatch.setattr(rings, "_QUOTIENT_CACHE", dict(rings._QUOTIENT_CACHE))
-    monkeypatch.setattr(rings, "_RING_CACHE", dict(rings._RING_CACHE))
+    refused = 0
     for N in range(1, 65):
-        ring, twin = make_ring(f"z/{N}"), make_ring(f"prod(z/{N},z/1)")
-        assert twin.tables[:2] == ring.tables[:2]
+        ring = make_ring(f"z/{N}")
         for g in range(N):
-            assert _section_or_refusal(ring, g) == _section_or_refusal(twin, g), (N, g)
+            d = math.gcd(N, g)
+            got = _section_or_refusal(ring, g)
+            if d > 2 and (N // d) ** (d - 2) > 10**4:
+                assert got == "section search space too large", (N, g)
+                refused += 1
+            else:
+                assert got == (list(range(N)) if d == N else [0] if d == 1 else None), (N, g)
+    assert refused > 0
 
 
-def test_splitting_section_of_a_huge_z_mod_n_lists_no_ideal():
-    # N = 2^40 * 3 and I = (2): R/I is z/2, and 1 + 1 = 0 there but not in
-    # R, so no section exists; listing the N/2 members of I never ended
-    def stop(signum, frame):
-        raise TimeoutError("splitting z/3298534883328 by (2) still running after 1 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
-        ring = make_ring("z/3298534883328")
-        assert splitting_section(ring, FGIdeal(ring, [2])) is None
-        with pytest.raises(UnsupportedRingError, match="not a splitting ideal"):
-            split_data(ring, FGIdeal(ring, [2]))
-        with pytest.raises(UnsupportedRingError, match="too large"):
-            splitting_section(ring, FGIdeal(ring, [3]))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+@pytest.mark.parametrize(
+    "spec",
+    ["z/257", "f257", "f1000000000000000003", "z/300", "z/3298534883328", "loc(z/3298534883328,2)",
+     "prod(z/17,z/17)", "quo(poly(f3,X),[1,0,0,0,0,0,1])"],
+)
+def test_a_finite_ring_past_the_cap_is_refused_at_once(spec, capsys):
+    # z/N and fP are held to the cap like every finite ring, before their
+    # tables are built, and fP before the trial division that tests p
+    # (10^9 steps for f1000000000000000003); a 729-element quo() ring is
+    # refused before its tables too
+    t0 = time.perf_counter()
+    with pytest.raises(RingSizeError):
+        make_ring(spec)
+    assert time.perf_counter() - t0 < 1
+    assert cli.main(["--suite", "chevalley-relations", "--ring", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and f"at most {FINITE_MAX_SIZE} elements" in err
 
 
 def test_localization_of_a_large_z_mod_n_is_refused_at_once(capsys):
-    # the idempotent power of 2 mod 1000000007 is 1, so the localization is
-    # the whole ring, past the cap; the power search took minutes to say so
+    # z/1000000007 is past the cap, so no power of 2 is searched; a search
+    # for the idempotent power 1 took minutes
     t0 = time.perf_counter()
     with pytest.raises(RingSizeError):
         make_ring("loc(z/1000000007,2)")
@@ -721,7 +710,7 @@ def test_image_ring_section_inverts_the_projection():
     [
         "prod(z/17,z/17)",
         "quo(poly(f2,X),[1,1,0,0,0,0,0,0,0,1])",
-        "loc(z/1000003,2)",  # an image ring of a z/N base
+        "loc(z/1000003,2)",  # its base z/1000003 is past the cap
         "prod(z,f2)",
         "quo(poly(z,X),[1,0,1])",
     ],

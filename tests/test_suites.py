@@ -30,7 +30,7 @@ from steinberg.suites import (
     VerificationReport,
     run_suite,
 )
-from steinberg.vdk import linear_system
+from steinberg.vdk import FSymbol, SSymbol, linear_system
 
 
 def test_unknown_suite_rejected():
@@ -139,16 +139,11 @@ def test_cli_flag_overrides():
          "no matrix realization"),
         (SuiteConfig(suite="k2-exact", systems=("E6",), rings=("f2",), max_cosets=1000),
          "no matrix realization"),
-        (SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/3037000500",)),
+        # 552 * 255^2 instances
+        (SuiteConfig(suite="chevalley-relations", systems=("D4",), rings=("z/256",)),
          "past CHEVALLEY_CAP"),
-        # z/1000 / (500) would be a 500-element FiniteRing
-        (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("z/1000",), ideal="[500]"),
-         "has at most 256"),
         (SuiteConfig(suite="relative-generation", systems=("A2",), rings=("poly(f2,X)",)),
          "quotient of poly(f2,X) is not supported"),
-        # under CHEVALLEY_CAP (30 * 299^2 instances), but without code tables
-        (SuiteConfig(suite="chevalley-relations", systems=("A2",), rings=("z/300",)),
-         "has 300 elements, past FINITE_MAX_SIZE"),
     ],
 )
 def test_unsupported_input_is_an_inconclusive_verdict(cfg, reason):
@@ -348,6 +343,10 @@ def test_capped_table_makes_the_exact_checks_inconclusive(suite, capsys):
         ('{"suite": "xeqy", "tier": "auto"}', "'tier' must be one of"),
         # json.load ran out of stack and ended in a RecursionError traceback
         pytest.param("[" * 100_000, "cannot read --config", id="100000-deep"),
+        # z/N is held to the size cap like every finite ring
+        ('{"suite": "relative-generation", "systems": ["A2"], "rings": ["z/1000"], "ideal": "[500]"}',
+         "has at most 256"),
+        ('{"suite": "chevalley-relations", "systems": ["A2"], "rings": ["z/300"]}', "has at most 256"),
     ],
 )
 def test_cli_config_errors_are_usage_errors(text, named, tmp_path, capsys):
@@ -689,19 +688,19 @@ def test_one_wrong_mul_entry_fails_chevalley(spec):
 
 
 def test_a_ring_past_the_instance_cap_is_refused_before_any_work(monkeypatch, capsys):
-    # the matrices of z/3037000499 alone would take 4 TiB
+    # D4 over z/256 counts 552 * 255^2 instances, several seconds of work
     def stop(signum, frame):
-        raise TimeoutError("chevalley over z/3037000499 still running after 1 s")
+        raise TimeoutError("chevalley over z/256 still running after 1 s")
 
     previous = signal.signal(signal.SIGALRM, stop)
     signal.setitimer(signal.ITIMER_REAL, 1)
     try:
-        code = cli.main(["--suite", "chevalley-relations", "--system", "A3", "--ring", "z/3037000499"])
+        code = cli.main(["--suite", "chevalley-relations", "--system", "D4", "--ring", "z/256"])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert code == 1
-    assert "[inconclusive] chevalley-A3-z/3037000499" in capsys.readouterr().out
+    assert "[inconclusive] chevalley-D4-z/256" in capsys.readouterr().out
     # the cap counts the exhaustive instances, 132 (N - 1)^2 over A3
     monkeypatch.setattr(S, "CHEVALLEY_CAP", 132 * 3**2)
     checks = run_suite(SuiteConfig(suite="chevalley-relations", systems=("A3",), rings=("z/4", "z/5"))).checks
@@ -1129,8 +1128,9 @@ def test_a_wrong_iota_image_fails_f_additivity_at_its_symbol(monkeypatch):
     kick = W.x_ij(linear_system(4), f2e, 0, 1, f2e.one())
 
     def wrong_at_bad(sym):
+        # F symbols alone: S-additivity reads iota of the S symbols
         word = iota(sym)
-        return word * kick if (sym.u.vec.data, sym.v.data) == key else word
+        return word * kick if isinstance(sym, FSymbol) and (sym.u.vec.data, sym.v.data) == key else word
 
     monkeypatch.setattr(S, "iota", wrong_at_bad)
     rep = run_suite(SuiteConfig(suite="star-presentation", samples=0))
@@ -1144,6 +1144,33 @@ def test_a_wrong_iota_image_fails_f_additivity_at_its_symbol(monkeypatch):
         v, w = vec[json.dumps(f["v"])], vec[json.dumps(f["w"])]
         assert bad.v in (v, w, v + w)
     assert {"u": S._lit(bad.u.vec), "v": S._lit(bad.v), "w": S._lit(bad.v)} in failures
+
+
+def test_a_wrong_iota_image_fails_s_additivity_at_its_symbol(monkeypatch):
+    # the mirror of the test above: S-additivity builds iota(S(v, u)) for
+    # each F(u, v), so a wrong image of one S symbol fails it alone
+    f2e = make_ring("quo(poly(f2,X),[0,0,1])")
+    fs = fp.star_presentations(4, f2e, FGIdeal(f2e, [f2e.gen()]))
+    bad = next(s for s in fs[100:] if any(p != f2e.zero_p for p in s.v.data))
+    key = (bad.v.data, bad.u.vec.data)
+    iota = S.iota
+    kick = W.x_ij(linear_system(4), f2e, 0, 1, f2e.one())
+
+    def wrong_at_bad(sym):
+        word = iota(sym)
+        return word * kick if isinstance(sym, SSymbol) and (sym.u.data, sym.v.vec.data) == key else word
+
+    monkeypatch.setattr(S, "iota", wrong_at_bad)
+    rep = run_suite(SuiteConfig(suite="star-presentation", samples=0))
+    checks = {c.name: c for c in rep.checks}
+    assert not checks["F-additivity-iota-f2[eps]-exhaustive"].failures
+    failures = checks["S-additivity-iota-f2[eps]-exhaustive"].failures
+    assert 0 < len(failures) < 32
+    vec = {json.dumps(S._lit(s.v)): s.v for s in fs}
+    for f in failures:
+        assert f["v"] == S._lit(bad.u.vec)
+        u, u2 = vec[json.dumps(f["u"])], vec[json.dumps(f["u2"])]
+        assert bad.v in (u, u2, u + u2)
 
 
 def test_additivity_check_raises_when_a_sum_has_no_symbol():
@@ -1186,17 +1213,19 @@ def test_canonical_split_fails_a_term_of_the_wrong_length(monkeypatch, change):
 
 def test_spread_chevalley_decides_ring_support_before_it_forks(monkeypatch):
     # one wrong sign makes every z/N check fail; an infinite ring, and one
-    # past CHEVALLEY_CAP, stay inconclusive at every CPU count
+    # past CHEVALLEY_CAP (lowered to 132 (5 - 1)^2), stay inconclusive at
+    # every CPU count
     monkeypatch.setattr(S, "_chevalley_tables", _corrupt("sign"))
+    monkeypatch.setattr(S, "CHEVALLEY_CAP", 132 * 4**2)
     cfg = SuiteConfig(suite="chevalley-relations", systems=("A3",),
-                      rings=("z/3", "z", "z/4", "z/3037000500", "z/5"))
+                      rings=("z/3", "z", "z/4", "z/6", "z/5"))
     reports = []
     for cpus in (1, 2, 3):
         _cpus(monkeypatch, cpus)
         reports.append(run_suite(cfg))
     assert reports[1].to_json() == reports[2].to_json() == reports[0].to_json()
     checks = {c.name: c for c in reports[2].checks}
-    for spec, reason in (("z", "is infinite"), ("z/3037000500", "past CHEVALLEY_CAP")):
+    for spec, reason in (("z", "is infinite"), ("z/6", "past CHEVALLEY_CAP")):
         c = checks[f"chevalley-A3-{spec}"]
         assert c.inconclusive == 1 and c.instances == 0 and reason in c.info["reason"]
     for spec in ("z/3", "z/4", "z/5"):

@@ -2,13 +2,13 @@
 
 Every ring has `tables`, the (add, mul, neg) triple that phi, simplify,
 x_small, decomposition_terms, the RMatrix and RVector operations and
-transvection index inline.  A finite ring of at most FINITE_MAX_SIZE
-elements holds them as lists; every other ring (z/257, past the cap, and
-semi(z,2)) has views that call p_add, p_mul and p_neg.  The reference here
-is written in Elem arithmetic alone: plain matrix products of the root
-unipotents, the decomposition formula term by term, and sums of products.
-The chevalley check computes on the code tables in numpy, and is held to
-the same reference over every ring with lists.
+transvection index inline.  A finite ring holds them as lists; an
+infinite ring (loc(z,2) and semi(z,2)) has views that call p_add, p_mul
+and p_neg.  The reference here is written in Elem arithmetic alone: plain
+matrix products of the root unipotents, the decomposition formula term by
+term, and sums of products.  The chevalley check computes on the code
+tables in numpy, and is held to the same reference over every ring with
+lists.
 """
 
 import random
@@ -19,14 +19,14 @@ from laws import random_payload
 from steinberg import rings
 from steinberg import suites as S
 from steinberg.matrices import RMatrix, RVector, identity_matrix, transvection
-from steinberg.rings import FINITE_MAX_SIZE, Elem, make_ring
+from steinberg.rings import FINITE_MAX_SIZE, Elem, RingSizeError, make_ring
 from steinberg.roots import build_system
 from steinberg.suites import CheckRecord, SuiteConfig, run_suite
 from steinberg.vdk import decomposition_terms, linear_system, x_small
 from steinberg.words import StWord, phi, simplify
 
 TABLED = ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)"]
-UNTABLED = ["z/257", "semi(z,2)"]
+UNTABLED = ["loc(z,2)", "semi(z,2)"]
 
 
 def _draw(ring, rng):
@@ -141,10 +141,11 @@ def test_kernels_match_elem_arithmetic(spec):
 
 
 def _spy(monkeypatch):
-    """Counts the calls of p_add, p_mul and p_neg of ZModRing, FiniteRing
-    and SemidirectRing, wrapped on the class as a tracer wraps them."""
+    """Counts the calls of p_add, p_mul and p_neg of ZModRing, FiniteRing,
+    FractionLocalization and SemidirectRing, wrapped on the class as a
+    tracer wraps them."""
     calls = [0]
-    for cls in (rings.ZModRing, rings.FiniteRing, rings.SemidirectRing):
+    for cls in (rings.ZModRing, rings.FiniteRing, rings.FractionLocalization, rings.SemidirectRing):
         for name in ("p_add", "p_mul", "p_neg"):
             method = getattr(cls, name)
 
@@ -216,7 +217,8 @@ def test_views_call_the_ring_methods(monkeypatch, spec):
 
 def test_elems_and_identities_are_shared_on_rings_with_tables():
     assert _holds_lists(make_ring(f"z/{FINITE_MAX_SIZE}"))
-    assert not _holds_lists(make_ring(f"z/{FINITE_MAX_SIZE + 1}"))
+    with pytest.raises(RingSizeError):
+        make_ring(f"z/{FINITE_MAX_SIZE + 1}")
     for spec in TABLED:
         ring = make_ring(spec)
         assert _holds_lists(ring)
@@ -296,7 +298,7 @@ def test_chevalley_matches_elem_arithmetic(monkeypatch, spec, flip):
     assert (rec.instances, rec.failures) == want
 
 
-@pytest.mark.parametrize("spec, reason", zip(UNTABLED, ["past FINITE_MAX_SIZE", "is infinite"]))
+@pytest.mark.parametrize("spec, reason", [("semi(z,2)", "is infinite")])
 def test_chevalley_is_inconclusive_on_rings_without_lists(spec, reason):
     (check,) = run_suite(SuiteConfig(suite="chevalley-relations", systems=("A2",), rings=(spec,))).checks
     assert (check.instances, check.inconclusive, check.failures) == (0, 1, [])

@@ -656,7 +656,7 @@ def _memo_words(cases):
     return out
 
 
-@pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)", "z/257", "semi(z,2)"])
+@pytest.mark.parametrize("spec", ["z/6", "f3", "quo(poly(f2,X),[0,0,1])", "prod(f2,f3)", "loc(z,2)", "semi(z,2)"])
 def test_memo_returns_the_fresh_words(spec):
     ring = make_ring(spec)
     rng = random.Random(spec)
