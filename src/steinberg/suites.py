@@ -643,7 +643,7 @@ def suite_vdk(config):
         samples = []  # (u, v and vv orthogonal to u)
         while len(samples) < _want(config, 300):
             u = _rand_vector(z6, n, rng)
-            if math.gcd(z6.n, *u.data) != 1:  # u has no certificate
+            if math.gcd(z6.size(), *u.data) != 1:  # u has no certificate
                 continue
             samples.append((u, _rand_orthogonal(z6, n, rng, u), _rand_orthogonal(z6, n, rng, u)))
         _spread_into(rec, _xgen_ygen_contract_at, samples)

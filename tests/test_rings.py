@@ -13,7 +13,6 @@ from steinberg.rings import (
     DivisibilityError,
     Elem,
     FGIdeal,
-    Ring,
     RingSizeError,
     SpecError,
     UnsupportedRingError,
@@ -82,6 +81,7 @@ SPEC_TABLE = [
     ("quo(poly(f3,X),[1,0,0,0,1])", "quo(poly(f3,X),[1,0,0,0,1])", 81),
     ("quo(poly(z/4,X),[1,0,0,1])", "quo(poly(z/4,X),[1,0,0,1])", 64),
     ("loc(z,2)", "loc(z,2)", "infinite"),
+    ("loc(z,0)", "z/1", 1),
     ("loc(z/4,2)", "loc(z/4,2)", 1),
     ("loc(z/6,2)", "loc(z/6,2)", 3),
     ("loc(prod(f2,f3),[0,1])", "loc(prod(f2,f3),[0,1])", 3),
@@ -139,19 +139,20 @@ def test_bad_specs():
         "z/" + "7" * 5000,  # past the int digit limit
     ]
     others = ["{1:2}", "{1}", "None", "1j", "'a'", "2.5", "{[1]}"]
-    edge = ["z/06", "z/٤", "poly(f2,1)", "poly(f2,lambda)", "poly(f2,True)", "z/-3", "z/4.0", "z/True", "z//4",
-            "f2()", "prod(f2)", "prod(f2,f3,f2)", "prod(f2,f3=1)", "prod(*f2)", "loc(z/6,--2)", "loc(z/6,2)x",
-            "prod(f2,f3)[0]", "__import__('os')", "lambda:1", "z/4;1", "", "Z"]
+    edge = ["z/06", "z/٤", "f02", "f0003", "f٣", "poly(f2,1)", "poly(f2,lambda)", "poly(f2,True)", "z/-3", "z/4.0",
+            "z/True", "z//4", "f2()", "prod(f2)", "prod(f2,f3,f2)", "prod(f2,f3=1)", "prod(*f2)", "loc(z/6,--2)",
+            "loc(z/6,2)x", "prod(f2,f3)[0]", "__import__('os')", "lambda:1", "z/4;1", "", "Z"]
     for bad in ["z/", "f4", "prod(z/2)", "quo(z/4,[0,1])", "wat", *adversarial, *others, *edge,
                 *(f"loc(z/6,{lit})" for lit in others), *(f"quo(poly(f2,X),{lit})" for lit in others)]:
         with pytest.raises(SpecError):
             make_ring(bad)
 
 
-@pytest.mark.parametrize("spec", ["prod(" * 1200 + "f2" + ",f2)" * 1200, "z/" + "7" * 5000],
-                         ids=["1200-deep", "5000-digit-modulus"])
+@pytest.mark.parametrize("spec", ["prod(" * 1200 + "f2" + ",f2)" * 1200, "z/" + "7" * 5000, "f02"],
+                         ids=["1200-deep", "5000-digit-modulus", "leading-zero-field"])
 def test_adversarial_spec_is_a_usage_error(spec, capsys):
-    # these ended in a RecursionError and a ValueError traceback
+    # the first two ended in a RecursionError and a ValueError traceback,
+    # and f02 was read as f2
     assert cli.main(["--suite", "k2-exact", "--system", "A2", "--ring", spec]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and "bad ring spec" in err
@@ -377,6 +378,10 @@ def test_localization_integers():
     # the exponent is an int too: [1, true] used to give the payload (1, True)
     with pytest.raises(SpecError):
         loc.el([1, True])
+    # at 0 the localization is the zero ring
+    zero, lam0 = localization(zz, zz.el(0))
+    assert zero is make_ring("z/1")
+    assert lam0(zz.el(7)) == zero.zero() == zero.one()
 
 
 def test_semidirect_ring_unit_and_products():
@@ -619,15 +624,6 @@ def test_add_mul_closure_random(spec, data):
     assert (x * y).payload in ring.payloads()
 
 
-@given(st.integers(1, 12), st.data())
-@settings(max_examples=60, deadline=None)
-def test_zmod_dot_is_the_generic_loop(n, data):
-    ring = make_ring(f"z/{n}")
-    size = data.draw(st.integers(0, 6))
-    xs, ys = (data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)) for _ in range(2))
-    assert ring.p_dot(xs, ys) == Ring.p_dot(ring, xs, ys)
-
-
 def _f2eps_model(op, x, y):
     """F2[eps] on coefficient pairs, written out: the reference for its tables."""
     a = (x + (0, 0))[:2]
@@ -647,6 +643,11 @@ def _prod_f2_f3_model(op, x, y):
     return (x[0] * y[0] % 2, x[1] * y[1] % 3)
 
 
+def _residue_model(n):
+    """z/N on the residues 0..N-1, written out."""
+    return lambda op, x, y: (x + y) % n if op == "add" else x * y % n
+
+
 def _table_rings():
     f2e = make_ring("quo(poly(f2,X),[0,0,1])")
     quo, _ = quotient_ring(f2e, FGIdeal(f2e, [f2e.gen()]))
@@ -655,20 +656,29 @@ def _table_rings():
         (make_ring("prod(f2,f3)"), _prod_f2_f3_model),
         (make_ring("loc(prod(f2,f3),[0,1])"), _prod_f2_f3_model),
         (quo, _f2eps_model),  # F2[eps]/(eps) on the constants [] and [1]
+        (make_ring("z/6"), _residue_model(6)),
+        (make_ring("z/9"), _residue_model(9)),
+        (make_ring("f5"), _residue_model(5)),
     ]
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(7))
 def test_table_arithmetic_matches_class_arithmetic(index):
     # the tables, read through the literals, against the arithmetic of the
     # construction written out on those literals
     ring, model = _table_rings()[index]
-    lit = lambda c: tuple(ring.to_literal(c))  # noqa: E731
+
+    def lit(c):
+        out = ring.to_literal(c)
+        return tuple(out) if isinstance(out, list) else out
+
     pool = list(ring.payloads())
     for x in pool:
         for y in pool:
             assert lit(ring.p_add(x, y)) == model("add", lit(x), lit(y))
             assert lit(ring.p_mul(x, y)) == model("mul", lit(x), lit(y))
+    if isinstance(lit(0), int):  # z/N and fP: each code is its own residue
+        assert list(map(lit, pool)) == pool
     assert ring_axiom_failures(ring) == []
 
 

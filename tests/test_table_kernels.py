@@ -141,11 +141,11 @@ def test_kernels_match_elem_arithmetic(spec):
 
 
 def _spy(monkeypatch):
-    """Counts the calls of p_add, p_mul and p_neg of ZModRing, FiniteRing,
+    """Counts the calls of p_add, p_mul and p_neg of FiniteRing,
     FractionLocalization and SemidirectRing, wrapped on the class as a
     tracer wraps them."""
     calls = [0]
-    for cls in (rings.ZModRing, rings.FiniteRing, rings.FractionLocalization, rings.SemidirectRing):
+    for cls in (rings.FiniteRing, rings.FractionLocalization, rings.SemidirectRing):
         for name in ("p_add", "p_mul", "p_neg"):
             method = getattr(cls, name)
 
@@ -183,7 +183,7 @@ def _kernel_calls(ring):
         "RVector.__sub__": lambda: u - v,
         "RVector.__neg__": lambda: -u,
         "RVector.scale": lambda: u.scale(c),
-        "Ring.p_dot": lambda: rings.Ring.p_dot(ring, u.data, v.data),  # z/N overrides it
+        "Ring.p_dot": lambda: ring.p_dot(u.data, v.data),
     }
 
 
